@@ -6,7 +6,9 @@
 //! the flat buffers, blocking and mirrored score matrix buy at each sequence
 //! length, what the SIMD backend buys on top of the scalar fused path
 //! (`forward/simd_speedup/k=*` — ULP-divergent by contract, pinned by
-//! `tests/simd_equivalence.rs`), and what the prefix cache adds on top.
+//! `tests/simd_equivalence.rs`), what the prefix cache adds on top, and what
+//! computing only the question rows of the last layer (the read-out `SimLlm`
+//! runs) adds on top of that (`forward/read_out_speedup/k=*`).
 //!
 //! ```text
 //! cargo bench --bench kernels [-- --json KERNELS.json]
@@ -16,7 +18,7 @@ use rage_bench::{black_box, scaled, section, Runner};
 use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::KernelBackend;
 use rage_llm::tokenizer::SimTokenizer;
-use rage_llm::transformer::{Transformer, TransformerConfig};
+use rage_llm::transformer::{ReadOut, Transformer, TransformerConfig};
 use rage_llm::{LlmInput, SourceText};
 
 /// A deterministic prompt with `k` sources (tennis-flavoured filler so token
@@ -66,14 +68,29 @@ fn main() {
         });
         runner.ratio(&format!("forward/simd_speedup/k={k}"), &fused, &simd);
 
-        // Warm prefix cache on top of the fused path (the production setup).
+        // Warm prefix cache on top of the fused path.
         let cache = PrefixCache::default();
-        transformer.forward_cached(&prompt, Some(&cache));
+        transformer.forward_cached(&prompt, Some(&cache), ReadOut::AllRows);
         let cached = runner.bench(&format!("forward/fused+cache/k={k}"), scaled(300), || {
-            black_box(transformer.forward_cached(&prompt, Some(&cache)));
+            black_box(transformer.forward_cached(&prompt, Some(&cache), ReadOut::AllRows));
         });
         runner.ratio(&format!("forward/cache_speedup/k={k}"), &fused, &cached);
         runner.cache_counters(&format!("forward/prefix_cache/k={k}"), cache.stats());
+
+        // The production setup: warm cache, last layer limited to the
+        // question rows the default read-out consumes.
+        let question_rows = runner.bench(
+            &format!("forward/question_rows+cache/k={k}"),
+            scaled(300),
+            || {
+                black_box(transformer.forward_cached(&prompt, Some(&cache), ReadOut::QuestionRows));
+            },
+        );
+        runner.ratio(
+            &format!("forward/read_out_speedup/k={k}"),
+            &cached,
+            &question_rows,
+        );
     }
 
     runner.finish();

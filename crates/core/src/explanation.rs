@@ -245,11 +245,27 @@ impl RageReport {
 
     /// Whether every section of the report resolved its whole search space.
     pub fn all_sections_exact(&self) -> bool {
-        self.top_down.completeness.is_exact()
-            && self.bottom_up.completeness.is_exact()
-            && self.permutation.completeness.is_exact()
-            && self.placements_completeness.is_exact()
-            && self.insights.completeness.is_exact()
+        self.section_completeness().iter().all(|c| c.is_exact())
+    }
+
+    /// Whether a wall-clock deadline cut any section short. Such a report
+    /// depends on timing, not only on its inputs; any other report equals the
+    /// one generated without a deadline.
+    pub fn deadline_truncated(&self) -> bool {
+        self.section_completeness()
+            .iter()
+            .any(|c| matches!(c, Completeness::DeadlineTruncated { .. }))
+    }
+
+    /// The completeness marker of every section, in report order.
+    fn section_completeness(&self) -> [&Completeness; 5] {
+        [
+            &self.top_down.completeness,
+            &self.bottom_up.completeness,
+            &self.permutation.completeness,
+            &self.placements_completeness,
+            &self.insights.completeness,
+        ]
     }
 
     /// The document ids the explanation cites: the sources whose removal
@@ -437,6 +453,26 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_that_never_fires_is_exactly_the_default_generation() {
+        // What lets a service store a complete anytime report under the
+        // exact report's cache key.
+        let p = pipeline();
+        let config = ReportConfig::default();
+        let (_, ev1) = p
+            .ask_and_explain("Who holds the most grand slam titles?", 3)
+            .unwrap();
+        let (_, ev2) = p
+            .ask_and_explain("Who holds the most grand slam titles?", 3)
+            .unwrap();
+        let plain = RageReport::generate(&ev1, &config).unwrap();
+        let generous =
+            RageReport::generate_with_deadline(&ev2, &config, Some(Deadline::after_ms(600_000)))
+                .unwrap();
+        assert!(!generous.deadline_truncated());
+        assert_eq!(plain, generous);
+    }
+
+    #[test]
     fn effective_permutation_budget_falls_back_to_the_default() {
         let explicit = ReportConfig::default();
         assert_eq!(explicit.effective_permutation_budget(), 128);
@@ -469,6 +505,7 @@ mod tests {
         assert_eq!(report.source_scores.len(), report.context.len());
         // ...but every search stopped at its first batch boundary.
         assert!(!report.all_sections_exact());
+        assert!(report.deadline_truncated());
         assert!(matches!(
             report.permutation.completeness,
             Completeness::DeadlineTruncated { .. }

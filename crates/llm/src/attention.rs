@@ -42,6 +42,10 @@ impl SourceAttention {
 }
 
 /// Sum attention over all layers, heads and query tokens into each source's key span.
+///
+/// Reads every row, so the record must come from a
+/// [`ReadOut::AllRows`](crate::transformer::ReadOut::AllRows) forward; a
+/// record missing rows panics instead of under-counting.
 pub fn aggregate_source_attention(
     record: &AttentionRecord,
     prompt: &TokenizedPrompt,
@@ -52,6 +56,10 @@ pub fn aggregate_source_attention(
     }
     for layer in &record.layers {
         for head in &layer.heads {
+            assert_eq!(
+                head.rows, record.seq_len,
+                "whole-prompt aggregation reads every row of every layer"
+            );
             for q in 0..record.seq_len {
                 let row = head.row(q);
                 for (source_idx, &(start, end)) in prompt.source_spans.iter().enumerate() {
@@ -67,7 +75,9 @@ pub fn aggregate_source_attention(
 /// Sum attention restricted to question-token queries only.
 ///
 /// This variant measures how much the *question* attends to each source, which is a
-/// sharper relevance signal than whole-prompt aggregation when sources are long.
+/// sharper relevance signal than whole-prompt aggregation when sources are long. It
+/// reads only the question rows, so a
+/// [`ReadOut::QuestionRows`](crate::transformer::ReadOut::QuestionRows) record suffices.
 pub fn aggregate_question_to_source_attention(
     record: &AttentionRecord,
     prompt: &TokenizedPrompt,
@@ -158,6 +168,23 @@ mod tests {
         assert!(attention.masses.is_empty());
         assert!(attention.normalised().is_empty());
         assert_eq!(attention.argmax(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads every row")]
+    fn whole_prompt_aggregation_rejects_a_question_rows_record() {
+        use crate::transformer::ReadOut;
+        let tok = SimTokenizer::new();
+        let prompt = tok.tokenize_prompt(&LlmInput::new(
+            "who is the champion",
+            vec![SourceText::new("a", "gauff is the champion")],
+        ));
+        let record = Transformer::new(TransformerConfig::default()).forward_cached(
+            &prompt,
+            None,
+            ReadOut::QuestionRows,
+        );
+        aggregate_source_attention(&record, &prompt);
     }
 
     #[test]

@@ -40,18 +40,29 @@
 //! Explanation search evaluates hundreds of perturbed prompts per report, and each
 //! forward pass is dominated by the `O(tokens²)` attention score/softmax/mix loops.
 //! Those loops live in [`kernels`]: fused, cache-blocked implementations over flat
-//! row-major buffers that the production [`Transformer::forward`](transformer::Transformer::forward)
-//! path runs on. The contract is strict **bit-identity** — every kernel performs the
-//! same IEEE-754 operations in the same per-scalar order as the straight-line
-//! reference implementation
+//! row-major buffers that the production
+//! [`Transformer::forward_cached`](transformer::Transformer::forward_cached) path runs
+//! on. That path is also *demand-driven*: it computes only what its caller reads. Every
+//! layer before the last runs in full, because its rows feed the next layer's keys;
+//! the last layer scores and normalises only the rows the read-out consumes (the
+//! question rows for the default bidirectional [`SimLlm`](model::SimLlm), every row
+//! under causal masking — see [`ReadOut`](transformer::ReadOut)). Unread last-layer
+//! rows are never computed or stored, and neither is the final hidden state (the last
+//! layer has no value mix and no residual), because nothing reads it.
+//!
+//! The contract is strict **bit-identity** over every attention value the read-out
+//! consumes — every kernel performs the same IEEE-754 operations in the same per-scalar
+//! order as the straight-line reference implementation
 //! ([`Transformer::forward_reference`](transformer::Transformer::forward_reference),
-//! kept compiled as the oracle), so enabling the kernels can never change an answer,
-//! an attention read-out, a golden snapshot, or a prefix-cache guarantee. The
-//! differential suite in `tests/kernel_equivalence.rs` enforces the contract down to
-//! `f64::to_bits` across randomised prompts, model shapes, cache states and
-//! multi-threaded evaluator runs, in both debug and release codegen. Any behavioural
-//! change to the forward pass must therefore be made in *both* implementations — the
-//! suite fails loudly otherwise.
+//! kept compiled as the oracle, which still computes everything), so enabling the
+//! kernels or the demand-driven read-out can never change an answer, an attention
+//! read-out, a golden snapshot, or a prefix-cache guarantee. The differential suite in
+//! `tests/kernel_equivalence.rs` enforces the contract down to `f64::to_bits` across
+//! randomised and edge-case prompts, model shapes (causal and bidirectional), cache
+//! states and multi-threaded evaluator runs, in both debug and release codegen, and
+//! compares the demand-driven record row by row with the full one on both backends.
+//! Any behavioural change to the forward pass must therefore be made in *both*
+//! implementations — the suite fails loudly otherwise.
 //!
 //! ## Backend selection and the re-baseline contract
 //!

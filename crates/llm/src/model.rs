@@ -18,7 +18,7 @@ use crate::kernels::KernelBackend;
 use crate::knowledge::PriorKnowledge;
 use crate::position_bias::PositionBiasProfile;
 use crate::tokenizer::SimTokenizer;
-use crate::transformer::{Transformer, TransformerConfig};
+use crate::transformer::{ReadOut, Transformer, TransformerConfig};
 use crate::{Generation, LanguageModel, LlmInput};
 
 /// How evidence for the same answer from multiple sources combines.
@@ -185,20 +185,27 @@ impl SimLlm {
         if k == 0 {
             return (Vec::new(), prompt.len());
         }
-        let record = if self.use_reference_forward {
-            self.transformer
-                .forward_reference(&prompt, self.prefix_cache.as_deref())
-        } else {
-            self.transformer
-                .forward_cached(&prompt, self.prefix_cache.as_deref())
-        };
         // Aggregation must match the mask. The prompt layout is question
         // first, sources after: under causal masking a question row can
         // never attend to a source token (sources are strictly in its
         // future), so the question-restricted read-out would be identically
         // zero. Causal models therefore aggregate over the whole prompt —
         // source rows, computed after the sources appear, carry the signal.
-        let content = if self.config.transformer.causal {
+        // The forward computes exactly the rows the aggregation reads.
+        let causal = self.config.transformer.causal;
+        let record = if self.use_reference_forward {
+            self.transformer
+                .forward_reference(&prompt, self.prefix_cache.as_deref())
+        } else {
+            let read_out = if causal {
+                ReadOut::AllRows
+            } else {
+                ReadOut::QuestionRows
+            };
+            self.transformer
+                .forward_cached(&prompt, self.prefix_cache.as_deref(), read_out)
+        };
+        let content = if causal {
             aggregate_source_attention(&record, &prompt).normalised()
         } else {
             aggregate_question_to_source_attention(&record, &prompt).normalised()

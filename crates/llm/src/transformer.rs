@@ -6,7 +6,8 @@
 //! scoring path to be meaningful. This module implements exactly that: token
 //! embeddings are projected per head, scaled dot-product attention is computed with a
 //! softmax per query position, hidden states are updated through a residual mix of the
-//! attended values, and every layer's per-head attention matrix is recorded.
+//! attended values, and every layer's per-head attention matrix is recorded. The fused
+//! forward computes only the last-layer rows its caller reads (see [`ReadOut`]).
 
 use std::sync::{Arc, Mutex};
 
@@ -95,21 +96,50 @@ impl Matrix {
     }
 }
 
-/// Attention matrices of one layer, one entry per head. Each matrix is `n × n` with
-/// rows = query positions, columns = key positions, rows summing to 1.
+/// Attention matrices of one layer, one entry per head. Each matrix is `rows × n` with
+/// rows = query positions `0..rows`, columns = key positions, rows summing to 1.
+/// `rows == n` except in the last layer of a [`ReadOut::QuestionRows`] forward, which
+/// stores only the rows it computed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerAttention {
     /// Per-head attention matrices.
     pub heads: Vec<Matrix>,
 }
 
-/// The recorded attention of a full forward pass.
+/// The recorded attention of a forward pass.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttentionRecord {
     /// Per-layer attention.
     pub layers: Vec<LayerAttention>,
-    /// Sequence length the attention was computed over.
+    /// Sequence length the attention was computed over (the key count of every
+    /// matrix).
     pub seq_len: usize,
+}
+
+/// Which attention rows a caller of [`Transformer::forward_cached`] reads.
+///
+/// Only the last layer is affected. Every earlier layer runs over all `n` rows,
+/// because its hidden states feed the next layer's keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadOut {
+    /// Every row of every layer: the full record.
+    AllRows,
+    /// The last layer keeps only the prompt prefix `0..question_span.1`, which
+    /// under the tokenizer's question-first layout is exactly the question rows
+    /// that [`aggregate_question_to_source_attention`] reads.
+    ///
+    /// [`aggregate_question_to_source_attention`]: crate::attention::aggregate_question_to_source_attention
+    QuestionRows,
+}
+
+impl ReadOut {
+    /// Number of last-layer rows (a prefix of the prompt) this read-out needs.
+    pub fn rows(self, prompt: &TokenizedPrompt) -> usize {
+        match self {
+            ReadOut::AllRows => prompt.len(),
+            ReadOut::QuestionRows => prompt.question_span.1.min(prompt.len()),
+        }
+    }
 }
 
 impl AttentionRecord {
@@ -128,11 +158,11 @@ pub struct Transformer {
     projections: Vec<Vec<Matrix>>,
     /// Which kernel implementation [`Transformer::forward_cached`] runs on.
     backend: kernels::KernelBackend,
-    /// Recycled `n × n` buffers for attention matrices and combined-weight
-    /// scratch. At report-scale prompts these allocations are large enough
-    /// that the system allocator hands them back to the OS on every drop,
-    /// and the page faults of re-touching fresh pages cost more than an
-    /// entire softmax pass per forward. Callers that are done reading an
+    /// Recycled buffers for attention matrices and combined-weight scratch.
+    /// At report-scale prompts these allocations are large enough that the
+    /// system allocator hands them back to the OS on every drop, and the
+    /// page faults of re-touching fresh pages cost more than an entire
+    /// softmax pass per forward. Callers that are done reading an
     /// [`AttentionRecord`] return its matrices via [`Transformer::recycle`];
     /// clones share the pool.
     scratch: Arc<Mutex<Vec<Vec<f64>>>>,
@@ -142,6 +172,19 @@ pub struct Transformer {
 /// heads) plus the combined-weight matrix from concurrent forwards, while
 /// capping idle memory at `SCRATCH_CAP · n²` doubles.
 const SCRATCH_CAP: usize = 12;
+
+/// Add `buf` to a scratch pool. A full pool keeps its largest buffers: `buf`
+/// replaces the smallest pooled buffer when it holds more, so the short
+/// last-layer matrices never crowd out the `n × n` ones.
+fn pool_push(pool: &mut Vec<Vec<f64>>, buf: Vec<f64>) {
+    if pool.len() < SCRATCH_CAP {
+        pool.push(buf);
+    } else if let Some(smallest) = pool.iter_mut().min_by_key(|b| b.capacity()) {
+        if smallest.capacity() < buf.capacity() {
+            *smallest = buf;
+        }
+    }
+}
 
 /// SplitMix64 step (kept local to avoid a circular helper dependency).
 fn splitmix64(state: &mut u64) -> u64 {
@@ -193,32 +236,37 @@ impl Transformer {
         }
     }
 
-    /// Pop a pooled buffer resized to `len`. When `zeroed` is false the
-    /// contents are stale and the caller must overwrite every element (the
-    /// bidirectional score pass does); when true the buffer is zero-filled,
-    /// matching a fresh `vec![0.0; len]` bit-for-bit.
+    /// A buffer of `len` elements: the smallest pooled buffer whose
+    /// capacity already holds `len`, resized in place, or a fresh one. A
+    /// buffer that would have to grow is never taken — regrowing reallocates
+    /// and faults in fresh pages, the cost the pool exists to avoid. When
+    /// `zeroed` is false the contents are stale and the caller must
+    /// overwrite every element (the bidirectional score pass does); when
+    /// true the buffer is zero-filled, matching a fresh `vec![0.0; len]`
+    /// bit-for-bit.
     fn take_scratch(&self, len: usize, zeroed: bool) -> Vec<f64> {
-        let mut buf = self
-            .scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        if buf.len() != len {
+        let mut pool = self.scratch.lock().expect("scratch pool poisoned");
+        let fit = (0..pool.len())
+            .filter(|&i| pool[i].capacity() >= len)
+            .min_by_key(|&i| pool[i].capacity());
+        let Some(index) = fit else {
+            return vec![0.0; len];
+        };
+        let mut buf = pool.swap_remove(index);
+        drop(pool);
+        if zeroed {
             buf.clear();
-            buf.resize(len, 0.0);
-        } else if zeroed {
-            buf.fill(0.0);
         }
+        buf.resize(len, 0.0);
         buf
     }
 
     /// Return one buffer to the pool (bounded by [`SCRATCH_CAP`]).
     fn give_scratch(&self, buf: Vec<f64>) {
-        let mut pool = self.scratch.lock().expect("scratch pool poisoned");
-        if pool.len() < SCRATCH_CAP {
-            pool.push(buf);
-        }
+        pool_push(
+            &mut self.scratch.lock().expect("scratch pool poisoned"),
+            buf,
+        );
     }
 
     /// Return a fully-read [`AttentionRecord`]'s matrices to the scratch
@@ -230,10 +278,7 @@ impl Transformer {
         let mut pool = self.scratch.lock().expect("scratch pool poisoned");
         for layer in record.layers {
             for matrix in layer.heads {
-                if pool.len() >= SCRATCH_CAP {
-                    return;
-                }
-                pool.push(matrix.data);
+                pool_push(&mut pool, matrix.data);
             }
         }
     }
@@ -283,13 +328,23 @@ impl Transformer {
 
     /// Run the forward pass over a tokenised prompt and record every attention matrix.
     ///
-    /// Equivalent to [`Transformer::forward_cached`] with no cache.
+    /// Equivalent to [`Transformer::forward_cached`] with no cache and
+    /// [`ReadOut::AllRows`].
     pub fn forward(&self, prompt: &TokenizedPrompt) -> AttentionRecord {
-        self.forward_cached(prompt, None)
+        self.forward_cached(prompt, None, ReadOut::AllRows)
     }
 
-    /// Run the forward pass, reusing per-`(token, position)` state from a
+    /// Run the fused forward pass, computing only the attention `read_out`
+    /// names and reusing per-`(token, position)` state from a
     /// [`PrefixCache`] when one is supplied.
+    ///
+    /// Every layer before the last runs over all `n` rows, because its
+    /// hidden states feed the next layer's keys. The last layer projects all
+    /// `n` keys but scores and normalises only the rows `read_out` names,
+    /// and it computes neither a value mix nor a residual: no caller reads
+    /// the final hidden state. Rows that are not computed are not stored —
+    /// the last layer's matrices are `read_out.rows(prompt) × n` — so they
+    /// can never be read as if they were valid.
     ///
     /// Only state that is a pure function of `(token id, position)` is taken
     /// from the cache — the input embeddings and the layer-0 per-head
@@ -301,20 +356,26 @@ impl Transformer {
     /// This is the production path, implemented on the fused [`kernels`]:
     /// flat row-major buffers, blocked inner loops, and a mirrored score
     /// matrix (the pre-softmax score `dot(pᵩ, pₖ)·scale` is bit-symmetric in
-    /// `q`/`k`, so only the upper triangle is computed; under causal masking
-    /// each row's visible prefix is computed directly instead). Under
-    /// [`KernelBackend::Scalar`](kernels::KernelBackend::Scalar) the result
-    /// is guaranteed bit-identical to [`Transformer::forward_reference`] —
-    /// see the [`kernels`] module docs for the contract and
-    /// `tests/kernel_equivalence.rs` for its enforcement. Under
+    /// `q`/`k`, so only the upper triangle is computed — which also holds
+    /// inside a row prefix, since row `q` mirrors only rows `k < q`; under
+    /// causal masking each row's visible prefix is computed directly
+    /// instead). Every attention value it computes runs through the same
+    /// kernels in the same operation order as the full computation, so under
+    /// [`KernelBackend::Scalar`](kernels::KernelBackend::Scalar) each stored
+    /// row is bit-identical to the same row of
+    /// [`Transformer::forward_reference`] — see the [`kernels`] module docs
+    /// for the contract and `tests/kernel_equivalence.rs` for its
+    /// enforcement. Under
     /// [`KernelBackend::Simd`](kernels::KernelBackend::Simd) the result is
     /// deterministic but ULP-divergent from the oracle (tree-reduced dots,
     /// polynomial softmax `exp`, combined-head value mix), with the bound
-    /// pinned by `tests/simd_equivalence.rs`.
+    /// pinned by `tests/simd_equivalence.rs`; its stored rows are
+    /// bit-identical to the SIMD [`ReadOut::AllRows`] record's.
     pub fn forward_cached(
         &self,
         prompt: &TokenizedPrompt,
         cache: Option<&PrefixCache>,
+        read_out: ReadOut,
     ) -> AttentionRecord {
         let n = prompt.len();
         if n == 0 {
@@ -326,6 +387,10 @@ impl Transformer {
         let dim = self.config.dim;
         let heads_f = self.config.heads as f64;
         let head_dim = self.projections[0][0].rows;
+        // Layers `0..last` mix values into the next layer's hidden states;
+        // the last layer only scores its read-out rows.
+        let last = self.config.layers - 1;
+        let read_rows = read_out.rows(prompt);
 
         // Flat row-major hidden states, one `dim` row per token.
         let mut hidden = vec![0.0f64; n * dim];
@@ -346,7 +411,7 @@ impl Transformer {
 
         // Scratch buffers reused across layers and heads.
         let mut projected = vec![0.0f64; n * head_dim];
-        let mut mixed = vec![0.0f64; n * dim];
+        let mut mixed = vec![0.0f64; if last > 0 { n * dim } else { 0 }];
 
         let backend = self.backend;
         let causal = self.config.causal;
@@ -354,8 +419,10 @@ impl Transformer {
         // pass per query: the head weight rows are summed first, then the
         // values are traversed once instead of once per head. Same math,
         // reassociated — part of the backend's documented ULP divergence.
-        // (With one head the fold is the identity, so skip the extra copy.)
-        let combine_mix = backend == kernels::KernelBackend::Simd && self.config.heads > 1;
+        // (With one head the fold is the identity, and a one-layer stack
+        // mixes nothing, so skip the extra copy.)
+        let combine_mix =
+            backend == kernels::KernelBackend::Simd && self.config.heads > 1 && last > 0;
         let mut combined = vec![0.0f64; if combine_mix && causal { n } else { 0 }];
         // Full combined-weight matrix for the tiled mix (bidirectional SIMD
         // path only — causal rows have ragged visible prefixes). Stale pool
@@ -370,6 +437,8 @@ impl Transformer {
 
         let mut layers = Vec::with_capacity(self.config.layers);
         for layer in 0..self.config.layers {
+            let mixes = layer < last;
+            let rows = if mixes { n } else { read_rows };
             let mut head_matrices = Vec::with_capacity(self.config.heads);
             mixed.fill(0.0);
 
@@ -377,7 +446,8 @@ impl Transformer {
                 // Shared Q/K state into the flat buffer: at layer 0 the
                 // projection input is the (token, position) embedding, so the
                 // projected vector can be reused across prompts via the
-                // prefix cache.
+                // prefix cache. Every position is projected, also in the last
+                // layer: each computed row scores against all `n` keys.
                 match cache {
                     Some(cache) if layer == 0 => {
                         for (pos, token) in prompt.tokens.iter().enumerate() {
@@ -402,13 +472,15 @@ impl Transformer {
                 }
                 let scale = 1.0 / ((head_dim as f64).sqrt() * self.config.temperature);
 
-                // Pre-softmax scores. Bidirectional: `dot(pᵩ, pₖ)` performs
-                // the same multiply/add sequence as `dot(pₖ, pᵩ)`, so the
-                // matrix is bit-symmetric — compute the upper triangle,
-                // mirror the rest. Causal: each row needs only its visible
-                // prefix `k <= q` (the lower triangle), and earlier rows
-                // never computed those columns, so the prefix is computed
-                // directly — no mirror, same `n(n+1)/2` total dot products.
+                // Pre-softmax scores for rows `0..rows`. Bidirectional:
+                // `dot(pᵩ, pₖ)` performs the same multiply/add sequence as
+                // `dot(pₖ, pᵩ)`, so the matrix is bit-symmetric — compute
+                // the upper triangle, mirror the rest (row `q` mirrors only
+                // rows `k < q`, all inside the computed prefix). Causal: each
+                // row needs only its visible prefix `k <= q` (the lower
+                // triangle), and earlier rows never computed those columns,
+                // so the prefix is computed directly — no mirror, same
+                // `n(n+1)/2` total dot products over a full record.
                 // Scores are computed straight into the retained attention
                 // matrix — no separate score scratch and clone (a full
                 // extra `n × n` memcpy). The matrix comes from the scratch
@@ -419,11 +491,11 @@ impl Transformer {
                 // itself, which still hold raw scores because the softmax
                 // pass below only starts once every row is written.
                 let mut attn = Matrix {
-                    rows: n,
+                    rows,
                     cols: n,
-                    data: self.take_scratch(n * n, causal),
+                    data: self.take_scratch(rows * n, causal),
                 };
-                for q in 0..n {
+                for q in 0..rows {
                     let row_start = q * n;
                     if causal {
                         let visible = q + 1;
@@ -447,7 +519,7 @@ impl Transformer {
                         );
                     }
                 }
-                for q in 0..n {
+                for q in 0..rows {
                     // Fused softmax + value mix over the query's visible
                     // weight prefix; masked (future) positions stay at the
                     // allocation's zeros, exactly like the reference's
@@ -456,7 +528,7 @@ impl Transformer {
                     let row = attn.row_mut(q);
                     let sum = backend.softmax_exp_inplace(&mut row[..visible]);
                     backend.weights_inplace(&mut row[..visible], sum);
-                    if !combine_mix {
+                    if mixes && !combine_mix {
                         backend.mix_accumulate(
                             &row[..visible],
                             &hidden[..visible * dim],
@@ -469,6 +541,14 @@ impl Transformer {
                 head_matrices.push(attn);
             }
 
+            if !mixes {
+                // The last layer: its hidden states are never read, so no
+                // value mix and no residual.
+                layers.push(LayerAttention {
+                    heads: head_matrices,
+                });
+                break;
+            }
             if combine_mix && !causal {
                 // Assemble the head-averaged combined-weight matrix, then
                 // run one tiled mix over the whole layer so the hidden
@@ -768,11 +848,76 @@ mod tests {
         ] {
             let prompt = tok.tokenize_prompt(&LlmInput::new("who wins the most", sources));
             let plain = transformer.forward(&prompt);
-            let cached = transformer.forward_cached(&prompt, Some(&cache));
+            let cached = transformer.forward_cached(&prompt, Some(&cache), ReadOut::AllRows);
             assert_eq!(plain, cached);
         }
         let stats = cache.stats();
         assert!(stats.hits > 0, "prefix reuse must produce hits");
+    }
+
+    #[test]
+    fn question_rows_record_stores_only_the_question_rows_of_the_last_layer() {
+        let tok = SimTokenizer::new();
+        let prompt = tok.tokenize_prompt(&LlmInput::new(
+            "who wins",
+            vec![SourceText::new("a", "federer wins on grass")],
+        ));
+        let transformer = Transformer::new(TransformerConfig::default());
+        let full = transformer.forward(&prompt);
+        let record = transformer.forward_cached(&prompt, None, ReadOut::QuestionRows);
+        let (n, question_rows) = (prompt.len(), prompt.question_span.1);
+        assert!(question_rows < n);
+        assert_eq!(ReadOut::QuestionRows.rows(&prompt), question_rows);
+        assert_eq!(ReadOut::AllRows.rows(&prompt), n);
+        let (last, earlier) = record.layers.split_last().unwrap();
+        for head in earlier.iter().flat_map(|layer| &layer.heads) {
+            assert_eq!((head.rows, head.cols, head.data.len()), (n, n, n * n));
+        }
+        for (head, full_head) in last.heads.iter().zip(&full.layers[1].heads) {
+            assert_eq!((head.rows, head.cols), (question_rows, n));
+            assert_eq!(head.data, full_head.data[..question_rows * n]);
+        }
+    }
+
+    #[test]
+    fn scratch_pool_never_hands_out_a_buffer_that_must_grow() {
+        let transformer = Transformer::new(TransformerConfig::default());
+        transformer.give_scratch(vec![7.0; 4]);
+        let big = transformer.take_scratch(16, false);
+        assert_eq!(big.len(), 16);
+        // The short buffer stays pooled for a request it fits.
+        let pool = transformer.scratch.lock().unwrap();
+        assert_eq!(pool.len(), 1);
+        assert!(pool[0].capacity() < 16);
+    }
+
+    #[test]
+    fn scratch_pool_resizes_in_place_and_zeroes_on_request() {
+        let transformer = Transformer::new(TransformerConfig::default());
+        transformer.give_scratch(vec![7.0; 16]);
+        // A shorter request reuses the longer buffer in place …
+        let stale = transformer.take_scratch(9, false);
+        assert_eq!(stale.len(), 9);
+        let ptr = stale.as_ptr();
+        transformer.give_scratch(stale);
+        // … and a zeroed request gets zeros everywhere, also past the length
+        // the buffer last had.
+        let zeroed = transformer.take_scratch(12, true);
+        assert_eq!(zeroed.as_ptr(), ptr);
+        assert_eq!(zeroed.len(), 12);
+        assert!(zeroed.iter().all(|x| x.to_bits() == 0));
+    }
+
+    #[test]
+    fn full_scratch_pool_keeps_its_largest_buffers() {
+        let transformer = Transformer::new(TransformerConfig::default());
+        for _ in 0..SCRATCH_CAP {
+            transformer.give_scratch(vec![0.0; 2]);
+        }
+        transformer.give_scratch(vec![0.0; 64]);
+        let pool = transformer.scratch.lock().unwrap();
+        assert_eq!(pool.len(), SCRATCH_CAP);
+        assert!(pool.iter().any(|buf| buf.capacity() >= 64));
     }
 
     #[test]

@@ -10,31 +10,40 @@
 //! 1. **Transformer level** — `f64::to_bits` equality of every attention
 //!    weight over SplitMix64-randomised prompts × transformer configurations
 //!    (dims, heads, layers, temperature, seed), with the prefix cache off,
-//!    on-and-cold, and on-and-warm.
+//!    on-and-cold, and on-and-warm. The demand-driven forward
+//!    ([`ReadOut::QuestionRows`]) must store exactly the rows it computes,
+//!    each bit-identical to the full record's, so the aggregated
+//!    `SourceAttention` the model reads never moves — on both backends.
 //! 2. **Model level** — `SimLlm` generations (answers *and* raw attention
-//!    read-outs) match between a fused and a reference-forward model.
+//!    read-outs) match between a fused and a reference-forward model, causal
+//!    and bidirectional.
 //! 3. **Evaluator level** — full `RageReport`s produced through 1/2/4-thread
 //!    `ParallelEvaluator` worker pools over a fused model equal the reference
 //!    model's, cache on and off.
 //!
 //! Everything is seeded; failures reproduce deterministically.
 
-//! Every test here pins [`KernelBackend::Scalar`] explicitly: the
-//! bit-identity contract is a property of the scalar kernels, and pinning
-//! keeps the suite green when the crate is built with `--features simd`
-//! (which only flips the *default* backend). The SIMD backend has its own
-//! ULP-bounded differential suite in `simd_equivalence.rs`.
+//! Every reference comparison here pins [`KernelBackend::Scalar`]
+//! explicitly: the bit-identity contract with the oracle is a property of
+//! the scalar kernels, and pinning keeps the suite green when the crate is
+//! built with `--features simd` (which only flips the *default* backend).
+//! The SIMD backend has its own ULP-bounded differential suite in
+//! `simd_equivalence.rs`; here it only meets its own full record.
 
 use std::sync::Arc;
 
 use rage_core::explanation::ReportConfig;
 use rage_core::{ParallelEvaluator, RagPipeline, RageReport};
+use rage_datasets::entity_registry::{self, EntityRegistryConfig};
 use rage_datasets::{big_three, us_open, Scenario};
+use rage_llm::attention::{
+    aggregate_question_to_source_attention, aggregate_source_attention, SourceAttention,
+};
 use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::KernelBackend;
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_llm::tokenizer::SimTokenizer;
-use rage_llm::transformer::{AttentionRecord, Transformer, TransformerConfig};
+use rage_llm::tokenizer::{SimTokenizer, TokenizedPrompt};
+use rage_llm::transformer::{AttentionRecord, ReadOut, Transformer, TransformerConfig};
 use rage_llm::{LanguageModel, LlmInput, SourceText};
 use rage_retrieval::{IndexBuilder, Searcher};
 
@@ -79,6 +88,98 @@ fn random_input(state: &mut u64) -> LlmInput {
         })
         .collect();
     LlmInput::new(question, sources)
+}
+
+/// Hand-picked edge prompts: one-token sources, a question that is most of
+/// the prompt, and a question with no sources at all (every row is a
+/// question row).
+fn edge_inputs() -> Vec<LlmInput> {
+    vec![
+        LlmInput::new(
+            "who won the most titles",
+            vec![
+                SourceText::new("a", "federer"),
+                SourceText::new("b", "djokovic"),
+                SourceText::new("c", "nadal"),
+            ],
+        ),
+        LlmInput::new(
+            "who won the most grand slam titles on clay court in the most recent year of the open",
+            vec![
+                SourceText::new("a", "nadal"),
+                SourceText::new("b", "clay court"),
+            ],
+        ),
+        LlmInput::without_context("who won the most recent open"),
+    ]
+}
+
+/// Seeded random prompts followed by the edge prompts.
+fn inputs(state: &mut u64, random: usize) -> Vec<LlmInput> {
+    let mut inputs: Vec<LlmInput> = (0..random).map(|_| random_input(state)).collect();
+    inputs.extend(edge_inputs());
+    inputs
+}
+
+/// Assert two aggregated read-outs are identical down to the last bit.
+fn assert_masses_identical(label: &str, got: &SourceAttention, want: &SourceAttention) {
+    assert_eq!(got.masses.len(), want.masses.len(), "{label}: source count");
+    for (i, (g, w)) in got.masses.iter().zip(&want.masses).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{label}: source {i}: {g:e} vs full record {w:e}"
+        );
+    }
+}
+
+/// Assert a demand-driven record stores exactly the rows `read_out` names
+/// for its last layer (all rows elsewhere), each bit-identical to the same
+/// row of the full record, and that both aggregated read-outs it can serve
+/// match the full record's bit for bit.
+fn assert_read_out_matches_full(
+    label: &str,
+    prompt: &TokenizedPrompt,
+    read_out: ReadOut,
+    got: &AttentionRecord,
+    full: &AttentionRecord,
+) {
+    assert_eq!(got.seq_len, full.seq_len, "{label}: seq_len");
+    assert_eq!(got.layers.len(), full.layers.len(), "{label}: layer count");
+    let last = got.layers.len().saturating_sub(1);
+    for (l, (gl, fl)) in got.layers.iter().zip(&full.layers).enumerate() {
+        let rows = if l == last {
+            read_out.rows(prompt)
+        } else {
+            prompt.len()
+        };
+        for (h, (gm, fm)) in gl.heads.iter().zip(&fl.heads).enumerate() {
+            assert_eq!(
+                (gm.rows, gm.cols, gm.data.len()),
+                (rows, full.seq_len, rows * full.seq_len),
+                "{label}: shape at layer {l} head {h}"
+            );
+            for (i, (g, f)) in gm.data.iter().zip(&fm.data).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    f.to_bits(),
+                    "{label}: layer {l} head {h} entry {i}: {g:e} vs full record {f:e}"
+                );
+            }
+        }
+    }
+    assert_masses_identical(
+        &format!("{label}: question read-out"),
+        &aggregate_question_to_source_attention(got, prompt),
+        &aggregate_question_to_source_attention(full, prompt),
+    );
+    if read_out == ReadOut::AllRows {
+        assert_masses_identical(
+            &format!("{label}: whole-prompt read-out"),
+            &aggregate_source_attention(got, prompt),
+            &aggregate_source_attention(full, prompt),
+        );
+    }
 }
 
 /// Assert two attention records are identical down to the last bit.
@@ -191,7 +292,8 @@ fn fused_forward_matches_reference_with_prefix_cache_cold_and_warm() {
             let input = random_input(&mut state);
             let prompt = tokenizer.tokenize_prompt(&input);
             let uncached = transformer.forward_reference(&prompt, None);
-            let fused_cached = transformer.forward_cached(&prompt, Some(&fused_cache));
+            let fused_cached =
+                transformer.forward_cached(&prompt, Some(&fused_cache), ReadOut::AllRows);
             let reference_cached = transformer.forward_reference(&prompt, Some(&reference_cache));
             let label = format!("dim={} heads={} round={round}", config.dim, config.heads);
             assert_bit_identical(
@@ -224,39 +326,153 @@ fn fused_and_reference_caches_are_interchangeable() {
     for _ in 0..6 {
         let input = random_input(&mut state);
         let prompt = tokenizer.tokenize_prompt(&input);
-        let fused = transformer.forward_cached(&prompt, Some(&shared));
+        let fused = transformer.forward_cached(&prompt, Some(&shared), ReadOut::AllRows);
         let reference = transformer.forward_reference(&prompt, Some(&shared));
         assert_bit_identical("shared cache", &fused, &reference);
+    }
+}
+
+/// Every sweep shape, bidirectional and causal.
+fn config_sweep_with_causal() -> Vec<TransformerConfig> {
+    config_sweep()
+        .into_iter()
+        .flat_map(|config| [false, true].map(|causal| TransformerConfig { causal, ..config }))
+        .collect()
+}
+
+#[test]
+fn demand_driven_read_out_matches_the_full_record_bitwise() {
+    // Both read-outs, with the cache off, cold and warm, on both backends:
+    // each stored row equals the backend's own full record (scalar: also the
+    // reference), so the aggregated SourceAttention SimLlm reads cannot move.
+    let tokenizer = SimTokenizer::new();
+    let mut state = 0xD3A4_0DD0;
+    for config in config_sweep_with_causal() {
+        for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+            let transformer = Transformer::new(config).with_backend(backend);
+            let warm = PrefixCache::default();
+            for (round, input) in inputs(&mut state, 4).iter().enumerate() {
+                let prompt = tokenizer.tokenize_prompt(input);
+                let full = transformer.forward(&prompt);
+                if backend == KernelBackend::Scalar {
+                    assert_bit_identical(
+                        "scalar full record vs reference",
+                        &full,
+                        &transformer.forward_reference(&prompt, None),
+                    );
+                }
+                // Prime the warm cache so the second pass below hits it.
+                transformer.forward_cached(&prompt, Some(&warm), ReadOut::QuestionRows);
+                for read_out in [ReadOut::QuestionRows, ReadOut::AllRows] {
+                    let label = format!(
+                        "{backend:?} dim={} heads={} layers={} t={} causal={} round={round} {read_out:?}",
+                        config.dim, config.heads, config.layers, config.temperature, config.causal
+                    );
+                    let cold = PrefixCache::default();
+                    for (cache_label, cache) in [
+                        ("no cache", None),
+                        ("cold cache", Some(&cold)),
+                        ("warm cache", Some(&warm)),
+                    ] {
+                        let got = transformer.forward_cached(&prompt, cache, read_out);
+                        assert_read_out_matches_full(
+                            &format!("{label} {cache_label}"),
+                            &prompt,
+                            read_out,
+                            &got,
+                            &full,
+                        );
+                    }
+                }
+            }
+            assert!(warm.stats().hits > 0, "the warm cache must hit");
+        }
+    }
+}
+
+#[test]
+fn forward_after_a_shorter_prompt_on_a_shared_pool_matches_a_fresh_model() {
+    // The scratch pool hands recycled buffers to later forwards of other
+    // shapes; stale contents must never leak into a record (the causal mask
+    // relies on zeroed buffers). One model runs a sequence of prompt lengths
+    // on its shared pool — a buffer sized by the long prompt, rewritten by
+    // the short one, is then reused by the medium one — and every forward
+    // must match the same forward on a fresh model.
+    let tokenizer = SimTokenizer::new();
+    let prompt = |question: &str, sources: &[&str]| {
+        tokenizer.tokenize_prompt(&LlmInput::new(
+            question,
+            sources
+                .iter()
+                .enumerate()
+                .map(|(i, text)| SourceText::new(format!("s{i}"), *text))
+                .collect(),
+        ))
+    };
+    let short = prompt("who won", &["federer won"]);
+    let medium = prompt("who won the most", &["federer won the most wins on grass"]);
+    let long = prompt(
+        "who won the most grand slam titles",
+        &[
+            "federer won the most wins on grass",
+            "djokovic holds the most grand slam titles",
+            "nadal won the most titles on clay court",
+        ],
+    );
+    for causal in [false, true] {
+        for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+            let config = TransformerConfig {
+                causal,
+                ..TransformerConfig::default()
+            };
+            let fresh = || Transformer::new(config).with_backend(backend);
+            let shared = fresh();
+            for (step, prompt) in [&long, &short, &medium, &short, &long].iter().enumerate() {
+                for read_out in [ReadOut::QuestionRows, ReadOut::AllRows] {
+                    let got = shared.forward_cached(prompt, None, read_out);
+                    assert_bit_identical(
+                        &format!("{backend:?} causal={causal} step={step} {read_out:?}"),
+                        &got,
+                        &fresh().forward_cached(prompt, None, read_out),
+                    );
+                    shared.recycle(got);
+                }
+            }
+        }
     }
 }
 
 #[test]
 fn sim_llm_generations_match_reference_forward_bitwise() {
     let mut state = 0x5EED_0001;
-    for heads in [2usize, 3] {
+    for transformer in config_sweep_with_causal() {
         let config = SimLlmConfig {
-            transformer: TransformerConfig {
-                heads,
-                ..TransformerConfig::default()
-            },
+            transformer,
             ..SimLlmConfig::default()
         };
         let fused = SimLlm::new(config.clone()).with_kernel_backend(KernelBackend::Scalar);
         let reference = SimLlm::new(config).with_reference_forward();
-        for round in 0..12 {
-            let input = random_input(&mut state);
-            let f = fused.generate(&input);
-            let r = reference.generate(&input);
-            assert_eq!(f.answer, r.answer, "heads={heads} round={round}: answer");
-            assert_eq!(f.text, r.text, "heads={heads} round={round}: text");
+        let shape = format!(
+            "dim={} heads={} layers={} t={} causal={}",
+            transformer.dim,
+            transformer.heads,
+            transformer.layers,
+            transformer.temperature,
+            transformer.causal
+        );
+        for (round, input) in inputs(&mut state, 6).iter().enumerate() {
+            let f = fused.generate(input);
+            let r = reference.generate(input);
+            assert_eq!(f.answer, r.answer, "{shape} round={round}: answer");
+            assert_eq!(f.text, r.text, "{shape} round={round}: text");
             assert_eq!(
                 f.prompt_tokens, r.prompt_tokens,
-                "heads={heads} round={round}: prompt tokens"
+                "{shape} round={round}: prompt tokens"
             );
             assert_eq!(
                 f.source_attention.len(),
                 r.source_attention.len(),
-                "heads={heads} round={round}: attention length"
+                "{shape} round={round}: attention length"
             );
             for (i, (a, b)) in f
                 .source_attention
@@ -267,7 +483,7 @@ fn sim_llm_generations_match_reference_forward_bitwise() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "heads={heads} round={round}: attention[{i}] {a:e} vs {b:e}"
+                    "{shape} round={round}: attention[{i}] {a:e} vs {b:e}"
                 );
             }
         }
@@ -392,16 +608,21 @@ fn parallel_evaluator_reports_match_reference_model_across_thread_counts() {
 #[test]
 fn sequential_fused_report_equals_reference_report_exactly() {
     // With identical (sequential) evaluation order even the cost counters
-    // must agree: the kernels change *nothing* observable.
+    // must agree: the kernels change *nothing* observable. `entity_registry`
+    // is the scenario the `explain` benchmark runs, at report-scale prompts.
     let config = report_config();
-    let scenario = big_three::scenario();
-    let (_, fused_eval) = pipeline_for(&scenario, false, false)
-        .ask_and_explain(&scenario.question, scenario.retrieval_k)
-        .unwrap();
-    let (_, reference_eval) = pipeline_for(&scenario, true, false)
-        .ask_and_explain(&scenario.question, scenario.retrieval_k)
-        .unwrap();
-    let fused = RageReport::generate(&fused_eval, &config).unwrap();
-    let reference = RageReport::generate(&reference_eval, &config).unwrap();
-    assert_eq!(fused, reference);
+    for scenario in [
+        big_three::scenario(),
+        entity_registry::scenario(EntityRegistryConfig::default()),
+    ] {
+        let (_, fused_eval) = pipeline_for(&scenario, false, false)
+            .ask_and_explain(&scenario.question, scenario.retrieval_k)
+            .unwrap();
+        let (_, reference_eval) = pipeline_for(&scenario, true, false)
+            .ask_and_explain(&scenario.question, scenario.retrieval_k)
+            .unwrap();
+        let fused = RageReport::generate(&fused_eval, &config).unwrap();
+        let reference = RageReport::generate(&reference_eval, &config).unwrap();
+        assert_eq!(fused, reference, "{}", scenario.name);
+    }
 }

@@ -29,7 +29,7 @@ use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::{self, KernelBackend};
 use rage_llm::model::{SimLlm, SimLlmConfig};
 use rage_llm::tokenizer::{PromptToken, Segment, SimTokenizer, TokenizedPrompt};
-use rage_llm::transformer::{AttentionRecord, Transformer, TransformerConfig};
+use rage_llm::transformer::{AttentionRecord, ReadOut, Transformer, TransformerConfig};
 use rage_llm::{LanguageModel, LlmInput, SourceText};
 
 /// SplitMix64 step — the workspace's standard deterministic mixer.
@@ -387,8 +387,8 @@ fn simd_forward_is_deterministic_and_cache_invariant() {
         let input = random_input(&mut state);
         let prompt = tokenizer.tokenize_prompt(&input);
         let plain = transformer.forward(&prompt);
-        let cached = transformer.forward_cached(&prompt, Some(&cache));
-        let again = transformer.forward_cached(&prompt, Some(&cache));
+        let cached = transformer.forward_cached(&prompt, Some(&cache), ReadOut::AllRows);
+        let again = transformer.forward_cached(&prompt, Some(&cache), ReadOut::AllRows);
         assert_eq!(plain, cached, "round {round}: cold cache changed bits");
         assert_eq!(plain, again, "round {round}: warm cache changed bits");
     }

@@ -26,12 +26,15 @@
 //!   [`scenarios::report_for`] oracle.
 //! * **Report cache** — full [`RageReport`]s are memoised behind `Arc` under
 //!   a [`ReportKey`] of `(scenario, report-config fingerprint, shards,
-//!   schema_version, corpus_version, deadline_ms)`. Reports are deterministic
-//!   *given a corpus version*, so a cached report is exactly what
-//!   regeneration would produce; the schema version is part of the key so a
-//!   future v3 can never serve v2 cache entries, and the anytime deadline is
-//!   part of the key so deadline-truncated reports can never poison the
-//!   exact cache.
+//!   schema_version, corpus_version)`. Reports are deterministic *given a
+//!   corpus version*, so a cached report is exactly what regeneration would
+//!   produce; the schema version is part of the key so a future v3 can never
+//!   serve v2 cache entries. Anytime requests share the exact entry: a
+//!   cached report answers any deadline, a report a deadline cut short is
+//!   returned but never cached (it depends on timing, not only on the
+//!   corpus), and a complete one equals the exact report, so it is stored as
+//!   that report. A scenario therefore holds at most one entry per shard
+//!   count and retained corpus version, whatever deadlines callers send.
 //! * **Error taxonomy** — [`ServiceError`] splits caller mistakes (unknown
 //!   scenario/format, invalid `k` or shard count, unanswerable query,
 //!   duplicate document id) from engine failures, so transports can map them
@@ -82,7 +85,9 @@ use rage_core::{CorpusProvenance, Deadline, RagPipeline, RagResponse, RageError,
 use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::cache::PrefixCache;
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_retrieval::{corpus_fingerprint, Document, LiveSearcher, RetrievalError, Retriever};
+use rage_retrieval::{
+    corpus_fingerprint, document_fingerprint, Document, LiveSearcher, RetrievalError, Retriever,
+};
 
 use crate::diff::{diff, ReportDiff};
 use crate::scenarios;
@@ -285,13 +290,27 @@ fn mutation_error(err: RetrievalError) -> ServiceError {
 struct CorpusState {
     scenario: Scenario,
     version: u64,
+    /// `corpus_fingerprint(&scenario.corpus)`, kept current by `Service::mutate`:
+    /// the fingerprint is a wrapping sum of document fingerprints, so each
+    /// mutation adds and subtracts the documents it touches instead of
+    /// rehashing the whole corpus under the lock on every read.
+    fingerprint: u64,
 }
 
 impl CorpusState {
+    fn new(scenario: Scenario) -> Self {
+        let fingerprint = corpus_fingerprint(&scenario.corpus);
+        Self {
+            scenario,
+            version: 1,
+            fingerprint,
+        }
+    }
+
     fn provenance(&self) -> CorpusProvenance {
         CorpusProvenance {
             version: self.version,
-            fingerprint: corpus_fingerprint(&self.scenario.corpus),
+            fingerprint: self.fingerprint,
             num_docs: self.scenario.corpus.len(),
         }
     }
@@ -328,10 +347,8 @@ struct ScenarioRuntime {
 /// `schema_version` pins the structured format (bumping the schema can never
 /// serve stale cache entries), and `corpus_version` pins the corpus content:
 /// a mutation changes the key, so a report generated before the mutation can
-/// never be served after it. `deadline_ms` keys anytime requests separately —
-/// a deadline-truncated report can never be served where the exhaustive one
-/// was asked for (or vice versa), so anytime traffic cannot poison the exact
-/// cache.
+/// never be served after it. Deadlines are not part of the key: only reports
+/// no deadline cut short are cached, and those equal the exact report.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ReportKey {
     scenario: String,
@@ -339,7 +356,6 @@ struct ReportKey {
     shards: usize, // 0 = single index
     schema_version: u64,
     corpus_version: u64,
-    deadline_ms: Option<u64>,
 }
 
 /// Lock a cache map, recovering from poisoning.
@@ -353,13 +369,16 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Hit/miss counters of the service's report cache.
+/// Hit/miss counters and size of the service's report cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReportCacheStats {
     /// Requests answered from a memoised report.
     pub hits: u64,
-    /// Requests that generated (and then memoised) a report.
+    /// Requests that generated a report (memoised unless a deadline cut it
+    /// short).
     pub misses: u64,
+    /// Reports currently memoised.
+    pub entries: usize,
 }
 
 /// The shared explanation service: authoritative corpora, scenario runtimes,
@@ -447,10 +466,7 @@ impl Service {
             .registry()
             .build(canonical)
             .expect("canonical name resolves");
-        let state = Arc::new(Mutex::new(CorpusState {
-            scenario,
-            version: 1,
-        }));
+        let state = Arc::new(Mutex::new(CorpusState::new(scenario)));
         let mut map = lock_unpoisoned(&self.corpora);
         Arc::clone(map.entry(canonical.to_string()).or_insert(state))
     }
@@ -498,39 +514,40 @@ impl Service {
         Ok(Arc::clone(map.entry(key).or_insert(runtime)))
     }
 
-    fn report_key(
-        &self,
-        canonical: &str,
-        shard_count: usize,
-        corpus_version: u64,
-        deadline_ms: Option<u64>,
-    ) -> ReportKey {
+    fn report_key(&self, canonical: &str, shard_count: usize, corpus_version: u64) -> ReportKey {
         ReportKey {
             scenario: canonical.to_string(),
             params: format!("{:?}", self.config),
             shards: shard_count,
             schema_version: SCHEMA_VERSION,
             corpus_version,
-            deadline_ms,
         }
     }
 
     /// Generate a report through a runtime and stamp it with the corpus
-    /// provenance it was generated against. With a deadline the clock starts
-    /// here, covering exactly the explanation searches.
+    /// provenance it was generated against.
     fn generate(
         &self,
         runtime: &ScenarioRuntime,
         provenance: CorpusProvenance,
-        deadline_ms: Option<u64>,
+        deadline: Option<Deadline>,
     ) -> Result<Arc<RageReport>, ServiceError> {
         let (_, evaluator) = runtime
             .pipeline
             .ask_and_explain(&runtime.question, runtime.retrieval_k)?;
-        let deadline = deadline_ms.map(Deadline::after_ms);
         let mut report = RageReport::generate_with_deadline(&evaluator, &self.config, deadline)?;
         report.corpus = Some(provenance);
         Ok(Arc::new(report))
+    }
+
+    /// Memoise a freshly generated report under `key` and return the cached
+    /// one — unless a deadline cut it short: such a report depends on timing,
+    /// so it is returned to its caller and never replayed to another.
+    fn publish(&self, key: ReportKey, report: Arc<RageReport>) -> Arc<RageReport> {
+        if report.deadline_truncated() {
+            return report;
+        }
+        Arc::clone(lock_unpoisoned(&self.reports).entry(key).or_insert(report))
     }
 
     /// The full explanation report for a scenario at its *current* corpus
@@ -550,19 +567,21 @@ impl Service {
     }
 
     /// An anytime report: like [`Service::report`], but every explanation
-    /// search is bounded by `deadline_ms` of wall clock (measured from the
-    /// start of generation); sections the deadline cuts short carry
-    /// non-`Exact` [`rage_core::Completeness`] markers.
+    /// search is bounded by `deadline_ms` of wall clock, measured from this
+    /// call and shared by every retry; sections the deadline cuts short carry
+    /// [`rage_core::Completeness::DeadlineTruncated`] markers.
     ///
-    /// The deadline is part of the cache key, so anytime reports are memoised
-    /// separately per requested deadline and can never displace (or be served
-    /// in place of) the exhaustive report.
+    /// A memoised report for the current corpus version answers the request
+    /// at once, deadline or not. A report the deadline cut short is returned
+    /// but never cached; a complete one equals the exact report and is cached
+    /// as that report (see the module docs).
     pub fn report_with_deadline(
         &self,
         name: &str,
         shards: Option<usize>,
         deadline_ms: Option<u64>,
     ) -> Result<Arc<RageReport>, ServiceError> {
+        let deadline = deadline_ms.map(Deadline::after_ms);
         let canonical = self.canonical_name(name)?;
         let shard_count = validate_shards(shards)?;
         let state_arc = self.corpus_state(canonical);
@@ -570,7 +589,7 @@ impl Service {
         loop {
             attempts += 1;
             let provenance = lock_unpoisoned(&state_arc).provenance();
-            let key = self.report_key(canonical, shard_count, provenance.version, deadline_ms);
+            let key = self.report_key(canonical, shard_count, provenance.version);
             if let Some(report) = lock_unpoisoned(&self.reports).get(&key) {
                 self.report_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(report));
@@ -583,21 +602,19 @@ impl Service {
                 // request forever. Mutations queue behind the lock (~100ms).
                 let state = lock_unpoisoned(&state_arc);
                 let provenance = state.provenance();
-                let report = self.generate(&runtime, provenance, deadline_ms)?;
-                let key = self.report_key(canonical, shard_count, provenance.version, deadline_ms);
-                let mut map = lock_unpoisoned(&self.reports);
-                return Ok(Arc::clone(map.entry(key).or_insert(report)));
+                let report = self.generate(&runtime, provenance, deadline)?;
+                let key = self.report_key(canonical, shard_count, provenance.version);
+                return Ok(self.publish(key, report));
             }
             // Optimistic path: generate without blocking mutations, publish
             // only if the corpus did not move underneath the generation —
             // otherwise the report describes a corpus that no longer exists
             // and is regenerated against the new version.
-            let report = self.generate(&runtime, provenance, deadline_ms)?;
+            let report = self.generate(&runtime, provenance, deadline)?;
             let state = lock_unpoisoned(&state_arc);
             if state.version == provenance.version {
                 drop(state);
-                let mut map = lock_unpoisoned(&self.reports);
-                return Ok(Arc::clone(map.entry(key).or_insert(report)));
+                return Ok(self.publish(key, report));
             }
         }
     }
@@ -705,7 +722,8 @@ impl Service {
         let canonical = self.canonical_name(name)?;
         let state_arc = self.corpus_state(canonical);
         let mut state = lock_unpoisoned(&state_arc);
-        match &op {
+        // The document the operation adds and the one it replaces or removes.
+        let (added, removed) = match &op {
             CorpusOp::Add(doc) => {
                 validate_document(doc)?;
                 if state.scenario.corpus.len() >= MAX_CORPUS_DOCS {
@@ -716,14 +734,16 @@ impl Service {
                     .corpus
                     .try_push(doc.clone())
                     .map_err(mutation_error)?;
+                (Some(doc), None)
             }
             CorpusOp::Update(doc) => {
                 validate_document(doc)?;
-                state
+                let old = state
                     .scenario
                     .corpus
                     .replace(doc.clone())
                     .map_err(mutation_error)?;
+                (Some(doc), Some(old))
             }
             CorpusOp::Upsert(doc) => {
                 validate_document(doc)?;
@@ -732,16 +752,21 @@ impl Service {
                 {
                     return Err(corpus_full());
                 }
-                state.scenario.corpus.upsert(doc.clone());
+                (Some(doc), state.scenario.corpus.upsert(doc.clone()))
             }
             CorpusOp::Remove(id) => {
-                state
+                let old = state
                     .scenario
                     .corpus
                     .remove(id)
                     .ok_or_else(|| ServiceError::UnknownDocument { id: id.clone() })?;
+                (None, Some(old))
             }
-        }
+        };
+        state.fingerprint = state
+            .fingerprint
+            .wrapping_add(added.map_or(0, document_fingerprint))
+            .wrapping_sub(removed.as_ref().map_or(0, document_fingerprint));
         state.version += 1;
         let version = state.version;
         let runtimes: Vec<Arc<ScenarioRuntime>> = lock_unpoisoned(&self.runtimes)
@@ -843,7 +868,7 @@ impl Service {
         if version == current {
             return self.report(canonical, shards);
         }
-        let key = self.report_key(canonical, shard_count, version, None);
+        let key = self.report_key(canonical, shard_count, version);
         lock_unpoisoned(&self.reports)
             .get(&key)
             .map(Arc::clone)
@@ -889,11 +914,12 @@ impl Service {
             .collect())
     }
 
-    /// Hit/miss counters of the memoised-report cache.
+    /// Hit/miss counters and entry count of the memoised-report cache.
     pub fn report_cache_stats(&self) -> ReportCacheStats {
         ReportCacheStats {
             hits: self.report_hits.load(Ordering::Relaxed),
             misses: self.report_misses.load(Ordering::Relaxed),
+            entries: lock_unpoisoned(&self.reports).len(),
         }
     }
 
@@ -1041,7 +1067,14 @@ mod tests {
             "second call must be a cache hit"
         );
         let stats = service.report_cache_stats();
-        assert_eq!(stats, ReportCacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            stats,
+            ReportCacheStats {
+                hits: 1,
+                misses: 1,
+                entries: 1
+            }
+        );
         // All three formats render off the same memoised report.
         service
             .render_report("us_open", ReportFormat::Html, None)
@@ -1061,7 +1094,11 @@ mod tests {
         service.report("big_three", None).unwrap();
         assert_eq!(
             service.report_cache_stats(),
-            ReportCacheStats { hits: 0, misses: 2 }
+            ReportCacheStats {
+                hits: 0,
+                misses: 2,
+                entries: 2
+            }
         );
 
         let provenance = service
@@ -1091,9 +1128,14 @@ mod tests {
         // … while the untouched scenario still hits its cache.
         let untouched = service.report("big_three", None).unwrap();
         assert_eq!(untouched.corpus.unwrap().version, 1);
+        // The superseded us_open version stays cached for diffs.
         assert_eq!(
             service.report_cache_stats(),
-            ReportCacheStats { hits: 1, misses: 3 }
+            ReportCacheStats {
+                hits: 1,
+                misses: 3,
+                entries: 3
+            }
         );
     }
 
@@ -1349,38 +1391,150 @@ mod tests {
     }
 
     #[test]
-    fn anytime_reports_are_cached_apart_from_exact_ones() {
+    fn truncated_anytime_reports_are_never_cached() {
         let service = Service::new();
-        let exact = service.report("us_open", None).unwrap();
-        assert!(exact.all_sections_exact());
 
         // A zero deadline is already expired when generation starts: the
-        // report still comes back (bounded), explicitly marked inexact.
+        // report still comes back (bounded), explicitly marked inexact — and
+        // is never replayed: the next such request generates afresh.
         let anytime = service
             .report_with_deadline("us_open", None, Some(0))
             .unwrap();
-        assert!(!anytime.all_sections_exact());
-        assert!(!Arc::ptr_eq(&exact, &anytime));
-
-        // Neither request displaced the other's cache entry.
-        let exact_again = service.report("us_open", None).unwrap();
-        assert!(Arc::ptr_eq(&exact, &exact_again));
-        assert!(exact_again.all_sections_exact());
+        assert!(anytime.deadline_truncated());
         let anytime_again = service
             .report_with_deadline("us_open", None, Some(0))
             .unwrap();
-        assert!(Arc::ptr_eq(&anytime, &anytime_again));
+        assert!(anytime_again.deadline_truncated());
+        assert!(!Arc::ptr_eq(&anytime, &anytime_again));
+        assert_eq!(service.report_cache_stats().entries, 0);
 
-        // A generous deadline completes every search and matches the exact
-        // report section for section.
-        let generous = service
-            .report_with_deadline("us_open", None, Some(600_000))
-            .unwrap();
-        assert!(generous.all_sections_exact());
+        // The exact report is unaffected, and once cached it answers every
+        // deadline request, an expired one included.
+        let exact = service.report("us_open", None).unwrap();
+        assert!(exact.all_sections_exact());
+        for deadline_ms in [0, 600_000] {
+            let served = service
+                .report_with_deadline("us_open", None, Some(deadline_ms))
+                .unwrap();
+            assert!(Arc::ptr_eq(&exact, &served), "deadline_ms={deadline_ms}");
+        }
+        assert!(Arc::ptr_eq(
+            &exact,
+            &service.report("us_open", None).unwrap()
+        ));
+        assert_eq!(service.report_cache_stats().entries, 1);
+    }
+
+    #[test]
+    fn complete_anytime_reports_equal_the_exact_report() {
+        // What lets a complete anytime report be cached as the exact one:
+        // a deadline that never fires changes nothing, cost counters
+        // included.
+        for name in ["us_open", "big_three", "live_updates"] {
+            let exact = Service::new().report(name, None).unwrap();
+            let service = Service::new();
+            let generous = service
+                .report_with_deadline(name, None, Some(600_000))
+                .unwrap();
+            assert!(!generous.deadline_truncated(), "{name}");
+            assert_eq!(*generous, *exact, "{name}");
+            // … and it was cached as the exact report.
+            let again = service.report(name, None).unwrap();
+            assert!(Arc::ptr_eq(&generous, &again), "{name}");
+        }
+    }
+
+    #[test]
+    fn distinct_deadlines_share_one_cache_entry() {
+        // Every distinct deadline_ms used to pin its own report. Now a
+        // scenario holds one entry per (shards, corpus version), whatever
+        // deadlines arrive.
+        let service = Service::new();
+        for deadline_ms in 1..=10_000u64 {
+            service
+                .report_with_deadline("us_open", None, Some(600_000 + deadline_ms))
+                .unwrap();
+        }
         assert_eq!(
-            generous.full_context_answer, exact.full_context_answer,
-            "a deadline that never fires must not change the answer"
+            service.report_cache_stats(),
+            ReportCacheStats {
+                hits: 9_999,
+                misses: 1,
+                entries: 1
+            }
         );
+        service
+            .report_with_deadline("us_open", Some(2), Some(600_000))
+            .unwrap();
+        service
+            .add_document("us_open", Document::new("fresh", "", "a fresh source"))
+            .unwrap();
+        for deadline_ms in [600_000, 600_001] {
+            service
+                .report_with_deadline("us_open", None, Some(deadline_ms))
+                .unwrap();
+        }
+        assert_eq!(service.report_cache_stats().entries, 3);
+    }
+
+    #[test]
+    fn stored_fingerprint_tracks_every_mutation() {
+        use rage_datasets::live_updates;
+
+        let service = Service::new();
+        let assert_in_sync = |note: &str| {
+            let provenance = service.corpus_provenance("live_updates").unwrap();
+            let state_arc = service.corpus_state("live_updates");
+            let state = lock_unpoisoned(&state_arc);
+            assert_eq!(
+                provenance.fingerprint,
+                corpus_fingerprint(&state.scenario.corpus),
+                "{note}"
+            );
+            assert_eq!(provenance.num_docs, state.scenario.corpus.len(), "{note}");
+        };
+        assert_in_sync("seed");
+        let mut replaced = None;
+        for step in live_updates::mutation_script() {
+            match step.mutation {
+                live_updates::Mutation::Add(doc) => {
+                    replaced = Some(doc.clone());
+                    service.add_document("live_updates", doc).unwrap()
+                }
+                live_updates::Mutation::Update(doc) => {
+                    service.update_document("live_updates", doc).unwrap()
+                }
+                live_updates::Mutation::Remove(id) => {
+                    service.remove_document("live_updates", &id).unwrap()
+                }
+            };
+            assert_in_sync(step.note);
+        }
+        // Update and both upsert paths (replace and add); a rejected
+        // mutation moves nothing.
+        let seed_id = live_updates::corpus().iter().next().unwrap().id.clone();
+        service
+            .update_document(
+                "live_updates",
+                Document::new(seed_id.clone(), "Updated", "an updated seed source"),
+            )
+            .unwrap();
+        assert_in_sync("update");
+        service
+            .upsert_document(
+                "live_updates",
+                Document::new(seed_id, "Upserted", "an upserted seed source"),
+            )
+            .unwrap();
+        assert_in_sync("upsert (replace)");
+        let mut doc = replaced.expect("the script adds a document");
+        doc.text.push_str(" (re-added)");
+        service
+            .upsert_document("live_updates", doc.clone())
+            .unwrap();
+        assert_in_sync("upsert (add)");
+        service.add_document("live_updates", doc).unwrap_err();
+        assert_in_sync("rejected duplicate add");
     }
 
     #[test]

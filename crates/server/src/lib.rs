@@ -15,13 +15,13 @@
 //! |---------------------|------------------------------------------------------|
 //! | `GET /`             | HTML index: every scenario, linked to its HTML view  |
 //! | `GET /scenarios`    | JSON list of registry scenarios (name + summary)     |
-//! | `GET /report?scenario=S[&format=md\|json\|html][&shards=N][&deadline_ms=MS]` | one rendered explanation report (default `json`); the `html` format is the self-contained interactive page; `deadline_ms` serves an *anytime* report whose searches stop at the wall-clock deadline, with explicit completeness markers on truncated sections |
+//! | `GET /report?scenario=S[&format=md\|json\|html][&shards=N][&deadline_ms=MS]` | one rendered explanation report (default `json`); the `html` format is the self-contained interactive page; `deadline_ms` serves an *anytime* report whose searches stop at the wall-clock deadline, with explicit completeness markers on truncated sections (a cached exact report answers at once; a truncated one is never cached) |
 //! | `POST /ask`         | JSON body `{"scenario": S, "query": Q[, "k": N][, "deadline_ms": MS]}` — one RAG round trip over the scenario's corpus; with `deadline_ms` the caller waits at most that long before a 408 |
 //! | `POST /diff`        | JSON body `{"a": <report>, "b": <report>}` (two report documents, schema v1 or v2) — their [`rage_report::ReportDiff`] |
 //! | `GET /diff?scenario=S&from=N&to=N[&shards=N]` | diff the scenario's reports at two corpus versions (the `to` side may be the live version; older sides come from the service's bounded version cache) |
 //! | `POST /corpus/docs` | JSON body `{"scenario": S, "doc": {"id", "text"[, "title"][, "fields"]}[, "mode": "add"\|"update"\|"upsert"]}` — mutate the scenario's live corpus; answers the new corpus provenance |
 //! | `DELETE /corpus/docs/{id}?scenario=S` | remove one document from the scenario's live corpus |
-//! | `GET /stats`        | JSON counters: report cache, ask batching, requests, per-scenario corpus versions |
+//! | `GET /stats`        | JSON counters: report cache (hits, misses, entries), ask batching, requests, per-scenario corpus versions |
 //!
 //! Errors come back as `{"error":{"status":N,"message":...}}` with the status
 //! mirrored in the HTTP status line. Caller mistakes are always 4xx — unknown
@@ -1005,6 +1005,10 @@ fn stats_json(
                 (
                     "misses".into(),
                     JsonValue::Number(report_cache.misses as f64),
+                ),
+                (
+                    "entries".into(),
+                    JsonValue::Number(report_cache.entries as f64),
                 ),
             ]),
         ),

@@ -700,20 +700,17 @@ fn stats_reflect_the_report_cache() {
 }
 
 /// `deadline_ms=` turns `/report` into an anytime request: a pre-expired
-/// deadline still answers 200 with an explicit `completeness` block, the
-/// exact report stays byte-identical before and after the anytime traffic
-/// (the caches are keyed apart), and a malformed deadline is the caller's
-/// fault, not the server's.
+/// deadline still answers 200 with an explicit `completeness` block, a
+/// truncated report is never cached (the exact report stays byte-identical
+/// after the anytime traffic), a cached exact report answers every deadline,
+/// and a malformed deadline is the caller's fault, not the server's.
 #[test]
 fn report_deadlines_bound_work_without_poisoning_the_exact_cache() {
     let server = start_server();
 
-    // Exact first, so the exact cache is warm before any anytime request.
-    let (status, _, exact_before) = get(&server, "/report?scenario=us_open&format=json");
-    assert_eq!(status, 200);
-
-    // A deadline that expired before the searches even started: still a 200,
-    // and the document says out loud which sections were cut short.
+    // A deadline that expired before the searches even started, on a cold
+    // cache: still a 200, and the document says out loud which sections were
+    // cut short.
     let (status, head, body) = get(
         &server,
         "/report?scenario=us_open&format=json&deadline_ms=0",
@@ -729,6 +726,11 @@ fn report_deadlines_bound_work_without_poisoning_the_exact_cache() {
         .and_then(JsonValue::as_str);
     assert_eq!(kind, Some("deadline_truncated"));
 
+    // The exact report never saw the truncated one.
+    let (status, _, exact_before) = get(&server, "/report?scenario=us_open&format=json");
+    assert_eq!(status, 200);
+    assert_ne!(exact_before, body);
+
     // A generous deadline completes everything: no completeness block, and
     // the bytes match the exhaustive rendering exactly.
     let (status, _, relaxed) = get(
@@ -738,10 +740,24 @@ fn report_deadlines_bound_work_without_poisoning_the_exact_cache() {
     assert_eq!(status, 200);
     assert_eq!(relaxed, exact_before);
 
-    // The exact cache never saw any of that.
+    // Once cached, the exact report answers even an expired deadline, and
+    // the cache holds that one report.
+    let (status, _, expired) = get(
+        &server,
+        "/report?scenario=us_open&format=json&deadline_ms=0",
+    );
+    assert_eq!(status, 200);
+    assert_eq!(expired, exact_before);
     let (status, _, exact_after) = get(&server, "/report?scenario=us_open&format=json");
     assert_eq!(status, 200);
     assert_eq!(exact_after, exact_before);
+    let (_, _, stats) = get(&server, "/stats");
+    let stats = JsonValue::parse(std::str::from_utf8(&stats).unwrap()).unwrap();
+    let entries = stats
+        .get("report_cache")
+        .and_then(|cache| cache.get("entries"))
+        .and_then(JsonValue::as_usize);
+    assert_eq!(entries, Some(1));
 
     // Malformed deadlines are 400s.
     for target in [
