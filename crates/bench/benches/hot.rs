@@ -14,14 +14,13 @@
 //! speedup ratio lands in `BENCH_pr.json` as a tracked artifact.
 
 use rage_bench::workloads::{
-    bench_report_config, evaluator_for, evaluator_for_with_backend,
-    parallel_evaluator_and_cache_for, parallel_evaluator_for, pipeline_for, synthetic,
+    bench_report_config, evaluator_for, parallel_evaluator_and_cache_for, parallel_evaluator_for,
+    pipeline_for, synthetic,
 };
 use rage_bench::{black_box, scaled, section, Runner};
 use rage_core::counterfactual::{find_combination_counterfactual, CounterfactualConfig};
 use rage_core::scoring::ScoringMethod;
 use rage_core::{Deadline, RageReport};
-use rage_llm::kernels::KernelBackend;
 
 fn main() {
     let mut runner = Runner::from_args();
@@ -67,21 +66,6 @@ fn main() {
             black_box(RageReport::generate(&evaluator, &config).unwrap());
         });
         runner.ratio("report/k=8/speedup@4", &seq, &par);
-
-        // SIMD kernel backend over the same workload. Both legs pin their
-        // backend explicitly (the enum, not the cargo feature), so the ratio
-        // is meaningful no matter what the build's default backend is; the
-        // gated "report/k=8/seq" above keeps using the default and stays
-        // comparable to the baseline.
-        let scalar = runner.bench("report/k=8/seq/scalar", scaled(10), || {
-            let evaluator = evaluator_for_with_backend(&scenario, KernelBackend::Scalar);
-            black_box(RageReport::generate(&evaluator, &config).unwrap());
-        });
-        let simd = runner.bench("report/k=8/seq/simd", scaled(10), || {
-            let evaluator = evaluator_for_with_backend(&scenario, KernelBackend::Simd);
-            black_box(RageReport::generate(&evaluator, &config).unwrap());
-        });
-        runner.ratio("report/k=8/simd_speedup", &scalar, &simd);
 
         // One instrumented run so the SimLlm prefix cache's effectiveness on
         // this workload lands in the JSON next to the timings — a cache

@@ -1,14 +1,13 @@
 //! Fused-kernel forward pass vs the straight-line reference, across context
 //! sizes — the microbench behind the `kernels` module's existence.
 //!
-//! The two paths are bit-identical by contract (`tests/kernel_equivalence.rs`
-//! in `rage-llm` enforces it); this target tracks the *speed* side: how much
-//! the flat buffers, blocking and mirrored score matrix buy at each sequence
-//! length, what the SIMD backend buys on top of the scalar fused path
-//! (`forward/simd_speedup/k=*` — ULP-divergent by contract, pinned by
-//! `tests/simd_equivalence.rs`), what the prefix cache adds on top, and what
-//! computing only the question rows of the last layer (the read-out `SimLlm`
-//! runs) adds on top of that (`forward/read_out_speedup/k=*`).
+//! The two paths agree within a documented ULP bound (`tests/simd_equivalence.rs`
+//! and `tests/kernel_equivalence.rs` in `rage-llm` enforce it); this target
+//! tracks the *speed* side: how much the flat buffers, four-lane kernels,
+//! combined head mix and mirrored score matrix buy at each sequence length,
+//! what the prefix cache adds on top, and what computing only the question
+//! rows of the last layer (the read-out `SimLlm` runs) adds on top of that
+//! (`forward/read_out_speedup/k=*`).
 //!
 //! ```text
 //! cargo bench --bench kernels [-- --json KERNELS.json]
@@ -16,7 +15,6 @@
 
 use rage_bench::{black_box, scaled, section, Runner};
 use rage_llm::cache::PrefixCache;
-use rage_llm::kernels::KernelBackend;
 use rage_llm::tokenizer::SimTokenizer;
 use rage_llm::transformer::{ReadOut, Transformer, TransformerConfig};
 use rage_llm::{LlmInput, SourceText};
@@ -44,11 +42,7 @@ fn prompt_for(tokenizer: &SimTokenizer, k: usize) -> rage_llm::tokenizer::Tokeni
 fn main() {
     let mut runner = Runner::from_args();
     let tokenizer = SimTokenizer::new();
-    // Backends pinned via the enum (not the cargo feature) so scalar and SIMD
-    // legs land side by side in every build.
-    let transformer =
-        Transformer::new(TransformerConfig::default()).with_backend(KernelBackend::Scalar);
-    let vectored = Transformer::new(TransformerConfig::default()).with_backend(KernelBackend::Simd);
+    let transformer = Transformer::new(TransformerConfig::default());
 
     for k in [2usize, 5, 10, 20] {
         let prompt = prompt_for(&tokenizer, k);
@@ -62,11 +56,6 @@ fn main() {
             black_box(transformer.forward_reference(&prompt, None));
         });
         runner.ratio(&format!("forward/fused_speedup/k={k}"), &reference, &fused);
-
-        let simd = runner.bench(&format!("forward/simd/k={k}"), scaled(300), || {
-            black_box(vectored.forward(&prompt));
-        });
-        runner.ratio(&format!("forward/simd_speedup/k={k}"), &fused, &simd);
 
         // Warm prefix cache on top of the fused path.
         let cache = PrefixCache::default();

@@ -349,7 +349,6 @@ pub mod workloads {
     use rage_datasets::synthetic::{ranking_scenario, RankingConfig};
     use rage_datasets::Scenario;
     use rage_llm::cache::PrefixCache;
-    use rage_llm::kernels::KernelBackend;
     use rage_llm::model::{SimLlm, SimLlmConfig};
     use rage_retrieval::{IndexBuilder, Searcher};
 
@@ -357,16 +356,6 @@ pub mod workloads {
     pub fn pipeline_for(scenario: &Scenario) -> RagPipeline {
         let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
-        RagPipeline::new(searcher, Arc::new(llm))
-    }
-
-    /// [`pipeline_for`] with an explicit kernel backend, so benches can put
-    /// scalar and SIMD legs side by side regardless of which backend the
-    /// `simd` cargo feature makes the default.
-    pub fn pipeline_for_with_backend(scenario: &Scenario, backend: KernelBackend) -> RagPipeline {
-        let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
-        let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()))
-            .with_kernel_backend(backend);
         RagPipeline::new(searcher, Arc::new(llm))
     }
 
@@ -390,16 +379,6 @@ pub mod workloads {
     /// A fresh evaluator (empty cache) over a scenario's retrieved context.
     pub fn evaluator_for(scenario: &Scenario) -> Evaluator {
         let pipeline = pipeline_for(scenario);
-        let (_, evaluator) = pipeline
-            .ask_and_explain(&scenario.question, scenario.retrieval_k)
-            .expect("scenario question retrieves a context");
-        evaluator
-    }
-
-    /// [`evaluator_for`] with an explicit kernel backend (see
-    /// [`pipeline_for_with_backend`]).
-    pub fn evaluator_for_with_backend(scenario: &Scenario, backend: KernelBackend) -> Evaluator {
-        let pipeline = pipeline_for_with_backend(scenario, backend);
         let (_, evaluator) = pipeline
             .ask_and_explain(&scenario.question, scenario.retrieval_k)
             .expect("scenario question retrieves a context");

@@ -9,13 +9,13 @@
 //! build opts into `-C target-cpu`. The lane shape — not the instruction set —
 //! is the contract, which keeps results identical across machines.
 //!
-//! ## Divergence contract (vs. the scalar oracle)
+//! ## Divergence contract (vs. the reference forward)
 //!
-//! The scalar kernels in [`super`] are bit-identical to
-//! `Transformer::forward_reference` by construction. The lane-parallel
-//! versions here deliberately trade that bit-identity for throughput in a
-//! small, enumerated set of places, every one ULP-bounded and pinned by
-//! tests (`tests/simd_equivalence.rs`):
+//! `Transformer::forward_reference` computes every scalar with sequential
+//! straight-line loops. These kernels deliberately trade bit-identity with it
+//! for throughput in a small, enumerated set of places, every one
+//! deterministic and ULP-bounded (see [`super::SIMD_ULP_BOUND`] and
+//! `tests/simd_equivalence.rs`):
 //!
 //! * **Dot-product reductions** ([`scores_into`], [`matvec_into`]): the
 //!   accumulation is a fixed 4-lane tree — lane `l` sums elements
@@ -31,18 +31,19 @@
 //!   would return a subnormal `< 1e-307`.
 //! * **Weight normalisation** ([`weights_inplace`]): one division computes
 //!   the reciprocal of the row sum, then every weight multiplies by it. The
-//!   scalar kernel divides each weight individually; the reciprocal form is
+//!   reference divides each weight individually; the reciprocal form is
 //!   within ~2 ULP of it per weight but turns `n` long-latency divisions per
 //!   row into one.
-//! * **Value-mix head averaging** ([`mix_accumulate`]): the `1/heads` factor
-//!   is folded into each weight once per key rather than applied per
-//!   element. Exact — and therefore still bit-identical — when `heads` is a
-//!   power of two (every default model); ULP-divergent otherwise.
+//! * **Value-mix head averaging** ([`mix_accumulate`], [`mix_tiled`]): the
+//!   `1/heads` factor is folded into each weight once per key rather than
+//!   applied per element. Exact — and therefore still bit-identical — when
+//!   `heads` is a power of two (every default model); ULP-divergent
+//!   otherwise.
 //!
-//! Everything else (`residual_normalize`) reuses the scalar kernel
-//! unchanged: its per-scalar operation order is already lane-parallel across
+//! The residual update ([`super::residual_normalize`]) is shared with the
+//! reference's operation order: it is already lane-parallel across
 //! independent outputs, the auto-vectoriser handles it well, and keeping it
-//! shared keeps the divergence surface small.
+//! exact keeps the divergence surface small.
 
 /// Lane width of the hand-unrolled blocks. Four `f64` lanes = two SSE2
 /// vectors (the stable-Rust baseline) or one AVX2 vector.
@@ -53,8 +54,8 @@ const LANES: usize = 4;
 /// lanes `0..len%4`, so every length has one fixed, documented order.
 ///
 /// Lanes start at `-0.0`, the float-sum identity, so degenerate all-zero
-/// dots carry the same sign bit as the scalar backend and the `.sum()`
-/// reference (empty sum is `-0.0`, not `+0.0`).
+/// dots carry the same sign bit as the `.sum()` reference (empty sum is
+/// `-0.0`, not `+0.0`).
 #[inline(always)]
 fn dot_tree(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = [-0.0f64; LANES];
@@ -72,8 +73,10 @@ fn dot_tree(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// Lane-parallel [`super::scores_into`]: same shape contract, tree-reduced
-/// dots (see the module docs for the divergence bound).
+/// Scaled dot-product scores of one query row against a block of key rows:
+/// `out[k] = dot(query, keys[k]) * scale` for every row `k` of `keys`, where
+/// `keys` is a flat row-major `out.len() × key_dim` buffer. The dots are
+/// tree-reduced (see the module docs for the divergence bound).
 ///
 /// One key row per [`dot_tree`] call. A four-row-blocked variant (sixteen
 /// interleaved accumulator chains) was measured *slower* on the forward
@@ -85,8 +88,7 @@ pub fn scores_into(query: &[f64], keys: &[f64], key_dim: usize, scale: f64, out:
     assert_eq!(query.len(), key_dim, "query length mismatch");
     if key_dim == 0 {
         // Zero-dimension keys: every dot product is the empty sum, whose
-        // identity element (matching `Iterator::sum` and the scalar
-        // backend) is `-0.0`.
+        // identity element (matching `Iterator::sum`) is `-0.0`.
         out.fill(-0.0);
         return;
     }
@@ -95,8 +97,9 @@ pub fn scores_into(query: &[f64], keys: &[f64], key_dim: usize, scale: f64, out:
     }
 }
 
-/// Lane-parallel [`super::matvec_into`]: a matvec is one unscaled score row
-/// with the matrix rows as keys, exactly as in the scalar kernel.
+/// Dense row-major matrix–vector product, `out[r] = dot(matrix.row(r), x)`,
+/// used for the per-head query/key projection of one token's hidden state. A
+/// matvec is one unscaled score row with the matrix rows as keys.
 pub fn matvec_into(matrix: &[f64], rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
     assert_eq!(matrix.len(), rows * cols, "matrix shape mismatch");
     assert_eq!(x.len(), cols, "input length mismatch");
@@ -239,9 +242,10 @@ fn exp4(x: [f64; LANES]) -> [f64; LANES] {
     v
 }
 
-/// Lane-parallel [`super::softmax_exp_inplace`]: 4-lane striped maximum
-/// (order-insensitive for the finite scores the transformer produces),
-/// polynomial `exp` (see [`exp_lane`]) and a 4-lane tree sum.
+/// Numerically-stable softmax, first half: subtract the row maximum and
+/// exponentiate in place, returning the sum of the exponentials. 4-lane
+/// striped maximum (order-insensitive for the finite scores the transformer
+/// produces), polynomial `exp` (see [`exp_lane`]) and a 4-lane tree sum.
 pub fn softmax_exp_inplace(scores: &mut [f64]) -> f64 {
     // Striped maximum. Max is associative and commutative over non-NaN
     // inputs, so the lane order cannot change the result. The comparison
@@ -287,15 +291,15 @@ pub fn softmax_exp_inplace(scores: &mut [f64]) -> f64 {
     (sum[0] + sum[1]) + (sum[2] + sum[3])
 }
 
-/// Lane-parallel [`super::weights_inplace`]: multiply every weight by the
-/// reciprocal of `sum` instead of dividing each one.
+/// Softmax, second half: turn the exponentiated row into attention weights
+/// by multiplying every entry by the reciprocal of `sum` instead of dividing
+/// each one.
 ///
 /// One division (the reciprocal) replaces `n` — division is the longest
 /// latency/lowest throughput float op on every x86-64 generation, and the
-/// softmax second half is pure division in the scalar kernel. The cost is
+/// reference's softmax second half is pure division. The cost is
 /// divergence: `w * (1/s)` rounds twice where `w / s` rounds once, so each
-/// weight may differ from the scalar backend's by ~2 ULP (asserted in
-/// tests). Degenerate sums (`0`, `inf`, NaN) propagate through the
+/// weight may differ from the reference's by ~2 ULP (asserted in tests). Degenerate sums (`0`, `inf`, NaN) propagate through the
 /// reciprocal exactly as they would through per-element division signwise —
 /// the transformer never produces them (row sums of positive finite
 /// exponentials), and rows stay finite for every finite positive `sum`.
@@ -306,18 +310,19 @@ pub fn weights_inplace(weights: &mut [f64], sum: f64) {
     }
 }
 
-/// Lane-parallel [`super::mix_accumulate`]: the head average is folded into
-/// each weight once per key (`w' = w/heads`, then `out[d] += w' * v[d]`)
-/// instead of once per element, halving the multiplies in the inner loop.
+/// Fused value mix: accumulate the attention-weighted, head-averaged value
+/// rows into one query's mixed vector. The head average is folded into each
+/// weight once per key (`w' = w/heads`, then `out[d] += w' * v[d]`) instead
+/// of once per element, halving the multiplies in the inner loop; the
+/// additions keep the reference's ascending-`k` order per scalar.
 ///
 /// When `heads` is a power of two the fold is exact — scaling by `2^-k`
 /// commutes with the product's single rounding — so the result is
-/// bit-identical to the scalar kernel, which covers every default model
-/// configuration. For other head counts the weight fold rounds once
-/// (`w * (1/heads)` via reciprocal), making each output ULP-divergent from
-/// the scalar kernel's per-element `(w*v)/heads`; this is the fourth leg of
-/// the backend's documented divergence contract (see the module docs) and is
-/// pinned by `tests/simd_equivalence.rs`.
+/// bit-identical to the reference's per-element `(w*v)/heads`, which covers
+/// every default model configuration. For other head counts the weight fold
+/// rounds once (`w * (1/heads)` via reciprocal), making each output
+/// ULP-divergent; this is the fourth leg of the divergence contract (see the
+/// module docs) and is pinned by `tests/simd_equivalence.rs`.
 pub fn mix_accumulate(weights: &[f64], values: &[f64], dim: usize, heads: f64, out: &mut [f64]) {
     let n = weights.len();
     assert_eq!(values.len(), n * dim, "values buffer shape mismatch");
@@ -338,7 +343,7 @@ pub fn mix_accumulate(weights: &[f64], values: &[f64], dim: usize, heads: f64, o
         );
         for d in 0..dim {
             // One load/store of out[d] per four keys, ascending-k addition
-            // order per scalar, exactly as in the scalar kernel — only the
+            // order per scalar, exactly as in the reference — only the
             // weight fold differs.
             let mut acc = out[d];
             acc += w0 * r0[d];
@@ -557,7 +562,7 @@ mod tests {
     #[test]
     fn reciprocal_weights_are_within_two_ulp_of_division() {
         // The documented divergence bound of the reciprocal normalisation:
-        // `w * (1/s)` rounds twice where the scalar kernel's `w / s` rounds
+        // `w * (1/s)` rounds twice where the reference's `w / s` rounds
         // once, which keeps each weight within 2 ULP of the division result.
         let mut state = 0x1E1C;
         for len in 1..=33usize {

@@ -35,12 +35,13 @@
 //! Everything is deterministic given the model seed, which keeps explanations and tests
 //! reproducible.
 //!
-//! ## The kernel layer and its bit-identity contract
+//! ## The kernel layer and its ULP contract
 //!
 //! Explanation search evaluates hundreds of perturbed prompts per report, and each
 //! forward pass is dominated by the `O(tokens²)` attention score/softmax/mix loops.
-//! Those loops live in [`kernels`]: fused, cache-blocked implementations over flat
-//! row-major buffers that the production
+//! Those loops live in [`kernels`]: one fused implementation over flat row-major
+//! buffers, written as four-lane blocks that stable Rust auto-vectorises to packed
+//! SSE2 (no `unsafe`, no intrinsics), which the production
 //! [`Transformer::forward_cached`](transformer::Transformer::forward_cached) path runs
 //! on. That path is also *demand-driven*: it computes only what its caller reads. Every
 //! layer before the last runs in full, because its rows feed the next layer's keys;
@@ -50,54 +51,39 @@
 //! rows are never computed or stored, and neither is the final hidden state (the last
 //! layer has no value mix and no residual), because nothing reads it.
 //!
-//! The contract is strict **bit-identity** over every attention value the read-out
-//! consumes — every kernel performs the same IEEE-754 operations in the same per-scalar
-//! order as the straight-line reference implementation
+//! The oracle is the straight-line reference implementation
 //! ([`Transformer::forward_reference`](transformer::Transformer::forward_reference),
-//! kept compiled as the oracle, which still computes everything), so enabling the
-//! kernels or the demand-driven read-out can never change an answer, an attention
-//! read-out, a golden snapshot, or a prefix-cache guarantee. The differential suite in
-//! `tests/kernel_equivalence.rs` enforces the contract down to `f64::to_bits` across
-//! randomised and edge-case prompts, model shapes (causal and bidirectional), cache
-//! states and multi-threaded evaluator runs, in both debug and release codegen, and
-//! compares the demand-driven record row by row with the full one on both backends.
+//! kept compiled, which still computes everything). The fused path trades strict
+//! bit-identity with it for speed in four documented, deterministic ways — tree-reduced
+//! dots, a polynomial `exp`, reciprocal weight normalisation, and head-average weight
+//! folding (see [`kernels::simd`]) — and every attention weight stays within
+//! [`SIMD_ULP_BOUND`](kernels::SIMD_ULP_BOUND) ULPs of the reference's. Within the
+//! fused path, caching, the demand-driven read-out and the scratch pool are bit-exact:
+//! they never change a single bit of what the model reads.
+//!
+//! Three suites enforce the contract in debug and release codegen:
+//!
+//! * `tests/simd_equivalence.rs` pins each kernel's lane order, the `exp` and weight
+//!   bounds, and the forward-level ULP bound across model shapes, bidirectional and
+//!   causal;
+//! * `tests/kernel_equivalence.rs` compares fused and reference forwards with the
+//!   prefix cache off, cold and warm, compares the demand-driven record row by row with
+//!   the full one down to `f64::to_bits`, and runs every registered scenario's report
+//!   through a fused and a reference-forward model, requiring equal answers,
+//!   counterfactuals and insight distributions, and scores and placement objectives
+//!   within `1e-12` relative;
+//! * `tests/prefix_cache.rs` keeps cached and uncached generations bit-identical.
+//!
 //! Any behavioural change to the forward pass must therefore be made in *both*
-//! implementations — the suite fails loudly otherwise.
-//!
-//! ## Backend selection and the re-baseline contract
-//!
-//! Two kernel backends are always compiled
-//! ([`KernelBackend`](kernels::KernelBackend)): `Scalar`, which keeps the strict
-//! bit-identity contract above, and `Simd`, which restructures the same hot loops into
-//! four-lane blocks that stable Rust auto-vectorises to packed SSE2. Selection is
-//! per-model at runtime — [`SimLlm::with_kernel_backend`](model::SimLlm::with_kernel_backend)
-//! or [`Transformer::with_backend`](transformer::Transformer::with_backend) — and the
-//! *default* backend follows the `simd` cargo feature, so a plain build behaves
-//! exactly as before the SIMD backend existed.
-//!
-//! The SIMD backend trades strict bit-identity for speed in four documented,
-//! deterministic ways (tree-reduced dots, a polynomial `exp`, reciprocal weight
-//! normalisation, and head-average weight folding — see [`kernels::simd`] for the
-//! precise divergence contract and its ULP bounds). Everything else still matches the
-//! scalar oracle bit-for-bit, and `tests/simd_equivalence.rs` pins both the bounds and
-//! the bitwise-shared kernels. Two consequences for downstream users:
-//!
-//! * **Golden snapshots are scalar-pinned.** Tests that assert exact answers or
-//!   attention bytes construct their models with the scalar backend explicitly, so the
-//!   cargo feature cannot silently re-baseline them.
-//! * **Re-baselining is opt-in and observable.** If a golden is ever moved onto the
-//!   SIMD backend, its values must be regenerated under `--features simd` *and* the
-//!   change reviewed as a semantic diff — the equivalence suite's ULP bounds say how
-//!   large that diff may legitimately be. A prefix cache is likewise backend-private:
-//!   entries written under one backend must never be read under the other.
+//! implementations — the suites fail loudly otherwise.
 //!
 //! ## Crate layout
 //!
 //! * [`tokenizer`] — word-level tokenizer with a hashing vocabulary.
 //! * [`embedding`] — deterministic token and positional embeddings.
 //! * [`cache`] — the prefix/attention KV cache shared across perturbed forwards.
-//! * [`kernels`] — fused, blocked inner loops for the attention hot path (bit-identical
-//!   to the reference by contract).
+//! * [`kernels`] — fused, four-lane inner loops for the attention hot path (within a
+//!   documented ULP bound of the reference).
 //! * [`transformer`] — the attention stack and its recorded attention tensors.
 //! * [`attention`] — per-source attention aggregation (sum over layers/heads/tokens).
 //! * [`position_bias`] — parametric context-position priors ("lost in the middle" et al.).

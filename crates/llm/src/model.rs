@@ -14,7 +14,6 @@ use std::sync::Arc;
 use crate::attention::{aggregate_question_to_source_attention, aggregate_source_attention};
 use crate::cache::PrefixCache;
 use crate::extraction::{classify_question, extract_candidates, QuestionKind};
-use crate::kernels::KernelBackend;
 use crate::knowledge::PriorKnowledge;
 use crate::position_bias::PositionBiasProfile;
 use crate::tokenizer::SimTokenizer;
@@ -117,30 +116,16 @@ impl SimLlm {
     ///
     /// Caching never changes outputs (see the `cache` module invariants); it
     /// only trades memory for recomputation. The cache entries are functions
-    /// of this model's seed, dimensions **and kernel backend** (the SIMD
-    /// backend stores tree-reduced projections that differ by ULPs from the
-    /// scalar ones), so **never** share one cache between models built from
-    /// different [`TransformerConfig`]s or running different
-    /// [`KernelBackend`]s. Cloning the model shares the cache handle, which
-    /// is the intended way to hand the same model to multiple worker threads.
+    /// of this model's seed and dimensions, so **never** share one cache
+    /// between models built from different [`TransformerConfig`]s. Keep a
+    /// [`SimLlm::with_reference_forward`] model on a cache of its own too: it
+    /// fills the layer-0 projections with sequentially rounded dots, so a
+    /// shared cache would make fused results depend on which model filled an
+    /// entry. Cloning the model shares the cache handle, which is the
+    /// intended way to hand the same model to multiple worker threads.
     pub fn with_prefix_cache(mut self, cache: Arc<PrefixCache>) -> Self {
         self.prefix_cache = Some(cache);
         self
-    }
-
-    /// Select the kernel backend the transformer's fused forward pass runs
-    /// on (builder style). Defaults to [`KernelBackend::default`] — scalar
-    /// unless the crate is built with the `simd` feature. See the
-    /// [`kernels`](crate::kernels) module docs for the divergence contract,
-    /// and [`SimLlm::with_prefix_cache`] for the cache-sharing rule.
-    pub fn with_kernel_backend(mut self, backend: KernelBackend) -> Self {
-        self.transformer = self.transformer.with_backend(backend);
-        self
-    }
-
-    /// The kernel backend in use.
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.transformer.backend()
     }
 
     /// The attached prefix cache, if any.
@@ -160,13 +145,12 @@ impl SimLlm {
     /// [`Transformer::forward_reference`] oracle instead of the fused
     /// kernels.
     ///
-    /// The two paths are bit-identical by contract (see the
-    /// [`kernels`](crate::kernels) module docs), so this switch can never
-    /// change behaviour — it exists so the differential test suite can run
-    /// whole pipelines and evaluators against the reference implementation
-    /// and assert full-report equality. Production code has no reason to
-    /// turn it on: the reference path allocates per query position and is
-    /// several times slower.
+    /// The fused path stays within a documented ULP bound of the oracle (see
+    /// the [`kernels`](crate::kernels) module docs). This switch exists so
+    /// the differential test suite can run whole pipelines and evaluators
+    /// against the reference implementation and compare what the reports
+    /// explain. Production code has no reason to turn it on: the reference
+    /// path allocates per query position and is several times slower.
     pub fn with_reference_forward(mut self) -> Self {
         self.use_reference_forward = true;
         self

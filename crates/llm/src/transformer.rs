@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::PrefixCache;
 use crate::embedding::{dot, normalize, Embedder, EmbeddingConfig};
-use crate::kernels;
+use crate::kernels::{self, simd};
 use crate::tokenizer::TokenizedPrompt;
 
 /// Configuration of the attention stack.
@@ -156,8 +156,6 @@ pub struct Transformer {
     embedder: Embedder,
     /// Per layer, per head: a `head_dim × dim` projection applied to both queries and keys.
     projections: Vec<Vec<Matrix>>,
-    /// Which kernel implementation [`Transformer::forward_cached`] runs on.
-    backend: kernels::KernelBackend,
     /// Recycled buffers for attention matrices and combined-weight scratch.
     /// At report-scale prompts these allocations are large enough that the
     /// system allocator hands them back to the OS on every drop, and the
@@ -231,7 +229,6 @@ impl Transformer {
             config,
             embedder,
             projections,
-            backend: kernels::KernelBackend::default(),
             scratch: Arc::new(Mutex::new(Vec::new())),
         }
     }
@@ -288,41 +285,21 @@ impl Transformer {
         &self.config
     }
 
-    /// Select the kernel backend the fused forward pass runs on (builder
-    /// style). See the [`kernels`] module docs for the backend contract.
-    ///
-    /// The backend participates in every fused computation *including the
-    /// values stored into a [`PrefixCache`]*, so a cache warmed under one
-    /// backend must never be shared with a model running another — the
-    /// scalar and SIMD projections differ by ULPs and mixing them would make
-    /// cached and uncached forwards diverge.
-    pub fn with_backend(mut self, backend: kernels::KernelBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The kernel backend in use.
-    pub fn backend(&self) -> kernels::KernelBackend {
-        self.backend
-    }
-
     /// Project a hidden-state vector with one head's projection matrix —
     /// reference operation order (sequential row dots), used by
-    /// [`Transformer::forward_reference`] regardless of backend.
+    /// [`Transformer::forward_reference`].
     fn project(&self, layer: usize, head: usize, hidden: &[f64]) -> Vec<f64> {
         let proj = &self.projections[layer][head];
         (0..proj.rows).map(|r| dot(proj.row(r), hidden)).collect()
     }
 
-    /// Backend-dispatched projection, used by the fused path's cache-miss
-    /// closure so that cached and uncached fused forwards agree bit-for-bit
-    /// under *either* backend. (Under the scalar backend this is bit-identical
-    /// to [`Transformer::project`]; under SIMD the dots are tree-reduced.)
+    /// Project with the fused kernel (tree-reduced dots), used by the fused
+    /// path's cache-miss closure so that cached and uncached fused forwards
+    /// agree bit-for-bit.
     fn project_fused(&self, layer: usize, head: usize, hidden: &[f64]) -> Vec<f64> {
         let proj = &self.projections[layer][head];
         let mut out = vec![0.0; proj.rows];
-        self.backend
-            .matvec_into(&proj.data, proj.rows, proj.cols, hidden, &mut out);
+        simd::matvec_into(&proj.data, proj.rows, proj.cols, hidden, &mut out);
         out
     }
 
@@ -354,23 +331,18 @@ impl Transformer {
     /// uncached forward pass.
     ///
     /// This is the production path, implemented on the fused [`kernels`]:
-    /// flat row-major buffers, blocked inner loops, and a mirrored score
-    /// matrix (the pre-softmax score `dot(pᵩ, pₖ)·scale` is bit-symmetric in
-    /// `q`/`k`, so only the upper triangle is computed — which also holds
-    /// inside a row prefix, since row `q` mirrors only rows `k < q`; under
-    /// causal masking each row's visible prefix is computed directly
-    /// instead). Every attention value it computes runs through the same
-    /// kernels in the same operation order as the full computation, so under
-    /// [`KernelBackend::Scalar`](kernels::KernelBackend::Scalar) each stored
-    /// row is bit-identical to the same row of
-    /// [`Transformer::forward_reference`] — see the [`kernels`] module docs
-    /// for the contract and `tests/kernel_equivalence.rs` for its
-    /// enforcement. Under
-    /// [`KernelBackend::Simd`](kernels::KernelBackend::Simd) the result is
-    /// deterministic but ULP-divergent from the oracle (tree-reduced dots,
-    /// polynomial softmax `exp`, combined-head value mix), with the bound
-    /// pinned by `tests/simd_equivalence.rs`; its stored rows are
-    /// bit-identical to the SIMD [`ReadOut::AllRows`] record's.
+    /// flat row-major buffers, four-lane inner loops, the per-head value
+    /// mixes folded into one pass over head-averaged weights, and a mirrored
+    /// score matrix (the pre-softmax score `dot(pᵩ, pₖ)·scale` is
+    /// bit-symmetric in `q`/`k`, so only the upper triangle is computed —
+    /// which also holds inside a row prefix, since row `q` mirrors only rows
+    /// `k < q`; under causal masking each row's visible prefix is computed
+    /// directly instead). Every attention value it computes runs through the
+    /// same kernels in the same operation order as the full computation, so
+    /// each stored row is bit-identical to the same row of the
+    /// [`ReadOut::AllRows`] record. Against [`Transformer::forward_reference`]
+    /// every weight is within [`SIMD_ULP_BOUND`](kernels::SIMD_ULP_BOUND)
+    /// ULPs — see the [`kernels`] module docs for the contract.
     pub fn forward_cached(
         &self,
         prompt: &TokenizedPrompt,
@@ -413,19 +385,17 @@ impl Transformer {
         let mut projected = vec![0.0f64; n * head_dim];
         let mut mixed = vec![0.0f64; if last > 0 { n * dim } else { 0 }];
 
-        let backend = self.backend;
         let causal = self.config.causal;
-        // The SIMD backend folds the per-head value mixes into one combined
-        // pass per query: the head weight rows are summed first, then the
-        // values are traversed once instead of once per head. Same math,
-        // reassociated — part of the backend's documented ULP divergence.
-        // (With one head the fold is the identity, and a one-layer stack
-        // mixes nothing, so skip the extra copy.)
-        let combine_mix =
-            backend == kernels::KernelBackend::Simd && self.config.heads > 1 && last > 0;
+        // The per-head value mixes fold into one combined pass per query:
+        // the head weight rows are summed first, then the values are
+        // traversed once instead of once per head. Same math, reassociated —
+        // part of the documented ULP divergence. (With one head the fold is
+        // the identity, and a one-layer stack mixes nothing, so skip the
+        // extra copy.)
+        let combine_mix = self.config.heads > 1 && last > 0;
         let mut combined = vec![0.0f64; if combine_mix && causal { n } else { 0 }];
-        // Full combined-weight matrix for the tiled mix (bidirectional SIMD
-        // path only — causal rows have ragged visible prefixes). Stale pool
+        // Full combined-weight matrix for the tiled mix (bidirectional only —
+        // causal rows have ragged visible prefixes). Stale pool
         // contents are fine: assembly assigns every element before the mix
         // reads it.
         let mut combined_all = if combine_mix && !causal {
@@ -460,7 +430,7 @@ impl Transformer {
                     _ => {
                         let proj = &self.projections[layer][head];
                         for pos in 0..n {
-                            backend.matvec_into(
+                            simd::matvec_into(
                                 &proj.data,
                                 proj.rows,
                                 proj.cols,
@@ -499,7 +469,7 @@ impl Transformer {
                     let row_start = q * n;
                     if causal {
                         let visible = q + 1;
-                        backend.scores_into(
+                        simd::scores_into(
                             &projected[q * head_dim..(q + 1) * head_dim],
                             &projected[..visible * head_dim],
                             head_dim,
@@ -510,7 +480,7 @@ impl Transformer {
                         for k in 0..q {
                             attn.data[row_start + k] = attn.data[k * n + q];
                         }
-                        backend.scores_into(
+                        simd::scores_into(
                             &projected[q * head_dim..(q + 1) * head_dim],
                             &projected[q * head_dim..n * head_dim],
                             head_dim,
@@ -526,10 +496,10 @@ impl Transformer {
                     // untouched entries.
                     let visible = if causal { q + 1 } else { n };
                     let row = attn.row_mut(q);
-                    let sum = backend.softmax_exp_inplace(&mut row[..visible]);
-                    backend.weights_inplace(&mut row[..visible], sum);
+                    let sum = simd::softmax_exp_inplace(&mut row[..visible]);
+                    simd::weights_inplace(&mut row[..visible], sum);
                     if mixes && !combine_mix {
-                        backend.mix_accumulate(
+                        simd::mix_accumulate(
                             &row[..visible],
                             &hidden[..visible * dim],
                             dim,
@@ -575,7 +545,7 @@ impl Transformer {
                         *c = (*c + *w) * inv_heads;
                     }
                 }
-                kernels::simd::mix_tiled(&combined_all, &hidden, dim, &mut mixed);
+                simd::mix_tiled(&combined_all, &hidden, dim, &mut mixed);
             } else if combine_mix {
                 let (first_head, rest_heads) = head_matrices
                     .split_first()
@@ -593,7 +563,7 @@ impl Transformer {
                             *c += *w;
                         }
                     }
-                    backend.mix_accumulate(
+                    simd::mix_accumulate(
                         combined,
                         &hidden[..visible * dim],
                         dim,
@@ -603,7 +573,7 @@ impl Transformer {
                 }
             }
 
-            backend.residual_normalize(&mut hidden, &mixed, dim);
+            kernels::residual_normalize(&mut hidden, &mixed, dim);
             layers.push(LayerAttention {
                 heads: head_matrices,
             });
@@ -619,9 +589,11 @@ impl Transformer {
     /// kernels are differentially tested against.
     ///
     /// This is the original (pre-kernel) implementation, kept compiled and
-    /// public on purpose: `tests/kernel_equivalence.rs` asserts that
-    /// [`Transformer::forward_cached`] matches it down to `f64::to_bits` for
-    /// every prompt, configuration and cache state. It is not intended for
+    /// public on purpose: `tests/kernel_equivalence.rs` and
+    /// `tests/simd_equivalence.rs` assert that every weight of
+    /// [`Transformer::forward_cached`] stays within
+    /// [`SIMD_ULP_BOUND`](kernels::SIMD_ULP_BOUND) ULPs of it for every
+    /// prompt, configuration and cache state. It is not intended for
     /// production use — it allocates per query position and chases
     /// `Vec<Vec<f64>>` pointers — but any behavioural change to the forward
     /// pass must be made here *and* in the kernels, keeping both in lockstep.

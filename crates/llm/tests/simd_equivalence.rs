@@ -1,32 +1,30 @@
-//! Differential suite for the SIMD kernel backend and the causal-attention
+//! Differential suite for the lane-parallel kernels and the causal-attention
 //! mode.
 //!
 //! Three layers of guarantees, complementing `kernel_equivalence.rs` (which
-//! pins the scalar backend's strict bit-identity):
+//! pins the demand-driven read-out, the prefix cache and whole reports):
 //!
 //! 1. **Remainder-lane sweep** — every kernel over exhaustive small shapes
 //!    (`dim`/`key_dim`/context length `0..=17`, covering 1, primes, and the
-//!    4-lane block boundaries), scalar backend bit-compared against the
-//!    straight-line formula and the SIMD backend against its own fixed-order
-//!    lane oracle. Tail handling is where vector ports rot; this pins it
-//!    before and after.
-//! 2. **SIMD divergence bound** — the SIMD backend is deliberately *not*
-//!    bit-identical to the scalar oracle (tree-reduced dots, polynomial
-//!    `exp`, combined-head mix). This suite measures the divergence of whole
-//!    forward passes across the configuration sweep and asserts the measured
-//!    ULP bound, so any regression that widens the gap fails loudly — in
-//!    debug and (via CI) release codegen.
-//! 3. **Causal mode** — the causal fused path (both backends) against the
-//!    causal reference, the full-visibility identities (a single-token
-//!    prompt, and the last row of a one-layer stack, are mask-independent),
-//!    and proof that the mask actually changes a registry scenario's
-//!    attention read-out.
+//!    4-lane block boundaries), bit-compared against its own fixed-order
+//!    lane oracle and bounded against the straight-line formula. Tail
+//!    handling is where vector ports rot; this pins it.
+//! 2. **Divergence bound** — the fused forward is deliberately *not*
+//!    bit-identical to `Transformer::forward_reference` (tree-reduced dots,
+//!    polynomial `exp`, combined-head mix). This suite measures the
+//!    divergence of whole forward passes across the configuration sweep and
+//!    asserts [`SIMD_ULP_BOUND`], so any regression that widens the gap fails
+//!    loudly — in debug and (via CI) release codegen.
+//! 3. **Causal mode** — the causal fused path against the causal reference,
+//!    the full-visibility identities (a single-token prompt, and the last row
+//!    of a one-layer stack, are mask-independent), and proof that the mask
+//!    actually changes a registry scenario's attention read-out.
 
 use std::sync::Arc;
 
 use rage_datasets::us_open;
 use rage_llm::cache::PrefixCache;
-use rage_llm::kernels::{self, KernelBackend};
+use rage_llm::kernels::{self, simd, SIMD_ULP_BOUND};
 use rage_llm::model::{SimLlm, SimLlmConfig};
 use rage_llm::tokenizer::{PromptToken, Segment, SimTokenizer, TokenizedPrompt};
 use rage_llm::transformer::{AttentionRecord, ReadOut, Transformer, TransformerConfig};
@@ -55,7 +53,7 @@ fn ulp_distance(a: f64, b: f64) -> u64 {
     (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs()
 }
 
-/// The same configuration sweep the bit-identity suite uses.
+/// The same configuration sweep `kernel_equivalence.rs` uses.
 fn config_sweep() -> Vec<TransformerConfig> {
     let mut configs = Vec::new();
     for (dim, heads, layers) in [
@@ -144,10 +142,6 @@ fn tree_dot_oracle(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-fn sequential_dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[test]
 fn small_dimension_sweep_scores_and_matvec() {
     let mut state = 0x5111;
@@ -157,31 +151,23 @@ fn small_dimension_sweep_scores_and_matvec() {
             let keys = random_vec(&mut state, n * key_dim);
             let scale = 1.25;
 
-            let mut scalar = vec![f64::NAN; n];
-            KernelBackend::Scalar.scores_into(&query, &keys, key_dim, scale, &mut scalar);
-            let mut simd = vec![f64::NAN; n];
-            KernelBackend::Simd.scores_into(&query, &keys, key_dim, scale, &mut simd);
+            let mut scores = vec![f64::NAN; n];
+            simd::scores_into(&query, &keys, key_dim, scale, &mut scores);
 
             for k in 0..n {
                 let row = &keys[k * key_dim..(k + 1) * key_dim];
-                let seq = sequential_dot(&query, row) * scale;
                 let tree = tree_dot_oracle(&query, row) * scale;
                 assert_eq!(
-                    scalar[k].to_bits(),
-                    seq.to_bits(),
-                    "scalar n={n} key_dim={key_dim} k={k}"
-                );
-                assert_eq!(
-                    simd[k].to_bits(),
+                    scores[k].to_bits(),
                     tree.to_bits(),
-                    "simd lane order n={n} key_dim={key_dim} k={k}"
+                    "lane order n={n} key_dim={key_dim} k={k}"
                 );
             }
 
             // matvec is the same computation with rows/cols naming.
             if n > 0 {
                 let mut out = vec![f64::NAN; n];
-                KernelBackend::Simd.matvec_into(&keys, n, key_dim, &query, &mut out);
+                simd::matvec_into(&keys, n, key_dim, &query, &mut out);
                 for (k, o) in out.iter().enumerate() {
                     let tree = tree_dot_oracle(&query, &keys[k * key_dim..(k + 1) * key_dim]);
                     assert_eq!(
@@ -204,37 +190,26 @@ fn small_dimension_sweep_softmax() {
             .map(|x| x * 9.0)
             .collect::<Vec<_>>();
 
-        // Scalar backend: bit-identical to the straight-line reference.
-        let mut scalar = scores.clone();
-        let scalar_sum = KernelBackend::Scalar.softmax_exp_inplace(&mut scalar);
+        // The straight-line reference: libm `exp` after the row maximum.
         let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut reference = scores.clone();
-        let mut ref_sum = 0.0;
-        for s in reference.iter_mut() {
-            *s = (*s - max).exp();
-            ref_sum += *s;
-        }
-        assert_eq!(scalar_sum.to_bits(), ref_sum.to_bits(), "n={n}");
-        for (a, b) in scalar.iter().zip(&reference) {
-            assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
-        }
+        let reference: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
 
-        // SIMD backend: same maximum (order-insensitive), each exponential
-        // within the polynomial's ULP bound, weights still a distribution.
-        let mut simd = scores.clone();
-        let simd_sum = KernelBackend::Simd.softmax_exp_inplace(&mut simd);
+        // Same maximum (order-insensitive), each exponential within the
+        // polynomial's ULP bound, weights still a distribution.
+        let mut exps = scores.clone();
+        let sum = simd::softmax_exp_inplace(&mut exps);
         if n == 0 {
-            assert_eq!(simd_sum, 0.0);
+            assert_eq!(sum, 0.0);
             continue;
         }
-        for (k, (a, b)) in simd.iter().zip(&reference).enumerate() {
+        for (k, (a, b)) in exps.iter().zip(&reference).enumerate() {
             assert!(
                 ulp_distance(*a, *b) <= 8,
-                "n={n} k={k}: simd exp {a:e} vs libm {b:e}"
+                "n={n} k={k}: polynomial exp {a:e} vs libm {b:e}"
             );
         }
-        let mut weights = simd.clone();
-        KernelBackend::Simd.weights_inplace(&mut weights, simd_sum);
+        let mut weights = exps.clone();
+        simd::weights_inplace(&mut weights, sum);
         let total: f64 = weights.iter().sum();
         assert!((total - 1.0).abs() < 1e-12, "n={n}: {total}");
     }
@@ -258,40 +233,35 @@ fn small_dimension_sweep_mix_and_residual() {
                         reference[d] += weights[k] * values[k * dim + d] / heads;
                     }
                 }
-                // Scalar is bitwise the reference at every head count. The
-                // SIMD backend folds `1/heads` into the weights: exact (so
-                // still bitwise) for the power-of-two counts, ULP-divergent
-                // for heads=3 where the fold itself rounds.
-                for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                    let simd_divergent =
-                        backend == KernelBackend::Simd && heads.log2().fract() != 0.0;
-                    let mut out = fused.clone();
-                    backend.mix_accumulate(&weights, &values, dim, heads, &mut out);
-                    for d in 0..dim {
-                        if simd_divergent {
-                            // The weight fold rounds once per key, so the
-                            // accumulated error is bounded by ~1 ULP of each
-                            // |term| — an absolute bound, because the sum
-                            // itself may cancel to any magnitude.
-                            assert!(
-                                (out[d] - reference[d]).abs() <= 1e-13,
-                                "{backend:?} n={n} dim={dim} heads={heads} d={d}: {} vs {}",
-                                out[d],
-                                reference[d]
-                            );
-                        } else {
-                            assert_eq!(
-                                out[d].to_bits(),
-                                reference[d].to_bits(),
-                                "{backend:?} n={n} dim={dim} heads={heads} d={d}"
-                            );
-                        }
+                // The kernel folds `1/heads` into the weights: exact (so
+                // bitwise the reference) for the power-of-two counts,
+                // ULP-divergent for heads=3 where the fold itself rounds.
+                let divergent = heads.log2().fract() != 0.0;
+                simd::mix_accumulate(&weights, &values, dim, heads, &mut fused);
+                for d in 0..dim {
+                    if divergent {
+                        // The weight fold rounds once per key, so the
+                        // accumulated error is bounded by ~1 ULP of each
+                        // |term| — an absolute bound, because the sum
+                        // itself may cancel to any magnitude.
+                        assert!(
+                            (fused[d] - reference[d]).abs() <= 1e-13,
+                            "n={n} dim={dim} heads={heads} d={d}: {} vs {}",
+                            fused[d],
+                            reference[d]
+                        );
+                    } else {
+                        assert_eq!(
+                            fused[d].to_bits(),
+                            reference[d].to_bits(),
+                            "n={n} dim={dim} heads={heads} d={d}"
+                        );
                     }
                 }
-                fused.clear();
             }
 
-            // residual_normalize over n rows of width dim, both backends.
+            // residual_normalize over n rows of width dim: the reference's
+            // operation order, bit for bit.
             let hidden = random_vec(&mut state, n * dim);
             let mixed = random_vec(&mut state, n * dim);
             let mut reference = hidden.clone();
@@ -302,19 +272,17 @@ fn small_dimension_sweep_mix_and_residual() {
                 }
                 rage_llm::embedding::normalize(row);
             }
-            for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                let mut out = hidden.clone();
-                backend.residual_normalize(&mut out, &mixed, dim);
-                for (a, b) in out.iter().zip(&reference) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{backend:?} n={n} dim={dim}");
-                }
+            let mut out = hidden.clone();
+            kernels::residual_normalize(&mut out, &mixed, dim);
+            for (a, b) in out.iter().zip(&reference) {
+                assert_eq!(a.to_bits(), b.to_bits(), "n={n} dim={dim}");
             }
         }
     }
 }
 
 // --------------------------------------------------------------------------
-// 2. The SIMD divergence bound over whole forward passes.
+// 2. The divergence bound over whole forward passes.
 // --------------------------------------------------------------------------
 
 /// Maximum ULP distance between corresponding attention weights.
@@ -333,29 +301,23 @@ fn max_attention_ulp(a: &AttentionRecord, b: &AttentionRecord) -> u64 {
     worst
 }
 
-/// The documented divergence bound: across the configuration sweep ×
-/// randomised prompts, SIMD attention weights stay within this many ULPs of
-/// the scalar oracle's. Measured worst case on this sweep is ~2k ULP
-/// (≈ 4.4e-13 relative); the assertion leaves headroom for codegen variation
-/// without letting a real divergence (a wrong lane order is millions of
-/// ULPs) through. Quoted in the `kernels` module docs — keep in sync.
-const SIMD_ULP_BOUND: u64 = 16_384;
-
 #[test]
 fn simd_forward_divergence_from_scalar_is_ulp_bounded() {
+    // Across the configuration sweep × randomised prompts, fused attention
+    // weights stay within SIMD_ULP_BOUND of the scalar straight-line oracle,
+    // `forward_reference`.
     let tokenizer = SimTokenizer::new();
     let mut state = 0xD1FF_B0B0;
     let mut worst = 0u64;
     for causal in [false, true] {
         for mut config in config_sweep() {
             config.causal = causal;
-            let scalar = Transformer::new(config).with_backend(KernelBackend::Scalar);
-            let simd = Transformer::new(config).with_backend(KernelBackend::Simd);
+            let transformer = Transformer::new(config);
             for round in 0..6 {
                 let input = random_input(&mut state);
                 let prompt = tokenizer.tokenize_prompt(&input);
-                let a = scalar.forward(&prompt);
-                let b = simd.forward(&prompt);
+                let a = transformer.forward_reference(&prompt, None);
+                let b = transformer.forward(&prompt);
                 let ulp = max_attention_ulp(&a, &b);
                 worst = worst.max(ulp);
                 assert!(
@@ -368,19 +330,18 @@ fn simd_forward_divergence_from_scalar_is_ulp_bounded() {
             }
         }
     }
-    // The bound must stay *meaningful*: if the backends ever became
-    // bit-identical this suite should be folded into kernel_equivalence.
-    assert!(worst > 0, "SIMD backend unexpectedly bit-identical");
+    // The bound must stay *meaningful*: if the fused forward ever became
+    // bit-identical to the reference, the bound should tighten to zero.
+    assert!(worst > 0, "fused forward unexpectedly bit-identical");
 }
 
 #[test]
 fn simd_forward_is_deterministic_and_cache_invariant() {
-    // Under the SIMD backend, cached and uncached forwards must still be
-    // bit-identical to each other (the backend participates in cache fills
-    // via the backend-aware projection).
+    // Cached and uncached fused forwards must be bit-identical to each other
+    // (cache fills use the same tree-reduced projection as the uncached
+    // path).
     let tokenizer = SimTokenizer::new();
-    let transformer =
-        Transformer::new(TransformerConfig::default()).with_backend(KernelBackend::Simd);
+    let transformer = Transformer::new(TransformerConfig::default());
     let cache = PrefixCache::default();
     let mut state = 0xCAC4E;
     for round in 0..8 {
@@ -398,32 +359,29 @@ fn simd_forward_is_deterministic_and_cache_invariant() {
 #[test]
 fn context_length_sweep_small_prompts_both_backends() {
     // Context lengths 0..=17 (empty prompt, single token, block boundaries,
-    // primes) through whole forward passes: scalar stays bit-identical to
-    // the reference, SIMD stays within the divergence bound, and attention
-    // rows remain distributions over the visible prefix.
+    // primes) through both forward paths, fused and reference: the fused
+    // forward stays within the divergence bound of the reference, and the
+    // attention rows of both remain distributions over the visible prefix.
     let mut state = 0xC047EC7;
     for causal in [false, true] {
         let config = TransformerConfig {
             causal,
             ..TransformerConfig::default()
         };
-        let scalar = Transformer::new(config).with_backend(KernelBackend::Scalar);
-        let simd = Transformer::new(config).with_backend(KernelBackend::Simd);
+        let transformer = Transformer::new(config);
         for n in 0..=17usize {
             let prompt = prompt_of_len(n, &mut state);
-            let reference = scalar.forward_reference(&prompt, None);
-            let fused = scalar.forward(&prompt);
-            assert_eq!(fused, reference, "scalar causal={causal} n={n}");
-            let vectored = simd.forward(&prompt);
+            let reference = transformer.forward_reference(&prompt, None);
+            let fused = transformer.forward(&prompt);
             if n == 0 {
-                assert_eq!(vectored.seq_len, 0);
+                assert_eq!((fused.seq_len, reference.seq_len), (0, 0));
                 continue;
             }
             assert!(
-                max_attention_ulp(&reference, &vectored) <= SIMD_ULP_BOUND,
-                "simd causal={causal} n={n}"
+                max_attention_ulp(&reference, &fused) <= SIMD_ULP_BOUND,
+                "causal={causal} n={n}"
             );
-            for layer in &vectored.layers {
+            for layer in fused.layers.iter().chain(&reference.layers) {
                 for head in &layer.heads {
                     for q in 0..n {
                         let visible = if causal { q + 1 } else { n };
@@ -444,22 +402,25 @@ fn context_length_sweep_small_prompts_both_backends() {
 
 #[test]
 fn causal_fused_matches_causal_reference_bitwise() {
-    // The scalar fused causal path against the causal reference, across the
-    // sweep — the same contract the bidirectional path has.
+    // The name predates the ULP contract: the fused causal path stays within
+    // SIMD_ULP_BOUND of the causal reference across the sweep — the same
+    // contract the bidirectional path has.
     let tokenizer = SimTokenizer::new();
     let mut state = 0xCA5A_1111;
     for mut config in config_sweep() {
         config.causal = true;
-        let transformer = Transformer::new(config).with_backend(KernelBackend::Scalar);
+        let transformer = Transformer::new(config);
         for round in 0..6 {
             let input = random_input(&mut state);
             let prompt = tokenizer.tokenize_prompt(&input);
             let fused = transformer.forward(&prompt);
             let reference = transformer.forward_reference(&prompt, None);
-            assert_eq!(
-                fused, reference,
-                "dim={} heads={} round={round}",
-                config.dim, config.heads
+            let ulp = max_attention_ulp(&fused, &reference);
+            assert!(
+                ulp <= SIMD_ULP_BOUND,
+                "dim={} heads={} round={round}: {ulp} ULP",
+                config.dim,
+                config.heads
             );
         }
     }
@@ -468,7 +429,8 @@ fn causal_fused_matches_causal_reference_bitwise() {
 #[test]
 fn full_visibility_causal_is_bit_identical_to_non_causal() {
     // Where the causal mask hides nothing, masked and unmasked attention are
-    // the same computation and must agree bitwise:
+    // the same computation and must agree bitwise, in the fused forward and
+    // in the reference:
     // (a) a single-token prompt — every row's prefix is the whole sequence;
     // (b) the last query row of a one-layer stack — its visible prefix is
     //     the whole sequence, and with a single layer no masked row can
@@ -482,27 +444,34 @@ fn full_visibility_causal_is_bit_identical_to_non_causal() {
         causal: true,
         ..base
     };
-    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-        let plain = Transformer::new(base).with_backend(backend);
-        let masked = Transformer::new(causal_config).with_backend(backend);
-
+    let plain = Transformer::new(base);
+    let masked = Transformer::new(causal_config);
+    for reference in [false, true] {
+        let path = if reference { "reference" } else { "fused" };
+        let forward = |t: &Transformer, p: &TokenizedPrompt| {
+            if reference {
+                t.forward_reference(p, None)
+            } else {
+                t.forward(p)
+            }
+        };
         let single = prompt_of_len(1, &mut state);
         assert_eq!(
-            plain.forward(&single),
-            masked.forward(&single),
-            "{backend:?}: single-token prompt must be mask-independent"
+            forward(&plain, &single),
+            forward(&masked, &single),
+            "{path}: single-token prompt must be mask-independent"
         );
 
         for n in [2usize, 5, 12] {
             let prompt = prompt_of_len(n, &mut state);
-            let a = plain.forward(&prompt);
-            let b = masked.forward(&prompt);
+            let a = forward(&plain, &prompt);
+            let b = forward(&masked, &prompt);
             let last_plain = a.layers[0].heads.iter().map(|h| h.row(n - 1).to_vec());
             let last_masked = b.layers[0].heads.iter().map(|h| h.row(n - 1).to_vec());
             for (h, (x, y)) in last_plain.zip(last_masked).enumerate() {
                 let bits_x: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
                 let bits_y: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits_x, bits_y, "{backend:?} n={n} head={h}: last row");
+                assert_eq!(bits_x, bits_y, "{path} n={n} head={h}: last row");
             }
         }
     }
@@ -572,29 +541,17 @@ fn causal_generation_is_deterministic_across_backends_and_caches() {
             .map(|doc| SourceText::new(doc.id.clone(), doc.text.clone()))
             .collect::<Vec<_>>(),
     );
-    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-        let plain = SimLlm::new(causal_config.clone()).with_kernel_backend(backend);
-        let cached = SimLlm::new(causal_config.clone())
-            .with_kernel_backend(backend)
-            .with_prefix_cache(Arc::new(PrefixCache::default()));
+    // Both forward paths — the fused model and the reference-forward model —
+    // each against a cache of its own.
+    let fused = SimLlm::new(causal_config.clone());
+    let reference = SimLlm::new(causal_config).with_reference_forward();
+    for (path, model) in [("fused", fused), ("reference", reference)] {
+        let plain = model.clone();
+        let cached = model.with_prefix_cache(Arc::new(PrefixCache::default()));
         let a = plain.generate(&input);
         let b = cached.generate(&input);
         let c = cached.generate(&input);
-        assert_eq!(a, b, "{backend:?}: cold cache changed a causal generation");
-        assert_eq!(a, c, "{backend:?}: warm cache changed a causal generation");
+        assert_eq!(a, b, "{path}: cold cache changed a causal generation");
+        assert_eq!(a, c, "{path}: warm cache changed a causal generation");
     }
-}
-
-#[test]
-fn simd_default_follows_feature_flag_in_models() {
-    let expected = if cfg!(feature = "simd") {
-        KernelBackend::Simd
-    } else {
-        KernelBackend::Scalar
-    };
-    assert_eq!(
-        SimLlm::new(SimLlmConfig::default()).kernel_backend(),
-        expected
-    );
-    assert_eq!(kernels::KernelBackend::default(), expected);
 }
