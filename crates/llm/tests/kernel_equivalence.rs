@@ -24,7 +24,7 @@
 //!
 //! Everything is seeded; failures reproduce deterministically.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rage_core::explanation::ReportConfig;
 use rage_core::{Evaluator, ParallelEvaluator, Perturbation, RagPipeline, RageReport};
@@ -564,7 +564,8 @@ fn evaluator_for(scenario: &Scenario, reference: bool, prefix_cache: bool) -> Ev
 /// The semantic report oracle: a fused-model report explains what the
 /// reference-model report explains.
 ///
-/// Answers, counterfactuals and the insight sample must be equal; source
+/// Answers, counterfactuals and the insights (distribution, frequency table,
+/// rules) must be equal; source
 /// scores and each ranked placement's objective (rank by rank) must agree
 /// within [`RELATIVE_TOLERANCE`]. Placements whose objectives tie may be
 /// listed in a different order — the ranked placement search returns ties in
@@ -604,6 +605,14 @@ fn assert_reports_agree(
         "{label}: insight distribution"
     );
     assert_eq!(
+        fused.insights.table, reference.insights.table,
+        "{label}: insight table"
+    );
+    assert_eq!(
+        fused.insights.rules, reference.insights.rules,
+        "{label}: insight rules"
+    );
+    assert_eq!(
         fused.source_scores.len(),
         reference.source_scores.len(),
         "{label}: source count"
@@ -640,41 +649,80 @@ fn assert_reports_agree(
     }
 }
 
+/// One registered scenario with its reference-forward evaluator and that
+/// evaluator's report.
+struct ReferenceReport {
+    name: String,
+    scenario: Scenario,
+    model: Evaluator,
+    report: RageReport,
+}
+
+/// The reference report of every registered scenario, computed once and
+/// shared by the report-level tests: the reference forward dominates their
+/// cost.
+fn reference_reports() -> &'static [ReferenceReport] {
+    static REPORTS: OnceLock<Vec<ReferenceReport>> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        let registry = ScenarioRegistry::builtin();
+        assert!(!registry.is_empty());
+        registry
+            .iter()
+            .map(|entry| {
+                let scenario = entry.build();
+                let model = evaluator_for(&scenario, true, false);
+                let report = RageReport::generate(&model, &ReportConfig::default()).unwrap();
+                ReferenceReport {
+                    name: entry.name().to_string(),
+                    scenario,
+                    model,
+                    report,
+                }
+            })
+            .collect()
+    })
+}
+
 #[test]
-fn parallel_evaluator_reports_match_reference_model_across_thread_counts() {
+fn sequential_fused_report_equals_reference_report_exactly() {
     // The whole explanation stack — counterfactual searches, permutation
     // sensitivity, optimal placements, insights — over the fused kernels,
-    // through the sequential evaluator and 1/2/4-thread worker pools (cache
-    // off and on), explains what the reference model's report explains, on
-    // every registered scenario. `entity_registry` is the scenario the
-    // `explain` benchmark runs.
-    let config = ReportConfig::default();
-    let registry = ScenarioRegistry::builtin();
-    assert!(!registry.is_empty());
-    for entry in registry.iter() {
-        let scenario = entry.build();
-        let name = entry.name();
-        let reference_model = evaluator_for(&scenario, true, false);
-        let reference = RageReport::generate(&reference_model, &config).unwrap();
-
-        let sequential =
-            RageReport::generate(&evaluator_for(&scenario, false, false), &config).unwrap();
+    // through the sequential evaluator, explains exactly what the reference
+    // model's report explains on every registered scenario: equal answers,
+    // counterfactuals and insights, scores within the relative tolerance.
+    // `entity_registry` is the scenario the `explain` benchmark runs.
+    for reference in reference_reports() {
+        let fused = RageReport::generate(
+            &evaluator_for(&reference.scenario, false, false),
+            &ReportConfig::default(),
+        )
+        .unwrap();
         assert_reports_agree(
-            &format!("{name} sequential"),
-            &sequential,
-            &reference,
-            &reference_model,
+            &format!("{} sequential", reference.name),
+            &fused,
+            &reference.report,
+            &reference.model,
         );
+    }
+}
+
+#[test]
+fn parallel_evaluator_reports_match_reference_model_across_thread_counts() {
+    // The same report oracle through 1/2/4-thread worker pools, cache off
+    // and on, on every registered scenario.
+    for reference in reference_reports() {
         for threads in [1usize, 2, 4] {
             for prefix_cache in [false, true] {
-                let parallel =
-                    ParallelEvaluator::new(evaluator_for(&scenario, false, prefix_cache), threads);
-                let report = RageReport::generate(&parallel, &config).unwrap();
+                let parallel = ParallelEvaluator::new(
+                    evaluator_for(&reference.scenario, false, prefix_cache),
+                    threads,
+                );
+                let report = RageReport::generate(&parallel, &ReportConfig::default()).unwrap();
                 assert_reports_agree(
-                    &format!("{name} @{threads}t cache={prefix_cache}"),
+                    &format!("{} @{threads}t cache={prefix_cache}", reference.name),
                     &report,
-                    &reference,
-                    &reference_model,
+                    &reference.report,
+                    &reference.model,
                 );
             }
         }
