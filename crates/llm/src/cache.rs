@@ -1,21 +1,18 @@
-//! The prefix/attention KV cache shared across perturbed-context forwards.
+//! The prefix embedding cache shared across perturbed-context forwards.
 //!
 //! RAGE evaluates hundreds of perturbations of *one* (question, context) pair.
 //! Every perturbed prompt starts with the same question prefix, and perturbed
 //! contexts differ only in which sources survive and where they sit — so the
-//! same `(token, position)` pairs recur constantly across forwards. Two layers
-//! of per-token state depend **only** on `(token id, position)` and can
-//! therefore be reused across prompts with bit-identical results:
+//! same `(token, position)` pairs recur constantly across forwards. The input
+//! embedding (content vector + scaled sinusoidal position) depends **only**
+//! on `(token id, position)`, so it is reused across prompts with
+//! bit-identical results.
 //!
-//! 1. the input embedding (content vector + scaled sinusoidal position), and
-//! 2. the layer-0 query/key projections of every attention head — at layer 0
-//!    the hidden state *is* the input embedding, so the projected vector is a
-//!    pure function of `(head, token id, position)`.
-//!
-//! Deeper layers mix information across the whole sequence (the attention in
-//! this simulator is bidirectional), so their state legitimately depends on
-//! the entire prompt and is never cached — caching it would break the
-//! bit-identity invariant below.
+//! Nothing else is cached. Every layer mixes information across the whole
+//! sequence, so its state depends on the entire prompt. The layer-0
+//! query/key projections are pure functions of `(head, token id, position)`
+//! too, but a cache lookup costs more than the small projection it would
+//! save, so they are recomputed on every forward.
 //!
 //! ## Invariants
 //!
@@ -23,10 +20,9 @@
 //!   exactly the same `f64` values as an uncached pass: every cached entry is
 //!   a deterministic pure function of its key, computed by the same code path
 //!   on first use. Tests assert equality down to `f64::to_bits`.
-//! * **Bounded memory** — each internal map holds at most
-//!   [`PrefixCache::capacity`] entries; insertion beyond that evicts the
-//!   oldest entry (FIFO). Eviction can only cost recomputation, never change
-//!   results.
+//! * **Bounded memory** — the cache holds at most [`PrefixCache::capacity`]
+//!   entries; insertion beyond that evicts the oldest entry (FIFO). Eviction
+//!   can only cost recomputation, never change results.
 //! * **Thread safety** — all state sits behind a [`Mutex`], so one cache can
 //!   be shared by the worker threads of a parallel evaluator. Lock hold times
 //!   are O(1) lookups/inserts; the heavy math happens outside the lock.
@@ -118,13 +114,11 @@ impl<K: std::hash::Hash + Eq + Clone, V> BoundedMap<K, V> {
 struct PrefixCacheInner {
     /// `(token id, position)` → input embedding.
     embeddings: BoundedMap<(u32, u32), Arc<Vec<f64>>>,
-    /// `(layer-0 head, token id, position)` → projected query/key vector.
-    projections: BoundedMap<(u16, u32, u32), Arc<Vec<f64>>>,
     stats: CacheStats,
 }
 
-/// Shared cache of per-`(token, position)` embedding and layer-0 attention
-/// key/query state, reused across perturbed-context forward passes.
+/// Shared cache of per-`(token, position)` input embeddings, reused across
+/// perturbed-context forward passes.
 ///
 /// See the module docs for the exact reuse rules and invariants. Construct one
 /// per model configuration — entries are functions of the model seed, so a
@@ -137,7 +131,7 @@ pub struct PrefixCache {
     capacity: usize,
 }
 
-/// Default capacity (entries per internal map): generous enough to hold every
+/// Default capacity (entries): generous enough to hold every
 /// `(token, position)` pair of a k=10 scenario many times over, small enough
 /// to bound memory to a few MB.
 pub const DEFAULT_PREFIX_CAPACITY: usize = 65_536;
@@ -149,20 +143,19 @@ impl Default for PrefixCache {
 }
 
 impl PrefixCache {
-    /// A cache holding at most `capacity` entries per internal map.
+    /// A cache holding at most `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             inner: Mutex::new(PrefixCacheInner {
                 embeddings: BoundedMap::new(capacity),
-                projections: BoundedMap::new(capacity),
                 stats: CacheStats::default(),
             }),
             capacity,
         }
     }
 
-    /// The per-map entry bound.
+    /// The entry bound.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -172,10 +165,13 @@ impl PrefixCache {
         self.inner.lock().expect("prefix cache poisoned").stats
     }
 
-    /// Total entries currently held (both maps).
+    /// Entries currently held.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("prefix cache poisoned");
-        inner.embeddings.len() + inner.projections.len()
+        self.inner
+            .lock()
+            .expect("prefix cache poisoned")
+            .embeddings
+            .len()
     }
 
     /// Whether the cache holds no entries.
@@ -216,32 +212,6 @@ impl PrefixCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("prefix cache poisoned");
         inner.embeddings = BoundedMap::new(self.capacity);
-        inner.projections = BoundedMap::new(self.capacity);
-    }
-
-    /// The layer-0 projection of the embedding of `(token_id, position)`
-    /// under `head`, computing it with `compute` on a miss.
-    pub fn layer0_projection(
-        &self,
-        head: usize,
-        token_id: u32,
-        position: usize,
-        compute: impl FnOnce() -> Vec<f64>,
-    ) -> Arc<Vec<f64>> {
-        let key = (head as u16, token_id, position as u32);
-        {
-            let mut inner = self.inner.lock().expect("prefix cache poisoned");
-            if let Some(hit) = inner.projections.get(&key) {
-                let hit = Arc::clone(hit);
-                inner.stats.hits += 1;
-                return hit;
-            }
-            inner.stats.misses += 1;
-        }
-        let value = Arc::new(compute());
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        inner.stats.evictions += inner.projections.insert(key, Arc::clone(&value));
-        value
     }
 }
 
@@ -266,7 +236,7 @@ mod tests {
     fn clear_drops_entries_but_keeps_counters() {
         let cache = PrefixCache::with_capacity(8);
         cache.embedding(1, 0, || vec![1.0]);
-        cache.layer0_projection(0, 1, 0, || vec![2.0]);
+        cache.embedding(2, 0, || vec![2.0]);
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
@@ -283,10 +253,10 @@ mod tests {
         cache.embedding(1, 0, || vec![1.0]);
         cache.embedding(1, 1, || vec![2.0]);
         cache.embedding(2, 0, || vec![3.0]);
-        cache.layer0_projection(0, 1, 0, || vec![4.0]);
-        cache.layer0_projection(1, 1, 0, || vec![5.0]);
-        assert_eq!(cache.len(), 5);
-        assert_eq!(cache.stats().misses, 5);
+        cache.embedding(2, 1, || vec![4.0]);
+        cache.embedding(1, 0, || panic!("(1, 0) is cached"));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().misses, 4);
     }
 
     #[test]
@@ -309,7 +279,7 @@ mod tests {
         assert_eq!(cache.capacity(), 1);
         cache.embedding(1, 0, || vec![1.0]);
         cache.embedding(2, 0, || vec![2.0]);
-        assert!(cache.len() <= 2); // one per map at most
+        assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
     }
 

@@ -81,7 +81,7 @@
 //!
 //! * [`tokenizer`] — word-level tokenizer with a hashing vocabulary.
 //! * [`embedding`] — deterministic token and positional embeddings.
-//! * [`cache`] — the prefix/attention KV cache shared across perturbed forwards.
+//! * [`cache`] — the prefix embedding cache shared across perturbed forwards.
 //! * [`kernels`] — fused, four-lane inner loops for the attention hot path (within a
 //!   documented ULP bound of the reference).
 //! * [`transformer`] — the attention stack and its recorded attention tensors.

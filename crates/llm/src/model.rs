@@ -112,17 +112,16 @@ impl SimLlm {
     }
 
     /// Attach a [`PrefixCache`] so forward passes reuse per-`(token, position)`
-    /// embedding and layer-0 attention K/Q state across perturbed prompts.
+    /// input embeddings across perturbed prompts.
     ///
     /// Caching never changes outputs (see the `cache` module invariants); it
     /// only trades memory for recomputation. The cache entries are functions
     /// of this model's seed and dimensions, so **never** share one cache
-    /// between models built from different [`TransformerConfig`]s. Keep a
-    /// [`SimLlm::with_reference_forward`] model on a cache of its own too: it
-    /// fills the layer-0 projections with sequentially rounded dots, so a
-    /// shared cache would make fused results depend on which model filled an
-    /// entry. Cloning the model shares the cache handle, which is the
-    /// intended way to hand the same model to multiple worker threads.
+    /// between models built from different [`TransformerConfig`]s. Both
+    /// forward paths fill embeddings identically, so a
+    /// [`SimLlm::with_reference_forward`] model of the same configuration may
+    /// share the cache. Cloning the model shares the cache handle, which is
+    /// the intended way to hand the same model to multiple worker threads.
     pub fn with_prefix_cache(mut self, cache: Arc<PrefixCache>) -> Self {
         self.prefix_cache = Some(cache);
         self

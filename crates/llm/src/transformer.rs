@@ -7,7 +7,8 @@
 //! embeddings are projected per head, scaled dot-product attention is computed with a
 //! softmax per query position, hidden states are updated through a residual mix of the
 //! attended values, and every layer's per-head attention matrix is recorded. The fused
-//! forward computes only the last-layer rows its caller reads (see [`ReadOut`]).
+//! forward stores only the rows its caller reads, and the last layer computes only
+//! those (see [`ReadOut`]).
 
 use std::sync::{Arc, Mutex};
 
@@ -98,8 +99,8 @@ impl Matrix {
 
 /// Attention matrices of one layer, one entry per head. Each matrix is `rows × n` with
 /// rows = query positions `0..rows`, columns = key positions, rows summing to 1.
-/// `rows == n` except in the last layer of a [`ReadOut::QuestionRows`] forward, which
-/// stores only the rows it computed.
+/// `rows == n` except in a [`ReadOut::QuestionRows`] forward, whose every layer stores
+/// only the question rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerAttention {
     /// Per-head attention matrices.
@@ -118,13 +119,14 @@ pub struct AttentionRecord {
 
 /// Which attention rows a caller of [`Transformer::forward_cached`] reads.
 ///
-/// Only the last layer is affected. Every earlier layer runs over all `n` rows,
-/// because its hidden states feed the next layer's keys.
+/// Every layer stores only these rows, and the last layer computes only them;
+/// every earlier layer computes all `n` rows, because its hidden states feed
+/// the next layer's keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadOut {
     /// Every row of every layer: the full record.
     AllRows,
-    /// The last layer keeps only the prompt prefix `0..question_span.1`, which
+    /// Every layer keeps only the prompt prefix `0..question_span.1`, which
     /// under the tokenizer's question-first layout is exactly the question rows
     /// that [`aggregate_question_to_source_attention`] reads.
     ///
@@ -133,7 +135,7 @@ pub enum ReadOut {
 }
 
 impl ReadOut {
-    /// Number of last-layer rows (a prefix of the prompt) this read-out needs.
+    /// Number of rows per layer (a prefix of the prompt) this read-out needs.
     pub fn rows(self, prompt: &TokenizedPrompt) -> usize {
         match self {
             ReadOut::AllRows => prompt.len(),
@@ -180,6 +182,23 @@ fn pool_push(pool: &mut Vec<Vec<f64>>, buf: Vec<f64>) {
     } else if let Some(smallest) = pool.iter_mut().min_by_key(|b| b.capacity()) {
         if smallest.capacity() < buf.capacity() {
             *smallest = buf;
+        }
+    }
+}
+
+/// Add one head's weights into the head-combined weights `sum`, or, with
+/// `average = Some(1/heads)`, close each element with `(sum + w) · (1/heads)`.
+fn fold_head(sum: &mut [f64], weights: &[f64], average: Option<f64>) {
+    match average {
+        Some(inv_heads) => {
+            for (c, w) in sum.iter_mut().zip(weights) {
+                *c = (*c + *w) * inv_heads;
+            }
+        }
+        None => {
+            for (c, w) in sum.iter_mut().zip(weights) {
+                *c += *w;
+            }
         }
     }
 }
@@ -293,16 +312,6 @@ impl Transformer {
         (0..proj.rows).map(|r| dot(proj.row(r), hidden)).collect()
     }
 
-    /// Project with the fused kernel (tree-reduced dots), used by the fused
-    /// path's cache-miss closure so that cached and uncached fused forwards
-    /// agree bit-for-bit.
-    fn project_fused(&self, layer: usize, head: usize, hidden: &[f64]) -> Vec<f64> {
-        let proj = &self.projections[layer][head];
-        let mut out = vec![0.0; proj.rows];
-        simd::matvec_into(&proj.data, proj.rows, proj.cols, hidden, &mut out);
-        out
-    }
-
     /// Run the forward pass over a tokenised prompt and record every attention matrix.
     ///
     /// Equivalent to [`Transformer::forward_cached`] with no cache and
@@ -311,24 +320,26 @@ impl Transformer {
         self.forward_cached(prompt, None, ReadOut::AllRows)
     }
 
-    /// Run the fused forward pass, computing only the attention `read_out`
-    /// names and reusing per-`(token, position)` state from a
-    /// [`PrefixCache`] when one is supplied.
+    /// Run the fused forward pass, storing only the attention rows
+    /// `read_out` names and reusing input embeddings from a [`PrefixCache`]
+    /// when one is supplied.
     ///
-    /// Every layer before the last runs over all `n` rows, because its
-    /// hidden states feed the next layer's keys. The last layer projects all
-    /// `n` keys but scores and normalises only the rows `read_out` names,
-    /// and it computes neither a value mix nor a residual: no caller reads
-    /// the final hidden state. Rows that are not computed are not stored —
-    /// the last layer's matrices are `read_out.rows(prompt) × n` — so they
-    /// can never be read as if they were valid.
+    /// Every layer stores `read_out.rows(prompt) × n` matrices. Every layer
+    /// before the last still computes all `n` rows, because every row feeds
+    /// the value mix and so the next layer's keys; when the record keeps only
+    /// the question rows, each head's full matrix is folded into the
+    /// head-combined mix weights and handed back to the scratch pool as soon
+    /// as its rows are copied out, so a bidirectional forward holds two
+    /// `n × n` buffers rather than one per head plus the combined weights.
+    /// The last layer projects all `n` keys but scores and normalises only
+    /// the read-out rows, and it computes neither a value mix nor a
+    /// residual: no caller reads the final hidden state. Rows that are not
+    /// stored can never be read as if they were valid.
     ///
-    /// Only state that is a pure function of `(token id, position)` is taken
-    /// from the cache — the input embeddings and the layer-0 per-head
-    /// query/key projections (at layer 0 the hidden state *is* the input
-    /// embedding). Deeper layers depend on the whole sequence and are always
-    /// recomputed, so the returned [`AttentionRecord`] is bit-identical to an
-    /// uncached forward pass.
+    /// Only the input embeddings are taken from the cache: they are a pure
+    /// function of `(token id, position)`. Everything else is recomputed, so
+    /// the returned [`AttentionRecord`] is bit-identical to an uncached
+    /// forward pass.
     ///
     /// This is the production path, implemented on the fused [`kernels`]:
     /// flat row-major buffers, four-lane inner loops, the per-head value
@@ -386,59 +397,39 @@ impl Transformer {
         let mut mixed = vec![0.0f64; if last > 0 { n * dim } else { 0 }];
 
         let causal = self.config.causal;
-        // The per-head value mixes fold into one combined pass per query:
-        // the head weight rows are summed first, then the values are
-        // traversed once instead of once per head. Same math, reassociated —
-        // part of the documented ULP divergence. (With one head the fold is
-        // the identity, and a one-layer stack mixes nothing, so skip the
-        // extra copy.)
+        // The per-head value mixes fold into one combined pass per layer:
+        // the head weights are summed first, then the values are traversed
+        // once instead of once per head. Same math, reassociated — part of
+        // the documented ULP divergence. (With one head the fold is the
+        // identity, and a one-layer stack mixes nothing, so neither folds.)
         let combine_mix = self.config.heads > 1 && last > 0;
-        let mut combined = vec![0.0f64; if combine_mix && causal { n } else { 0 }];
-        // Full combined-weight matrix for the tiled mix (bidirectional only —
-        // causal rows have ragged visible prefixes). Stale pool
-        // contents are fine: assembly assigns every element before the mix
-        // reads it.
-        let mut combined_all = if combine_mix && !causal {
-            self.take_scratch(n * n, false)
-        } else {
-            Vec::new()
-        };
         let inv_heads = kernels::exact_reciprocal(heads_f).unwrap_or(1.0 / heads_f);
 
         let mut layers = Vec::with_capacity(self.config.layers);
         for layer in 0..self.config.layers {
             let mixes = layer < last;
+            // A mixing layer scores every row, because every row feeds the
+            // value mix; the last layer scores only the read-out rows.
             let rows = if mixes { n } else { read_rows };
             let mut head_matrices = Vec::with_capacity(self.config.heads);
+            // The head-combined mix weights, `n × n`, folded in one head at
+            // a time: when the record keeps only read-out rows, at most one
+            // other `n × n` head matrix is live beside them.
+            let mut combined: Option<Vec<f64>> = None;
             mixed.fill(0.0);
 
             for head in 0..self.config.heads {
-                // Shared Q/K state into the flat buffer: at layer 0 the
-                // projection input is the (token, position) embedding, so the
-                // projected vector can be reused across prompts via the
-                // prefix cache. Every position is projected, also in the last
-                // layer: each computed row scores against all `n` keys.
-                match cache {
-                    Some(cache) if layer == 0 => {
-                        for (pos, token) in prompt.tokens.iter().enumerate() {
-                            let row = cache.layer0_projection(head, token.id, pos, || {
-                                self.project_fused(layer, head, &hidden[pos * dim..(pos + 1) * dim])
-                            });
-                            projected[pos * head_dim..(pos + 1) * head_dim].copy_from_slice(&row);
-                        }
-                    }
-                    _ => {
-                        let proj = &self.projections[layer][head];
-                        for pos in 0..n {
-                            simd::matvec_into(
-                                &proj.data,
-                                proj.rows,
-                                proj.cols,
-                                &hidden[pos * dim..(pos + 1) * dim],
-                                &mut projected[pos * head_dim..(pos + 1) * head_dim],
-                            );
-                        }
-                    }
+                // Every position is projected, also in the last layer: each
+                // computed row scores against all `n` keys.
+                let proj = &self.projections[layer][head];
+                for pos in 0..n {
+                    simd::matvec_into(
+                        &proj.data,
+                        proj.rows,
+                        proj.cols,
+                        &hidden[pos * dim..(pos + 1) * dim],
+                        &mut projected[pos * head_dim..(pos + 1) * head_dim],
+                    );
                 }
                 let scale = 1.0 / ((head_dim as f64).sqrt() * self.config.temperature);
 
@@ -451,15 +442,15 @@ impl Transformer {
                 // triangle), and earlier rows never computed those columns,
                 // so the prefix is computed directly — no mirror, same
                 // `n(n+1)/2` total dot products over a full record.
-                // Scores are computed straight into the retained attention
-                // matrix — no separate score scratch and clone (a full
-                // extra `n × n` memcpy). The matrix comes from the scratch
-                // pool: the bidirectional pass overwrites every element
-                // (mirror plus kernel row), while the causal pass needs the
-                // masked upper triangle zeroed, exactly like a fresh
-                // allocation. The mirror reads earlier rows of `attn`
-                // itself, which still hold raw scores because the softmax
-                // pass below only starts once every row is written.
+                // Scores are computed straight into the attention matrix —
+                // no separate score scratch and clone (a full extra `n × n`
+                // memcpy). The matrix comes from the scratch pool: the
+                // bidirectional pass overwrites every element (mirror plus
+                // kernel row), while the causal pass needs the masked upper
+                // triangle zeroed, exactly like a fresh allocation. The
+                // mirror reads earlier rows of `attn` itself, which still
+                // hold raw scores because the softmax pass below only starts
+                // once every row is written.
                 let mut attn = Matrix {
                     rows,
                     cols: n,
@@ -508,7 +499,46 @@ impl Transformer {
                         );
                     }
                 }
-                head_matrices.push(attn);
+                if !mixes {
+                    head_matrices.push(attn);
+                    continue;
+                }
+                if let Some(sum) = combined.as_mut() {
+                    // Bidirectional layers average with the last head: the
+                    // same `(w₀ + w₁ + …) · (1/heads)` product
+                    // `simd::mix_accumulate` forms per key, so the tiled mix
+                    // below rounds exactly like the per-query kernel. Causal
+                    // layers keep the plain sum, which `mix_accumulate`
+                    // averages per query.
+                    let last_head = head + 1 == self.config.heads;
+                    fold_head(sum, &attn.data, (last_head && !causal).then_some(inv_heads));
+                }
+                if read_rows == n {
+                    // The record keeps the whole matrix, so the combined
+                    // weights start from a copy of the first head's.
+                    if combine_mix && combined.is_none() {
+                        let mut sum = self.take_scratch(n * n, false);
+                        sum.copy_from_slice(&attn.data);
+                        combined = Some(sum);
+                    }
+                    head_matrices.push(attn);
+                } else {
+                    // The record keeps a copy of the read-out rows; the full
+                    // matrix then becomes the combined weights (first head)
+                    // or goes back to the pool.
+                    let mut kept = self.take_scratch(read_rows * n, false);
+                    kept.copy_from_slice(&attn.data[..read_rows * n]);
+                    head_matrices.push(Matrix {
+                        rows: read_rows,
+                        cols: n,
+                        data: kept,
+                    });
+                    if combine_mix && combined.is_none() {
+                        combined = Some(attn.data);
+                    } else {
+                        self.give_scratch(attn.data);
+                    }
+                }
             }
 
             if !mixes {
@@ -519,67 +549,33 @@ impl Transformer {
                 });
                 break;
             }
-            if combine_mix && !causal {
-                // Assemble the head-averaged combined-weight matrix, then
-                // run one tiled mix over the whole layer so the hidden
-                // buffer streams through L1-sized key tiles exactly once
-                // instead of once per query. The fold is the identical
-                // `(w₀ + w₁ + …) · (1/heads)` product `simd::mix_accumulate`
-                // forms per key, so the tiled mix rounds exactly like the
-                // per-query kernel.
-                let (first_head, rest_heads) = head_matrices
-                    .split_first()
-                    .expect("combine_mix requires heads > 1");
-                let (last_head, mid_heads) = rest_heads
-                    .split_last()
-                    .expect("combine_mix requires heads > 1");
-                for q in 0..n {
-                    let dst = &mut combined_all[q * n..(q + 1) * n];
-                    dst.copy_from_slice(first_head.row(q));
-                    for attn in mid_heads {
-                        for (c, w) in dst.iter_mut().zip(attn.row(q)) {
-                            *c += *w;
-                        }
+            if let Some(combined) = combined {
+                if causal {
+                    // Causal rows have ragged visible prefixes: mix each
+                    // query over its own prefix of the summed head weights.
+                    for q in 0..n {
+                        let visible = q + 1;
+                        simd::mix_accumulate(
+                            &combined[q * n..q * n + visible],
+                            &hidden[..visible * dim],
+                            dim,
+                            heads_f,
+                            &mut mixed[q * dim..(q + 1) * dim],
+                        );
                     }
-                    for (c, w) in dst.iter_mut().zip(last_head.row(q)) {
-                        *c = (*c + *w) * inv_heads;
-                    }
+                } else {
+                    // One tiled mix over the whole layer, so the hidden
+                    // buffer streams through L1-sized key tiles exactly once
+                    // instead of once per query.
+                    simd::mix_tiled(&combined, &hidden, dim, &mut mixed);
                 }
-                simd::mix_tiled(&combined_all, &hidden, dim, &mut mixed);
-            } else if combine_mix {
-                let (first_head, rest_heads) = head_matrices
-                    .split_first()
-                    .expect("combine_mix requires heads > 1");
-                for q in 0..n {
-                    let visible = q + 1;
-                    let combined = &mut combined[..visible];
-                    // Assign from the first head, accumulate the rest — one
-                    // fewer pass over the row than zero-fill-then-add.
-                    for (c, w) in combined.iter_mut().zip(&first_head.row(q)[..visible]) {
-                        *c = *w;
-                    }
-                    for attn in rest_heads {
-                        for (c, w) in combined.iter_mut().zip(&attn.row(q)[..visible]) {
-                            *c += *w;
-                        }
-                    }
-                    simd::mix_accumulate(
-                        combined,
-                        &hidden[..visible * dim],
-                        dim,
-                        heads_f,
-                        &mut mixed[q * dim..(q + 1) * dim],
-                    );
-                }
+                self.give_scratch(combined);
             }
 
             kernels::residual_normalize(&mut hidden, &mixed, dim);
             layers.push(LayerAttention {
                 heads: head_matrices,
             });
-        }
-        if !combined_all.is_empty() {
-            self.give_scratch(combined_all);
         }
 
         AttentionRecord { layers, seq_len: n }
@@ -630,24 +626,10 @@ impl Transformer {
             let mut mixed: Vec<Vec<f64>> = vec![vec![0.0; self.config.dim]; n];
 
             for head in 0..self.config.heads {
-                // Shared Q/K state: at layer 0 the projection input is the
-                // (token, position) embedding, so the projected vector can be
-                // reused across prompts via the prefix cache.
-                let projected: Vec<Arc<Vec<f64>>> = match cache {
-                    Some(cache) if layer == 0 => hidden
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, h)| {
-                            cache.layer0_projection(head, prompt.tokens[pos].id, pos, || {
-                                self.project(layer, head, h)
-                            })
-                        })
-                        .collect(),
-                    _ => hidden
-                        .iter()
-                        .map(|h| Arc::new(self.project(layer, head, h)))
-                        .collect(),
-                };
+                let projected: Vec<Vec<f64>> = hidden
+                    .iter()
+                    .map(|h| self.project(layer, head, h))
+                    .collect();
                 let head_dim = projected[0].len() as f64;
                 let scale = 1.0 / (head_dim.sqrt() * self.config.temperature);
 
@@ -828,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn question_rows_record_stores_only_the_question_rows_of_the_last_layer() {
+    fn question_rows_record_stores_only_the_question_rows_of_every_layer() {
         let tok = SimTokenizer::new();
         let prompt = tok.tokenize_prompt(&LlmInput::new(
             "who wins",
@@ -841,13 +823,16 @@ mod tests {
         assert!(question_rows < n);
         assert_eq!(ReadOut::QuestionRows.rows(&prompt), question_rows);
         assert_eq!(ReadOut::AllRows.rows(&prompt), n);
-        let (last, earlier) = record.layers.split_last().unwrap();
-        for head in earlier.iter().flat_map(|layer| &layer.heads) {
-            assert_eq!((head.rows, head.cols, head.data.len()), (n, n, n * n));
-        }
-        for (head, full_head) in last.heads.iter().zip(&full.layers[1].heads) {
-            assert_eq!((head.rows, head.cols), (question_rows, n));
-            assert_eq!(head.data, full_head.data[..question_rows * n]);
+        assert_eq!(record.layers.len(), full.layers.len());
+        for (layer, full_layer) in record.layers.iter().zip(&full.layers) {
+            for (head, full_head) in layer.heads.iter().zip(&full_layer.heads) {
+                assert_eq!(
+                    (head.rows, head.cols, head.data.len()),
+                    (question_rows, n, question_rows * n)
+                );
+                let bits = |data: &[f64]| data.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&head.data), bits(&full_head.data[..question_rows * n]));
+            }
         }
     }
 

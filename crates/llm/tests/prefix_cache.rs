@@ -164,7 +164,7 @@ fn batch_generate_equals_elementwise_generate() {
 fn eviction_bounds_cache_memory_without_changing_results() {
     // A capacity far below the working set forces constant eviction; results
     // must still match the uncached model and the entry count must respect the
-    // bound (embeddings and projections are capped per map).
+    // bound.
     let capacity = 32;
     let cache = Arc::new(PrefixCache::with_capacity(capacity));
     let uncached = SimLlm::new(SimLlmConfig::default());
@@ -177,7 +177,7 @@ fn eviction_bounds_cache_memory_without_changing_results() {
             &cached.generate(input),
         );
         assert!(
-            cache.len() <= 2 * capacity,
+            cache.len() <= capacity,
             "cache grew past its bound: {} entries",
             cache.len()
         );

@@ -382,7 +382,7 @@ pub struct ReportCacheStats {
 }
 
 /// The shared explanation service: authoritative corpora, scenario runtimes,
-/// memoised reports and batched asks behind one `Sync` facade (see the
+/// memoised reports and asks behind one `Sync` facade (see the
 /// [module docs](self)).
 pub struct Service {
     config: ReportConfig,
@@ -892,12 +892,13 @@ impl Service {
     }
 
     /// A whole batch of queries against one scenario, submitted to the model
-    /// through a single `ask_many` call (one batched inference).
+    /// through a single `ask_many` call.
     ///
-    /// Per-query failures are reported element-wise; the outer error covers
-    /// request-level problems (unknown scenario). This is the sink the
-    /// server's cross-request admission coalesces concurrent `/ask` bodies
-    /// into.
+    /// A library batch API: per-query failures are reported element-wise,
+    /// and the outer error covers request-level problems (unknown scenario).
+    /// Each result equals the matching [`Service::ask`]. The server does not
+    /// route through it; every `/ask` is one [`Service::ask`] on the worker
+    /// that parsed it.
     pub fn ask_many(
         &self,
         name: &str,

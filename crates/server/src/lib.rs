@@ -16,12 +16,12 @@
 //! | `GET /`             | HTML index: every scenario, linked to its HTML view  |
 //! | `GET /scenarios`    | JSON list of registry scenarios (name + summary)     |
 //! | `GET /report?scenario=S[&format=md\|json\|html][&shards=N][&deadline_ms=MS]` | one rendered explanation report (default `json`); the `html` format is the self-contained interactive page; `deadline_ms` serves an *anytime* report whose searches stop at the wall-clock deadline, with explicit completeness markers on truncated sections (a cached exact report answers at once; a truncated one is never cached) |
-//! | `POST /ask`         | JSON body `{"scenario": S, "query": Q[, "k": N][, "deadline_ms": MS]}` — one RAG round trip over the scenario's corpus; with `deadline_ms` the caller waits at most that long before a 408 |
+//! | `POST /ask`         | JSON body `{"scenario": S, "query": Q[, "k": N][, "deadline_ms": MS]}` — one RAG round trip over the scenario's corpus, answered on the worker that parsed it; `deadline_ms` starts when the body is parsed: an ask already past it answers 408 before any retrieval or forward runs, and one that finishes past it answers 408, so the caller waits at most the deadline plus one ask |
 //! | `POST /diff`        | JSON body `{"a": <report>, "b": <report>}` (two report documents, schema v1 or v2) — their [`rage_report::ReportDiff`] |
 //! | `GET /diff?scenario=S&from=N&to=N[&shards=N]` | diff the scenario's reports at two corpus versions (the `to` side may be the live version; older sides come from the service's bounded version cache) |
 //! | `POST /corpus/docs` | JSON body `{"scenario": S, "doc": {"id", "text"[, "title"][, "fields"]}[, "mode": "add"\|"update"\|"upsert"]}` — mutate the scenario's live corpus; answers the new corpus provenance |
 //! | `DELETE /corpus/docs/{id}?scenario=S` | remove one document from the scenario's live corpus |
-//! | `GET /stats`        | JSON counters: report cache (hits, misses, entries), ask batching, requests, per-scenario corpus versions |
+//! | `GET /stats`        | JSON counters: report cache (hits, misses, entries), `/ask` requests (`ask_batching`), connections, per-scenario corpus versions |
 //!
 //! Errors come back as `{"error":{"status":N,"message":...}}` with the status
 //! mirrored in the HTTP status line. Caller mistakes are always 4xx — unknown
@@ -60,40 +60,39 @@
 //! connection (framing can no longer be trusted); an idle timeout between
 //! requests closes it silently.
 //!
-//! ## Cross-request batching
+//! ## One worker per ask
 //!
-//! Concurrent `POST /ask` requests are not answered one inference at a time:
-//! each worker parks its request in the [`AskBatcher`] admission queue and a
-//! single dispatcher thread drains the whole queue per round, groups the
-//! pending bodies by `(scenario, k)` and submits each group through one
-//! [`Service::ask_many`] call — one batched model pass per group, exactly the
-//! pattern the vLLM-style serving literature batches decode steps with.
-//! Responses are element-wise identical to unbatched `ask` calls (pinned by
-//! `tests/endpoints.rs`), so batching is a throughput lever, never a
-//! semantic one.
+//! Each `POST /ask` is answered through [`Service::ask`] by the worker that
+//! parsed it. Asks are not batched across requests: the simulated model has
+//! no batched forward (`LanguageModel::batch_generate` runs its inputs one
+//! after another), so coalescing concurrent asks would save no work, while a
+//! shared dispatcher would add an admission wait and run every served
+//! forward on one thread. Answered on their own workers, concurrent asks run
+//! their forwards on as many cores as there are busy workers, and nothing
+//! sleeps. The `ask_batching` block of `GET /stats` ([`BatchStats`]) keeps
+//! its shape: every ask that reaches the service is a batch of size one.
 //!
-//! ## Limits of the 1-CPU container
+//! ## Cores
 //!
-//! Latency percentiles from the `loadtest` bin (`SERVER_pr.json`) are
-//! recorded on a single-CPU container: the worker pool and the batcher can
-//! only interleave, not parallelise, so p50/p95/p99 understate a real
-//! multicore deployment exactly like the bench-harness `speedup@4` ratios do
-//! (see ROADMAP "Multicore speedup is still unmeasured").
+//! The repository benchmark's `serve` workload and the `loadtest` bin run on
+//! a 2-vCPU host, where two clients' asks run their forwards at the same
+//! time. On a single core the workers can only interleave, but answering on
+//! the worker still saves the admission wait a dispatcher would add. Beyond
+//! two cores the gain is unmeasured (see ROADMAP "Multicore speedup").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod http;
 
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rage_core::{CorpusProvenance, RagResponse};
+use rage_core::{CorpusProvenance, Deadline};
 use rage_json::JsonValue;
 use rage_report::service::ErrorKind;
 use rage_report::{diff, from_json, Document, ReportFormat, Service, ServiceError};
@@ -103,7 +102,9 @@ use http::{parse_request_with_deadline, HttpRequest, HttpResponse};
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of connection-handling worker threads.
+    /// Number of connection-handling worker threads. A worker answers the
+    /// requests it parses itself, `/ask` included, so this also bounds how
+    /// many forwards the server runs at once.
     pub threads: usize,
     /// Per-read socket timeout (bounds a fully silent peer; each blocking
     /// `read` returns within this long).
@@ -113,13 +114,6 @@ pub struct ServerConfig {
     /// per timeout window; this deadline bounds the whole request and
     /// answers 408 when exceeded.
     pub request_deadline: Duration,
-    /// Admission window of the `/ask` batcher: after the first pending ask of
-    /// a round arrives, the dispatcher waits this long before draining the
-    /// queue, so bursts of concurrent asks land in the same
-    /// [`Service::ask_many`] batch. Zero disables the wait (drain
-    /// immediately; coalescing then only happens while a batch is already in
-    /// flight).
-    pub ask_batch_window: Duration,
     /// How long a persistent connection may sit idle between requests before
     /// the server closes it. Only applies after the first request (the first
     /// read is bounded by `read_timeout`); the idle close is silent, not an
@@ -137,7 +131,6 @@ impl Default for ServerConfig {
             threads: 4,
             read_timeout: Duration::from_secs(10),
             request_deadline: Duration::from_secs(30),
-            ask_batch_window: Duration::from_millis(2),
             keep_alive_timeout: Duration::from_secs(5),
             max_requests_per_connection: 100,
         }
@@ -158,205 +151,50 @@ fn service_error_response(error: &ServiceError) -> HttpResponse {
     HttpResponse::error(status_for(error), &error.to_string())
 }
 
-/// One pending `/ask`, parked until the dispatcher answers it.
-struct PendingAsk {
-    scenario: String,
-    query: String,
-    k: Option<usize>,
-    reply: mpsc::Sender<Result<RagResponse, (u16, String)>>,
-}
-
-/// Counters of the admission queue (exposed via `GET /stats`).
+/// Counters of the `/ask` endpoint (exposed via `GET /stats` and
+/// [`Server::batch_stats`]).
+///
+/// Each ask runs on the worker that parsed it, so every ask that reaches the
+/// service is a batch of size one. The batch-shaped fields stay because the
+/// `loadtest` report and the repository benchmark read them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// `/ask` requests admitted into the queue.
+    /// Well-formed `/ask` requests received.
     pub requests: u64,
-    /// Dispatcher rounds executed (each round = one `ask_many` per distinct
-    /// `(scenario, k)` group in the drained queue).
+    /// Asks handed to [`Service::ask`]: every request except those whose
+    /// deadline had already expired when the body was parsed.
     pub batches: u64,
-    /// Largest number of requests coalesced into a single round so far.
+    /// Largest number of asks answered by one model call: 1 once any ask has
+    /// run, 0 before.
     pub max_batch: u64,
 }
 
-/// Cross-request admission queue: concurrent `/ask` bodies coalesce into
-/// batched [`Service::ask_many`] calls (see the [crate docs](self)).
-pub struct AskBatcher {
-    service: Arc<Service>,
-    window: Duration,
-    queue: Mutex<Vec<PendingAsk>>,
-    signal: Condvar,
-    shutdown: AtomicBool,
+/// The live counters behind [`BatchStats`].
+#[derive(Default)]
+struct AskCounters {
     requests: AtomicU64,
     batches: AtomicU64,
-    max_batch: AtomicU64,
 }
 
-impl AskBatcher {
-    fn new(service: Arc<Service>, window: Duration) -> Arc<Self> {
-        Arc::new(Self {
-            service,
-            window,
-            queue: Mutex::new(Vec::new()),
-            signal: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-        })
-    }
-
-    /// Park one ask in the queue and block until the dispatcher answers it.
-    ///
-    /// Requests that arrive while a batch is in flight pile up and are drained
-    /// together in the next round — that pile-up *is* the coalescing.
-    pub fn submit(
-        &self,
-        scenario: &str,
-        query: &str,
-        k: Option<usize>,
-    ) -> Result<RagResponse, (u16, String)> {
-        self.submit_with_deadline(scenario, query, k, None)
-    }
-
-    /// Like [`AskBatcher::submit`], but wait at most `deadline_ms` for the
-    /// answer: past the deadline the caller gets a 408 and moves on, while
-    /// the batch keeps running (its result still warms the shared caches —
-    /// abandoning the wait never corrupts dispatcher state).
-    pub fn submit_with_deadline(
-        &self,
-        scenario: &str,
-        query: &str,
-        k: Option<usize>,
-        deadline_ms: Option<u64>,
-    ) -> Result<RagResponse, (u16, String)> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        {
-            let mut queue = self.queue.lock().expect("ask queue lock");
-            queue.push(PendingAsk {
-                scenario: scenario.to_string(),
-                query: query.to_string(),
-                k,
-                reply: reply_tx,
-            });
-            self.requests.fetch_add(1, Ordering::Relaxed);
-        }
-        self.signal.notify_all();
-        match deadline_ms {
-            None => reply_rx
-                .recv()
-                .unwrap_or_else(|_| Err((500, "ask dispatcher unavailable".to_string()))),
-            Some(ms) => match reply_rx.recv_timeout(Duration::from_millis(ms)) {
-                Ok(reply) => reply,
-                Err(mpsc::RecvTimeoutError::Timeout) => Err((
-                    408,
-                    format!("ask did not complete within the {ms} ms deadline"),
-                )),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Err((500, "ask dispatcher unavailable".to_string()))
-                }
-            },
-        }
-    }
-
-    /// Queue counters so far.
-    pub fn stats(&self) -> BatchStats {
+impl AskCounters {
+    fn stats(&self) -> BatchStats {
+        let batches = self.batches.load(Ordering::Relaxed);
         BatchStats {
             requests: self.requests.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
+            batches,
+            max_batch: batches.min(1),
         }
-    }
-
-    /// The dispatcher loop: wait for work, hold the admission window open,
-    /// drain the queue, group, answer — until shutdown.
-    fn run(&self) {
-        loop {
-            {
-                let mut queue = self.queue.lock().expect("ask queue lock");
-                while queue.is_empty() && !self.shutdown.load(Ordering::Acquire) {
-                    queue = self
-                        .signal
-                        .wait_timeout(queue, Duration::from_millis(50))
-                        .expect("ask queue lock")
-                        .0;
-                }
-                if queue.is_empty() {
-                    return; // shutdown with nothing left to answer
-                }
-            }
-            // Admission window: let concurrent asks pile into this round.
-            if !self.window.is_zero() {
-                std::thread::sleep(self.window);
-            }
-            let drained: Vec<PendingAsk> =
-                std::mem::take(&mut *self.queue.lock().expect("ask queue lock"));
-            if drained.is_empty() {
-                continue;
-            }
-
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.max_batch
-                .fetch_max(drained.len() as u64, Ordering::Relaxed);
-
-            // Group by (scenario, k); each group becomes one ask_many call.
-            let mut groups: HashMap<(String, Option<usize>), Vec<PendingAsk>> = HashMap::new();
-            for pending in drained {
-                groups
-                    .entry((pending.scenario.clone(), pending.k))
-                    .or_default()
-                    .push(pending);
-            }
-            for ((scenario, k), group) in groups {
-                let queries: Vec<&str> = group.iter().map(|p| p.query.as_str()).collect();
-                // A panicking batch must not kill the dispatcher: parked
-                // submitters whose queue entries would never drain again
-                // would block their workers forever. Contain it and answer
-                // the group with 500s instead.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.service.ask_many(&scenario, &queries, k)
-                }));
-                match outcome {
-                    Ok(Ok(results)) => {
-                        for (pending, result) in group.iter().zip(results) {
-                            let reply = result.map_err(|err| (status_for(&err), err.to_string()));
-                            let _ = pending.reply.send(reply);
-                        }
-                    }
-                    Ok(Err(err)) => {
-                        let status = status_for(&err);
-                        let message = err.to_string();
-                        for pending in &group {
-                            let _ = pending.reply.send(Err((status, message.clone())));
-                        }
-                    }
-                    Err(_) => {
-                        for pending in &group {
-                            let _ = pending.reply.send(Err((
-                                500,
-                                "internal error while answering the ask batch".to_string(),
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.signal.notify_all();
     }
 }
 
-/// The running HTTP server: an accept thread, a worker pool and the ask
-/// dispatcher, all over one shared [`Service`].
+/// The running HTTP server: an accept thread and a worker pool over one
+/// shared [`Service`].
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    batcher: Arc<AskBatcher>,
+    asks: Arc<AskCounters>,
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
-    dispatcher_handle: Option<JoinHandle<()>>,
     requests_served: Arc<AtomicU64>,
 }
 
@@ -374,15 +212,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let requests_served = Arc::new(AtomicU64::new(0));
-        let batcher = AskBatcher::new(Arc::clone(&service), config.ask_batch_window);
-
-        let dispatcher_handle = {
-            let batcher = Arc::clone(&batcher);
-            std::thread::Builder::new()
-                .name("rage-ask-dispatcher".to_string())
-                .spawn(move || batcher.run())
-                .expect("failed to spawn ask dispatcher")
-        };
+        let asks = Arc::new(AskCounters::default());
 
         // The PR 2 worker-pool pattern: accepted connections flow over one
         // mpsc channel into a fixed set of workers; dropping the sender is
@@ -393,7 +223,7 @@ impl Server {
             .map(|i| {
                 let conn_rx = Arc::clone(&conn_rx);
                 let service = Arc::clone(&service);
-                let batcher = Arc::clone(&batcher);
+                let asks = Arc::clone(&asks);
                 let requests_served = Arc::clone(&requests_served);
                 let config = config.clone();
                 std::thread::Builder::new()
@@ -405,7 +235,7 @@ impl Server {
                         };
                         let Ok(stream) = stream else { return };
                         requests_served.fetch_add(1, Ordering::Relaxed);
-                        handle_connection(stream, &service, &batcher, &requests_served, &config);
+                        handle_connection(stream, &service, &asks, &requests_served, &config);
                     })
                     .expect("failed to spawn server worker")
             })
@@ -438,10 +268,9 @@ impl Server {
         Ok(Server {
             addr,
             shutdown,
-            batcher,
+            asks,
             accept_handle: Some(accept_handle),
             worker_handles,
-            dispatcher_handle: Some(dispatcher_handle),
             requests_served,
         })
     }
@@ -451,9 +280,9 @@ impl Server {
         self.addr
     }
 
-    /// Counters of the `/ask` admission queue.
+    /// Counters of the `/ask` endpoint.
     pub fn batch_stats(&self) -> BatchStats {
-        self.batcher.stats()
+        self.asks.stats()
     }
 
     /// Number of connections handed to the worker pool so far.
@@ -477,10 +306,6 @@ impl Server {
             let _ = handle.join();
         }
         for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        self.batcher.stop();
-        if let Some(handle) = self.dispatcher_handle.take() {
             let _ = handle.join();
         }
     }
@@ -510,7 +335,7 @@ impl Drop for Server {
 fn handle_connection(
     stream: TcpStream,
     service: &Service,
-    batcher: &AskBatcher,
+    asks: &AskCounters,
     requests_served: &AtomicU64,
     config: &ServerConfig,
 ) {
@@ -534,7 +359,7 @@ fn handle_connection(
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match parse_request_with_deadline(&mut reader, Some(deadline)) {
                 Ok(Some(request)) => {
-                    let response = route(&request, service, batcher, requests_served);
+                    let response = route(&request, service, asks, requests_served);
                     Some((response, request.keep_alive))
                 }
                 Ok(None) => None, // clean EOF or idle timeout, nothing to answer
@@ -565,21 +390,21 @@ fn handle_connection(
 fn route(
     request: &HttpRequest,
     service: &Service,
-    batcher: &AskBatcher,
+    asks: &AskCounters,
     requests_served: &AtomicU64,
 ) -> HttpResponse {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/") => index_page(service),
         ("GET", "/scenarios") => scenarios_json(service),
         ("GET", "/report") => report_endpoint(request, service),
-        ("POST", "/ask") => ask_endpoint(request, batcher),
+        ("POST", "/ask") => ask_endpoint(request, service, asks),
         ("POST", "/diff") => diff_endpoint(request),
         ("GET", "/diff") => diff_versions_endpoint(request, service),
         ("POST", "/corpus/docs") => corpus_mutate_endpoint(request, service),
         ("DELETE", path) if path.starts_with("/corpus/docs/") => {
             corpus_delete_endpoint(request, service)
         }
-        ("GET", "/stats") => stats_json(service, batcher, requests_served),
+        ("GET", "/stats") => stats_json(service, asks, requests_served),
         // Known path, wrong method: 405 naming the method that works there —
         // not 404, which would misreport an existing endpoint as absent.
         (_, "/" | "/scenarios" | "/report" | "/stats") => method_not_allowed("GET"),
@@ -696,7 +521,12 @@ fn report_endpoint(request: &HttpRequest, service: &Service) -> HttpResponse {
 }
 
 /// `POST /ask` — body `{"scenario": S, "query": Q[, "k": N][, "deadline_ms": MS]}`.
-fn ask_endpoint(request: &HttpRequest, batcher: &AskBatcher) -> HttpResponse {
+///
+/// The deadline starts when the body has been parsed. An ask whose deadline
+/// has already expired answers 408 before retrieval or a forward runs; one
+/// that finishes past its deadline answers 408 too, so a caller waits at most
+/// its deadline plus one ask.
+fn ask_endpoint(request: &HttpRequest, service: &Service, asks: &AskCounters) -> HttpResponse {
     let body = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => return HttpResponse::error(400, "request body is not valid UTF-8"),
@@ -730,8 +560,25 @@ fn ask_endpoint(request: &HttpRequest, batcher: &AskBatcher) -> HttpResponse {
             }
         },
     };
+    let deadline = deadline_ms.map(|ms| (ms, Deadline::after_ms(ms)));
+    let past_deadline = || match &deadline {
+        Some((ms, deadline)) if deadline.expired() => Some(HttpResponse::error(
+            408,
+            &format!("ask did not complete within the {ms} ms deadline"),
+        )),
+        _ => None,
+    };
 
-    match batcher.submit_with_deadline(scenario, query, k, deadline_ms) {
+    asks.requests.fetch_add(1, Ordering::Relaxed);
+    if let Some(timeout) = past_deadline() {
+        return timeout;
+    }
+    asks.batches.fetch_add(1, Ordering::Relaxed);
+    let answer = service.ask(scenario, query, k);
+    if let Some(timeout) = past_deadline() {
+        return timeout;
+    }
+    match answer {
         Ok(response) => {
             let sources = response
                 .context
@@ -760,7 +607,7 @@ fn ask_endpoint(request: &HttpRequest, batcher: &AskBatcher) -> HttpResponse {
             ]);
             HttpResponse::ok("application/json", doc.render())
         }
-        Err((status, message)) => HttpResponse::error(status, &message),
+        Err(err) => service_error_response(&err),
     }
 }
 
@@ -985,14 +832,10 @@ fn diff_versions_endpoint(request: &HttpRequest, service: &Service) -> HttpRespo
     }
 }
 
-/// `GET /stats` — service + batcher counters.
-fn stats_json(
-    service: &Service,
-    batcher: &AskBatcher,
-    requests_served: &AtomicU64,
-) -> HttpResponse {
+/// `GET /stats` — service + `/ask` counters.
+fn stats_json(service: &Service, asks: &AskCounters, requests_served: &AtomicU64) -> HttpResponse {
     let report_cache = service.report_cache_stats();
-    let batch = batcher.stats();
+    let batch = asks.stats();
     let doc = JsonValue::Object(vec![
         (
             "connections".into(),

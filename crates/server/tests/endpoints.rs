@@ -241,18 +241,17 @@ fn ask_matches_a_direct_service_call() {
     assert_eq!(doc.get("k").and_then(JsonValue::as_usize), Some(default_k));
 }
 
-/// Concurrent asks coalesce into one `ask_many` round without changing any
-/// answer: every response equals the unbatched oracle, and with a wide-open
-/// admission window the burst lands in a shared batch.
+/// Concurrent asks run on their own workers without changing any answer:
+/// every response equals the direct-call oracle, and every ask counts as one
+/// batch of size one.
 #[test]
-fn concurrent_asks_coalesce_and_stay_element_wise_identical() {
+fn concurrent_asks_stay_element_wise_identical() {
     let server = Arc::new(
         Server::start(
             "127.0.0.1:0",
             Arc::new(Service::new()),
             ServerConfig {
                 threads: 8,
-                ask_batch_window: Duration::from_millis(200),
                 ..ServerConfig::default()
             },
         )
@@ -291,17 +290,14 @@ fn concurrent_asks_coalesce_and_stay_element_wise_identical() {
         assert_eq!(
             doc.get("answer").and_then(JsonValue::as_str),
             Some(oracle.answer()),
-            "batched answer for {query:?} differs from the unbatched oracle"
+            "concurrent answer for {query:?} differs from the direct-call oracle"
         );
     }
 
     let stats = server.batch_stats();
     assert_eq!(stats.requests, QUERIES.len() as u64);
-    assert!(
-        stats.max_batch >= 2,
-        "a 200ms admission window should coalesce a concurrent burst, stats: {stats:?}"
-    );
-    assert!(stats.batches < stats.requests);
+    assert_eq!(stats.batches, stats.requests, "stats: {stats:?}");
+    assert_eq!(stats.max_batch, 1, "stats: {stats:?}");
 }
 
 #[test]
@@ -773,14 +769,14 @@ fn report_deadlines_bound_work_without_poisoning_the_exact_cache() {
 }
 
 /// `/ask` honours a caller deadline: a generous one answers exactly like an
-/// undeadlined ask, an already-expired one is a 408 (the batch keeps running
-/// server-side), and the server stays healthy either way.
+/// undeadlined ask, an already-expired one is a 408 (answered before any
+/// work runs), and the server stays healthy either way.
 #[test]
 fn ask_deadlines_time_out_without_wedging_the_server() {
     let server = start_server();
 
-    // Pre-expired: the caller stops waiting immediately. The dispatcher's
-    // admission window alone outlasts a zero deadline, so this cannot race.
+    // Pre-expired: a zero deadline has passed by the time the body is
+    // parsed, so the worker answers 408 at once. This cannot race.
     let (status, _, body) = post(
         &server,
         "/ask",
@@ -792,8 +788,8 @@ fn ask_deadlines_time_out_without_wedging_the_server() {
         "408 body names the deadline"
     );
 
-    // The abandoned batch completed server-side; a generous deadline now
-    // matches the undeadlined answer byte for byte.
+    // The expired ask left nothing behind; a generous deadline matches the
+    // undeadlined answer byte for byte.
     let (status, _, plain) = post(
         &server,
         "/ask",
@@ -816,4 +812,31 @@ fn ask_deadlines_time_out_without_wedging_the_server() {
     );
     assert_eq!(status, 400);
     assert!(String::from_utf8(body).unwrap().contains("deadline_ms"));
+}
+
+/// An expired deadline is checked before the service is touched: the first
+/// `/ask` of a fresh service answers 408, builds no scenario runtime (so no
+/// retrieval and no forward ran) and counts as a request but not a batch.
+#[test]
+fn expired_ask_deadline_answers_408_before_any_work() {
+    let service = Arc::new(Service::new());
+    let server = Server::start(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+
+    let (status, _, body) = post(
+        &server,
+        "/ask",
+        r#"{"scenario": "us_open", "query": "Who won the US Open?", "deadline_ms": 0}"#,
+    );
+    assert_eq!(status, 408, "{}", String::from_utf8_lossy(&body));
+    assert_eq!(service.prefix_cache_stats("us_open", None), None);
+    let stats = server.batch_stats();
+    assert_eq!((stats.requests, stats.batches, stats.max_batch), (1, 0, 0));
 }
