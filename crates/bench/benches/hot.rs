@@ -10,11 +10,11 @@
 //!     --threshold 0.20 --require "ask/k=10" --require "top-down/k=8"
 //! ```
 //!
-//! The sequential-vs-parallel report cases also run here so the 4-thread
-//! speedup ratio lands in `BENCH_pr.json` as a tracked artifact.
+//! The width-1-vs-width-4 report cases also run here so the fan-out speedup
+//! ratio lands in `BENCH_pr.json` as a tracked artifact.
 
 use rage_bench::workloads::{
-    bench_report_config, evaluator_for, parallel_evaluator_and_cache_for, parallel_evaluator_for,
+    bench_report_config, cached_evaluator_and_cache_for, cached_evaluator_for, evaluator_for,
     pipeline_for, synthetic,
 };
 use rage_bench::{black_box, scaled, section, Runner};
@@ -53,16 +53,16 @@ fn main() {
         });
     }
 
-    section("hot: report, sequential vs 4-thread pool");
+    section("hot: report, width 1 vs width 4");
     {
         let scenario = synthetic(8);
         let config = bench_report_config();
         let seq = runner.bench("report/k=8/seq", scaled(10), || {
-            let evaluator = evaluator_for(&scenario);
+            let evaluator = evaluator_for(&scenario).with_width(1);
             black_box(RageReport::generate(&evaluator, &config).unwrap());
         });
         let par = runner.bench("report/k=8/par4", scaled(10), || {
-            let evaluator = parallel_evaluator_for(&scenario, 4);
+            let evaluator = cached_evaluator_for(&scenario, 4);
             black_box(RageReport::generate(&evaluator, &config).unwrap());
         });
         runner.ratio("report/k=8/speedup@4", &seq, &par);
@@ -71,7 +71,7 @@ fn main() {
         // this workload lands in the JSON next to the timings — a cache
         // regression (hit rate collapse) shows up in BENCH_pr.json even when
         // wall-clock noise hides it.
-        let (evaluator, cache) = parallel_evaluator_and_cache_for(&scenario, 4);
+        let (evaluator, cache) = cached_evaluator_and_cache_for(&scenario, 4);
         black_box(RageReport::generate(&evaluator, &config).unwrap());
         runner.cache_counters("report/k=8/prefix_cache", cache.stats());
     }

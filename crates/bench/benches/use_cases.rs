@@ -1,7 +1,7 @@
-//! Full explanation reports over the three paper use cases (§III), sequential
-//! and through the 4-thread parallel evaluator.
+//! Full explanation reports over the three paper use cases (§III), at fan-out
+//! width 1 and width 4.
 
-use rage_bench::workloads::{evaluator_for, parallel_evaluator_for};
+use rage_bench::workloads::{cached_evaluator_for, evaluator_for};
 use rage_bench::{black_box, scaled, section, Runner};
 use rage_core::explanation::ReportConfig;
 use rage_core::RageReport;
@@ -18,14 +18,14 @@ fn main() {
     ] {
         let config = ReportConfig::default();
         let seq = runner.bench(&format!("report/{}", scenario.name), scaled(10), || {
-            let evaluator = evaluator_for(&scenario);
+            let evaluator = evaluator_for(&scenario).with_width(1);
             black_box(RageReport::generate(&evaluator, &config).unwrap());
         });
         let par = runner.bench(
             &format!("report/{}/par4", scenario.name),
             scaled(10),
             || {
-                let evaluator = parallel_evaluator_for(&scenario, 4);
+                let evaluator = cached_evaluator_for(&scenario, 4);
                 black_box(RageReport::generate(&evaluator, &config).unwrap());
             },
         );

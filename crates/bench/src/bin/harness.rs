@@ -1,27 +1,28 @@
 //! Smoke harness: run a full explanation over every demonstration scenario —
-//! sequentially and through the 4-thread parallel evaluator — and print the
-//! summaries plus cost accounting and speedups.
+//! at fan-out width 1 and through a width-4 evaluator — check that the two
+//! reports are equal, and print the summaries plus cost accounting and
+//! speedups.
 //!
-//! `cargo run -p rage-bench --bin harness [--fast] [--threads N] [--json PATH]`
+//! `cargo run -p rage-bench --bin harness [--fast] [--width N] [--json PATH]`
 //!
 //! With `--json PATH` a machine-readable summary is written: per scenario the
-//! sequential and parallel wall-clock, the `speedup@N` ratio, the LLM-call
-//! counts and the answers, so CI can diff explanation cost across commits.
+//! width-1 and wide wall-clock, the `speedup@N` ratio, the LLM-call counts and
+//! the answers, so CI can diff explanation cost across commits.
 
 use std::time::Instant;
 
-use rage_bench::workloads::{evaluator_for, parallel_evaluator_and_cache_for};
+use rage_bench::workloads::{cached_evaluator_and_cache_for, evaluator_for};
 use rage_core::explanation::ReportConfig;
-use rage_core::{Evaluate, RageReport};
+use rage_core::RageReport;
 use rage_datasets::{big_three, timeline, us_open};
 use rage_json::JsonValue;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let fast = args.iter().any(|a| a == "--fast");
-    let threads = args
+    let width = args
         .iter()
-        .position(|a| a == "--threads")
+        .position(|a| a == "--width")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(4);
@@ -46,8 +47,8 @@ fn main() {
     ] {
         println!("=== scenario: {} ===", scenario.name);
 
-        // Sequential baseline.
-        let sequential = evaluator_for(&scenario);
+        // Width-1 baseline.
+        let sequential = evaluator_for(&scenario).with_width(1);
         let seq_start = Instant::now();
         let seq_report = match RageReport::generate(&sequential, &config) {
             Ok(report) => report,
@@ -59,8 +60,8 @@ fn main() {
         };
         let seq_elapsed = seq_start.elapsed();
 
-        // The same explanation through the worker pool + prefix cache.
-        let (parallel, prefix_cache) = parallel_evaluator_and_cache_for(&scenario, threads);
+        // The same explanation fanned out, over a prefix-cached model.
+        let (parallel, prefix_cache) = cached_evaluator_and_cache_for(&scenario, width);
         let par_start = Instant::now();
         let par_report = match RageReport::generate(&parallel, &config) {
             Ok(report) => report,
@@ -74,15 +75,15 @@ fn main() {
         let speedup = seq_elapsed.as_secs_f64() / par_elapsed.as_secs_f64().max(1e-9);
 
         assert_eq!(
-            seq_report.full_context_answer, par_report.full_context_answer,
-            "parallel evaluation must not change answers"
+            seq_report, par_report,
+            "fan-out must not change a report, cost counters included"
         );
 
         let cache_stats = prefix_cache.stats();
         print!("{}", seq_report.summary());
         println!(
-            "expected answer: {} | sequential: {seq_elapsed:?} | parallel({threads}): \
-             {par_elapsed:?} | speedup@{threads}: {speedup:.2}x | prefix cache: \
+            "expected answer: {} | width 1: {seq_elapsed:?} | width {width}: \
+             {par_elapsed:?} | speedup@{width}: {speedup:.2}x | prefix cache: \
              {} hits / {} misses ({:.1}% hit rate)\n",
             scenario.expected_full_context_answer,
             cache_stats.hits,
@@ -104,7 +105,7 @@ fn main() {
                 "parallel_ns".into(),
                 JsonValue::Number(par_elapsed.as_nanos() as f64),
             ),
-            ("threads".into(), JsonValue::Number(threads as f64)),
+            ("width".into(), JsonValue::Number(width as f64)),
             ("speedup".into(), JsonValue::Number(speedup)),
             (
                 "sequential_llm_calls".into(),
@@ -142,7 +143,7 @@ fn main() {
                 "schema".into(),
                 JsonValue::String("rage-harness/v1".to_string()),
             ),
-            ("threads".into(), JsonValue::Number(threads as f64)),
+            ("width".into(), JsonValue::Number(width as f64)),
             ("fast".into(), JsonValue::Bool(fast)),
             ("scenarios".into(), JsonValue::Array(scenario_values)),
         ]);

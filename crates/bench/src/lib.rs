@@ -19,8 +19,8 @@
 //!
 //! Absolute numbers are indicative only; the interesting outputs are the
 //! *ratios* the paper's experiments compare (pruned vs exhaustive search,
-//! `O(s·k³)` vs `O(k!)` placements, `O(k·s)` vs `O(k!)` sampling) and, since
-//! the parallel evaluator landed, sequential vs parallel report cost.
+//! `O(s·k³)` vs `O(k!)` placements, `O(k·s)` vs `O(k!)` sampling) and
+//! report cost at fan-out width 1 vs a wider evaluator.
 //!
 //! Run everything with `cargo bench`, or one target with
 //! `cargo bench --bench optimal_permutations`. The `RAGE_BENCH_FAST=1`
@@ -345,7 +345,7 @@ pub mod workloads {
     use std::sync::Arc;
 
     use rage_core::explanation::ReportConfig;
-    use rage_core::{Evaluator, ParallelEvaluator, RagPipeline};
+    use rage_core::{Evaluator, RagPipeline};
     use rage_datasets::synthetic::{ranking_scenario, RankingConfig};
     use rage_datasets::Scenario;
     use rage_llm::cache::PrefixCache;
@@ -385,26 +385,26 @@ pub mod workloads {
         evaluator
     }
 
-    /// A fresh `threads`-worker parallel evaluator (empty cache, prefix-cached
-    /// model) over a scenario's retrieved context, with the model's prefix
-    /// cache handle for stats reporting.
-    pub fn parallel_evaluator_and_cache_for(
+    /// A fresh evaluator at fan-out `width` (empty cache, prefix-cached model)
+    /// over a scenario's retrieved context, with the model's prefix cache
+    /// handle for stats reporting.
+    pub fn cached_evaluator_and_cache_for(
         scenario: &Scenario,
-        threads: usize,
-    ) -> (ParallelEvaluator, Arc<PrefixCache>) {
+        width: usize,
+    ) -> (Evaluator, Arc<PrefixCache>) {
         let (pipeline, cache) = cached_pipeline_and_cache_for(scenario);
         let response = pipeline
             .ask(&scenario.question, scenario.retrieval_k)
             .expect("scenario question retrieves a context");
         (
-            pipeline.parallel_evaluator(response.context, threads),
+            pipeline.evaluator(response.context).with_width(width),
             cache,
         )
     }
 
-    /// [`parallel_evaluator_and_cache_for`] without the stats handle.
-    pub fn parallel_evaluator_for(scenario: &Scenario, threads: usize) -> ParallelEvaluator {
-        parallel_evaluator_and_cache_for(scenario, threads).0
+    /// [`cached_evaluator_and_cache_for`] without the stats handle.
+    pub fn cached_evaluator_for(scenario: &Scenario, width: usize) -> Evaluator {
+        cached_evaluator_and_cache_for(scenario, width).0
     }
 
     /// A synthetic ranking scenario with `k` sources.

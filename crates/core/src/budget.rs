@@ -7,9 +7,10 @@
 //!
 //! * [`SearchBudget`] — how much a search may spend: a cap on candidate
 //!   evaluations, an optional monotonic [`Deadline`], or both. Searches check
-//!   it at **batch boundaries** (between evaluation windows), never inside a
-//!   batch, so the anytime path keeps the exact same batching — and therefore
-//!   the exact same answers — as the unlimited path up to the point where it
+//!   it at **batch boundaries** (before each candidate of an early-exit
+//!   search, between the fan-out windows of a known list), never inside a
+//!   batch, so the anytime path evaluates exactly what the unlimited path
+//!   evaluates — and gets the exact same answers — up to the point where it
 //!   stops.
 //! * [`Deadline`] — a monotonic ([`std::time::Instant`]-based) wall-clock
 //!   bound, immune to system clock adjustments.

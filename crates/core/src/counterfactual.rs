@@ -15,9 +15,9 @@
 //! * permutations are evaluated in **decreasing Kendall-tau similarity** to the
 //!   original order — the least disruptive re-orderings first;
 //! * every search runs under a [`SearchBudget`] — an evaluation cap plus an
-//!   optional monotonic [`Deadline`](crate::budget::Deadline) — checked at
-//!   batch boundaries; the [`Evaluator`] caches and counts the underlying LLM
-//!   calls (cost metric of experiment E7);
+//!   optional monotonic [`Deadline`](crate::budget::Deadline) — checked
+//!   before each candidate; the [`Evaluator`] caches and counts the
+//!   underlying LLM calls (cost metric of experiment E7);
 //! * with [`CounterfactualConfig::with_pruning`], the combination search may
 //!   additionally *prune* candidates under a monotonicity bound: a candidate
 //!   set whose superset already failed to flip the answer is assumed unable to
@@ -45,7 +45,7 @@ use rage_assignment::permutations::SimilarityPermutations;
 use crate::answer::answers_equal;
 use crate::budget::{Completeness, SearchBudget};
 use crate::error::RageError;
-use crate::evaluator::Evaluate;
+use crate::evaluator::Evaluator;
 use crate::perturbation::Perturbation;
 use crate::scoring::ScoringMethod;
 
@@ -220,19 +220,6 @@ pub struct PermutationOutcome {
 /// blindly and callers should set a budget).
 pub const DEFAULT_PERMUTATION_BUDGET: usize = 720;
 
-/// First submission window of a batched search: windows ramp up `4 → 8 → …`
-/// towards the evaluator's preferred batch, so a flip on the very first
-/// candidates wastes at most a handful of speculative evaluations while
-/// flip-less searches still reach full batch width. The ramp depends only on
-/// the preferred batch size (never the thread count), preserving
-/// thread-count-invariant cost accounting.
-const WINDOW_RAMP_START: usize = 4;
-
-/// The next submission window: double towards the cap.
-fn ramped(window: usize, cap: usize) -> usize {
-    (window * 2).min(cap)
-}
-
 /// Search for the smallest, most relevant combination counterfactual.
 ///
 /// Candidates are enumerated in increasing set size; equal-size candidates are
@@ -243,15 +230,11 @@ fn ramped(window: usize, cap: usize) -> usize {
 /// cases, and [`CombinationOutcome::exhausted_budget`] stays as the boolean
 /// summary.
 ///
-/// Candidates are submitted to the evaluator in windows of
-/// [`Evaluate::preferred_batch`] (truncated at the remaining budget), then
-/// scanned in candidate order. With the sequential evaluator (window 1) this
-/// reproduces the one-at-a-time early-exit search exactly; a batched evaluator
-/// may evaluate up to `window - 1` candidates past the first flip — spending a
-/// few speculative LLM calls to keep its workers busy — without ever changing
-/// which counterfactual is found or how many candidates are *counted*.
-pub fn find_combination_counterfactual<E: Evaluate + ?Sized>(
-    evaluator: &E,
+/// Candidates are evaluated one at a time, so the search never evaluates a
+/// candidate past the first flip, and its cost is the same at every
+/// evaluator width.
+pub fn find_combination_counterfactual(
+    evaluator: &Evaluator,
     config: &CounterfactualConfig,
 ) -> Result<CombinationOutcome, RageError> {
     let k = evaluator.k();
@@ -262,8 +245,6 @@ pub fn find_combination_counterfactual<E: Evaluate + ?Sized>(
     };
     let scores = config.scoring.source_scores(evaluator)?;
     let max_size = config.max_size.unwrap_or(k).min(k);
-    let max_window = evaluator.preferred_batch().max(1);
-    let mut window = max_window.min(WINDOW_RAMP_START);
 
     if config.prune {
         // Monotonicity bound at the lattice-maximal perturbation: every
@@ -308,20 +289,7 @@ pub fn find_combination_counterfactual<E: Evaluate + ?Sized>(
             sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        // (kept, removed) per candidate, in evaluation order.
-        let splits: Vec<(Vec<usize>, Vec<usize>)> = sets
-            .into_iter()
-            .map(|set| match config.direction {
-                SearchDirection::TopDown => (complement(k, &set), set),
-                SearchDirection::BottomUp => {
-                    let removed = complement(k, &set);
-                    (set, removed)
-                }
-            })
-            .collect();
-
-        let mut next = 0usize;
-        while next < splits.len() {
+        for set in sets {
             if let Some(stop) = config.budget.check(candidates) {
                 return Ok(CombinationOutcome {
                     counterfactual: None,
@@ -333,38 +301,31 @@ pub fn find_combination_counterfactual<E: Evaluate + ?Sized>(
                     },
                 });
             }
-            let mut end = (next + window).min(splits.len());
-            if let Some(remaining) = config.budget.remaining(candidates) {
-                end = end.min(next + remaining);
-            }
-            let batch: Vec<Perturbation> = splits[next..end]
-                .iter()
-                .map(|(kept, _)| Perturbation::Combination(kept.clone()))
-                .collect();
-            let results = evaluator.evaluate_batch(&batch);
-            for (offset, result) in results.into_iter().enumerate() {
-                let answer = result?.answer;
-                candidates += 1;
-                if !answers_equal(&answer, &baseline) {
-                    let (kept, removed) = splits[next + offset].clone();
-                    return Ok(CombinationOutcome {
-                        counterfactual: Some(CombinationCounterfactual {
-                            removed,
-                            kept,
-                            baseline_answer: baseline,
-                            answer,
-                        }),
-                        exhausted_budget: false,
-                        completeness: Completeness::Exact,
-                        stats: SearchStats {
-                            candidates,
-                            llm_calls: evaluator.llm_calls() - llm_calls_before,
-                        },
-                    });
+            let (kept, removed) = match config.direction {
+                SearchDirection::TopDown => (complement(k, &set), set),
+                SearchDirection::BottomUp => {
+                    let removed = complement(k, &set);
+                    (set, removed)
                 }
+            };
+            let answer = evaluator.answer_for(&Perturbation::Combination(kept.clone()))?;
+            candidates += 1;
+            if !answers_equal(&answer, &baseline) {
+                return Ok(CombinationOutcome {
+                    counterfactual: Some(CombinationCounterfactual {
+                        removed,
+                        kept,
+                        baseline_answer: baseline,
+                        answer,
+                    }),
+                    exhausted_budget: false,
+                    completeness: Completeness::Exact,
+                    stats: SearchStats {
+                        candidates,
+                        llm_calls: evaluator.llm_calls() - llm_calls_before,
+                    },
+                });
             }
-            next = end;
-            window = ramped(window, max_window);
         }
     }
 
@@ -385,8 +346,8 @@ pub fn find_combination_counterfactual<E: Evaluate + ?Sized>(
 /// [`space_exhausted`](RageError::BudgetExhausted::space_exhausted)
 /// distinguishing "no counterfactual exists in the searched space" from
 /// "the budget or deadline stopped the search first".
-pub fn require_combination_counterfactual<E: Evaluate + ?Sized>(
-    evaluator: &E,
+pub fn require_combination_counterfactual(
+    evaluator: &Evaluator,
     config: &CounterfactualConfig,
 ) -> Result<CombinationCounterfactual, RageError> {
     let outcome = find_combination_counterfactual(evaluator, config)?;
@@ -402,21 +363,17 @@ pub fn require_combination_counterfactual<E: Evaluate + ?Sized>(
 /// (increasing inversion count) and evaluated until the answer changes. At most
 /// `budget.max_evaluations` candidates — [`DEFAULT_PERMUTATION_BUDGET`] when
 /// unset — are evaluated, the budget's deadline (if any) is checked before
-/// each window, and the identity order is not a candidate.
-///
-/// Candidates are submitted in windows of [`Evaluate::preferred_batch`] and
-/// scanned in similarity order, with the same speculative-evaluation caveat as
-/// [`find_combination_counterfactual`].
-pub fn find_permutation_counterfactual<E: Evaluate + ?Sized>(
-    evaluator: &E,
+/// each candidate, and the identity order is not a candidate. Like
+/// [`find_combination_counterfactual`], the search evaluates one candidate at
+/// a time.
+pub fn find_permutation_counterfactual(
+    evaluator: &Evaluator,
     budget: &SearchBudget,
 ) -> Result<PermutationOutcome, RageError> {
     let k = evaluator.k();
     let llm_calls_before = evaluator.llm_calls();
     let baseline = evaluator.full_context_answer()?;
     let cap = budget.max_evaluations.unwrap_or(DEFAULT_PERMUTATION_BUDGET);
-    let max_window = evaluator.preferred_batch().max(1);
-    let mut window = max_window.min(WINDOW_RAMP_START);
 
     // Total non-identity permutations; saturating, only compared against the
     // cap to decide whether the space (not just the budget) was exhausted.
@@ -424,18 +381,13 @@ pub fn find_permutation_counterfactual<E: Evaluate + ?Sized>(
     let limit = (cap as u128).min(space) as usize;
 
     // The lazy frontier iterator yields the identity first; skip it. Orders
-    // are pulled one evaluation window at a time, so only the current window
-    // (plus the iterator's current inversion level) is ever materialised —
-    // an early answer flip never pays for the deeper levels.
-    let mut orders = SimilarityPermutations::new(k).skip(1).take(limit);
+    // are pulled one at a time, so only the iterator's current inversion
+    // level is ever materialised: an early answer flip never pays for the
+    // deeper levels.
     let mut candidates = 0usize;
-    loop {
-        let window_orders: Vec<Vec<usize>> = orders.by_ref().take(window).collect();
-        if window_orders.is_empty() {
-            break;
-        }
-        // `take(limit)` already enforces the evaluation cap, so at a non-empty
-        // window only the deadline can stop us here.
+    for order in SimilarityPermutations::new(k).skip(1).take(limit) {
+        // `take(limit)` already enforces the evaluation cap, so only the
+        // deadline can stop us here.
         if let Some(stop) = budget.check(candidates) {
             return Ok(PermutationOutcome {
                 counterfactual: None,
@@ -447,34 +399,25 @@ pub fn find_permutation_counterfactual<E: Evaluate + ?Sized>(
                 },
             });
         }
-        let batch: Vec<Perturbation> = window_orders
-            .iter()
-            .map(|order| Perturbation::Permutation(order.clone()))
-            .collect();
-        let results = evaluator.evaluate_batch(&batch);
-        for (offset, result) in results.into_iter().enumerate() {
-            let answer = result?.answer;
-            candidates += 1;
-            if !answers_equal(&answer, &baseline) {
-                let order = window_orders[offset].clone();
-                let tau = kendall_tau(&order);
-                return Ok(PermutationOutcome {
-                    counterfactual: Some(PermutationCounterfactual {
-                        order,
-                        tau,
-                        baseline_answer: baseline,
-                        answer,
-                    }),
-                    exhausted_budget: false,
-                    completeness: Completeness::Exact,
-                    stats: SearchStats {
-                        candidates,
-                        llm_calls: evaluator.llm_calls() - llm_calls_before,
-                    },
-                });
-            }
+        let answer = evaluator.answer_for(&Perturbation::Permutation(order.clone()))?;
+        candidates += 1;
+        if !answers_equal(&answer, &baseline) {
+            let tau = kendall_tau(&order);
+            return Ok(PermutationOutcome {
+                counterfactual: Some(PermutationCounterfactual {
+                    order,
+                    tau,
+                    baseline_answer: baseline,
+                    answer,
+                }),
+                exhausted_budget: false,
+                completeness: Completeness::Exact,
+                stats: SearchStats {
+                    candidates,
+                    llm_calls: evaluator.llm_calls() - llm_calls_before,
+                },
+            });
         }
-        window = ramped(window, max_window);
     }
 
     let exhausted_budget = (candidates as u128) < space;
@@ -497,8 +440,8 @@ pub fn find_permutation_counterfactual<E: Evaluate + ?Sized>(
 }
 
 /// Like [`find_permutation_counterfactual`] but demands a result.
-pub fn require_permutation_counterfactual<E: Evaluate + ?Sized>(
-    evaluator: &E,
+pub fn require_permutation_counterfactual(
+    evaluator: &Evaluator,
     budget: &SearchBudget,
 ) -> Result<PermutationCounterfactual, RageError> {
     let outcome = find_permutation_counterfactual(evaluator, budget)?;
@@ -512,7 +455,6 @@ pub fn require_permutation_counterfactual<E: Evaluate + ?Sized>(
 mod tests {
     use super::*;
     use crate::context::Context;
-    use crate::evaluator::{Evaluator, ParallelEvaluator};
     use rage_llm::{Generation, LanguageModel, LlmInput};
     use rage_retrieval::Document;
     use std::sync::Arc;
@@ -839,30 +781,28 @@ mod tests {
 
     #[test]
     fn parallel_searches_find_the_same_counterfactuals() {
-        let sequential = Evaluator::new(Arc::new(FirstSourceLlm::uniform(4)), context(4));
+        let sequential =
+            Evaluator::new(Arc::new(FirstSourceLlm::uniform(4)), context(4)).with_width(1);
         let combo_seq =
             find_combination_counterfactual(&sequential, &CounterfactualConfig::top_down())
                 .unwrap();
         let perm_seq =
             find_permutation_counterfactual(&sequential, &SearchBudget::UNLIMITED).unwrap();
 
-        for threads in [1, 2, 4] {
-            let parallel = ParallelEvaluator::new(
-                Evaluator::new(Arc::new(FirstSourceLlm::uniform(4)), context(4)),
-                threads,
-            );
+        for width in [1, 2, 4] {
+            let parallel =
+                Evaluator::new(Arc::new(FirstSourceLlm::uniform(4)), context(4)).with_width(width);
             let combo =
                 find_combination_counterfactual(&parallel, &CounterfactualConfig::top_down())
                     .unwrap();
             let perm =
                 find_permutation_counterfactual(&parallel, &SearchBudget::UNLIMITED).unwrap();
-            // Identical explanations and identical logical candidate counts;
-            // only the speculative llm_calls may exceed the sequential run's.
+            // Identical explanations at identical cost: the searches never
+            // evaluate past a flip, whatever the width.
             assert_eq!(combo.counterfactual, combo_seq.counterfactual);
-            assert_eq!(combo.stats.candidates, combo_seq.stats.candidates);
+            assert_eq!(combo.stats, combo_seq.stats, "width={width}");
             assert_eq!(perm.counterfactual, perm_seq.counterfactual);
-            assert_eq!(perm.stats.candidates, perm_seq.stats.candidates);
-            assert!(perm.stats.llm_calls >= perm_seq.stats.llm_calls);
+            assert_eq!(perm.stats, perm_seq.stats, "width={width}");
         }
     }
 

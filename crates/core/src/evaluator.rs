@@ -1,38 +1,35 @@
-//! Cached, counted evaluation of perturbed contexts — sequential and parallel.
+//! Cached, counted evaluation of perturbed contexts, fanned out across cores.
 //!
 //! Every perturbation the searches consider costs one LLM inference. This
-//! module centralises those calls behind the [`Evaluate`] trait: build the
-//! prompt for a perturbed context, query the model, cache answers keyed by the
-//! (canonicalised) perturbation and count true LLM invocations — the cost
-//! metric used by the pruning experiments (E7).
+//! module centralises those calls in one type, [`Evaluator`]: it builds the
+//! prompt for a perturbed context, queries the model, caches answers keyed by
+//! the (canonicalised) perturbation and counts true LLM invocations — the
+//! cost metric used by the pruning experiments (E7).
 //!
-//! ## Concurrency model
+//! ## Fan-out
 //!
-//! Two implementations share one contract:
+//! An evaluator has a fan-out *width* ([`Evaluator::with_width`]; by default
+//! the cores available to the process,
+//! [`std::thread::available_parallelism`]).
+//! [`Evaluator::evaluate_batch`] deduplicates a batch by canonical
+//! perturbation, then runs the distinct perturbations on `width` threads
+//! under [`std::thread::scope`]: the calling thread and `width − 1` helpers
+//! take indices from one atomic counter, and the results are scattered back
+//! by index. Duplicates resolve through the memo afterwards, exactly as they
+//! would in an in-order pass. At width 1, or for a batch with at most one
+//! distinct perturbation, the batch runs in order on the calling thread and
+//! spawns nothing; width 1 is the oracle the wider widths must reproduce.
 //!
-//! * [`Evaluator`] — the sequential reference implementation. Its memo cache
-//!   is a lock-striped map and its counters are atomics, so the whole struct
-//!   is `Sync` and can be shared across threads, but it performs every
-//!   evaluation on the calling thread, strictly in submission order.
-//! * [`ParallelEvaluator`] — wraps an `Arc<Evaluator>` and owns a fixed pool
-//!   of `std::thread` workers fed over an mpsc channel. A batch is
-//!   deduplicated by canonical perturbation, the unique keys are fanned out to
-//!   the workers, and results are scattered back by index, so the returned
-//!   vector is **byte-identical** to what the sequential evaluator would
-//!   return for the same batch — thread count and scheduling can never leak
-//!   into results (the model itself is deterministic, and the memo guarantees
-//!   one inference per distinct perturbation).
+//! Only lists a report knows before evaluating any item go through a batch:
+//! the two baseline answers, each placement ranking and the insight sample.
+//! Under a deadline those lists run in windows of the width, with the
+//! deadline checked between windows. The early-exit searches (top-down, bottom-up, permutation) evaluate one
+//! candidate at a time, so nothing is evaluated speculatively. Because the
+//! model is deterministic and each distinct perturbation reaches it exactly
+//! once, reports are equal at every width down to the cost counters.
 //!
-//! Searches interact with either through [`Evaluate::evaluate_batch`] and size
-//! their submission windows by [`Evaluate::preferred_batch`]: the sequential
-//! evaluator reports `1`, which reproduces the historical one-at-a-time
-//! early-exit behaviour (and its exact cost accounting); the parallel
-//! evaluator reports a fixed window ([`DEFAULT_BATCH_WINDOW`]) that is
-//! deliberately **independent of the thread count**, so reports generated with
-//! 1, 2, 4 or 8 threads are equal down to the cost counters. Relative to the
-//! sequential evaluator, a windowed search may evaluate up to `window - 1`
-//! speculative candidates past an answer flip; this affects only the cost
-//! counters, never which counterfactual is found.
+//! A model panic on any thread of a batch propagates to the caller once
+//! every thread of the batch has stopped; a batch never hangs.
 //!
 //! ## Cache invariants
 //!
@@ -43,115 +40,45 @@
 //!   perform none ([`Evaluator::cache_stats`]).
 //! * Entries are never evicted or mutated, so a cached [`Generation`] is
 //!   returned bit-identically forever after.
-//! * Striping (16 stripes, keyed by the perturbation hash) bounds lock
-//!   contention under the worker pool; a stripe lock is held only for the
-//!   O(1) lookup/insert, never across an LLM inference. Two workers racing on
-//!   the *same* uncached perturbation would both run the inference (the
-//!   deterministic model makes the results identical); the parallel batch path
-//!   prevents that by deduplicating before dispatch, which keeps the
+//! * Striping (16 stripes, keyed by the perturbation hash) keeps concurrent
+//!   lookups off each other's locks; a stripe lock is held only for the O(1)
+//!   lookup/insert, never across an LLM inference. Two threads racing on the
+//!   *same* uncached perturbation would both run the inference; a batch
+//!   prevents that by deduplicating before it fans out, which keeps the
 //!   `llm_calls` accounting exact.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
 
 pub use rage_llm::cache::CacheStats;
 use rage_llm::{Generation, LanguageModel};
 
+use crate::budget::{BudgetStop, SearchBudget};
 use crate::context::Context;
 use crate::error::RageError;
 use crate::perturbation::Perturbation;
 use crate::prompt::PromptBuilder;
 
 /// Number of stripes in the shared memo map. A power of two comfortably above
-/// any sensible worker count, so concurrent lookups rarely collide.
+/// any sensible fan-out width, so concurrent lookups rarely collide.
 const MEMO_STRIPES: usize = 16;
 
-/// Fixed batch window advertised by [`ParallelEvaluator::preferred_batch`].
+/// The default fan-out width: the number of cores available to this process
+/// ([`std::thread::available_parallelism`], 1 if unknown).
 ///
-/// Deliberately independent of the worker count: the window determines how
-/// many speculative candidates a search may evaluate past an early exit, and
-/// keeping it constant makes explanation *cost accounting* (not just
-/// explanation content) identical across thread counts.
-pub const DEFAULT_BATCH_WINDOW: usize = 16;
-
-/// The evaluation contract shared by sequential and parallel evaluators.
-///
-/// Implementations memoise generations per canonical perturbation and count
-/// true LLM inferences; see the module docs for the exact invariants. All
-/// methods take `&self` — implementations use interior mutability and must be
-/// safe to call from the thread that owns the evaluator (both implementations
-/// here are additionally `Sync`).
-pub trait Evaluate {
-    /// The context being explained.
-    fn context(&self) -> &Context;
-
-    /// The question posed to the LLM.
-    fn question(&self) -> &str;
-
-    /// The full generation (answer + attention read-out) for a perturbation.
-    fn generation_for(&self, perturbation: &Perturbation) -> Result<Generation, RageError>;
-
-    /// Evaluate a batch of perturbations, returning one result per input in
-    /// input order.
-    ///
-    /// The results must be exactly what element-wise
-    /// [`generation_for`](Evaluate::generation_for) calls would produce;
-    /// batching is a throughput lever, never a semantic one.
-    fn evaluate_batch(&self, perturbations: &[Perturbation]) -> Vec<Result<Generation, RageError>>;
-
-    /// How many perturbations a search should submit per
-    /// [`evaluate_batch`](Evaluate::evaluate_batch) call to keep this
-    /// evaluator busy. Searches with early exits may evaluate up to this many
-    /// candidates speculatively past the exit point.
-    fn preferred_batch(&self) -> usize {
-        1
-    }
-
-    /// Number of *actual* LLM inferences performed so far (cache hits excluded).
-    fn llm_calls(&self) -> usize;
-
-    /// Number of distinct perturbations evaluated so far.
-    fn evaluations(&self) -> usize;
-
-    /// Hit/miss counters of the memo cache (`misses == llm_calls`; the memo
-    /// never evicts, so `evictions` is always 0).
-    fn cache_stats(&self) -> CacheStats;
-
-    /// The rendered prompt text for a perturbation (for provenance display).
-    fn prompt_text(&self, perturbation: &Perturbation) -> Result<String, RageError>;
-
-    /// Number of sources `k` in the context.
-    fn k(&self) -> usize {
-        self.context().len()
-    }
-
-    /// The raw answer string for a perturbation.
-    fn answer_for(&self, perturbation: &Perturbation) -> Result<String, RageError> {
-        Ok(self.generation_for(perturbation)?.answer)
-    }
-
-    /// The answer over the full, unperturbed context (`a = L(q, Dq)`).
-    fn full_context_answer(&self) -> Result<String, RageError> {
-        self.answer_for(&Perturbation::identity_combination(self.k()))
-    }
-
-    /// The generation over the full, unperturbed context (used by attention scoring).
-    fn full_context_generation(&self) -> Result<Generation, RageError> {
-        self.generation_for(&Perturbation::identity_combination(self.k()))
-    }
-
-    /// The answer over the empty context (prior knowledge only).
-    fn empty_context_answer(&self) -> Result<String, RageError> {
-        self.answer_for(&Perturbation::Combination(Vec::new()))
-    }
+/// Read once per process: on Linux it parses cgroup files, which is too slow
+/// to repeat for every report.
+fn default_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The shared memo: perturbation → generation, striped to keep worker threads
-/// off each other's locks.
+/// The shared memo: perturbation → generation, striped to keep the threads of
+/// a batch off each other's locks.
 struct StripedMemo {
     stripes: Vec<Mutex<HashMap<Perturbation, Generation>>>,
 }
@@ -196,23 +123,25 @@ impl StripedMemo {
 }
 
 /// Evaluates perturbations of one fixed (question, context) pair against an
-/// LLM, strictly on the calling thread.
+/// LLM, fanning batches out over [`Evaluator::width`] threads.
 ///
-/// This is the sequential [`Evaluate`] implementation and the cache/counter
-/// substrate the [`ParallelEvaluator`] wraps. It is `Sync`: the memo is a
-/// lock-striped map and the counters are atomics.
+/// It is `Sync`: the memo is a lock-striped map and the counters are atomics.
+/// See the module docs for the fan-out and cache contracts.
 pub struct Evaluator {
     llm: Arc<dyn LanguageModel>,
     prompt_builder: PromptBuilder,
     context: Context,
     question: String,
+    width: usize,
     cache: StripedMemo,
     llm_calls: AtomicUsize,
     cache_hits: AtomicUsize,
 }
 
 impl Evaluator {
-    /// Create an evaluator for a context; the question defaults to the context's query.
+    /// Create an evaluator for a context, as wide as the cores available to
+    /// the process (read once per process); the question defaults to the
+    /// context's query.
     pub fn new(llm: Arc<dyn LanguageModel>, context: Context) -> Self {
         let question = context.query.clone();
         Self {
@@ -220,6 +149,7 @@ impl Evaluator {
             prompt_builder: PromptBuilder::default(),
             context,
             question,
+            width: default_width(),
             cache: StripedMemo::new(),
             llm_calls: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
@@ -236,6 +166,18 @@ impl Evaluator {
     pub fn with_prompt_builder(mut self, builder: PromptBuilder) -> Self {
         self.prompt_builder = builder;
         self
+    }
+
+    /// Set the fan-out width: how many threads a batch runs on (clamped to at
+    /// least 1; width 1 evaluates every batch in order on the calling thread).
+    pub fn with_width(mut self, width: usize) -> Self {
+        self.width = width.max(1);
+        self
+    }
+
+    /// The fan-out width (see [`Evaluator::with_width`]).
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// The context being explained.
@@ -307,15 +249,123 @@ impl Evaluator {
         Ok(generation)
     }
 
-    /// Evaluate a batch one perturbation at a time, in input order.
+    /// Evaluate a batch, returning one result per input in input order.
+    ///
+    /// The results, the memo and every counter end up exactly as element-wise
+    /// [`generation_for`](Evaluator::generation_for) calls in input order
+    /// would leave them; only the wall clock depends on the width. The
+    /// distinct perturbations run on up to [`width`](Evaluator::width)
+    /// threads (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// If the model panics on any thread, once every thread of the batch has
+    /// stopped.
     pub fn evaluate_batch(
         &self,
         perturbations: &[Perturbation],
     ) -> Vec<Result<Generation, RageError>> {
+        if self.width > 1 {
+            // Each distinct perturbation reaches the model once, on one thread.
+            let mut seen: HashSet<Perturbation> = HashSet::new();
+            let distinct: Vec<usize> = (0..perturbations.len())
+                .filter(|&index| seen.insert(self.canonical(&perturbations[index])))
+                .collect();
+            if distinct.len() > 1 {
+                return self.fan_out(perturbations, &distinct);
+            }
+        }
         perturbations
             .iter()
             .map(|p| self.generation_for(p))
             .collect()
+    }
+
+    /// Run the `distinct` perturbations of a batch on up to `width` threads,
+    /// then resolve the duplicates through the memo.
+    fn fan_out(
+        &self,
+        perturbations: &[Perturbation],
+        distinct: &[usize],
+    ) -> Vec<Result<Generation, RageError>> {
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            while let Some(&index) = distinct.get(next.fetch_add(1, Ordering::Relaxed)) {
+                done.push((index, self.generation_for(&perturbations[index])));
+            }
+            done
+        };
+        let threads = self.width.min(distinct.len());
+        // A panicking share surfaces as an `Err`, on the caller's share
+        // through `catch_unwind` and on a helper's through `join`.
+        let shares = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mut shares = vec![panic::catch_unwind(AssertUnwindSafe(work))];
+            shares.extend(helpers.into_iter().map(|helper| helper.join()));
+            shares
+        });
+
+        let mut slots: Vec<Option<Result<Generation, RageError>>> =
+            (0..perturbations.len()).map(|_| None).collect();
+        for share in shares {
+            match share {
+                Ok(done) => {
+                    for (index, result) in done {
+                        slots[index] = Some(result);
+                    }
+                }
+                // The panic hook has already printed the model's message.
+                Err(_) => panic!("evaluator worker thread panicked during a batch"),
+            }
+        }
+        // Duplicates resolve through the (now warm) memo: a cache hit for
+        // successes, the identical deterministic error otherwise, exactly as
+        // they would in order.
+        slots
+            .into_iter()
+            .zip(perturbations)
+            .map(|(slot, perturbation)| slot.unwrap_or_else(|| self.generation_for(perturbation)))
+            .collect()
+    }
+
+    /// Evaluate the prefix of a known list that `budget` affords, in order.
+    ///
+    /// The evaluation cap keeps a prefix. Without a deadline that prefix is
+    /// one batch; with one it runs in windows of the width, and the deadline
+    /// is checked before each window, so it is overshot by at most one
+    /// window. Returns the generations of the evaluated prefix and, when it
+    /// is shorter than the list, what stopped it. The first error stops the
+    /// evaluation.
+    pub(crate) fn evaluate_within(
+        &self,
+        perturbations: &[Perturbation],
+        budget: &SearchBudget,
+    ) -> Result<(Vec<Generation>, Option<BudgetStop>), RageError> {
+        let limit = budget
+            .max_evaluations
+            .map_or(perturbations.len(), |cap| cap.min(perturbations.len()));
+        let window = match budget.deadline {
+            Some(_) => self.width,
+            None => limit.max(1),
+        };
+        let mut generations = Vec::with_capacity(limit);
+        while generations.len() < limit {
+            let start = generations.len();
+            if let Some(stop) = budget.check(start) {
+                return Ok((generations, Some(stop)));
+            }
+            let end = (start + window).min(limit);
+            for result in self.evaluate_batch(&perturbations[start..end]) {
+                generations.push(result?);
+            }
+        }
+        let stop = if limit < perturbations.len() {
+            budget.check(limit)
+        } else {
+            None
+        };
+        Ok((generations, stop))
     }
 
     /// The raw answer string for a perturbation.
@@ -342,291 +392,6 @@ impl Evaluator {
     pub fn prompt_text(&self, perturbation: &Perturbation) -> Result<String, RageError> {
         let sources = perturbation.apply(&self.context)?;
         Ok(self.prompt_builder.render(&self.question, &sources))
-    }
-}
-
-impl Evaluate for Evaluator {
-    fn context(&self) -> &Context {
-        Evaluator::context(self)
-    }
-
-    fn question(&self) -> &str {
-        Evaluator::question(self)
-    }
-
-    fn generation_for(&self, perturbation: &Perturbation) -> Result<Generation, RageError> {
-        Evaluator::generation_for(self, perturbation)
-    }
-
-    fn evaluate_batch(&self, perturbations: &[Perturbation]) -> Vec<Result<Generation, RageError>> {
-        Evaluator::evaluate_batch(self, perturbations)
-    }
-
-    fn llm_calls(&self) -> usize {
-        Evaluator::llm_calls(self)
-    }
-
-    fn evaluations(&self) -> usize {
-        Evaluator::evaluations(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        Evaluator::cache_stats(self)
-    }
-
-    fn prompt_text(&self, perturbation: &Perturbation) -> Result<String, RageError> {
-        Evaluator::prompt_text(self, perturbation)
-    }
-}
-
-/// One unit of work for the pool: evaluate `perturbation`, report under `index`.
-struct Job {
-    index: usize,
-    perturbation: Perturbation,
-}
-
-/// A fixed set of worker threads fed over an mpsc channel.
-///
-/// Workers pull jobs from a shared receiver (guarded by a mutex — contention
-/// is negligible because one job costs an LLM inference) and push
-/// `(index, result)` pairs back on a shared result channel. The `dispatch`
-/// mutex serialises whole batches so results from concurrent
-/// [`ParallelEvaluator::evaluate_batch`] callers cannot interleave. Dropping
-/// the pool closes the job channel, which terminates every worker.
-struct WorkerPool {
-    job_tx: Option<mpsc::Sender<Job>>,
-    result_rx: Mutex<mpsc::Receiver<(usize, Result<Generation, RageError>)>>,
-    dispatch: Mutex<()>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn spawn(inner: Arc<Evaluator>, threads: usize) -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = mpsc::channel();
-        let handles = (0..threads)
-            .map(|worker| {
-                let job_rx = Arc::clone(&job_rx);
-                let result_tx = result_tx.clone();
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("rage-eval-{worker}"))
-                    .spawn(move || loop {
-                        // The guard is scoped to the recv: one worker at a
-                        // time waits on the channel, then releases the lock to
-                        // run the (comparatively huge) inference.
-                        let job = {
-                            let rx = job_rx.lock().expect("job channel poisoned");
-                            rx.recv()
-                        };
-                        match job {
-                            Ok(job) => {
-                                let result = inner.generation_for(&job.perturbation);
-                                if result_tx.send((job.index, result)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => break, // job channel closed: shut down
-                        }
-                    })
-                    .expect("failed to spawn evaluator worker thread")
-            })
-            .collect();
-        Self {
-            job_tx: Some(job_tx),
-            result_rx: Mutex::new(result_rx),
-            dispatch: Mutex::new(()),
-            handles,
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the job channel makes every worker's recv() fail, so they
-        // exit their loops; then reap them.
-        self.job_tx.take();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A batched, parallel [`Evaluate`] implementation over a worker-thread pool.
-///
-/// Wraps a (shared, `Sync`) [`Evaluator`]: the memo cache, the counters and
-/// the LLM handle all live in the inner evaluator, so sequential calls through
-/// [`ParallelEvaluator::generation_for`] and batched calls through
-/// [`ParallelEvaluator::evaluate_batch`] observe one coherent cache.
-///
-/// Batches are deduplicated by canonical perturbation before dispatch — each
-/// distinct perturbation is evaluated by exactly one worker — which keeps the
-/// `llm_calls`/hit/miss accounting identical to a sequential evaluation of the
-/// same batch. Results are scattered back by input index, so batch output
-/// order (and content, the model being deterministic) is byte-identical to the
-/// sequential evaluator's regardless of thread count or scheduling. See the
-/// module docs for the full concurrency model.
-pub struct ParallelEvaluator {
-    inner: Arc<Evaluator>,
-    threads: usize,
-    batch_window: usize,
-    pool: WorkerPool,
-}
-
-impl ParallelEvaluator {
-    /// Spawn a pool of `threads` workers (clamped to at least 1) over the
-    /// given evaluator.
-    pub fn new(evaluator: Evaluator, threads: usize) -> Self {
-        Self::from_shared(Arc::new(evaluator), threads)
-    }
-
-    /// Like [`ParallelEvaluator::new`] but sharing an evaluator that other
-    /// parties hold too (they all see the same memo cache and counters).
-    pub fn from_shared(inner: Arc<Evaluator>, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let pool = WorkerPool::spawn(Arc::clone(&inner), threads);
-        Self {
-            inner,
-            threads,
-            batch_window: DEFAULT_BATCH_WINDOW,
-            pool,
-        }
-    }
-
-    /// Override the advertised batch window (clamped to at least 1).
-    ///
-    /// Larger windows feed the pool better but evaluate more speculative
-    /// candidates past a search's early exit; the window affects cost
-    /// accounting only, never which explanation is found.
-    pub fn with_batch_window(mut self, window: usize) -> Self {
-        self.batch_window = window.max(1);
-        self
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The wrapped sequential evaluator (shared cache and counters).
-    pub fn inner(&self) -> &Evaluator {
-        &self.inner
-    }
-
-    /// Evaluate a batch across the worker pool; results arrive in input order.
-    pub fn evaluate_batch(
-        &self,
-        perturbations: &[Perturbation],
-    ) -> Vec<Result<Generation, RageError>> {
-        if perturbations.is_empty() {
-            return Vec::new();
-        }
-        // Deduplicate by canonical key so each distinct perturbation is
-        // evaluated exactly once (keeping llm_calls identical to a sequential
-        // pass over the same batch).
-        let mut seen: HashSet<Perturbation> = HashSet::new();
-        let mut unique: Vec<usize> = Vec::new();
-        for (index, perturbation) in perturbations.iter().enumerate() {
-            if seen.insert(self.inner.canonical(perturbation)) {
-                unique.push(index);
-            }
-        }
-
-        let mut slots: Vec<Option<Result<Generation, RageError>>> =
-            (0..perturbations.len()).map(|_| None).collect();
-        {
-            // Serialise whole batches: the result channel is shared, and
-            // interleaved batches would steal each other's (index, result)
-            // pairs.
-            let _batch = self.pool.dispatch.lock().expect("dispatch lock poisoned");
-            let job_tx = self
-                .pool
-                .job_tx
-                .as_ref()
-                .expect("worker pool alive while evaluator exists");
-            for &index in &unique {
-                job_tx
-                    .send(Job {
-                        index,
-                        perturbation: perturbations[index].clone(),
-                    })
-                    .expect("worker pool alive while evaluator exists");
-            }
-            let result_rx = self.pool.result_rx.lock().expect("result channel poisoned");
-            let mut received = 0usize;
-            while received < unique.len() {
-                match result_rx.recv_timeout(std::time::Duration::from_millis(100)) {
-                    Ok((index, result)) => {
-                        slots[index] = Some(result);
-                        received += 1;
-                    }
-                    // A worker can only exit while the pool lives if it
-                    // panicked mid-inference (its result will never arrive);
-                    // propagate instead of waiting forever. The timeout only
-                    // paces this liveness check — slow inferences keep
-                    // looping until their results land.
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if self.pool.handles.iter().any(|handle| handle.is_finished()) {
-                            panic!("evaluator worker thread panicked during a batch");
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        panic!("evaluator worker pool disconnected during a batch");
-                    }
-                }
-            }
-        }
-
-        // Duplicates resolve through the (now warm) memo — a cache hit for
-        // successes, the identical deterministic error otherwise — exactly as
-        // they would sequentially.
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| match slot {
-                Some(result) => result,
-                None => self.inner.generation_for(&perturbations[index]),
-            })
-            .collect()
-    }
-}
-
-impl Evaluate for ParallelEvaluator {
-    fn context(&self) -> &Context {
-        self.inner.context()
-    }
-
-    fn question(&self) -> &str {
-        self.inner.question()
-    }
-
-    fn generation_for(&self, perturbation: &Perturbation) -> Result<Generation, RageError> {
-        self.inner.generation_for(perturbation)
-    }
-
-    fn evaluate_batch(&self, perturbations: &[Perturbation]) -> Vec<Result<Generation, RageError>> {
-        ParallelEvaluator::evaluate_batch(self, perturbations)
-    }
-
-    fn preferred_batch(&self) -> usize {
-        self.batch_window
-    }
-
-    fn llm_calls(&self) -> usize {
-        self.inner.llm_calls()
-    }
-
-    fn evaluations(&self) -> usize {
-        self.inner.evaluations()
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
-    }
-
-    fn prompt_text(&self, perturbation: &Perturbation) -> Result<String, RageError> {
-        self.inner.prompt_text(perturbation)
     }
 }
 
@@ -841,38 +606,32 @@ mod tests {
             Perturbation::Combination(vec![0, 1]), // duplicate
             Perturbation::identity_permutation(3), // aliases the full context
         ];
-        let sequential = Evaluator::new(Arc::new(FirstSourceLlm::new()), context());
+        let sequential = Evaluator::new(Arc::new(FirstSourceLlm::new()), context()).with_width(1);
         let expected = sequential.evaluate_batch(&batch);
 
-        for threads in [1, 2, 4, 8] {
+        for width in [1, 2, 4, 8] {
             let llm = Arc::new(FirstSourceLlm::new());
-            let parallel = ParallelEvaluator::new(Evaluator::new(llm.clone(), context()), threads);
+            let parallel = Evaluator::new(llm.clone(), context()).with_width(width);
             let got = parallel.evaluate_batch(&batch);
             assert_eq!(got.len(), expected.len());
             for (g, e) in got.iter().zip(expected.iter()) {
-                assert_eq!(
-                    g.as_ref().unwrap(),
-                    e.as_ref().unwrap(),
-                    "threads={threads}"
-                );
+                assert_eq!(g.as_ref().unwrap(), e.as_ref().unwrap(), "width={width}");
             }
             // Dedup keeps true inference counts identical to sequential.
             assert_eq!(parallel.llm_calls(), sequential.llm_calls());
             assert_eq!(
                 llm.calls.load(Ordering::SeqCst),
                 sequential.llm_calls(),
-                "threads={threads}"
+                "width={width}"
             );
             assert_eq!(parallel.cache_stats(), sequential.cache_stats());
+            assert_eq!(parallel.evaluations(), sequential.evaluations());
         }
     }
 
     #[test]
     fn parallel_batch_propagates_errors_per_item() {
-        let parallel = ParallelEvaluator::new(
-            Evaluator::new(Arc::new(FirstSourceLlm::new()), context()),
-            4,
-        );
+        let parallel = Evaluator::new(Arc::new(FirstSourceLlm::new()), context()).with_width(4);
         let batch = vec![
             Perturbation::Combination(vec![0]),
             Perturbation::Combination(vec![9]), // invalid
@@ -908,8 +667,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker thread panicked")]
     fn worker_panic_propagates_instead_of_hanging() {
-        let parallel =
-            ParallelEvaluator::new(Evaluator::new(Arc::new(PanicOnEmptyLlm), context()), 2);
+        // Whichever thread draws the poison perturbation (the caller or the
+        // helper), the panic reaches the caller.
+        let parallel = Evaluator::new(Arc::new(PanicOnEmptyLlm), context()).with_width(2);
         let batch = vec![
             Perturbation::Combination(vec![0]),
             Perturbation::Combination(vec![]), // triggers the model panic
@@ -920,44 +680,101 @@ mod tests {
 
     #[test]
     fn parallel_empty_batch_is_a_no_op() {
-        let parallel = ParallelEvaluator::new(
-            Evaluator::new(Arc::new(FirstSourceLlm::new()), context()),
-            2,
-        );
+        let parallel = Evaluator::new(Arc::new(FirstSourceLlm::new()), context()).with_width(2);
         assert!(parallel.evaluate_batch(&[]).is_empty());
         assert_eq!(parallel.llm_calls(), 0);
     }
 
     #[test]
-    fn parallel_evaluator_reports_fixed_window_and_threads() {
-        let parallel = ParallelEvaluator::new(
-            Evaluator::new(Arc::new(FirstSourceLlm::new()), context()),
-            0,
-        );
-        assert_eq!(parallel.threads(), 1); // clamped
-        assert_eq!(Evaluate::preferred_batch(&parallel), DEFAULT_BATCH_WINDOW);
-        let parallel = parallel.with_batch_window(0);
-        assert_eq!(Evaluate::preferred_batch(&parallel), 1); // clamped
-
-        let sequential = Evaluator::new(Arc::new(FirstSourceLlm::new()), context());
-        assert_eq!(Evaluate::preferred_batch(&sequential), 1);
+    fn with_width_clamps_to_at_least_one() {
+        let evaluator = Evaluator::new(Arc::new(FirstSourceLlm::new()), context());
+        assert_eq!(evaluator.width(), default_width());
+        assert!(default_width() >= 1);
+        let evaluator = evaluator.with_width(0);
+        assert_eq!(evaluator.width(), 1); // clamped
+        assert_eq!(evaluator.with_width(3).width(), 3);
     }
 
     #[test]
-    fn shared_inner_evaluator_shares_the_memo() {
-        let inner = Arc::new(Evaluator::new(Arc::new(FirstSourceLlm::new()), context()));
-        let parallel = ParallelEvaluator::from_shared(Arc::clone(&inner), 2);
-        parallel
-            .evaluate_batch(&[Perturbation::Combination(vec![0, 1])])
-            .into_iter()
-            .for_each(|r| {
-                r.unwrap();
-            });
-        // The same perturbation through the inner handle is a cache hit.
-        inner
+    fn batches_and_single_calls_share_the_memo() {
+        let evaluator = Evaluator::new(Arc::new(FirstSourceLlm::new()), context()).with_width(2);
+        let batch = [
+            Perturbation::Combination(vec![0, 1]),
+            Perturbation::Combination(vec![1, 2]),
+        ];
+        for result in evaluator.evaluate_batch(&batch) {
+            result.unwrap();
+        }
+        // The same perturbation outside a batch is a cache hit.
+        evaluator
             .answer_for(&Perturbation::Combination(vec![0, 1]))
             .unwrap();
-        assert_eq!(inner.llm_calls(), 1);
-        assert_eq!(inner.cache_stats().hits, 1);
+        assert_eq!(evaluator.llm_calls(), 2);
+        assert_eq!(evaluator.cache_stats().hits, 1);
+    }
+
+    /// Answers like [`FirstSourceLlm`], but every call first waits until two
+    /// calls have been in flight at once. It panics instead of hanging when
+    /// that has not happened within a timeout, so a width that fails to
+    /// overlap forwards fails the test.
+    struct RendezvousLlm {
+        state: Mutex<(usize, bool)>,
+        overlapped: std::sync::Condvar,
+    }
+
+    impl RendezvousLlm {
+        const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+
+        fn new() -> Self {
+            Self {
+                state: Mutex::new((0, false)),
+                overlapped: std::sync::Condvar::new(),
+            }
+        }
+    }
+
+    impl LanguageModel for RendezvousLlm {
+        fn generate(&self, input: &LlmInput) -> Generation {
+            {
+                let mut state = self.state.lock().unwrap();
+                state.0 += 1;
+                if state.0 >= 2 {
+                    state.1 = true;
+                    self.overlapped.notify_all();
+                }
+                let (mut state, _) = self
+                    .overlapped
+                    .wait_timeout_while(state, Self::TIMEOUT, |(_, overlapped)| !*overlapped)
+                    .unwrap();
+                state.0 -= 1;
+                assert!(state.1, "no two forwards were ever in flight at once");
+            }
+            FirstSourceLlm::new().generate(input)
+        }
+    }
+
+    #[test]
+    fn width_two_overlaps_two_forwards_of_one_insight_sample() {
+        use crate::budget::{Deadline, SearchBudget};
+        use crate::insights::{random_permutations, Insights, DEFAULT_MIN_CONFIDENCE};
+
+        let samples = random_permutations(3, 6, 11);
+        // The first deadline window (width 2) must hold two distinct forwards.
+        assert_ne!(samples[0], samples[1]);
+        let reference = Insights::from_perturbations(
+            &Evaluator::new(Arc::new(FirstSourceLlm::new()), context()).with_width(1),
+            &samples,
+        )
+        .unwrap();
+        for budget in [
+            SearchBudget::UNLIMITED,
+            SearchBudget::UNLIMITED.with_deadline(Deadline::after_ms(600_000)),
+        ] {
+            let evaluator = Evaluator::new(Arc::new(RendezvousLlm::new()), context()).with_width(2);
+            let insights =
+                Insights::with_budget(&evaluator, &samples, DEFAULT_MIN_CONFIDENCE, &budget)
+                    .unwrap();
+            assert_eq!(insights, reference, "deadline: {:?}", budget.deadline);
+        }
     }
 }

@@ -19,11 +19,12 @@ use crate::counterfactual::{
     CounterfactualConfig, PermutationOutcome, SearchDirection, DEFAULT_PERMUTATION_BUDGET,
 };
 use crate::error::RageError;
-use crate::evaluator::Evaluate;
+use crate::evaluator::Evaluator;
 use crate::insights::{random_permutations, Insights, DEFAULT_MIN_CONFIDENCE};
 use crate::optimal::{
     ranked_orders_with_budget, OptimalConfig, OptimalPermutation, OrderObjective,
 };
+use crate::perturbation::Perturbation;
 use crate::scoring::ScoringMethod;
 
 /// Configuration for [`RageReport::generate`].
@@ -133,17 +134,12 @@ pub struct RageReport {
 impl RageReport {
     /// Run every search over the evaluator's context and assemble the report.
     ///
-    /// Works over any [`Evaluate`] implementation. With a
-    /// [`ParallelEvaluator`](crate::evaluator::ParallelEvaluator) the report's
-    /// explanation content (answers, counterfactuals, placements, insights) is
-    /// identical to the sequential evaluator's, and is invariant in the thread
-    /// count down to the cost counters; relative to a sequential run, the cost
-    /// counters may include a few speculative evaluations per search (see the
-    /// evaluator module docs).
-    pub fn generate<E: Evaluate + ?Sized>(
-        evaluator: &E,
-        config: &ReportConfig,
-    ) -> Result<Self, RageError> {
+    /// The lists known up front (the two baseline answers, each placement
+    /// ranking and the insight sample) fan out across the evaluator's
+    /// [`width`](Evaluator::width); the early-exit searches evaluate one
+    /// candidate at a time. The report, cost counters included, is therefore
+    /// the same at every width.
+    pub fn generate(evaluator: &Evaluator, config: &ReportConfig) -> Result<Self, RageError> {
         Self::generate_with_deadline(evaluator, config, None)
     }
 
@@ -161,15 +157,22 @@ impl RageReport {
     /// not (see the counterfactual module docs), so an anytime report only
     /// ever truncates — it never skips work that could change an answer.
     /// With `deadline = None` this is exactly [`RageReport::generate`].
-    pub fn generate_with_deadline<E: Evaluate + ?Sized>(
-        evaluator: &E,
+    pub fn generate_with_deadline(
+        evaluator: &Evaluator,
         config: &ReportConfig,
         deadline: Option<Deadline>,
     ) -> Result<Self, RageError> {
         let evaluations_before = evaluator.evaluations();
         let llm_calls_before = evaluator.llm_calls();
-        let full_context_answer = evaluator.full_context_answer()?;
-        let empty_context_answer = evaluator.empty_context_answer()?;
+        let [full, empty]: [_; 2] = evaluator
+            .evaluate_batch(&[
+                Perturbation::identity_combination(evaluator.k()),
+                Perturbation::Combination(Vec::new()),
+            ])
+            .try_into()
+            .expect("one result per baseline");
+        let full_context_answer = full?.answer;
+        let empty_context_answer = empty?.answer;
         let source_scores = config.scoring.source_scores(evaluator)?;
 
         let combination_config = CounterfactualConfig {

@@ -19,10 +19,10 @@ use rage_assignment::combinations::SizeOrderedSubsets;
 use rage_assignment::permutations::sample_permutations;
 
 use crate::answer::normalize_answer;
-use crate::budget::{BudgetStop, Completeness, SearchBudget};
+use crate::budget::{Completeness, SearchBudget};
 use crate::counterfactual::SearchStats;
 use crate::error::RageError;
-use crate::evaluator::Evaluate;
+use crate::evaluator::Evaluator;
 use crate::perturbation::Perturbation;
 
 /// A normal-approximation 95% confidence interval for an answer share,
@@ -188,8 +188,8 @@ impl Insights {
     /// Evaluate every perturbation and aggregate distribution, table and rules
     /// (rules need [`DEFAULT_MIN_CONFIDENCE`]; use
     /// [`Insights::with_min_confidence`] to override).
-    pub fn from_perturbations<E: Evaluate + ?Sized>(
-        evaluator: &E,
+    pub fn from_perturbations(
+        evaluator: &Evaluator,
         perturbations: &[Perturbation],
     ) -> Result<Self, RageError> {
         Self::with_min_confidence(evaluator, perturbations, DEFAULT_MIN_CONFIDENCE)
@@ -199,10 +199,9 @@ impl Insights {
     /// threshold in `[0, 1]`.
     ///
     /// The whole sample is needed (no early exit), so it is submitted to the
-    /// evaluator as one batch — on a parallel evaluator the sample fans out
-    /// across the worker pool.
-    pub fn with_min_confidence<E: Evaluate + ?Sized>(
-        evaluator: &E,
+    /// evaluator as one batch, which fans out across the evaluator's width.
+    pub fn with_min_confidence(
+        evaluator: &Evaluator,
         perturbations: &[Perturbation],
         min_confidence: f64,
     ) -> Result<Self, RageError> {
@@ -219,14 +218,16 @@ impl Insights {
     /// An evaluation cap keeps the *prefix* of the (seeded, deterministic)
     /// sample, so two runs with the same seed and cap see identical
     /// perturbations. Without a deadline the kept sample is submitted as one
-    /// batch — identical fan-out to the unbudgeted path; with a deadline it is
-    /// evaluated in windows of [`Evaluate::preferred_batch`] with the budget
-    /// checked before each window. When the sample is truncated, the returned
+    /// batch, exactly like the unbudgeted path; with a deadline it is
+    /// evaluated in windows of the evaluator's [`width`](Evaluator::width),
+    /// with the deadline checked before each window, so it fans out across
+    /// the cores and overshoots the deadline by at most one window. When the
+    /// sample is truncated, the returned
     /// [`Insights::completeness`] is non-`Exact` (counting the unevaluated
     /// tail as `pruned`) and every [`AnswerShare`] carries a
     /// normal-approximation 95% confidence interval for its share.
-    pub fn with_budget<E: Evaluate + ?Sized>(
-        evaluator: &E,
+    pub fn with_budget(
+        evaluator: &Evaluator,
         perturbations: &[Perturbation],
         min_confidence: f64,
         budget: &SearchBudget,
@@ -234,45 +235,20 @@ impl Insights {
         let k = evaluator.k();
         let llm_calls_before = evaluator.llm_calls();
 
-        // The evaluation cap truncates the deterministic sample to a prefix.
-        let capped: &[Perturbation] = match budget.max_evaluations {
-            Some(cap) if cap < perturbations.len() => &perturbations[..cap],
-            _ => perturbations,
-        };
-
-        // Evaluate the sample: (perturbation, normalised answer, surface form).
-        let mut samples: Vec<(&Perturbation, String, String)> = Vec::with_capacity(capped.len());
-        let mut deadline_stop: Option<BudgetStop> = None;
-        if budget.deadline.is_none() {
-            let results = evaluator.evaluate_batch(capped);
-            for (perturbation, result) in capped.iter().zip(results) {
-                let answer = result?.answer;
-                samples.push((perturbation, normalize_answer(&answer), answer));
-            }
-        } else {
-            let window = evaluator.preferred_batch().max(1);
-            let mut next = 0usize;
-            while next < capped.len() {
-                if let Some(stop) = budget.check(next) {
-                    deadline_stop = Some(stop);
-                    break;
-                }
-                let chunk = &capped[next..(next + window).min(capped.len())];
-                let results = evaluator.evaluate_batch(chunk);
-                for (perturbation, result) in chunk.iter().zip(results) {
-                    let answer = result?.answer;
-                    samples.push((perturbation, normalize_answer(&answer), answer));
-                }
-                next += chunk.len();
-            }
-        }
+        // Evaluate the affordable prefix of the deterministic sample:
+        // (perturbation, normalised answer, surface form).
+        let (generations, stop) = evaluator.evaluate_within(perturbations, budget)?;
+        let samples: Vec<(&Perturbation, String, String)> = perturbations
+            .iter()
+            .zip(generations)
+            .map(|(perturbation, generation)| {
+                let answer = generation.answer;
+                (perturbation, normalize_answer(&answer), answer)
+            })
+            .collect();
         let total = samples.len();
-        let completeness = match deadline_stop {
+        let completeness = match stop {
             Some(stop) => Completeness::from_stop(stop, total, perturbations.len() - total),
-            None if total < perturbations.len() => Completeness::BudgetTruncated {
-                evaluated: total,
-                pruned: perturbations.len() - total,
-            },
             None => Completeness::Exact,
         };
 

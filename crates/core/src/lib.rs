@@ -32,9 +32,9 @@
 //! * [`pipeline`] — [`RagPipeline`](pipeline::RagPipeline): retrieval + LLM end to end.
 //! * [`perturbation`] — combination/permutation perturbations and their application.
 //! * [`evaluator`] — cached, counted evaluation of perturbed contexts against the LLM:
-//!   the [`Evaluate`](evaluator::Evaluate) trait, the sequential
-//!   [`Evaluator`](evaluator::Evaluator) and the worker-pool
-//!   [`ParallelEvaluator`](evaluator::ParallelEvaluator).
+//!   the [`Evaluator`](evaluator::Evaluator), which runs each batch on up to its
+//!   fan-out width of threads (the available cores by default), with results and
+//!   cost counters identical to width 1.
 //! * [`scoring`] — the two source-relevance estimators `S(q, d, Dq)`.
 //! * [`counterfactual`] — top-down, bottom-up and permutation counterfactual search.
 //! * [`insights`] — answer distributions, rules and tables over perturbation samples.
@@ -99,7 +99,7 @@ pub use answer::{answers_equal, normalize_answer};
 pub use budget::{Completeness, Deadline, SearchBudget};
 pub use context::{Context, ContextSource};
 pub use error::RageError;
-pub use evaluator::{CacheStats, Evaluate, Evaluator, ParallelEvaluator};
+pub use evaluator::{CacheStats, Evaluator};
 pub use explanation::{CorpusProvenance, RageReport};
 pub use perturbation::Perturbation;
 pub use pipeline::{RagPipeline, RagResponse};

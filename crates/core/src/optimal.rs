@@ -23,7 +23,7 @@ use rage_llm::position_bias::PositionBiasProfile;
 
 use crate::budget::{Completeness, SearchBudget};
 use crate::error::RageError;
-use crate::evaluator::Evaluate;
+use crate::evaluator::Evaluator;
 use crate::perturbation::Perturbation;
 use crate::scoring::ScoringMethod;
 
@@ -125,29 +125,33 @@ fn assignment_to_order(assignment: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Evaluate each `(objective, order)` pair in one batch and assemble the
-/// ranked results (no early exit, so the whole list is a single submission).
-fn evaluate_orders<E: Evaluate + ?Sized>(
-    evaluator: &E,
+/// Evaluate the prefix of the `(objective, order)` pairs that `budget`
+/// affords (see [`Evaluator::evaluate_within`]) and assemble the ranked
+/// results, with a [`Completeness`] marker for the prefix.
+fn evaluate_orders(
+    evaluator: &Evaluator,
     scored_orders: Vec<(f64, Vec<usize>)>,
-) -> Result<Vec<OptimalPermutation>, RageError> {
+    budget: &SearchBudget,
+) -> Result<(Vec<OptimalPermutation>, Completeness), RageError> {
     let batch: Vec<Perturbation> = scored_orders
         .iter()
         .map(|(_, order)| Perturbation::Permutation(order.clone()))
         .collect();
-    let results = evaluator.evaluate_batch(&batch);
-    let mut orders = Vec::with_capacity(scored_orders.len());
-    for ((total, order), result) in scored_orders.into_iter().zip(results) {
-        let answer = result?.answer;
-        let tau = kendall_tau(&order);
-        orders.push(OptimalPermutation {
+    let (generations, stop) = evaluator.evaluate_within(&batch, budget)?;
+    let completeness = stop.map_or(Completeness::Exact, |stop| {
+        Completeness::from_stop(stop, generations.len(), 0)
+    });
+    let orders = scored_orders
+        .into_iter()
+        .zip(generations)
+        .map(|((objective, order), generation)| OptimalPermutation {
+            tau: kendall_tau(&order),
             order,
-            objective: total,
-            answer,
-            tau,
-        });
-    }
-    Ok(orders)
+            objective,
+            answer: generation.answer,
+        })
+        .collect();
+    Ok((orders, completeness))
 }
 
 /// The top-`s` placements by ranked assignment enumeration (`O(s·k³)`).
@@ -156,8 +160,8 @@ fn evaluate_orders<E: Evaluate + ?Sized>(
 /// evaluator's cache when repeated); the whole ranking is submitted as one
 /// evaluation batch. Orders arrive best-first for [`OrderObjective::Best`]
 /// and worst-first for [`OrderObjective::Worst`].
-pub fn ranked_orders<E: Evaluate + ?Sized>(
-    evaluator: &E,
+pub fn ranked_orders(
+    evaluator: &Evaluator,
     config: &OptimalConfig,
     objective: OrderObjective,
 ) -> Result<Vec<OptimalPermutation>, RageError> {
@@ -168,13 +172,14 @@ pub fn ranked_orders<E: Evaluate + ?Sized>(
 /// Like [`ranked_orders`] but under a [`SearchBudget`], returning the ranked
 /// prefix it could afford together with a [`Completeness`] marker.
 ///
-/// With an unlimited budget the whole ranking is submitted as one evaluation
-/// batch, exactly like [`ranked_orders`]. Under a budget the ranking is
-/// evaluated in windows of [`Evaluate::preferred_batch`], the budget is
-/// checked before each window, and a truncated run returns the best-first (or
-/// worst-first) prefix evaluated so far.
-pub fn ranked_orders_with_budget<E: Evaluate + ?Sized>(
-    evaluator: &E,
+/// Without a deadline the ranking (cut to the evaluation cap) is submitted as
+/// one evaluation batch, exactly like [`ranked_orders`]. Under a deadline the
+/// ranking is evaluated in windows of the evaluator's
+/// [`width`](Evaluator::width), the deadline is checked before each window,
+/// and a truncated run returns the best-first (or worst-first) prefix
+/// evaluated so far.
+pub fn ranked_orders_with_budget(
+    evaluator: &Evaluator,
     config: &OptimalConfig,
     objective: OrderObjective,
     budget: &SearchBudget,
@@ -195,44 +200,20 @@ pub fn ranked_orders_with_budget<E: Evaluate + ?Sized>(
         .map(|a| (a.total, assignment_to_order(&a.assignment)))
         .collect();
 
-    if budget.is_unlimited() {
-        // Single submission — identical batching (and answers) to the
-        // historical unbounded path.
-        return Ok((
-            evaluate_orders(evaluator, scored_orders)?,
-            Completeness::Exact,
-        ));
-    }
-
-    let window = evaluator.preferred_batch().max(1);
-    let mut orders = Vec::with_capacity(scored_orders.len());
-    let mut next = 0usize;
-    while next < scored_orders.len() {
-        if let Some(stop) = budget.check(next) {
-            return Ok((orders, Completeness::from_stop(stop, next, 0)));
-        }
-        let mut end = (next + window).min(scored_orders.len());
-        if let Some(remaining) = budget.remaining(next) {
-            end = end.min(next + remaining);
-        }
-        let chunk: Vec<(f64, Vec<usize>)> = scored_orders[next..end].to_vec();
-        orders.extend(evaluate_orders(evaluator, chunk)?);
-        next = end;
-    }
-    Ok((orders, Completeness::Exact))
+    evaluate_orders(evaluator, scored_orders, budget)
 }
 
 /// Convenience wrapper: the top placements ([`OrderObjective::Best`]).
-pub fn best_orders<E: Evaluate + ?Sized>(
-    evaluator: &E,
+pub fn best_orders(
+    evaluator: &Evaluator,
     config: &OptimalConfig,
 ) -> Result<Vec<OptimalPermutation>, RageError> {
     ranked_orders(evaluator, config, OrderObjective::Best)
 }
 
 /// Convenience wrapper: the bottom placements ([`OrderObjective::Worst`]).
-pub fn worst_orders<E: Evaluate + ?Sized>(
-    evaluator: &E,
+pub fn worst_orders(
+    evaluator: &Evaluator,
     config: &OptimalConfig,
 ) -> Result<Vec<OptimalPermutation>, RageError> {
     ranked_orders(evaluator, config, OrderObjective::Worst)
@@ -244,8 +225,8 @@ pub fn worst_orders<E: Evaluate + ?Sized>(
 /// small `k`. Ties between equal-objective orders are broken lexicographically,
 /// so the *orders* may differ from the ranked enumeration's tie order while the
 /// *objectives* always agree.
-pub fn naive_orders<E: Evaluate + ?Sized>(
-    evaluator: &E,
+pub fn naive_orders(
+    evaluator: &Evaluator,
     config: &OptimalConfig,
     objective: OrderObjective,
 ) -> Result<Vec<OptimalPermutation>, RageError> {
@@ -268,7 +249,7 @@ pub fn naive_orders<E: Evaluate + ?Sized>(
     });
     all.truncate(config.num_orders);
 
-    evaluate_orders(evaluator, all)
+    evaluate_orders(evaluator, all, &SearchBudget::UNLIMITED).map(|(orders, _)| orders)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use rage_retrieval::{Retriever, Searcher};
 
 use crate::context::Context;
 use crate::error::RageError;
-use crate::evaluator::{Evaluator, ParallelEvaluator};
+use crate::evaluator::Evaluator;
 use crate::prompt::PromptBuilder;
 
 /// The answer of one RAG round trip, with full provenance.
@@ -73,12 +73,6 @@ impl<R: Retriever> RagPipeline<R> {
 
     /// The retrieval component.
     pub fn retriever(&self) -> &R {
-        &self.retriever
-    }
-
-    /// The retrieval component (alias for [`RagPipeline::retriever`], kept from the
-    /// era when the pipeline was hardwired to the single-index [`Searcher`]).
-    pub fn searcher(&self) -> &R {
         &self.retriever
     }
 
@@ -189,17 +183,11 @@ impl<R: Retriever> RagPipeline<R> {
     }
 
     /// An [`Evaluator`] for the given context, sharing this pipeline's LLM and prompt
-    /// template — the entry point into the explanation searches.
+    /// template — the entry point into the explanation searches. It fans out at
+    /// the default width; [`Evaluator::with_width`] overrides that.
     pub fn evaluator(&self, context: Context) -> Evaluator {
         Evaluator::new(Arc::clone(&self.llm), context)
             .with_prompt_builder(self.prompt_builder.clone())
-    }
-
-    /// A [`ParallelEvaluator`] over the given context: the same searches, fanned
-    /// out across `threads` worker threads with results byte-identical to the
-    /// sequential [`evaluator`](RagPipeline::evaluator).
-    pub fn parallel_evaluator(&self, context: Context, threads: usize) -> ParallelEvaluator {
-        ParallelEvaluator::new(self.evaluator(context), threads)
     }
 
     /// Convenience: retrieve, answer and build the evaluator in one step.

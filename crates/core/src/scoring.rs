@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::RageError;
-use crate::evaluator::Evaluate;
+use crate::evaluator::Evaluator;
 
 /// Which relevance estimator to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -30,10 +30,7 @@ pub enum ScoringMethod {
 
 impl ScoringMethod {
     /// Per-source relevance scores, in context order.
-    pub fn source_scores<E: Evaluate + ?Sized>(
-        &self,
-        evaluator: &E,
-    ) -> Result<Vec<f64>, RageError> {
+    pub fn source_scores(&self, evaluator: &Evaluator) -> Result<Vec<f64>, RageError> {
         match self {
             ScoringMethod::Attention => {
                 let generation = evaluator.full_context_generation()?;

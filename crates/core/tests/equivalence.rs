@@ -1,27 +1,21 @@
-//! Equivalence suite: the parallel evaluator must explain exactly like the
-//! sequential one.
+//! Equivalence suite: an evaluator must explain exactly alike at every
+//! fan-out width.
 //!
-//! Two guarantees are locked in over the demonstration scenarios (`us_open`,
-//! `big_three`) and a synthetic ranking scenario:
+//! Over the demonstration scenarios (`us_open`, `big_three`) and a synthetic
+//! ranking scenario, a report generated at width 2, 4 or 8 must equal the
+//! width-1 report *fully*: every explanation (answers, counterfactuals,
+//! optimal placements, insight distribution/table/rules, source scores)
+//! **and** every cost counter (`llm_calls`, `evaluations`, per-search
+//! `stats`). Only lists known up front fan out, and the early-exit searches
+//! evaluate one candidate at a time, so nothing is evaluated speculatively.
 //!
-//! 1. **Thread-count invariance** — `ParallelEvaluator` over 1, 2, 4 and 8
-//!    threads produces *fully* identical `RageReport`s (explanations **and**
-//!    cost counters), because its batch window is fixed independently of the
-//!    worker count.
-//! 2. **Sequential equivalence** — every explanation a parallel report
-//!    contains (answers, counterfactuals, optimal placements, insight
-//!    distribution/table/rules, source scores, candidate counts) equals the
-//!    sequential evaluator's. Only raw `llm_calls`/`evaluations` may exceed
-//!    the sequential run's, by the documented speculative window evaluations
-//!    past an early exit.
-//!
-//! A third axis rides along: enabling the `SimLlm` prefix cache must leave a
-//! sequential report bit-for-bit unchanged.
+//! A second axis rides along: enabling the `SimLlm` prefix cache must leave a
+//! report bit-for-bit unchanged.
 
 use std::sync::Arc;
 
 use rage_core::explanation::ReportConfig;
-use rage_core::{Evaluator, ParallelEvaluator, RagPipeline, RageReport};
+use rage_core::{Evaluator, RagPipeline, RageReport};
 use rage_datasets::synthetic::{ranking_scenario, RankingConfig};
 use rage_datasets::{big_three, us_open, Scenario};
 use rage_llm::cache::PrefixCache;
@@ -37,12 +31,12 @@ fn pipeline_for(scenario: &Scenario, prefix_cache: bool) -> RagPipeline {
     RagPipeline::new(searcher, Arc::new(llm))
 }
 
-fn evaluator_for(scenario: &Scenario, prefix_cache: bool) -> Evaluator {
+fn evaluator_for(scenario: &Scenario, prefix_cache: bool, width: usize) -> Evaluator {
     let pipeline = pipeline_for(scenario, prefix_cache);
     let (_, evaluator) = pipeline
         .ask_and_explain(&scenario.question, scenario.retrieval_k)
         .expect("scenario question retrieves a context");
-    evaluator
+    evaluator.with_width(width)
 }
 
 /// A trimmed config that still exercises every search (both combination
@@ -56,71 +50,6 @@ fn report_config() -> ReportConfig {
         seed: 7,
         ..ReportConfig::default()
     }
-}
-
-/// The explanation content (everything except raw cache-cost counters) of two
-/// reports must match.
-fn assert_same_explanations(label: &str, a: &RageReport, b: &RageReport) {
-    assert_eq!(a.question, b.question, "{label}: question");
-    assert_eq!(a.context, b.context, "{label}: context");
-    assert_eq!(
-        a.full_context_answer, b.full_context_answer,
-        "{label}: full-context answer"
-    );
-    assert_eq!(
-        a.empty_context_answer, b.empty_context_answer,
-        "{label}: empty-context answer"
-    );
-    assert_eq!(a.source_scores, b.source_scores, "{label}: source scores");
-    assert_eq!(
-        a.top_down.counterfactual, b.top_down.counterfactual,
-        "{label}: top-down counterfactual"
-    );
-    assert_eq!(
-        a.bottom_up.counterfactual, b.bottom_up.counterfactual,
-        "{label}: bottom-up counterfactual"
-    );
-    assert_eq!(
-        a.permutation.counterfactual, b.permutation.counterfactual,
-        "{label}: permutation counterfactual"
-    );
-    // Logical candidate accounting is window-independent and must also agree.
-    assert_eq!(
-        a.top_down.stats.candidates, b.top_down.stats.candidates,
-        "{label}: top-down candidates"
-    );
-    assert_eq!(
-        a.bottom_up.stats.candidates, b.bottom_up.stats.candidates,
-        "{label}: bottom-up candidates"
-    );
-    assert_eq!(
-        a.permutation.stats.candidates, b.permutation.stats.candidates,
-        "{label}: permutation candidates"
-    );
-    assert_eq!(
-        a.top_down.exhausted_budget, b.top_down.exhausted_budget,
-        "{label}: top-down budget flag"
-    );
-    assert_eq!(
-        a.bottom_up.exhausted_budget, b.bottom_up.exhausted_budget,
-        "{label}: bottom-up budget flag"
-    );
-    assert_eq!(
-        a.permutation.exhausted_budget, b.permutation.exhausted_budget,
-        "{label}: permutation budget flag"
-    );
-    assert_eq!(a.best_orders, b.best_orders, "{label}: best orders");
-    assert_eq!(a.worst_orders, b.worst_orders, "{label}: worst orders");
-    assert_eq!(
-        a.insights.num_samples, b.insights.num_samples,
-        "{label}: insight samples"
-    );
-    assert_eq!(
-        a.insights.distribution, b.insights.distribution,
-        "{label}: insight distribution"
-    );
-    assert_eq!(a.insights.table, b.insights.table, "{label}: insight table");
-    assert_eq!(a.insights.rules, b.insights.rules, "{label}: insight rules");
 }
 
 fn scenarios() -> Vec<Scenario> {
@@ -138,41 +67,22 @@ fn scenarios() -> Vec<Scenario> {
 fn parallel_reports_match_sequential_reports_on_every_scenario() {
     let config = report_config();
     for (scenario_index, scenario) in scenarios().into_iter().enumerate() {
-        let sequential = evaluator_for(&scenario, false);
-        let reference = RageReport::generate(&sequential, &config).unwrap();
+        let reference = RageReport::generate(&evaluator_for(&scenario, false, 1), &config).unwrap();
 
         // The full 1/2/4/8 sweep runs on the first scenario; the others get a
-        // two-point sweep to keep the suite fast — invariance is a property of
-        // the fixed batch window, not of the scenario.
+        // two-point sweep to keep the suite fast.
         let sweep: &[usize] = if scenario_index == 0 {
             &[1, 2, 4, 8]
         } else {
             &[2, 8]
         };
-        let mut parallel_reports = Vec::new();
-        for &threads in sweep {
-            let evaluator = ParallelEvaluator::new(evaluator_for(&scenario, false), threads);
-            let report = RageReport::generate(&evaluator, &config).unwrap();
-            assert_same_explanations(
-                &format!("{} @ {threads} threads vs sequential", scenario.name),
-                &report,
-                &reference,
-            );
-            // Speculative windows may only ever add cost, never remove it.
-            assert!(
-                report.llm_calls >= reference.llm_calls,
-                "{}: parallel did fewer inferences than sequential",
-                scenario.name
-            );
-            parallel_reports.push((threads, report));
-        }
-
-        // Thread-count invariance is *full* equality, cost counters included.
-        let (_, first) = &parallel_reports[0];
-        for (threads, report) in &parallel_reports[1..] {
+        for &width in sweep {
+            let report =
+                RageReport::generate(&evaluator_for(&scenario, false, width), &config).unwrap();
+            // Full equality: explanations and cost counters alike.
             assert_eq!(
-                report, first,
-                "{}: report at {threads} threads differs from 1 thread",
+                report, reference,
+                "{}: report at width {width} differs from width 1",
                 scenario.name
             );
         }
@@ -186,10 +96,10 @@ fn prefix_cache_leaves_sequential_reports_unchanged() {
     // prefix_cache integration tests.
     let config = report_config();
     let scenario = big_three::scenario();
-    let plain = RageReport::generate(&evaluator_for(&scenario, false), &config).unwrap();
-    let cached = RageReport::generate(&evaluator_for(&scenario, true), &config).unwrap();
-    // Same evaluator type and the cache is invisible to results: the reports
-    // must be fully identical, counters included.
+    let plain = RageReport::generate(&evaluator_for(&scenario, false, 1), &config).unwrap();
+    let cached = RageReport::generate(&evaluator_for(&scenario, true, 1), &config).unwrap();
+    // The cache is invisible to results: the reports must be fully identical,
+    // counters included.
     assert_eq!(
         plain, cached,
         "{}: prefix cache changed a report",
@@ -199,29 +109,20 @@ fn prefix_cache_leaves_sequential_reports_unchanged() {
 
 #[test]
 fn prefix_cached_parallel_report_matches_sequential() {
-    // The production configuration: prefix-cached model under a 4-thread
-    // worker pool, against the plain sequential baseline.
+    // The production configuration: prefix-cached model at width 4, against
+    // the plain width-1 baseline.
     let config = report_config();
     let scenario = us_open::scenario();
-    let reference = RageReport::generate(&evaluator_for(&scenario, false), &config).unwrap();
-    let evaluator = ParallelEvaluator::new(evaluator_for(&scenario, true), 4);
-    let report = RageReport::generate(&evaluator, &config).unwrap();
-    assert_same_explanations("us_open cached+parallel vs sequential", &report, &reference);
+    let reference = RageReport::generate(&evaluator_for(&scenario, false, 1), &config).unwrap();
+    let report = RageReport::generate(&evaluator_for(&scenario, true, 4), &config).unwrap();
+    assert_eq!(report, reference, "us_open cached at width 4 vs width 1");
 }
 
 #[test]
 fn repeated_parallel_reports_are_deterministic() {
     let config = report_config();
     let scenario = big_three::scenario();
-    let a = RageReport::generate(
-        &ParallelEvaluator::new(evaluator_for(&scenario, true), 4),
-        &config,
-    )
-    .unwrap();
-    let b = RageReport::generate(
-        &ParallelEvaluator::new(evaluator_for(&scenario, true), 4),
-        &config,
-    )
-    .unwrap();
+    let a = RageReport::generate(&evaluator_for(&scenario, true, 4), &config).unwrap();
+    let b = RageReport::generate(&evaluator_for(&scenario, true, 4), &config).unwrap();
     assert_eq!(a, b);
 }

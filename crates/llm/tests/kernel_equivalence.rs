@@ -17,17 +17,17 @@
 //! 2. **Model level** — `SimLlm` generations match between a fused and a
 //!    reference-forward model, causal and bidirectional: equal answers, and
 //!    attention read-outs within `1e-12` relative.
-//! 3. **Report level** — every registered scenario's report, through the
-//!    sequential evaluator and 1/2/4-thread `ParallelEvaluator` worker pools
-//!    over a fused model, explains what the reference model's report
-//!    explains (see [`assert_reports_agree`]).
+//! 3. **Report level** — every registered scenario's report, through
+//!    evaluators of fan-out width 1, 2 and 4 over a fused model, explains
+//!    what the reference model's report explains (see
+//!    [`assert_reports_agree`]).
 //!
 //! Everything is seeded; failures reproduce deterministically.
 
 use std::sync::{Arc, OnceLock};
 
 use rage_core::explanation::ReportConfig;
-use rage_core::{Evaluator, ParallelEvaluator, Perturbation, RagPipeline, RageReport};
+use rage_core::{Evaluator, Perturbation, RagPipeline, RageReport};
 use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::attention::{
     aggregate_question_to_source_attention, aggregate_source_attention, SourceAttention,
@@ -572,8 +572,8 @@ fn evaluator_for(scenario: &Scenario, reference: bool, prefix_cache: bool) -> Ev
 /// listed in a different order — the ranked placement search returns ties in
 /// discovery order, which ULP-level score differences can permute — so each
 /// listed order's answer is checked against the reference model's answer for
-/// that same order. Cost counters are not compared: parallel evaluation
-/// speculates, and a permuted tie can cost an evaluation more or less.
+/// that same order. Cost counters are not compared: a permuted tie can cost
+/// an evaluation more or less.
 fn assert_reports_agree(
     label: &str,
     fused: &RageReport,
@@ -688,13 +688,13 @@ fn reference_reports() -> &'static [ReferenceReport] {
 fn sequential_fused_report_equals_reference_report_exactly() {
     // The whole explanation stack — counterfactual searches, permutation
     // sensitivity, optimal placements, insights — over the fused kernels,
-    // through the sequential evaluator, explains exactly what the reference
+    // through a width-1 evaluator, explains exactly what the reference
     // model's report explains on every registered scenario: equal answers,
     // counterfactuals and insights, scores within the relative tolerance.
     // `entity_registry` is the scenario the `explain` benchmark runs.
     for reference in reference_reports() {
         let fused = RageReport::generate(
-            &evaluator_for(&reference.scenario, false, false),
+            &evaluator_for(&reference.scenario, false, false).with_width(1),
             &ReportConfig::default(),
         )
         .unwrap();
@@ -709,18 +709,16 @@ fn sequential_fused_report_equals_reference_report_exactly() {
 
 #[test]
 fn parallel_evaluator_reports_match_reference_model_across_thread_counts() {
-    // The same report oracle through 1/2/4-thread worker pools, cache off
-    // and on, on every registered scenario.
+    // The same report oracle at fan-out widths 1, 2 and 4, cache off and
+    // on, on every registered scenario.
     for reference in reference_reports() {
-        for threads in [1usize, 2, 4] {
+        for width in [1usize, 2, 4] {
             for prefix_cache in [false, true] {
-                let parallel = ParallelEvaluator::new(
-                    evaluator_for(&reference.scenario, false, prefix_cache),
-                    threads,
-                );
+                let parallel =
+                    evaluator_for(&reference.scenario, false, prefix_cache).with_width(width);
                 let report = RageReport::generate(&parallel, &ReportConfig::default()).unwrap();
                 assert_reports_agree(
-                    &format!("{} @{threads}t cache={prefix_cache}", reference.name),
+                    &format!("{} @width {width} cache={prefix_cache}", reference.name),
                     &report,
                     &reference.report,
                     &reference.model,

@@ -66,8 +66,8 @@ pub mod prelude {
     };
     pub use rage_core::scoring::ScoringMethod;
     pub use rage_core::{
-        CacheStats, Completeness, Context, Deadline, Evaluate, Evaluator, ParallelEvaluator,
-        Perturbation, RagPipeline, RagResponse, RageError, RageReport, SearchBudget,
+        CacheStats, Completeness, Context, Deadline, Evaluator, Perturbation, RagPipeline,
+        RagResponse, RageError, RageReport, SearchBudget,
     };
     pub use rage_datasets::{Scenario, ScenarioEntry, ScenarioParams, ScenarioRegistry};
     pub use rage_llm::cache::PrefixCache;

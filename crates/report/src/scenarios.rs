@@ -51,8 +51,9 @@ pub fn report_with_retriever<R: Retriever>(
 ) -> Result<RageReport, RageError> {
     let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     let pipeline = RagPipeline::new(retriever, Arc::new(llm));
-    let (_, evaluator) = pipeline.ask_and_explain(&scenario.question, scenario.retrieval_k)?;
-    RageReport::generate(&evaluator, config)
+    let (_, report) =
+        pipeline.ask_and_report(&scenario.question, scenario.retrieval_k, config, None)?;
+    Ok(report)
 }
 
 /// Run the full RAGE explanation over a scenario and assemble its report.

@@ -532,10 +532,12 @@ impl Service {
         provenance: CorpusProvenance,
         deadline: Option<Deadline>,
     ) -> Result<Arc<RageReport>, ServiceError> {
-        let (_, evaluator) = runtime
-            .pipeline
-            .ask_and_explain(&runtime.question, runtime.retrieval_k)?;
-        let mut report = RageReport::generate_with_deadline(&evaluator, &self.config, deadline)?;
+        let (_, mut report) = runtime.pipeline.ask_and_report(
+            &runtime.question,
+            runtime.retrieval_k,
+            &self.config,
+            deadline,
+        )?;
         report.corpus = Some(provenance);
         Ok(Arc::new(report))
     }

@@ -11,8 +11,9 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
+use rage_json::{write_json_string, JsonValue};
+
 use crate::error::RetrievalError;
-use crate::json::{write_json_string, JsonValue};
 
 /// A single knowledge source.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
