@@ -45,24 +45,5 @@ fn main() {
         runner.ratio(&format!("generate/k={k}/cache-speedup"), uncached, &cached);
     }
 
-    section("llm: batch_generate (8 permuted prompts, shared prefix)");
-    for k in [5usize, 10] {
-        let base = input_for(k);
-        // Rotate the sources to fabricate 8 distinct perturbed prompts.
-        let inputs: Vec<LlmInput> = (0..8)
-            .map(|shift| {
-                let mut sources = base.sources.clone();
-                let len = sources.len().max(1);
-                sources.rotate_left(shift % len);
-                LlmInput::new(base.question.clone(), sources)
-            })
-            .collect();
-        let batch_llm = SimLlm::new(SimLlmConfig::default())
-            .with_prefix_cache(Arc::new(PrefixCache::default()));
-        runner.bench(&format!("batch_generate/k={k}/b=8"), scaled(10), || {
-            black_box(batch_llm.batch_generate(&inputs));
-        });
-    }
-
     runner.finish();
 }

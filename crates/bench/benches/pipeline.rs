@@ -31,18 +31,6 @@ fn main() {
         });
     }
 
-    section("pipeline: batched ask (ask_many over 8 queries)");
-    for k in [3usize, 6] {
-        let scenario = synthetic(k);
-        let pipeline = pipeline_for(&scenario);
-        let queries: Vec<&str> = (0..8).map(|_| scenario.question.as_str()).collect();
-        runner.bench(&format!("ask_many/k={k}/q=8"), scaled(10), || {
-            for response in pipeline.ask_many(&queries, scenario.retrieval_k) {
-                black_box(response.unwrap());
-            }
-        });
-    }
-
     section("pipeline: full report, width 1 vs wider");
     let config = bench_report_config();
     for k in [6usize, 10] {

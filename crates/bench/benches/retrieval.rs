@@ -1,19 +1,20 @@
-//! E9: index construction and query latency at growing corpus sizes, single vs
-//! sharded.
+//! E9: index construction and query latency at growing corpus sizes, one shard vs
+//! several.
 //!
-//! The sharded cases partition the same corpus into N per-shard indexes (parallel
-//! build) and merge per-shard top-k selections at query time; results are identical to
-//! the single index by contract, so the interesting output is purely the timing —
-//! `build/.../shards=N` vs `build/...` and `query/.../shards=N` vs `query/...`, plus
-//! the recorded `single/sharded` ratios. On a single-CPU runner the sharded build
-//! ratio hovers near (or below) 1×; on a multicore runner the per-shard worker
-//! threads should push it well above.
+//! The `single` build legs build one `InvertedIndex`; the `single` query legs query a
+//! one-shard `Searcher`. The sharded cases partition the same corpus into N per-shard
+//! indexes (parallel build) and merge per-shard top-k selections at query time;
+//! results are identical at every shard count by contract, so the interesting output
+//! is purely the timing — `build/.../shards=N` vs `build/...` and
+//! `query/.../shards=N` vs `query/...`, plus the recorded `single/sharded` ratios. On
+//! a single-CPU runner the sharded build ratio hovers near (or below) 1×; on a
+//! multicore runner the per-shard worker threads should push it well above.
 
 use rage_bench::{black_box, scaled, section, Runner};
 use rage_datasets::entity_registry::{self, EntityRegistryConfig};
 use rage_datasets::large_corpus::{self, LargeCorpusConfig};
 use rage_datasets::synthetic::{filler_corpus, filler_queries, FillerConfig};
-use rage_retrieval::{Document, IndexBuilder, Searcher, ShardedIndexBuilder, ShardedSearcher};
+use rage_retrieval::{Document, IndexBuilder, Searcher, ShardedIndexBuilder};
 
 const SHARD_COUNTS: &[usize] = &[2, 4, 8];
 
@@ -67,7 +68,7 @@ fn main() {
             ..FillerConfig::default()
         };
         let corpus = filler_corpus(config);
-        let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+        let searcher = Searcher::from_corpus(&corpus, 1);
         let queries = filler_queries(config, 32);
         let mut next = 0usize;
         runner.bench(&format!("query/docs={num_docs}"), scaled(200), || {
@@ -86,7 +87,7 @@ fn main() {
         };
         let corpus = filler_corpus(config);
         let queries = filler_queries(config, 32);
-        let single_searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+        let single_searcher = Searcher::from_corpus(&corpus, 1);
         let mut next = 0usize;
         let single = runner.bench(
             &format!("query/docs={num_docs}/single"),
@@ -98,7 +99,7 @@ fn main() {
             },
         );
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+            let sharded = Searcher::from_corpus(&corpus, shards);
             let mut next = 0usize;
             let result = runner.bench(
                 &format!("query/docs={num_docs}/shards={shards}"),
@@ -197,12 +198,12 @@ fn main() {
             },
         );
 
-        let single = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
-        let sharded = ShardedSearcher::from_corpus(&scenario.corpus, 8);
+        let single = Searcher::from_corpus(&scenario.corpus, 1);
+        let sharded = Searcher::from_corpus(&scenario.corpus, 8);
         assert_eq!(
             single.search(&scenario.question, scenario.retrieval_k),
             sharded.search(&scenario.question, scenario.retrieval_k),
-            "sharded results must be identical to single-index results"
+            "sharded results must be identical to one-shard results"
         );
         runner.bench(
             &format!("large-corpus/query/docs={n}/single"),
@@ -234,7 +235,7 @@ fn main() {
         };
         let corpus = entity_registry::registry_corpus(config);
         let n = corpus.len();
-        let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+        let searcher = Searcher::from_corpus(&corpus, 1);
         let lookups = entity_registry::resolution_queries(config, 64);
 
         for lookup in lookups.iter().take(6) {
@@ -284,7 +285,7 @@ fn main() {
             start += 32;
         });
 
-        let sharded = ShardedSearcher::from_corpus(&corpus, 4);
+        let sharded = Searcher::from_corpus(&corpus, 4);
         let mut next = 0usize;
         runner.bench(
             &format!("query/docs={n}/shards=4/pruned"),

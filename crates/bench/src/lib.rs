@@ -222,7 +222,7 @@ impl Runner {
         }
     }
 
-    /// Run and record one case (see the free [`bench`] function).
+    /// Run and record one case (see the free [`bench()`] function).
     pub fn bench<F: FnMut()>(&mut self, name: &str, iters: u64, f: F) -> BenchResult {
         let result = bench(name, iters, f);
         self.results.push(result.clone());
@@ -350,11 +350,11 @@ pub mod workloads {
     use rage_datasets::Scenario;
     use rage_llm::cache::PrefixCache;
     use rage_llm::model::{SimLlm, SimLlmConfig};
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     /// A pipeline over a scenario's corpus, with its prior knowledge attached.
     pub fn pipeline_for(scenario: &Scenario) -> RagPipeline {
-        let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+        let searcher = Searcher::from_corpus(&scenario.corpus, 1);
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
         RagPipeline::new(searcher, Arc::new(llm))
     }
@@ -365,7 +365,7 @@ pub mod workloads {
     /// [`rage_llm::CacheStats`] next to their timings.
     pub fn cached_pipeline_and_cache_for(scenario: &Scenario) -> (RagPipeline, Arc<PrefixCache>) {
         let cache = Arc::new(PrefixCache::default());
-        let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+        let searcher = Searcher::from_corpus(&scenario.corpus, 1);
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()))
             .with_prefix_cache(Arc::clone(&cache));
         (RagPipeline::new(searcher, Arc::new(llm)), cache)

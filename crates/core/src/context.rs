@@ -138,7 +138,7 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{Corpus, Document, IndexBuilder, Searcher};
+    use rage_retrieval::{Corpus, Document, Searcher};
 
     fn documents() -> Vec<Document> {
         vec![
@@ -165,7 +165,7 @@ mod tests {
         for doc in documents() {
             corpus.push(doc);
         }
-        let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+        let searcher = Searcher::from_corpus(&corpus, 1);
         let hits = searcher.search("tennis champions", 3);
         let ctx = Context::from_ranked("tennis champions", &hits);
         assert_eq!(ctx.len(), hits.len());

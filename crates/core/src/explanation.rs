@@ -344,7 +344,7 @@ impl RageReport {
 mod tests {
     use super::*;
     use rage_llm::model::{SimLlm, SimLlmConfig};
-    use rage_retrieval::{Corpus, Document, IndexBuilder, Searcher};
+    use rage_retrieval::{Corpus, Document, Searcher};
     use std::sync::Arc;
 
     use crate::pipeline::RagPipeline;
@@ -366,7 +366,7 @@ mod tests {
             "Weeks at number one",
             "Novak Djokovic spent the most weeks ranked number one in tennis.",
         ));
-        let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+        let searcher = Searcher::from_corpus(&corpus, 1);
         RagPipeline::new(searcher, Arc::new(SimLlm::new(SimLlmConfig::default())))
     }
 

@@ -29,17 +29,17 @@
 //! * [`answer`] — answer normalisation (lowercase, strip punctuation, trim).
 //! * [`budget`] — the unified cost-control layer: [`SearchBudget`], monotonic
 //!   [`Deadline`]s and per-search [`Completeness`] markers.
-//! * [`pipeline`] — [`RagPipeline`](pipeline::RagPipeline): retrieval + LLM end to end.
+//! * [`pipeline`] — [`RagPipeline`]: retrieval + LLM end to end.
 //! * [`perturbation`] — combination/permutation perturbations and their application.
 //! * [`evaluator`] — cached, counted evaluation of perturbed contexts against the LLM:
-//!   the [`Evaluator`](evaluator::Evaluator), which runs each batch on up to its
+//!   the [`Evaluator`], which runs each batch on up to its
 //!   fan-out width of threads (the available cores by default), with results and
 //!   cost counters identical to width 1.
 //! * [`scoring`] — the two source-relevance estimators `S(q, d, Dq)`.
 //! * [`counterfactual`] — top-down, bottom-up and permutation counterfactual search.
 //! * [`insights`] — answer distributions, rules and tables over perturbation samples.
 //! * [`optimal`] — optimal permutations via k-best assignment (and the naive baseline).
-//! * [`explanation`] — the assembled [`RageReport`](explanation::RageReport).
+//! * [`explanation`] — the assembled [`RageReport`].
 //!
 //! ## Quick start
 //!
@@ -48,7 +48,7 @@
 //! use rage_core::counterfactual::{CounterfactualConfig, SearchDirection};
 //! use rage_core::scoring::ScoringMethod;
 //! use rage_llm::model::{SimLlm, SimLlmConfig};
-//! use rage_retrieval::{Corpus, Document, IndexBuilder, Searcher};
+//! use rage_retrieval::{Corpus, Document, Searcher};
 //! use std::sync::Arc;
 //!
 //! let mut corpus = Corpus::new();
@@ -58,7 +58,7 @@
 //!     "Novak Djokovic holds the most grand slam titles.",
 //! ));
 //! corpus.push(Document::new("wins", "Match wins", "Roger Federer leads total match wins."));
-//! let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+//! let searcher = Searcher::from_corpus(&corpus, 1);
 //! let llm = Arc::new(SimLlm::new(SimLlmConfig::default()));
 //!
 //! let pipeline = RagPipeline::new(searcher, llm);

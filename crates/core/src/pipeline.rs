@@ -42,13 +42,11 @@ impl RagResponse {
 
 /// Retrieval + prompt assembly + LLM inference.
 ///
-/// Generic over the retrieval backend: any [`Retriever`] plugs in — the single-index
-/// [`Searcher`] (the default type parameter, so existing `RagPipeline` signatures keep
-/// working unchanged), the partitioned
-/// [`ShardedSearcher`](rage_retrieval::ShardedSearcher), or a boxed `dyn Retriever`
-/// when the backend is chosen at runtime. Because both shipped backends produce
-/// identical rankings (see the `rage_retrieval::sharded` docs), explanations built
-/// through a sharded pipeline are equal to the single-index ones.
+/// Generic over the retrieval backend: any [`Retriever`] plugs in — the BM25
+/// [`Searcher`] (the default type parameter) at any shard count, the mutable
+/// [`LiveSearcher`](rage_retrieval::LiveSearcher), or a boxed `dyn Retriever` when the
+/// backend is chosen at runtime. The shard count never changes a ranking (see the
+/// `rage_retrieval::sharded` docs), so explanations are equal at every shard count.
 pub struct RagPipeline<R: Retriever = Searcher> {
     retriever: R,
     llm: Arc<dyn LanguageModel>,
@@ -130,58 +128,6 @@ impl<R: Retriever> RagPipeline<R> {
         })
     }
 
-    /// Retrieve and answer a whole batch of queries, submitting every prompt
-    /// to the model through one `batch_generate` call.
-    ///
-    /// Retrieval failures are reported per query; all successfully retrieved
-    /// contexts still go to the model as a single batch. Responses arrive in
-    /// query order and are element-wise identical to what
-    /// [`ask`](RagPipeline::ask) would return.
-    pub fn ask_many(&self, queries: &[&str], k: usize) -> Vec<Result<RagResponse, RageError>> {
-        // Retrieve every context first (cheap), collecting per-query errors.
-        let contexts: Vec<Result<Context, RageError>> = queries
-            .iter()
-            .map(|query| {
-                Self::validate_k(k)?;
-                let hits = self.retriever.try_search(query, k)?;
-                if hits.is_empty() {
-                    return Err(RageError::EmptyContext {
-                        query: (*query).to_string(),
-                    });
-                }
-                Ok(Context::from_ranked(*query, &hits))
-            })
-            .collect();
-
-        // One batched inference over the successful retrievals.
-        let inputs: Vec<rage_llm::LlmInput> = contexts
-            .iter()
-            .filter_map(|c| c.as_ref().ok())
-            .map(|context| {
-                self.prompt_builder
-                    .build_input(&context.query, &context.to_source_texts())
-            })
-            .collect();
-        let mut generations = self.llm.batch_generate(&inputs).into_iter();
-
-        contexts
-            .into_iter()
-            .map(|context| {
-                let context = context?;
-                let sources = context.to_source_texts();
-                let prompt_text = self.prompt_builder.render(&context.query, &sources);
-                let generation = generations
-                    .next()
-                    .expect("batch_generate returns one generation per input");
-                Ok(RagResponse {
-                    context,
-                    prompt_text,
-                    generation,
-                })
-            })
-            .collect()
-    }
-
     /// An [`Evaluator`] for the given context, sharing this pipeline's LLM and prompt
     /// template — the entry point into the explanation searches. It fans out at
     /// the default width; [`Evaluator::with_width`] overrides that.
@@ -230,7 +176,7 @@ impl<R: Retriever> RagPipeline<R> {
 mod tests {
     use super::*;
     use rage_llm::model::{SimLlm, SimLlmConfig};
-    use rage_retrieval::{Corpus, Document, IndexBuilder};
+    use rage_retrieval::{Corpus, Document};
 
     fn pipeline() -> RagPipeline {
         let mut corpus = Corpus::new();
@@ -249,7 +195,7 @@ mod tests {
             "Cooking",
             "Boil the pasta in salted water until al dente.",
         ));
-        let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+        let searcher = Searcher::from_corpus(&corpus, 1);
         RagPipeline::new(searcher, Arc::new(SimLlm::new(SimLlmConfig::default())))
     }
 
@@ -280,16 +226,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RageError::InvalidArgument { .. }), "{err}");
         assert!(err.to_string().contains("at least 1"));
-
-        // ask_many reports the same per-query error and still answers nothing.
-        let results = p.ask_many(&["Who holds the most grand slam titles?", "x"], 0);
-        assert_eq!(results.len(), 2);
-        for result in results {
-            assert!(matches!(
-                result.unwrap_err(),
-                RageError::InvalidArgument { .. }
-            ));
-        }
 
         // ask_and_explain goes through ask, so it is covered too.
         assert!(matches!(
@@ -330,7 +266,6 @@ mod tests {
 
     #[test]
     fn sharded_retriever_is_a_drop_in_replacement() {
-        use rage_retrieval::ShardedSearcher;
         let mut corpus = Corpus::new();
         corpus.push(Document::new(
             "slams",
@@ -348,13 +283,9 @@ mod tests {
             "Boil the pasta in salted water until al dente.",
         ));
         let llm = Arc::new(SimLlm::new(SimLlmConfig::default()));
-        let single = RagPipeline::new(
-            Searcher::new(IndexBuilder::default().build(&corpus)),
-            llm.clone(),
-        );
-        for shards in [1, 2, 3, 5] {
-            let sharded =
-                RagPipeline::new(ShardedSearcher::from_corpus(&corpus, shards), llm.clone());
+        let single = RagPipeline::new(Searcher::from_corpus(&corpus, 1), llm.clone());
+        for shards in [2, 3, 5] {
+            let sharded = RagPipeline::new(Searcher::from_corpus(&corpus, shards), llm.clone());
             let query = "Who holds the most grand slam titles?";
             assert_eq!(
                 single.ask(query, 2).unwrap(),
@@ -363,8 +294,7 @@ mod tests {
             );
         }
         // A boxed dynamic retriever works too (backend chosen at runtime).
-        let boxed: Box<dyn rage_retrieval::Retriever> =
-            Box::new(ShardedSearcher::from_corpus(&corpus, 2));
+        let boxed: Box<dyn rage_retrieval::Retriever> = Box::new(Searcher::from_corpus(&corpus, 2));
         let dynamic = RagPipeline::new(boxed, llm.clone());
         assert_eq!(
             dynamic

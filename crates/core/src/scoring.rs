@@ -69,7 +69,7 @@ mod tests {
     use crate::context::Context;
     use crate::evaluator::Evaluator;
     use rage_llm::model::{SimLlm, SimLlmConfig};
-    use rage_retrieval::{Corpus, Document, IndexBuilder, Searcher};
+    use rage_retrieval::{Corpus, Document, Searcher};
     use std::sync::Arc;
 
     fn evaluator() -> Evaluator {
@@ -89,7 +89,7 @@ mod tests {
             "Weeks at number one",
             "Novak Djokovic spent the most weeks ranked number one.",
         ));
-        let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+        let searcher = Searcher::from_corpus(&corpus, 1);
         let query = "Who holds the most grand slam titles?";
         let hits = searcher.search(query, 3);
         let context = Context::from_ranked(query, &hits);

@@ -17,10 +17,10 @@ use rage_core::{Evaluator, RagPipeline, ScoringMethod};
 use rage_datasets::synthetic::{ranking_scenario, RankingConfig};
 use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_retrieval::{IndexBuilder, Searcher};
+use rage_retrieval::Searcher;
 
 fn evaluator_for(scenario: &Scenario) -> Evaluator {
-    let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+    let searcher = Searcher::from_corpus(&scenario.corpus, 1);
     let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     let pipeline = RagPipeline::new(searcher, Arc::new(llm));
     let (_, evaluator) = pipeline

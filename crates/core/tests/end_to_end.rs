@@ -19,10 +19,10 @@ use rage_core::{
 use rage_datasets::synthetic::{ranking_scenario, RankingConfig};
 use rage_datasets::{us_open, Scenario};
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_retrieval::{IndexBuilder, Searcher};
+use rage_retrieval::Searcher;
 
 fn pipeline_for(scenario: &Scenario) -> RagPipeline {
-    let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+    let searcher = Searcher::from_corpus(&scenario.corpus, 1);
     let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     RagPipeline::new(searcher, Arc::new(llm))
 }

@@ -20,10 +20,10 @@ use rage_datasets::synthetic::{ranking_scenario, RankingConfig};
 use rage_datasets::{big_three, us_open, Scenario};
 use rage_llm::cache::PrefixCache;
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_retrieval::{IndexBuilder, Searcher};
+use rage_retrieval::Searcher;
 
 fn pipeline_for(scenario: &Scenario, prefix_cache: bool) -> RagPipeline {
-    let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+    let searcher = Searcher::from_corpus(&scenario.corpus, 1);
     let mut llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     if prefix_cache {
         llm = llm.with_prefix_cache(Arc::new(PrefixCache::default()));

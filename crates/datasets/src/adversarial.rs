@@ -95,11 +95,11 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn twin_documents_tie_exactly_and_ids_break_the_tie() {
-        let searcher = Searcher::new(IndexBuilder::default().build(&corpus()));
+        let searcher = Searcher::from_corpus(&corpus(), 1);
         let hits = searcher.search(QUESTION, 6);
         assert_eq!(hits.len(), 6);
         // Twin pairs carry bit-identical scores...

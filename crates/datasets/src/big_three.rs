@@ -112,7 +112,7 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn corpus_has_five_ranking_documents() {
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn match_wins_document_ranks_first_under_bm25() {
         let c = corpus();
-        let searcher = Searcher::new(IndexBuilder::default().build(&c));
+        let searcher = Searcher::from_corpus(&c, 1);
         let hits = searcher.search(QUESTION, 5);
         assert_eq!(hits.len(), 5, "all five documents should be retrieved");
         assert_eq!(hits[0].doc_id, MATCH_WINS_DOC);

@@ -328,7 +328,7 @@ pub fn scenario(config: EntityRegistryConfig) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn identities_are_distinct() {
@@ -360,7 +360,7 @@ mod tests {
             num_orgs: 512,
             ..EntityRegistryConfig::default()
         };
-        let searcher = Searcher::new(IndexBuilder::default().build(&registry_corpus(config)));
+        let searcher = Searcher::from_corpus(&registry_corpus(config), 1);
         for rq in resolution_queries(config, 12) {
             let hits = searcher.search(&rq.query, 1);
             assert_eq!(hits[0].doc_id, rq.expected_doc_id, "{:?}", rq.query);
@@ -375,7 +375,7 @@ mod tests {
         };
         let s = scenario(config);
         assert_eq!(s.corpus_size(), 512);
-        let searcher = Searcher::new(IndexBuilder::default().build(&s.corpus));
+        let searcher = Searcher::from_corpus(&s.corpus, 1);
         let hits = searcher.search(&s.question, s.retrieval_k);
         let target = org_record(config.num_orgs / 2);
         assert_eq!(hits[0].doc_id, target.doc_id);

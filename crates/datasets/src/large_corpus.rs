@@ -105,7 +105,7 @@ pub fn scenario(config: LargeCorpusConfig) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher, ShardedSearcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn default_scenario_is_at_least_2k_docs() {
@@ -133,7 +133,7 @@ mod tests {
             ..LargeCorpusConfig::default()
         };
         let s = scenario(config);
-        let searcher = Searcher::new(IndexBuilder::default().build(&s.corpus));
+        let searcher = Searcher::from_corpus(&s.corpus, 1);
         let hits = searcher.search(&s.question, s.retrieval_k);
         assert_eq!(hits.len(), s.retrieval_k);
         assert!(hits.iter().all(|h| h.doc_id.starts_with("synthetic-")));
@@ -146,11 +146,11 @@ mod tests {
             ..LargeCorpusConfig::default()
         };
         let s = scenario(config);
-        let sharded = ShardedSearcher::from_corpus(&s.corpus, 4);
+        let sharded = Searcher::from_corpus(&s.corpus, 4);
         // Every shard holds 64 contiguous documents and the 6 needles sit at stride
         // 42, so at least 3 different shards contain a needle; the merged ranking must
-        // still equal the single-index one.
-        let single = Searcher::new(IndexBuilder::default().build(&s.corpus));
+        // still equal the one-shard one.
+        let single = Searcher::from_corpus(&s.corpus, 1);
         assert_eq!(
             single.search(&s.question, s.retrieval_k),
             sharded.search(&s.question, s.retrieval_k)

@@ -15,7 +15,7 @@
 //!   forming a timeline to count over.
 //! * [`synthetic`] — parameterised corpus generators used by the scaling benchmarks
 //!   (E5–E10) and property tests.
-//! * [`scenario`] — the [`Scenario`](scenario::Scenario) bundle tying a corpus to its
+//! * [`scenario`] — the [`Scenario`] bundle tying a corpus to its
 //!   question, retrieval depth, prior knowledge and expected behaviour.
 //!
 //! Beyond the paper's use cases, three stress scenarios grow the collection past the
@@ -37,9 +37,9 @@
 //!
 //! ## The scenario registry
 //!
-//! All of the above are registered in the [`ScenarioRegistry`](registry::ScenarioRegistry)
+//! All of the above are registered in the [`ScenarioRegistry`]
 //! (`ScenarioRegistry::builtin()`): a name → (builder, summary, docs) table with
-//! parameterised builders ([`ScenarioParams`](registry::ScenarioParams) carries seed /
+//! parameterised builders ([`ScenarioParams`] carries seed /
 //! size / retrieval-depth overrides). Consumers — the `report` CLI, smoke jobs, golden
 //! tests — enumerate the registry instead of hardcoding scenario lists, so a new
 //! scenario is one `register` call away from being rendered, smoke-tested and

@@ -181,10 +181,10 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     fn search_ids(corpus: &Corpus, k: usize) -> Vec<String> {
-        let searcher = Searcher::new(IndexBuilder::default().build(corpus));
+        let searcher = Searcher::from_corpus(corpus, 1);
         searcher
             .search(QUESTION, k)
             .into_iter()

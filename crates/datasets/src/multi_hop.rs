@@ -111,12 +111,12 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn all_documents_are_retrieved() {
         let c = corpus();
-        let searcher = Searcher::new(IndexBuilder::default().build(&c));
+        let searcher = Searcher::from_corpus(&c, 1);
         let hits = searcher.search(QUESTION, 5);
         assert_eq!(hits.len(), 5);
     }
@@ -127,7 +127,7 @@ mod tests {
         // tournament terms) must open the context and the link (one matching term,
         // longer body) must close it, with the distractor buried in between.
         let c = corpus();
-        let searcher = Searcher::new(IndexBuilder::default().build(&c));
+        let searcher = Searcher::from_corpus(&c, 1);
         let hits = searcher.search(QUESTION, 5);
         assert_eq!(hits.first().unwrap().doc_id, BRIDGE_DOC);
         assert_eq!(hits.last().unwrap().doc_id, LINK_DOC);

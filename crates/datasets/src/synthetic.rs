@@ -217,7 +217,7 @@ pub fn filler_queries(config: FillerConfig, num_queries: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn ranking_scenario_has_requested_size() {
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn ranking_documents_are_retrievable() {
         let s = ranking_scenario(RankingConfig::default());
-        let searcher = Searcher::new(IndexBuilder::default().build(&s.corpus));
+        let searcher = Searcher::from_corpus(&s.corpus, 1);
         let hits = searcher.search(&s.question, s.retrieval_k);
         assert_eq!(hits.len(), s.retrieval_k);
     }

@@ -94,7 +94,7 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn corpus_covers_every_season_once() {
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn all_ten_documents_are_retrievable() {
         let c = corpus();
-        let searcher = Searcher::new(IndexBuilder::default().build(&c));
+        let searcher = Searcher::from_corpus(&c, 1);
         let hits = searcher.search(QUESTION, 10);
         assert_eq!(hits.len(), 10);
     }
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn djokovic_documents_outrank_unrelated_seasons() {
         let c = corpus();
-        let searcher = Searcher::new(IndexBuilder::default().build(&c));
+        let searcher = Searcher::from_corpus(&c, 1);
         let hits = searcher.search(QUESTION, 10);
         let rank_of = |year: i32| {
             hits.iter()

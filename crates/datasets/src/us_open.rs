@@ -111,7 +111,7 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher};
+    use rage_retrieval::Searcher;
 
     #[test]
     fn corpus_covers_2019_to_2023() {
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn up_to_date_document_ranks_last_under_bm25() {
         let c = corpus();
-        let searcher = Searcher::new(IndexBuilder::default().build(&c));
+        let searcher = Searcher::from_corpus(&c, 1);
         let hits = searcher.search(QUESTION, 5);
         assert_eq!(hits.len(), 5);
         assert_eq!(hits.last().unwrap().doc_id, UP_TO_DATE_DOC);
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn stale_document_ranks_before_the_up_to_date_one() {
         let c = corpus();
-        let searcher = Searcher::new(IndexBuilder::default().build(&c));
+        let searcher = Searcher::from_corpus(&c, 1);
         let hits = searcher.search(QUESTION, 5);
         let rank_of = |id: &str| hits.iter().position(|h| h.doc_id == id).unwrap();
         assert!(rank_of(STALE_DOC) < rank_of(UP_TO_DATE_DOC));

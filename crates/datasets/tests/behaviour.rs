@@ -11,7 +11,7 @@ use rage_datasets::large_corpus::{self, LargeCorpusConfig};
 use rage_datasets::{adversarial, multi_hop, Scenario};
 use rage_llm::model::{SimLlm, SimLlmConfig};
 use rage_llm::{LanguageModel, LlmInput, SourceText};
-use rage_retrieval::{IndexBuilder, Searcher};
+use rage_retrieval::Searcher;
 
 /// Retrieval order and model answer for a scenario, optionally with some documents
 /// removed from the corpus before indexing.
@@ -22,7 +22,7 @@ fn retrieval_and_answer(scenario: &Scenario, drop_ids: &[&str]) -> (Vec<String>,
             corpus.push(doc.clone());
         }
     }
-    let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+    let searcher = Searcher::from_corpus(&corpus, 1);
     let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     let hits = searcher.search(&scenario.question, scenario.retrieval_k);
     let order: Vec<String> = hits.iter().map(|h| h.doc_id.clone()).collect();

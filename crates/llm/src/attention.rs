@@ -1,6 +1,6 @@
 //! Per-source attention aggregation.
 //!
-//! RAGE's first relevance-scoring method "aggregate[s] the LLM's attention values,
+//! RAGE's first relevance-scoring method "aggregate\[s\] the LLM's attention values,
 //! summing them over all internal layers, attention heads, and tokens corresponding to a
 //! combination's constituent sources" (§II-C). This module performs that aggregation
 //! over the [`AttentionRecord`] produced by the simulated transformer.

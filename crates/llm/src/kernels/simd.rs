@@ -78,7 +78,7 @@ fn dot_tree(a: &[f64], b: &[f64]) -> f64 {
 /// `keys` is a flat row-major `out.len() × key_dim` buffer. The dots are
 /// tree-reduced (see the module docs for the divergence bound).
 ///
-/// One key row per [`dot_tree`] call. A four-row-blocked variant (sixteen
+/// One key row per `dot_tree` call. A four-row-blocked variant (sixteen
 /// interleaved accumulator chains) was measured *slower* on the forward
 /// pass — the extra register pressure costs more than the amortised loop
 /// overhead buys at head-sized `key_dim` — so the simple form stays.
@@ -245,7 +245,7 @@ fn exp4(x: [f64; LANES]) -> [f64; LANES] {
 /// Numerically-stable softmax, first half: subtract the row maximum and
 /// exponentiate in place, returning the sum of the exponentials. 4-lane
 /// striped maximum (order-insensitive for the finite scores the transformer
-/// produces), polynomial `exp` (see [`exp_lane`]) and a 4-lane tree sum.
+/// produces), polynomial `exp` (see `exp_lane`) and a 4-lane tree sum.
 pub fn softmax_exp_inplace(scores: &mut [f64]) -> f64 {
     // Striped maximum. Max is associative and commutative over non-NaN
     // inputs, so the lane order cannot change the result. The comparison
@@ -377,7 +377,7 @@ const MIX_KEY_TILE: usize = 64;
 /// Per element this is exactly the operation sequence of one
 /// [`mix_accumulate`] call per query (the caller's weight fold stands in for
 /// the per-key fold there): the key loop is split into ascending
-/// [`MIX_KEY_TILE`]-sized tiles and the queries into blocks of four, but
+/// `MIX_KEY_TILE`-sized tiles and the queries into blocks of four, but
 /// each `out` element still sees one ascending-`k` addition chain, so the
 /// tiling is bit-identical to the per-query kernel — asserted in tests.
 /// What changes is the memory schedule: the values (every token's hidden

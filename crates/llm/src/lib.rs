@@ -23,7 +23,7 @@
 //!   evidence aggregation, so removing a supporting source can flip the answer
 //!   (combination counterfactuals);
 //! * a configurable positional prior reproduces the "lost in the middle" bias of ref.
-//!   [2] of the paper, so re-ordering sources can flip the answer (permutation
+//!   \[2\] of the paper, so re-ordering sources can flip the answer (permutation
 //!   counterfactuals and optimal permutations);
 //! * a prior-knowledge store answers the empty-context case (bottom-up counterfactuals)
 //!   and competes with weak context evidence (hallucination-style behaviour);
@@ -212,18 +212,6 @@ impl Generation {
 pub trait LanguageModel: Send + Sync {
     /// Produce an answer (and attention read-out) for the given question and context.
     fn generate(&self, input: &LlmInput) -> Generation;
-
-    /// Produce one generation per input, in order.
-    ///
-    /// This is the batched entry point used by batch evaluators and pipelines.
-    /// Implementations **must** return exactly what element-wise
-    /// [`generate`](LanguageModel::generate) calls would return — batching is
-    /// a throughput lever (shared prefix state, vectorised forwards, request
-    /// coalescing against a remote backend), never a semantic one. The default
-    /// implementation simply maps `generate`.
-    fn batch_generate(&self, inputs: &[LlmInput]) -> Vec<Generation> {
-        inputs.iter().map(|input| self.generate(input)).collect()
-    }
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str {

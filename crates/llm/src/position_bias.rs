@@ -1,6 +1,6 @@
 //! Context-position priors ("lost in the middle" and friends).
 //!
-//! Liu et al. (ref. [2] of the RAGE paper) show that chat LLMs pay more attention to
+//! Liu et al. (ref. \[2\] of the RAGE paper) show that chat LLMs pay more attention to
 //! sources at the beginning and end of a long context than to those in the middle. RAGE
 //! both *explains* the consequences of this bias (permutation counterfactuals) and
 //! *counteracts* it (optimal permutations that place relevant sources in high-attention

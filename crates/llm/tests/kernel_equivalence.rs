@@ -38,7 +38,7 @@ use rage_llm::model::{SimLlm, SimLlmConfig};
 use rage_llm::tokenizer::{SimTokenizer, TokenizedPrompt};
 use rage_llm::transformer::{AttentionRecord, ReadOut, Transformer, TransformerConfig};
 use rage_llm::{LanguageModel, LlmInput, SourceText};
-use rage_retrieval::{IndexBuilder, Searcher};
+use rage_retrieval::Searcher;
 
 /// Relative tolerance for values derived from attention weights (source
 /// read-outs, report scores, placement objectives). The forward-level bound
@@ -544,7 +544,7 @@ fn sim_llm_generations_match_reference_forward_bitwise() {
 /// A pipeline over a scenario whose model uses the fused or reference
 /// forward, with or without a prefix cache.
 fn pipeline_for(scenario: &Scenario, reference: bool, prefix_cache: bool) -> RagPipeline {
-    let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+    let searcher = Searcher::from_corpus(&scenario.corpus, 1);
     let mut llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     if reference {
         llm = llm.with_reference_forward();

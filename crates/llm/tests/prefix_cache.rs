@@ -145,22 +145,6 @@ fn cache_warm_reruns_stay_bit_identical() {
 }
 
 #[test]
-fn batch_generate_equals_elementwise_generate() {
-    let cached =
-        SimLlm::new(SimLlmConfig::default()).with_prefix_cache(Arc::new(PrefixCache::default()));
-    let inputs = perturbed_inputs();
-    let batched = cached.batch_generate(&inputs);
-    assert_eq!(batched.len(), inputs.len());
-    for (index, (input, batch_generation)) in inputs.iter().zip(batched.iter()).enumerate() {
-        assert_bit_identical(
-            &format!("batch input {index}"),
-            &cached.generate(input),
-            batch_generation,
-        );
-    }
-}
-
-#[test]
 fn eviction_bounds_cache_memory_without_changing_results() {
     // A capacity far below the working set forces constant eviction; results
     // must still match the uncached model and the entry count must respect the

@@ -21,7 +21,7 @@
 //!     "Novak Djokovic holds the most grand slam titles.",
 //! ));
 //! corpus.push(Document::new("wins", "Match wins", "Roger Federer leads total match wins."));
-//! let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+//! let searcher = Searcher::from_corpus(&corpus, 1);
 //! let pipeline = RagPipeline::new(searcher, Arc::new(SimLlm::new(SimLlmConfig::default())));
 //!
 //! // Ask, then explain the answer end to end.
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use rage_llm::{Generation, LanguageModel, LlmInput, SourceText};
     pub use rage_report::{diff, from_json, render_html, render_markdown, to_json, ReportDiff};
     pub use rage_retrieval::{
-        Corpus, Document, IndexBuilder, Retriever, Searcher, ShardedIndexBuilder, ShardedSearcher,
+        Corpus, Document, IndexBuilder, Retriever, Searcher, ShardedIndexBuilder,
     };
 }
 
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn scenario_runs_through_the_umbrella_api() {
         let scenario = rage_datasets::us_open::scenario();
-        let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+        let searcher = Searcher::from_corpus(&scenario.corpus, 1);
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
         let pipeline = RagPipeline::new(searcher, Arc::new(llm));
         let response = pipeline

@@ -12,7 +12,7 @@
 //! `report` (no subcommand) runs the full explanation pipeline over one
 //! scenario and renders the result; with `--out` the rendering is written to
 //! a file, otherwise it goes to stdout, and with `--shards N` retrieval runs
-//! through an N-way [`rage_retrieval::ShardedSearcher`] (the report is equal
+//! through an N-way [`rage_retrieval::Searcher`] (the report is equal
 //! either way — sharding never changes results). `--anytime MS` bounds the
 //! explanation searches by a wall-clock deadline of `MS` milliseconds:
 //! whatever the searches completed is rendered, and sections the deadline cut

@@ -361,12 +361,12 @@ mod tests {
     use rage_core::explanation::ReportConfig;
     use rage_core::{Context, Evaluator, RagPipeline};
     use rage_llm::model::{SimLlm, SimLlmConfig};
-    use rage_retrieval::{Document, IndexBuilder, Searcher};
+    use rage_retrieval::{Document, Searcher};
     use std::sync::Arc;
 
     fn us_open_report() -> RageReport {
         let scenario = rage_datasets::us_open::scenario();
-        let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+        let searcher = Searcher::from_corpus(&scenario.corpus, 1);
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
         let pipeline = RagPipeline::new(searcher, Arc::new(llm));
         let (_, evaluator) = pipeline

@@ -1,14 +1,14 @@
 //! Demonstration-scenario plumbing shared by the `report` binary and tests.
 //!
 //! All scenario wiring is registry-driven: the shared
-//! [`ScenarioRegistry`](rage_datasets::ScenarioRegistry) (see [`registry`]) maps CLI
+//! [`ScenarioRegistry`] (see [`registry`]) maps CLI
 //! names onto [`rage_datasets`] generators with their metadata, so the binary, the
 //! smoke job and the golden tests enumerate one source of truth instead of a hardcoded
 //! list. [`report_for`] runs a full explanation over a scenario with the standard
 //! pipeline (BM25 retrieval + prior-seeded [`SimLlm`]), exactly like the paper's demo
-//! backend; [`report_for_sharded`] does the same through partitioned retrieval and —
-//! because sharded rankings are identical to single-index ones — produces an *equal*
-//! report, which `tests/sharded.rs` pins.
+//! backend; [`report_for_sharded`] does the same over an index of several shards and —
+//! because the shard count never changes a ranking — produces an *equal* report, which
+//! `tests/sharded.rs` pins.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -17,7 +17,7 @@ use rage_core::explanation::ReportConfig;
 use rage_core::{RagPipeline, RageError, RageReport};
 use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_retrieval::{IndexBuilder, Retriever, Searcher, ShardedSearcher};
+use rage_retrieval::Searcher;
 
 /// The shared scenario registry (built once, in presentation order).
 pub fn registry() -> &'static ScenarioRegistry {
@@ -39,46 +39,32 @@ pub fn scenario_by_name(name: &str) -> Option<Scenario> {
     registry().build(name)
 }
 
-/// Run the full RAGE explanation over a scenario through any retrieval backend.
-///
-/// This is the generic engine behind [`report_for`] and [`report_for_sharded`]; the
-/// backend only influences retrieval, so two backends with identical rankings yield
-/// equal reports.
-pub fn report_with_retriever<R: Retriever>(
-    scenario: &Scenario,
-    config: &ReportConfig,
-    retriever: R,
-) -> Result<RageReport, RageError> {
-    let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
-    let pipeline = RagPipeline::new(retriever, Arc::new(llm));
-    let (_, report) =
-        pipeline.ask_and_report(&scenario.question, scenario.retrieval_k, config, None)?;
-    Ok(report)
-}
-
 /// Run the full RAGE explanation over a scenario and assemble its report.
 ///
 /// Deterministic: the retrieval, the simulated LLM and the report's insight
 /// sample are all seeded, so the same scenario and config always produce an
 /// identical report (this is what the golden-snapshot tests pin).
 pub fn report_for(scenario: &Scenario, config: &ReportConfig) -> Result<RageReport, RageError> {
-    let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
-    report_with_retriever(scenario, config, searcher)
+    report_for_sharded(scenario, config, 1)
 }
 
-/// Like [`report_for`], but retrieving through a [`ShardedSearcher`] over
-/// `num_shards` partitions.
+/// Like [`report_for`], but retrieving through a [`Searcher`] over `num_shards`
+/// partitions.
 ///
-/// Sharded retrieval returns bit-identical scores and identical orderings to the
-/// single index, so the resulting report is equal to [`report_for`]'s for every shard
-/// count — sharding is a deployment decision, not a behaviour change.
+/// The searcher returns bit-identical scores and identical orderings at every shard
+/// count, so the resulting report is equal to [`report_for`]'s — sharding is a
+/// deployment decision, not a behaviour change.
 pub fn report_for_sharded(
     scenario: &Scenario,
     config: &ReportConfig,
     num_shards: usize,
 ) -> Result<RageReport, RageError> {
-    let searcher = ShardedSearcher::from_corpus(&scenario.corpus, num_shards);
-    report_with_retriever(scenario, config, searcher)
+    let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
+    let searcher = Searcher::from_corpus(&scenario.corpus, num_shards);
+    let pipeline = RagPipeline::new(searcher, Arc::new(llm));
+    let (_, report) =
+        pipeline.ask_and_report(&scenario.question, scenario.retrieval_k, config, None)?;
+    Ok(report)
 }
 
 #[cfg(test)]

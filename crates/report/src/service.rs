@@ -25,7 +25,7 @@
 //!   results* — `tests` below pin service output against the uncached
 //!   [`scenarios::report_for`] oracle.
 //! * **Report cache** — full [`RageReport`]s are memoised behind `Arc` under
-//!   a [`ReportKey`] of `(scenario, report-config fingerprint, shards,
+//!   a `ReportKey` of `(scenario, report-config fingerprint, shards,
 //!   schema_version, corpus_version)`. Reports are deterministic *given a
 //!   corpus version*, so a cached report is exactly what regeneration would
 //!   produce; the schema version is part of the key so a future v3 can never
@@ -46,7 +46,7 @@
 //! keys on (or is cleared by) the corpus version, so no byte generated
 //! against corpus version `N` can ever be served for version `M ≠ N`:
 //!
-//! 1. **Report cache** — [`ReportKey`] embeds the corpus version. A mutation
+//! 1. **Report cache** — `ReportKey` embeds the corpus version. A mutation
 //!    therefore *misses* the cache on the next request (a fresh report is
 //!    generated and stamped with the new version) without touching other
 //!    scenarios' entries. Entries for superseded versions are retained —
@@ -494,9 +494,9 @@ impl Service {
         let prefix_cache = Arc::new(PrefixCache::default());
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(state.scenario.prior.clone()))
             .with_prefix_cache(Arc::clone(&prefix_cache));
-        // `shards = 0` ("single index") runs a 1-shard live index: the
-        // sharding contract makes it bit-identical to an unsharded
-        // `Searcher`, and it accepts mutations.
+        // `shards = 0` ("single index") runs a one-shard live index, the
+        // same index `Searcher::from_corpus(.., 1)` builds; it accepts
+        // mutations.
         let live = Arc::new(LiveSearcher::from_corpus(
             &state.scenario.corpus,
             shard_count.max(1),
@@ -893,27 +893,23 @@ impl Service {
         Ok(runtime.pipeline.ask(query, k)?)
     }
 
-    /// A whole batch of queries against one scenario, submitted to the model
-    /// through a single `ask_many` call.
+    /// A whole batch of queries against one scenario: one [`Service::ask`] per
+    /// query, in order.
     ///
     /// A library batch API: per-query failures are reported element-wise,
     /// and the outer error covers request-level problems (unknown scenario).
-    /// Each result equals the matching [`Service::ask`]. The server does not
-    /// route through it; every `/ask` is one [`Service::ask`] on the worker
-    /// that parsed it.
+    /// The server does not route through it; every `/ask` is one
+    /// [`Service::ask`] on the worker that parsed it.
     pub fn ask_many(
         &self,
         name: &str,
         queries: &[&str],
         k: Option<usize>,
     ) -> Result<Vec<Result<RagResponse, ServiceError>>, ServiceError> {
-        let runtime = self.runtime(name, None)?;
-        let k = k.unwrap_or(runtime.retrieval_k);
-        Ok(runtime
-            .pipeline
-            .ask_many(queries, k)
-            .into_iter()
-            .map(|result| result.map_err(ServiceError::from))
+        self.canonical_name(name)?;
+        Ok(queries
+            .iter()
+            .map(|query| self.ask(name, query, k))
             .collect())
     }
 
@@ -1327,14 +1323,14 @@ mod tests {
 
     #[test]
     fn ask_answers_custom_queries_against_scenario_corpora() {
-        use rage_retrieval::{IndexBuilder, Searcher};
+        use rage_retrieval::Searcher;
         let service = Service::new();
         let scenario = scenarios::scenario_by_name("us_open").unwrap();
         let response = service.ask("us_open", &scenario.question, None).unwrap();
         assert!(!response.answer().is_empty());
         // The service's answer equals a freshly wired pipeline's answer.
         let oracle = {
-            let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+            let searcher = Searcher::from_corpus(&scenario.corpus, 1);
             let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
             RagPipeline::new(searcher, Arc::new(llm))
                 .ask(&scenario.question, scenario.retrieval_k)

@@ -11,7 +11,7 @@
 //! per-term `BTreeMap<String, Vec<Posting>>`:
 //!
 //! * **Term dictionary** — every distinct term is interned into one sorted string
-//!   arena ([`InvertedIndex::term_str`] slices it through an offset table). A term id
+//!   arena (`InvertedIndex::term_str` slices it through an offset table). A term id
 //!   is the term's rank in that sorted order, so lookups are a binary search over
 //!   arena slices and [`InvertedIndex::terms`] is a linear walk — no per-term `String`
 //!   allocations, no tree nodes.
@@ -74,10 +74,11 @@ impl IndexBuilder {
             .iter()
             .map(|doc| self.tokenizer.tokenize(&doc.full_text()))
             .collect();
-        self.build_analysed(corpus, &analysed)
+        self.build_analysed(corpus.clone(), &analysed)
     }
 
-    /// Index documents whose token streams were already analysed.
+    /// Index documents whose token streams were already analysed. The corpus moves
+    /// into the index, so a caller that assembled it for this index pays no copy.
     ///
     /// `analysed` must be parallel to the corpus and hold, per document, exactly the
     /// tokens this builder's tokenizer would produce for
@@ -87,7 +88,7 @@ impl IndexBuilder {
     ///
     /// # Panics
     /// If `analysed` and the corpus differ in length.
-    pub fn build_analysed(&self, corpus: &Corpus, analysed: &[Vec<String>]) -> InvertedIndex {
+    pub fn build_analysed(&self, corpus: Corpus, analysed: &[Vec<String>]) -> InvertedIndex {
         assert_eq!(
             corpus.len(),
             analysed.len(),
@@ -179,7 +180,7 @@ impl IndexBuilder {
             ordinals,
             avg_doc_len,
             tokenizer: self.tokenizer.clone(),
-            corpus: corpus.clone(),
+            corpus,
         }
     }
 }
@@ -476,7 +477,7 @@ mod tests {
             .iter()
             .map(|d| builder.tokenizer.tokenize(&d.full_text()))
             .collect();
-        let from_tokens = builder.build_analysed(&corpus, &tokens);
+        let from_tokens = builder.build_analysed(corpus.clone(), &tokens);
         let from_scratch = builder.build(&corpus);
         assert_eq!(from_tokens.num_terms(), from_scratch.num_terms());
         assert_eq!(
@@ -494,6 +495,6 @@ mod tests {
     fn build_analysed_rejects_length_mismatch() {
         let mut corpus = Corpus::new();
         corpus.push(Document::new("a", "", "text"));
-        IndexBuilder::default().build_analysed(&corpus, &[]);
+        IndexBuilder::default().build_analysed(corpus, &[]);
     }
 }

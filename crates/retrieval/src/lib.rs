@@ -8,63 +8,54 @@
 //!
 //! * [`tokenize`] — lowercasing word tokenizer, light suffix stemmer and stopword list,
 //!   mirroring Lucene's `EnglishAnalyzer` defaults closely enough for ranking parity.
-//! * [`document`] — the [`Document`](document::Document) and [`Corpus`](document::Corpus)
-//!   types plus JSONL (one-JSON-object-per-line) persistence, the same interchange format
-//!   Pyserini uses for its document collections.
+//! * [`document`] — the [`Document`] and [`Corpus`] types plus JSONL
+//!   (one-JSON-object-per-line) persistence, the same interchange format Pyserini uses
+//!   for its document collections.
 //! * [`index`] — an in-memory inverted index in a compact arena layout (interned term
 //!   dictionary, contiguous postings arena, precomputed per-document BM25 length
-//!   norms), built by [`IndexBuilder`](index::IndexBuilder).
+//!   norms), built by [`IndexBuilder`].
 //! * [`bm25`] — Okapi BM25 scoring with tunable `k1`/`b`.
 //! * [`topk`] — the pruned query hot path: sparse accumulation plus MaxScore-style
 //!   exact dynamic pruning over per-term score upper bounds.
-//! * [`searcher`] — the [`Searcher`](searcher::Searcher) facade producing the ranked
-//!   context `Dq` (a sequence of [`RankedSource`](searcher::RankedSource)) that RAGE
-//!   perturbs.
-//! * [`retriever`] — the [`Retriever`](retriever::Retriever) trait every retrieval
-//!   backend implements.
-//! * [`sharded`] — the partitioned [`ShardedSearcher`](sharded::ShardedSearcher)
-//!   backend for large corpora, with incremental mutation
-//!   ([`ShardedIndex::add`](sharded::ShardedIndex::add)/`remove`/`update`) through
-//!   per-shard delta segments, and the thread-safe mutable
-//!   [`LiveSearcher`](sharded::LiveSearcher). Every mutation advances a
-//!   [`CorpusVersion`](retriever::CorpusVersion) (monotonic counter plus
-//!   order-independent content fingerprint) that caches key on; see the `sharded`
-//!   module docs for the delta/compaction contract.
+//! * [`searcher`] — the [`Searcher`] facade producing the ranked context `Dq` (a
+//!   sequence of [`RankedSource`]) that RAGE perturbs.
+//! * [`retriever`] — the [`Retriever`] trait the pipeline is generic over.
+//! * [`sharded`] — the segmented [`ShardedIndex`] a [`Searcher`] queries: one or more
+//!   contiguous shards, with incremental mutation
+//!   ([`ShardedIndex::add`]/`remove`/`update`) through per-shard delta segments, and
+//!   the thread-safe mutable [`LiveSearcher`]. Every mutation advances a
+//!   [`CorpusVersion`] (monotonic counter plus order-independent content fingerprint)
+//!   that caches key on; see the `sharded` module docs for the delta/compaction
+//!   contract.
 //!
-//! ## The Retriever trait + sharding
+//! ## One searcher, any shard count
 //!
-//! RAGE's pipeline is generic over [`Retriever`](retriever::Retriever): anything that
-//! can return a ranked, scored top-`k` context (plus score an individual document) can
-//! serve as the paper's retrieval model `M`. Two backends ship in this crate:
-//!
-//! * [`Searcher`](searcher::Searcher) — one inverted index over the whole corpus; the
-//!   right choice for the paper-scale demonstration corpora.
-//! * [`ShardedSearcher`](sharded::ShardedSearcher) — the corpus is partitioned into
-//!   `N` contiguous shards with one index each (built in parallel by default), and
-//!   queries merge per-shard top-k selections into one ranking.
+//! RAGE's pipeline is generic over [`Retriever`]: anything that can return a ranked,
+//! scored top-`k` context (plus score an individual document) can serve as the paper's
+//! retrieval model `M`. This crate ships one BM25 implementation, [`Searcher`]. It
+//! queries a [`ShardedIndex`] of `N` contiguous shards — one for the paper-scale
+//! demonstration corpora — and merges the per-shard top-k selections into one ranking.
 //!
 //! Sharding is **exact**, not approximate: every shard is scored with the *global*
-//! collection statistics ([`bm25::CollectionStats`]), and every ranking — single or
-//! merged — orders by descending score under `f64::total_cmp` with ties broken by
-//! ascending document id. Together these make `ShardedSearcher` return bit-identical
-//! scores and identical orderings to `Searcher` for every shard count, which is pinned
-//! by the equivalence suite in `crates/retrieval/tests/sharding.rs`:
+//! collection statistics ([`bm25::CollectionStats`]), and every ranking orders by
+//! descending score under `f64::total_cmp` with ties broken by ascending document id.
+//! Together these make the ranking and every score bit-identical at every shard
+//! count, to each other and to dense scoring of one unpartitioned index, which the
+//! equivalence suite in `crates/retrieval/tests/sharding.rs` pins:
 //!
 //! ```
-//! use rage_retrieval::document::{Corpus, Document};
-//! use rage_retrieval::index::IndexBuilder;
-//! use rage_retrieval::searcher::Searcher;
-//! use rage_retrieval::sharded::ShardedSearcher;
+//! use rage_retrieval::{Corpus, Document, Searcher};
 //!
 //! let mut corpus = Corpus::new();
 //! corpus.push(Document::new("d1", "Tennis rankings", "Federer leads total match wins"));
 //! corpus.push(Document::new("d2", "Grand slams", "Djokovic holds the most grand slam titles"));
 //! corpus.push(Document::new("d3", "Clay", "Nadal dominates the French Open on clay"));
 //!
-//! let single = Searcher::new(IndexBuilder::default().build(&corpus));
-//! let sharded = ShardedSearcher::from_corpus(&corpus, 2);
+//! let one = Searcher::from_corpus(&corpus, 1);
+//! let two = Searcher::from_corpus(&corpus, 2);
 //! let query = "who has the most grand slam titles";
-//! assert_eq!(single.search(query, 2), sharded.search(query, 2));
+//! assert_eq!(one.search(query, 2), two.search(query, 2));
+//! assert_eq!(one.search(query, 2)[0].doc_id, "d2");
 //! ```
 //!
 //! ## The query hot path: compact layout + exact dynamic pruning
@@ -86,11 +77,10 @@
 //!
 //! For every term the index records the maximum term frequency and minimum analysed
 //! document length over its postings ([`InvertedIndex::term_max_tf`] /
-//! [`InvertedIndex::term_min_dl`](index::InvertedIndex::term_min_dl)). The BM25
-//! per-term contribution is monotone non-decreasing in `tf` and non-increasing in
-//! document length whenever `k1 ≥ 0` and `0 ≤ b ≤ 1`, so the term score evaluated at
-//! `(max_tf, min_dl)` bounds the term's contribution to *any* document of the
-//! segment. The contract has three clauses:
+//! [`InvertedIndex::term_min_dl`]). The BM25 per-term contribution is monotone
+//! non-decreasing in `tf` and non-increasing in document length whenever `k1 ≥ 0` and
+//! `0 ≤ b ≤ 1`, so the term score evaluated at `(max_tf, min_dl)` bounds the term's
+//! contribution to *any* document of the segment. The contract has three clauses:
 //!
 //! * **Recomputation** — bounds are recomputed at every index (re)build, including
 //!   every delta-segment rebuild and shard compaction; there is no code path that
@@ -104,29 +94,8 @@
 //!   scored exhaustively instead.
 //!
 //! Pruned and exhaustive paths return identical rankings down to the score *bits*;
-//! [`Searcher::try_search_exhaustive`](searcher::Searcher::try_search_exhaustive) and
-//! [`ShardedSearcher::try_search_exhaustive`](sharded::ShardedSearcher::try_search_exhaustive)
-//! expose the dense oracle the differential suite (`crates/retrieval/tests/pruning.rs`)
-//! compares against.
-//!
-//! [`InvertedIndex::term_max_tf`]: index::InvertedIndex::term_max_tf
-//!
-//! ## Example
-//!
-//! ```
-//! use rage_retrieval::document::{Corpus, Document};
-//! use rage_retrieval::index::IndexBuilder;
-//! use rage_retrieval::searcher::Searcher;
-//!
-//! let mut corpus = Corpus::new();
-//! corpus.push(Document::new("d1", "Tennis rankings", "Federer leads total match wins"));
-//! corpus.push(Document::new("d2", "Grand slams", "Djokovic holds the most grand slam titles"));
-//!
-//! let index = IndexBuilder::default().build(&corpus);
-//! let searcher = Searcher::new(index);
-//! let hits = searcher.search("who has the most grand slam titles", 2);
-//! assert_eq!(hits[0].doc_id, "d2");
-//! ```
+//! [`Searcher::try_search_exhaustive`] exposes the dense oracle the differential suite
+//! (`crates/retrieval/tests/pruning.rs`) compares against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -149,6 +118,5 @@ pub use retriever::{CorpusVersion, Retriever};
 pub use searcher::{RankedSource, Searcher};
 pub use sharded::{
     corpus_fingerprint, document_fingerprint, LiveSearcher, ShardedIndex, ShardedIndexBuilder,
-    ShardedSearcher,
 };
 pub use tokenize::Tokenizer;

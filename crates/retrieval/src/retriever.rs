@@ -4,8 +4,8 @@
 //! RAGE only needs three things from retrieval: a ranked top-`k` context for a query,
 //! a way to score an individual document against a query (for the retrieval-based
 //! source-scoring method), and the collection size. This trait captures exactly that
-//! surface so the RAG pipeline can be wired onto *any* backend — the single-index
-//! [`Searcher`], the partitioned [`ShardedSearcher`](crate::sharded::ShardedSearcher),
+//! surface so the RAG pipeline can be wired onto *any* backend — the BM25
+//! [`Searcher`](crate::Searcher), its mutable [`LiveSearcher`](crate::LiveSearcher),
 //! or a future remote/vector backend — without touching the explanation engine.
 //!
 //! ## The ranking contract
@@ -68,9 +68,9 @@ pub trait Retriever: Send + Sync {
     /// The identity of the corpus state this retriever answers from, if the backend
     /// tracks one.
     ///
-    /// Mutable backends ([`LiveSearcher`](crate::sharded::LiveSearcher),
-    /// [`ShardedSearcher`](crate::sharded::ShardedSearcher)) return the current
-    /// [`CorpusVersion`]; immutable backends keep the `None` default. Pipelines and
+    /// The BM25 backends ([`Searcher`](crate::Searcher),
+    /// [`LiveSearcher`](crate::LiveSearcher)) return the current [`CorpusVersion`];
+    /// backends that track no corpus state keep the `None` default. Pipelines and
     /// services thread this value into cache keys and report provenance.
     fn corpus_version(&self) -> Option<CorpusVersion> {
         None
@@ -135,7 +135,6 @@ impl<R: Retriever + ?Sized> Retriever for std::sync::Arc<R> {
 mod tests {
     use super::*;
     use crate::document::{Corpus, Document};
-    use crate::index::IndexBuilder;
     use crate::searcher::Searcher;
 
     fn searcher() -> Searcher {
@@ -146,7 +145,7 @@ mod tests {
             "djokovic holds the most grand slam titles",
         ));
         corpus.push(Document::new("wins", "", "federer leads total match wins"));
-        Searcher::new(IndexBuilder::default().build(&corpus))
+        Searcher::from_corpus(&corpus, 1)
     }
 
     #[test]

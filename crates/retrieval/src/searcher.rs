@@ -1,9 +1,17 @@
-//! Top-k search over the inverted index.
+//! Top-k BM25 search over the segmented index.
 //!
 //! [`Searcher`] is the facade RAGE's pipeline talks to. Its [`Searcher::search`] method
 //! plays the role of the paper's retrieval model `M`: given a query `q` and a relevance
 //! threshold `k` it returns the ranked context `Dq`, each entry carrying the retrieval
 //! relevance score used by one of RAGE's two source-scoring methods.
+//!
+//! A searcher queries a [`ShardedIndex`]: one shard for a corpus of the paper's scale
+//! ([`Searcher::from_corpus`] with `num_shards = 1`), or `N` contiguous shards for large
+//! corpora. Each segment (a shard's base and its delta, see the [`sharded`] module docs)
+//! is searched with the pruned engine of [`crate::topk`], and the per-segment selections
+//! merge exactly into one ranking, so the shard count never changes a result.
+//!
+//! [`sharded`]: crate::sharded
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -11,10 +19,12 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::bm25::{score_all, score_doc_with, Bm25Params, CollectionStats};
-use crate::document::Document;
+use crate::bm25::{score_all_with, score_doc_with, Bm25Params, CollectionStats};
+use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
 use crate::index::InvertedIndex;
+use crate::retriever::{CorpusVersion, Retriever};
+use crate::sharded::{ShardedIndex, ShardedIndexBuilder};
 use crate::topk::{prunable, pruned_top_k, ScoreWorkspace};
 
 /// One retrieved source: a document plus its rank and BM25 score for the query.
@@ -126,18 +136,22 @@ pub(crate) fn select_top_k<'a>(
     )
 }
 
-/// BM25 searcher over an [`InvertedIndex`].
+/// One selected candidate: its score, id, segment and segment-local ordinal.
+type Candidate<'a> = (f64, &'a str, &'a InvertedIndex, u32);
+
+/// BM25 searcher over a [`ShardedIndex`] (see the [module docs](self)).
 ///
-/// Queries run on the pruned sparse path ([`crate::topk`]) — bit-identical to the
-/// exhaustive dense scoring, which remains available as
-/// [`Searcher::try_search_exhaustive`] (the differential oracle the pruning property
-/// suite and the retrieval bench compare against).
+/// Queries run on the pruned sparse path ([`crate::topk`]), bit-identical to dense
+/// scoring of every document, which remains available as
+/// [`Searcher::try_search_exhaustive`] — the differential oracle the pruning property
+/// suite and the retrieval bench compare against.
 #[derive(Debug)]
 pub struct Searcher {
-    index: InvertedIndex,
+    index: ShardedIndex,
     params: Bm25Params,
-    /// Reusable sparse accumulator (see [`ScoreWorkspace`]). Concurrent queries that
-    /// miss the lock score on a fresh transient workspace instead of blocking.
+    /// Reusable sparse scoring workspace shared by every segment of a query (sized to
+    /// the largest segment touched). Queries that find it busy fall back to a
+    /// throwaway workspace — results are identical either way.
     workspace: Mutex<ScoreWorkspace>,
 }
 
@@ -153,12 +167,19 @@ impl Clone for Searcher {
 
 impl Searcher {
     /// Create a searcher with default (Pyserini) BM25 parameters.
-    pub fn new(index: InvertedIndex) -> Self {
+    pub fn new(index: ShardedIndex) -> Self {
         Self {
             index,
             params: Bm25Params::default(),
             workspace: Mutex::new(ScoreWorkspace::new()),
         }
+    }
+
+    /// Partition, index and wrap a corpus in one step with defaults. One shard is the
+    /// right choice for the demonstration corpora; more shards build in parallel and
+    /// return the same rankings.
+    pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
+        Self::new(ShardedIndexBuilder::new(num_shards).build(corpus))
     }
 
     /// Override the BM25 parameters.
@@ -167,9 +188,14 @@ impl Searcher {
         self
     }
 
-    /// The underlying index.
-    pub fn index(&self) -> &InvertedIndex {
+    /// The underlying segmented index.
+    pub fn index(&self) -> &ShardedIndex {
         &self.index
+    }
+
+    /// Mutable access to the underlying index, for incremental mutations.
+    pub fn index_mut(&mut self) -> &mut ShardedIndex {
+        &mut self.index
     }
 
     /// The BM25 parameters in use.
@@ -181,13 +207,17 @@ impl Searcher {
     ///
     /// Documents scoring exactly zero (no query term matches) are never returned, so the
     /// result may be shorter than `k`. Ties are broken by ascending document id (see
-    /// [`Retriever`](crate::retriever::Retriever)), which keeps results deterministic
-    /// and independent of how the corpus is partitioned or merged.
+    /// [`Retriever`]), which keeps results deterministic and independent of how the
+    /// corpus is partitioned or merged.
     pub fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
         self.try_search(query, k).unwrap_or_default()
     }
 
     /// Like [`Searcher::search`] but reports empty/unanalysable queries as errors.
+    ///
+    /// Runs the exact dynamic-pruning engine over every segment; parameters outside
+    /// the pruning admissibility envelope fall back to exhaustive scoring. Either way
+    /// the result is bit-identical to [`try_search_exhaustive`](Self::try_search_exhaustive).
     pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
         let terms = self.index.tokenizer().tokenize(query);
         if terms.is_empty() {
@@ -196,48 +226,17 @@ impl Searcher {
         if k == 0 || self.index.num_docs() == 0 {
             return Ok(Vec::new());
         }
-
-        let selected = if prunable(self.params) {
-            let doc_freqs: Vec<usize> = terms.iter().map(|t| self.index.doc_freq(t)).collect();
-            let stats = CollectionStats {
-                num_docs: self.index.num_docs(),
-                avg_doc_len: self.index.avg_doc_len(),
-                doc_freqs: &doc_freqs,
-            };
-            match self.workspace.try_lock() {
-                Ok(mut ws) => pruned_top_k(
-                    &self.index,
-                    &terms,
-                    self.params,
-                    &stats,
-                    k,
-                    None,
-                    None,
-                    &mut ws,
-                ),
-                Err(_) => pruned_top_k(
-                    &self.index,
-                    &terms,
-                    self.params,
-                    &stats,
-                    k,
-                    None,
-                    None,
-                    &mut ScoreWorkspace::new(),
-                ),
-            }
-        } else {
+        if !prunable(self.params) {
             // Exotic parameters (k1 < 0 or b outside [0, 1]) void the bound
             // admissibility argument — score exhaustively instead.
-            let scores = score_all(&self.index, &terms, self.params);
-            select_top_k(&scores, k, |ordinal| {
-                self.index
-                    .doc_id(ordinal)
-                    .expect("ordinal produced by scoring must exist")
-            })
-        };
-
-        Ok(self.to_ranked(selected))
+            return Ok(self.exhaustive_with_terms(&terms, k));
+        }
+        let doc_freqs = self.index.doc_freqs(&terms);
+        let stats = self.index.stats(&doc_freqs);
+        Ok(match self.workspace.try_lock() {
+            Ok(mut ws) => self.pruned_with_terms(&terms, k, &stats, &mut ws),
+            Err(_) => self.pruned_with_terms(&terms, k, &stats, &mut ScoreWorkspace::new()),
+        })
     }
 
     /// The exhaustive dense-scoring path: identical results (bit-for-bit scores) to
@@ -258,36 +257,60 @@ impl Searcher {
         if k == 0 || self.index.num_docs() == 0 {
             return Ok(Vec::new());
         }
-        let scores = score_all(&self.index, &terms, self.params);
-        let selected = select_top_k(&scores, k, |ordinal| {
-            self.index
-                .doc_id(ordinal)
-                .expect("ordinal produced by scoring must exist")
-        });
-        Ok(self.to_ranked(selected))
+        Ok(self.exhaustive_with_terms(&terms, k))
     }
 
-    fn to_ranked(&self, selected: Vec<(u32, f64)>) -> Vec<RankedSource> {
-        selected
-            .into_iter()
-            .enumerate()
-            .map(|(rank, (ordinal, score))| {
-                let document = self
-                    .index
-                    .document(ordinal)
-                    .expect("ordinal produced by scoring must exist")
-                    .clone();
-                RankedSource {
-                    doc_id: document.id.clone(),
-                    rank,
-                    score,
-                    document,
-                }
-            })
-            .collect()
+    /// Pruned per-segment top-k with a running cross-segment threshold, then an exact
+    /// merge of the candidates under the shared rank order.
+    fn pruned_with_terms(
+        &self,
+        terms: &[String],
+        k: usize,
+        stats: &CollectionStats<'_>,
+        ws: &mut ScoreWorkspace,
+    ) -> Vec<RankedSource> {
+        let mut candidates: Vec<Candidate<'_>> = Vec::new();
+        // Once k candidates exist globally, their k-th best (exact) score is a valid
+        // initial pruning threshold for every later segment: a document scoring
+        // strictly below it cannot displace any of them in the merged ranking.
+        let mut floor: Option<f64> = None;
+        for (segment, dead) in self.index.segments() {
+            let selected = pruned_top_k(segment, terms, self.params, stats, k, dead, floor, ws);
+            for (local, score) in selected {
+                candidates.push((score, id_in(segment, local), segment, local));
+            }
+            candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
+            candidates.truncate(k);
+            if candidates.len() == k {
+                floor = Some(candidates[k - 1].0);
+            }
+        }
+        to_ranked(candidates)
     }
 
-    /// Score a single document (by id) against a query, even if it would not rank top-k.
+    /// Dense scoring of every segment; tombstoned base ordinals are zeroed before
+    /// selection (`select_top_k` never returns non-positive scores), so dead documents
+    /// are indistinguishable from absent ones.
+    fn exhaustive_with_terms(&self, terms: &[String], k: usize) -> Vec<RankedSource> {
+        let doc_freqs = self.index.doc_freqs(terms);
+        let stats = self.index.stats(&doc_freqs);
+        let mut candidates: Vec<Candidate<'_>> = Vec::new();
+        for (segment, dead) in self.index.segments() {
+            let mut scores = score_all_with(segment, terms, self.params, &stats);
+            for &ordinal in dead.into_iter().flatten() {
+                scores[ordinal as usize] = 0.0;
+            }
+            for (local, score) in select_top_k(&scores, k, |o| id_in(segment, o)) {
+                candidates.push((score, id_in(segment, local), segment, local));
+            }
+        }
+        candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
+        candidates.truncate(k);
+        to_ranked(candidates)
+    }
+
+    /// Score a single document (by id) against a query, even if it would not rank
+    /// top-k.
     ///
     /// Bit-identical to the document's entry in the dense score vector, computed
     /// directly by probing each query term's postings (O(terms · log postings)
@@ -297,27 +320,43 @@ impl Searcher {
         if terms.is_empty() {
             return Err(RetrievalError::EmptyQuery);
         }
-        let ordinal = self
+        let (segment, local) = self
             .index
-            .ordinal_of(doc_id)
+            .locate(doc_id)
             .ok_or_else(|| RetrievalError::UnknownDocument(doc_id.to_string()))?;
-        let doc_freqs: Vec<usize> = terms.iter().map(|t| self.index.doc_freq(t)).collect();
-        let stats = CollectionStats {
-            num_docs: self.index.num_docs(),
-            avg_doc_len: self.index.avg_doc_len(),
-            doc_freqs: &doc_freqs,
-        };
-        Ok(score_doc_with(
-            &self.index,
-            &terms,
-            self.params,
-            &stats,
-            ordinal,
-        ))
+        let doc_freqs = self.index.doc_freqs(&terms);
+        let stats = self.index.stats(&doc_freqs);
+        Ok(score_doc_with(segment, &terms, self.params, &stats, local))
     }
 }
 
-impl crate::retriever::Retriever for Searcher {
+/// The id of a segment-local ordinal that scoring produced.
+fn id_in(segment: &InvertedIndex, ordinal: u32) -> &str {
+    segment
+        .doc_id(ordinal)
+        .expect("ordinal produced by scoring must exist")
+}
+
+fn to_ranked(candidates: Vec<Candidate<'_>>) -> Vec<RankedSource> {
+    candidates
+        .into_iter()
+        .enumerate()
+        .map(|(rank, (score, _, segment, local))| {
+            let document = segment
+                .document(local)
+                .expect("ordinal produced by scoring must exist")
+                .clone();
+            RankedSource {
+                doc_id: document.id.clone(),
+                rank,
+                score,
+                document,
+            }
+        })
+        .collect()
+}
+
+impl Retriever for Searcher {
     fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
         Searcher::try_search(self, query, k)
     }
@@ -333,12 +372,15 @@ impl crate::retriever::Retriever for Searcher {
     fn num_docs(&self) -> usize {
         self.index.num_docs()
     }
+
+    fn corpus_version(&self) -> Option<CorpusVersion> {
+        Some(self.index.corpus_version())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::{Corpus, Document};
     use crate::index::IndexBuilder;
 
     fn searcher() -> Searcher {
@@ -368,7 +410,7 @@ mod tests {
             "Pasta",
             "Boil water, add salt, cook the pasta until al dente",
         ));
-        Searcher::new(IndexBuilder::default().build(&corpus))
+        Searcher::from_corpus(&corpus, 1)
     }
 
     #[test]
@@ -433,7 +475,7 @@ mod tests {
         let mut corpus = Corpus::new();
         corpus.push(Document::new("first", "", "identical text here"));
         corpus.push(Document::new("second", "", "identical text here"));
-        let s = Searcher::new(IndexBuilder::default().build(&corpus));
+        let s = Searcher::from_corpus(&corpus, 1);
         let hits = s.search("identical text", 2);
         assert_eq!(hits[0].doc_id, "first");
         assert_eq!(hits[1].doc_id, "second");
@@ -449,7 +491,7 @@ mod tests {
         for id in ["dup-d", "dup-b", "dup-c", "dup-a"] {
             corpus.push(Document::new(id, "", "identical text here"));
         }
-        let s = Searcher::new(IndexBuilder::default().build(&corpus));
+        let s = Searcher::from_corpus(&corpus, 1);
         let hits = s.search("identical text", 4);
         let ids: Vec<&str> = hits.iter().map(|h| h.doc_id.as_str()).collect();
         assert_eq!(ids, vec!["dup-a", "dup-b", "dup-c", "dup-d"]);
@@ -519,10 +561,10 @@ mod tests {
             "",
             "registry and much other filler text here",
         ));
-        let s = Searcher::new(IndexBuilder::default().build(&corpus));
+        let index = IndexBuilder::default().build(&corpus);
 
-        let terms = s.index().tokenizer().tokenize("identical registry entry");
-        let dense = crate::bm25::score_all(s.index(), &terms, s.params());
+        let terms = index.tokenizer().tokenize("identical registry entry");
+        let dense = crate::bm25::score_all(&index, &terms, Bm25Params::default());
         for k in [1, 2, 3, 4, 5, 9, 13, 14, 20] {
             // Naive oracle: full sort under the shared rank order.
             let mut all: Vec<(u32, f64)> = dense
@@ -534,13 +576,13 @@ mod tests {
             all.sort_by(|a, b| {
                 rank_cmp(
                     a.1,
-                    s.index().doc_id(a.0).unwrap(),
+                    index.doc_id(a.0).unwrap(),
                     b.1,
-                    s.index().doc_id(b.0).unwrap(),
+                    index.doc_id(b.0).unwrap(),
                 )
             });
             all.truncate(k);
-            let got = select_top_k(&dense, k, |o| s.index().doc_id(o).unwrap());
+            let got = select_top_k(&dense, k, |o| index.doc_id(o).unwrap());
             assert_eq!(got.len(), all.len(), "k={k}");
             for (g, e) in got.iter().zip(&all) {
                 assert_eq!(g.0, e.0, "k={k}");
@@ -569,7 +611,7 @@ mod tests {
 
     #[test]
     fn search_on_empty_index() {
-        let s = Searcher::new(IndexBuilder::default().build(&Corpus::new()));
+        let s = Searcher::from_corpus(&Corpus::new(), 1);
         assert!(s.search("anything", 5).is_empty());
     }
 

@@ -1,12 +1,12 @@
-//! Sharded BM25 retrieval: per-shard indexes, globally exact merged rankings, and
-//! incremental mutation through per-shard delta segments.
+//! The segmented index behind [`Searcher`]: per-shard base and delta segments, global
+//! collection statistics, and incremental mutation.
 //!
-//! [`ShardedSearcher`] partitions a corpus into `N` contiguous shards, builds one
-//! [`InvertedIndex`] per shard (optionally in parallel), and answers queries by merging
-//! per-shard top-k selections. The merged ranking is **bit-identical** to what a single
-//! [`Searcher`](crate::searcher::Searcher) over the whole corpus returns, for every
-//! shard count — this is the contract the sharding equivalence suite
-//! (`crates/retrieval/tests/sharding.rs`) pins.
+//! [`ShardedIndex`] partitions a corpus into `N` contiguous shards — one for a corpus
+//! of the paper's scale — and builds one [`InvertedIndex`] per shard, on one thread per
+//! shard. [`Searcher`] answers a query by merging per-segment top-k selections. The
+//! merged ranking does not depend on `N`: it is bit-identical to dense scoring of one
+//! unpartitioned index, which the sharding suite (`crates/retrieval/tests/sharding.rs`)
+//! checks at 1, 2, 3, 7 and 16 shards.
 //!
 //! Two mechanisms make exactness possible:
 //!
@@ -14,7 +14,7 @@
 //!    collection-level statistics (document count, per-term document frequencies,
 //!    average document length). Each shard is therefore scored with the statistics of
 //!    the *whole* corpus, so every per-document score is computed from exactly the
-//!    same operands in exactly the same order as in the single-index path.
+//!    same operands in exactly the same order as in an unpartitioned index.
 //! 2. **Layout-free tie-breaking.** All rankings order by descending score under
 //!    `f64::total_cmp` with ties broken by ascending document id (never by an
 //!    index-local ordinal), so the ranking is a pure function of the `(document,
@@ -31,8 +31,8 @@
 //! skipping it is exact). Every emitted score is still produced by the shared
 //! query-order rescoring kernel, preserving bit-identity; parameter settings outside
 //! the bounds' admissibility envelope fall back to exhaustive scoring
-//! ([`try_search_exhaustive`](ShardedSearcher::try_search_exhaustive), which is also
-//! the differential oracle the pruning suite compares against).
+//! ([`Searcher::try_search_exhaustive`], which is also the differential oracle the
+//! pruning suite compares against).
 //!
 //! ## The delta/compaction contract
 //!
@@ -52,9 +52,8 @@
 //! documents are subtracted from the per-term document frequencies they contributed
 //! to. Queries score every segment with these global stats and exclude tombstoned
 //! ordinals from candidacy, so by the two mechanisms above the ranking and every
-//! score are **bit-identical to a from-scratch
-//! [`ShardedIndexBuilder::build`]** of the current live document set — at every
-//! version. The incremental-equivalence suite
+//! score are **bit-identical to a from-scratch [`ShardedIndexBuilder::build`]** of the
+//! current live document set — at every version. The incremental-equivalence suite
 //! (`crates/retrieval/tests/incremental.rs`) pins this across random interleavings of
 //! mutations and compactions.
 //!
@@ -70,17 +69,16 @@
 //! caches key on the version to invalidate stale results.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 
-use crate::bm25::{score_all_with, score_doc_with, Bm25Params, CollectionStats};
+use crate::bm25::CollectionStats;
 use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
 use crate::index::{IndexBuilder, InvertedIndex};
 use crate::retriever::{CorpusVersion, Retriever};
-use crate::searcher::{rank_cmp, select_top_k, RankedSource};
+use crate::searcher::{RankedSource, Searcher};
 use crate::tokenize::Tokenizer;
-use crate::topk::{prunable, pruned_top_k, ScoreWorkspace};
 
 /// A delta segment larger than this triggers automatic compaction of its shard.
 const DELTA_COMPACT_LIMIT: usize = 64;
@@ -121,13 +119,11 @@ pub fn corpus_fingerprint(corpus: &Corpus) -> u64 {
         .fold(0u64, |acc, doc| acc.wrapping_add(document_fingerprint(doc)))
 }
 
-/// Builder for [`ShardedIndex`]: how many shards, which tokenizer, and whether the
-/// per-shard indexes are built on worker threads.
+/// Builder for [`ShardedIndex`]: how many shards and which tokenizer.
 #[derive(Debug, Clone)]
 pub struct ShardedIndexBuilder {
     tokenizer: Tokenizer,
     num_shards: usize,
-    parallel_build: bool,
 }
 
 impl ShardedIndexBuilder {
@@ -143,7 +139,6 @@ impl ShardedIndexBuilder {
         Self {
             tokenizer: Tokenizer::default(),
             num_shards,
-            parallel_build: true,
         }
     }
 
@@ -153,29 +148,30 @@ impl ShardedIndexBuilder {
         self
     }
 
-    /// Build the per-shard indexes on one worker thread per shard (the default) or
-    /// sequentially on the calling thread. The built index is identical either way;
-    /// this only trades wall-clock time for threads on multicore machines.
-    pub fn with_parallel_build(mut self, parallel: bool) -> Self {
-        self.parallel_build = parallel;
-        self
-    }
-
-    /// Analyse and index every document of the corpus, one index per shard.
+    /// Analyse and index every document of the corpus, one index per shard. Several
+    /// shards build on one scoped thread each, collected in shard order, so the index
+    /// does not depend on scheduling.
     pub fn build(&self, corpus: &Corpus) -> ShardedIndex {
         let docs = corpus.documents();
         let bounds = partition_bounds(docs.len(), self.num_shards);
         let index_builder = IndexBuilder::default().with_tokenizer(self.tokenizer.clone());
 
+        // Each shard's documents are copied once, into the shard corpus that then
+        // moves into its index.
         let build_one = |(start, end): (usize, usize)| -> InvertedIndex {
-            let sub = Corpus::from_documents(docs[start..end].to_vec())
-                .expect("parent corpus ids are unique");
-            index_builder.build(&sub)
+            let shard_docs = &docs[start..end];
+            let analysed: Vec<Vec<String>> = shard_docs
+                .iter()
+                .map(|doc| self.tokenizer.tokenize(&doc.full_text()))
+                .collect();
+            let shard =
+                Corpus::from_documents(shard_docs.to_vec()).expect("parent corpus ids are unique");
+            index_builder.build_analysed(shard, &analysed)
         };
 
-        let indexes: Vec<InvertedIndex> = if self.parallel_build && self.num_shards > 1 {
-            // PR 2's scoped-worker pattern: one thread per shard, results collected in
-            // shard order so the outcome is independent of scheduling.
+        let indexes: Vec<InvertedIndex> = if self.num_shards == 1 {
+            vec![build_one(bounds[0])]
+        } else {
             thread::scope(|scope| {
                 let build_one = &build_one;
                 let handles: Vec<_> = bounds
@@ -187,12 +183,10 @@ impl ShardedIndexBuilder {
                     .map(|h| h.join().expect("shard index build panicked"))
                     .collect()
             })
-        } else {
-            bounds.iter().map(|&b| build_one(b)).collect()
         };
 
         // Exact global statistics: summing integer token counts is order-independent,
-        // so the average equals the single-index computation bit-for-bit.
+        // so the average equals an unpartitioned index's bit-for-bit.
         let num_docs = docs.len();
         let total_len: u64 = indexes
             .iter()
@@ -280,7 +274,7 @@ impl Shard {
     fn rebuild_delta(&mut self, builder: &IndexBuilder) {
         let corpus =
             Corpus::from_documents(self.delta_docs.clone()).expect("delta document ids are unique");
-        self.delta = builder.build_analysed(&corpus, &self.delta_tokens);
+        self.delta = builder.build_analysed(corpus, &self.delta_tokens);
     }
 
     /// Whether this shard's pending state warrants folding into a new base segment.
@@ -342,7 +336,7 @@ impl ShardedIndex {
         self.num_docs
     }
 
-    /// Global average analysed document length (identical to the single-index value).
+    /// Global average analysed document length (identical to an unpartitioned index's).
     pub fn avg_doc_len(&self) -> f64 {
         self.avg_doc_len
     }
@@ -517,15 +511,14 @@ impl ShardedIndex {
     }
 
     /// Global document frequencies for a whole query, parallel to `terms`.
-    fn doc_freqs(&self, terms: &[String]) -> Vec<usize> {
+    pub(crate) fn doc_freqs(&self, terms: &[String]) -> Vec<usize> {
         terms.iter().map(|t| self.doc_freq(t)).collect()
     }
 
-    /// The global collection statistics every segment must be scored with. Both query
-    /// paths ([`ShardedSearcher::try_search`] and
-    /// [`ShardedSearcher::score_document`]) assemble their stats here, so the
-    /// bit-identity contract has a single implementation to keep correct.
-    fn stats<'a>(&self, doc_freqs: &'a [usize]) -> CollectionStats<'a> {
+    /// The global collection statistics every segment must be scored with. Every
+    /// query path of [`Searcher`] assembles its stats here, so the bit-identity
+    /// contract has a single implementation to keep correct.
+    pub(crate) fn stats<'a>(&self, doc_freqs: &'a [usize]) -> CollectionStats<'a> {
         CollectionStats {
             num_docs: self.num_docs,
             avg_doc_len: self.avg_doc_len,
@@ -533,9 +526,23 @@ impl ShardedIndex {
         }
     }
 
+    /// Every non-empty segment in shard order, each shard's base (with its tombstoned
+    /// ordinals, if any) before its delta.
+    pub(crate) fn segments(
+        &self,
+    ) -> impl Iterator<Item = (&InvertedIndex, Option<&HashSet<u32>>)> + '_ {
+        self.shards
+            .iter()
+            .flat_map(|shard| {
+                let dead = (!shard.dead.is_empty()).then_some(&shard.dead);
+                [(&shard.base, dead), (&shard.delta, None)]
+            })
+            .filter(|(segment, _)| segment.num_docs() > 0)
+    }
+
     /// Find the segment holding the *live* copy of a document id, with the document's
     /// segment-local ordinal. Tombstoned base entries never match.
-    fn locate(&self, doc_id: &str) -> Option<(&InvertedIndex, u32)> {
+    pub(crate) fn locate(&self, doc_id: &str) -> Option<(&InvertedIndex, u32)> {
         for shard in &self.shards {
             if let Some(local) = shard.delta.ordinal_of(doc_id) {
                 return Some((&shard.delta, local));
@@ -550,264 +557,7 @@ impl ShardedIndex {
     }
 }
 
-/// BM25 searcher over a [`ShardedIndex`], rank-identical to [`Searcher`] over the same
-/// corpus (see the [module docs](self)).
-///
-/// [`Searcher`]: crate::searcher::Searcher
-#[derive(Debug)]
-pub struct ShardedSearcher {
-    index: ShardedIndex,
-    params: Bm25Params,
-    /// Reusable sparse scoring workspace shared by every segment of a query (sized to
-    /// the largest segment touched). Queries that find it busy fall back to a
-    /// throwaway workspace — results are identical either way.
-    workspace: Mutex<ScoreWorkspace>,
-}
-
-impl Clone for ShardedSearcher {
-    fn clone(&self) -> Self {
-        Self {
-            index: self.index.clone(),
-            params: self.params,
-            workspace: Mutex::new(ScoreWorkspace::new()),
-        }
-    }
-}
-
-impl ShardedSearcher {
-    /// Create a searcher with default (Pyserini) BM25 parameters.
-    pub fn new(index: ShardedIndex) -> Self {
-        Self {
-            index,
-            params: Bm25Params::default(),
-            workspace: Mutex::new(ScoreWorkspace::new()),
-        }
-    }
-
-    /// Convenience: partition, index and wrap a corpus in one step with defaults.
-    pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
-        Self::new(ShardedIndexBuilder::new(num_shards).build(corpus))
-    }
-
-    /// Override the BM25 parameters.
-    pub fn with_params(mut self, params: Bm25Params) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// The underlying sharded index.
-    pub fn index(&self) -> &ShardedIndex {
-        &self.index
-    }
-
-    /// Mutable access to the underlying index, for incremental mutations.
-    pub fn index_mut(&mut self) -> &mut ShardedIndex {
-        &mut self.index
-    }
-
-    /// The BM25 parameters in use.
-    pub fn params(&self) -> Bm25Params {
-        self.params
-    }
-
-    /// Retrieve the `k` most relevant sources for `query`, most relevant first.
-    /// Identical results to [`Searcher::search`](crate::searcher::Searcher::search)
-    /// over the unpartitioned corpus.
-    pub fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
-        self.try_search(query, k).unwrap_or_default()
-    }
-
-    /// Like [`ShardedSearcher::search`] but reports empty/unanalysable queries as
-    /// errors.
-    ///
-    /// Runs the exact dynamic-pruning engine over every segment (see the
-    /// [module docs](self)); parameters outside the pruning admissibility envelope
-    /// fall back to exhaustive scoring. Either way the result is bit-identical to
-    /// [`try_search_exhaustive`](Self::try_search_exhaustive).
-    pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
-        let terms = self.index.tokenizer.tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
-        if k == 0 || self.index.num_docs == 0 {
-            return Ok(Vec::new());
-        }
-        if !prunable(self.params) {
-            return self.exhaustive_with_terms(&terms, k);
-        }
-        let doc_freqs = self.index.doc_freqs(&terms);
-        let stats = self.index.stats(&doc_freqs);
-        match self.workspace.try_lock() {
-            Ok(mut ws) => self.pruned_with_terms(&terms, k, &stats, &mut ws),
-            Err(_) => self.pruned_with_terms(&terms, k, &stats, &mut ScoreWorkspace::new()),
-        }
-    }
-
-    /// Exhaustive-scoring oracle: identical results to [`try_search`](Self::try_search)
-    /// computed by densely scoring every document of every segment.
-    ///
-    /// This is the reference implementation the differential pruning suite
-    /// (`crates/retrieval/tests/pruning.rs`) and the retrieval benchmark compare
-    /// against; production queries should use [`try_search`](Self::try_search).
-    pub fn try_search_exhaustive(
-        &self,
-        query: &str,
-        k: usize,
-    ) -> Result<Vec<RankedSource>, RetrievalError> {
-        let terms = self.index.tokenizer.tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
-        if k == 0 || self.index.num_docs == 0 {
-            return Ok(Vec::new());
-        }
-        self.exhaustive_with_terms(&terms, k)
-    }
-
-    /// Pruned per-segment top-k with a running cross-segment threshold, then an exact
-    /// merge of the candidates under the shared rank order.
-    fn pruned_with_terms(
-        &self,
-        terms: &[String],
-        k: usize,
-        stats: &CollectionStats<'_>,
-        ws: &mut ScoreWorkspace,
-    ) -> Result<Vec<RankedSource>, RetrievalError> {
-        let mut candidates: Vec<(f64, &str, &InvertedIndex, u32)> = Vec::new();
-        // Once k candidates exist globally, their k-th best (exact) score is a valid
-        // initial pruning threshold for every later segment: a document scoring
-        // strictly below it cannot displace any of them in the merged ranking.
-        let mut floor: Option<f64> = None;
-        for shard in &self.index.shards {
-            let dead = (!shard.dead.is_empty()).then_some(&shard.dead);
-            let segments = [(&shard.base, dead), (&shard.delta, None)];
-            for (segment, dead) in segments {
-                if segment.num_docs() == 0 {
-                    continue;
-                }
-                let selected = pruned_top_k(segment, terms, self.params, stats, k, dead, floor, ws);
-                for (local, score) in selected {
-                    let id = segment
-                        .doc_id(local)
-                        .expect("ordinal produced by scoring must exist");
-                    candidates.push((score, id, segment, local));
-                }
-                candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
-                candidates.truncate(k);
-                if candidates.len() == k {
-                    floor = Some(candidates[k - 1].0);
-                }
-            }
-        }
-        Ok(Self::to_ranked(candidates))
-    }
-
-    /// Dense scoring of every segment; tombstoned base ordinals are zeroed before
-    /// selection (`select_top_k` never returns non-positive scores), so dead documents
-    /// are indistinguishable from absent ones.
-    fn exhaustive_with_terms(
-        &self,
-        terms: &[String],
-        k: usize,
-    ) -> Result<Vec<RankedSource>, RetrievalError> {
-        let doc_freqs = self.index.doc_freqs(terms);
-        let stats = self.index.stats(&doc_freqs);
-        let mut candidates: Vec<(f64, &str, &InvertedIndex, u32)> = Vec::new();
-        for shard in &self.index.shards {
-            let mut scores = score_all_with(&shard.base, terms, self.params, &stats);
-            for &dead in &shard.dead {
-                if let Some(slot) = scores.get_mut(dead as usize) {
-                    *slot = 0.0;
-                }
-            }
-            self.select_into(&shard.base, &scores, k, &mut candidates);
-            if shard.delta.num_docs() > 0 {
-                let scores = score_all_with(&shard.delta, terms, self.params, &stats);
-                self.select_into(&shard.delta, &scores, k, &mut candidates);
-            }
-        }
-        candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
-        candidates.truncate(k);
-        Ok(Self::to_ranked(candidates))
-    }
-
-    fn to_ranked(candidates: Vec<(f64, &str, &InvertedIndex, u32)>) -> Vec<RankedSource> {
-        candidates
-            .into_iter()
-            .enumerate()
-            .map(|(rank, (score, _, index, local))| {
-                let document = index
-                    .document(local)
-                    .expect("ordinal produced by scoring must exist")
-                    .clone();
-                RankedSource {
-                    doc_id: document.id.clone(),
-                    rank,
-                    score,
-                    document,
-                }
-            })
-            .collect()
-    }
-
-    fn select_into<'a>(
-        &self,
-        segment: &'a InvertedIndex,
-        scores: &[f64],
-        k: usize,
-        candidates: &mut Vec<(f64, &'a str, &'a InvertedIndex, u32)>,
-    ) {
-        let id_of = |ordinal: u32| {
-            segment
-                .doc_id(ordinal)
-                .expect("ordinal produced by scoring must exist")
-        };
-        for (local, score) in select_top_k(scores, k, id_of) {
-            candidates.push((score, id_of(local), segment, local));
-        }
-    }
-
-    /// Score a single document (by id) against a query, even if it would not rank
-    /// top-k. Bit-identical to the single-index
-    /// [`Searcher::score_document`](crate::searcher::Searcher::score_document).
-    pub fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
-        let terms = self.index.tokenizer.tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
-        let (segment, local) = self
-            .index
-            .locate(doc_id)
-            .ok_or_else(|| RetrievalError::UnknownDocument(doc_id.to_string()))?;
-        let doc_freqs = self.index.doc_freqs(&terms);
-        let stats = self.index.stats(&doc_freqs);
-        Ok(score_doc_with(segment, &terms, self.params, &stats, local))
-    }
-}
-
-impl Retriever for ShardedSearcher {
-    fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
-        ShardedSearcher::try_search(self, query, k)
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
-        ShardedSearcher::search(self, query, k)
-    }
-
-    fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
-        ShardedSearcher::score_document(self, query, doc_id)
-    }
-
-    fn num_docs(&self) -> usize {
-        self.index.num_docs()
-    }
-
-    fn corpus_version(&self) -> Option<CorpusVersion> {
-        Some(self.index.corpus_version())
-    }
-}
-
-/// A thread-safe, mutable retrieval backend: a [`ShardedSearcher`] behind a `RwLock`.
+/// A thread-safe, mutable retrieval backend: a [`Searcher`] behind a `RwLock`.
 ///
 /// Queries take a read lock (and so run concurrently); mutations take the write lock
 /// and apply incrementally through the [delta/compaction contract](self). A pipeline
@@ -816,12 +566,12 @@ impl Retriever for ShardedSearcher {
 /// [`Retriever::corpus_version`] to invalidate anything it cached.
 #[derive(Debug)]
 pub struct LiveSearcher {
-    inner: RwLock<ShardedSearcher>,
+    inner: RwLock<Searcher>,
 }
 
 impl LiveSearcher {
     /// Wrap an existing searcher.
-    pub fn new(searcher: ShardedSearcher) -> Self {
+    pub fn new(searcher: Searcher) -> Self {
         Self {
             inner: RwLock::new(searcher),
         }
@@ -829,14 +579,14 @@ impl LiveSearcher {
 
     /// Partition, index and wrap a corpus in one step with defaults.
     pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
-        Self::new(ShardedSearcher::from_corpus(corpus, num_shards))
+        Self::new(Searcher::from_corpus(corpus, num_shards))
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, ShardedSearcher> {
+    fn read(&self) -> RwLockReadGuard<'_, Searcher> {
         self.inner.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, ShardedSearcher> {
+    fn write(&self) -> RwLockWriteGuard<'_, Searcher> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -918,8 +668,7 @@ impl Retriever for LiveSearcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::Document;
-    use crate::searcher::Searcher;
+    use crate::bm25::{score_all, Bm25Params};
 
     fn corpus() -> Corpus {
         let mut corpus = Corpus::new();
@@ -951,9 +700,39 @@ mod tests {
         corpus
     }
 
-    fn assert_same_hits(single: &[RankedSource], sharded: &[RankedSource]) {
-        assert_eq!(single.len(), sharded.len());
-        for (a, b) in single.iter().zip(sharded) {
+    /// The unpartitioned dense reference's score vector, in corpus order:
+    /// `bm25::score_all` over one index of the whole corpus.
+    fn reference_scores(corpus: &Corpus, params: Bm25Params, query: &str) -> Vec<f64> {
+        let index = IndexBuilder::default().build(corpus);
+        let terms = index.tokenizer().tokenize(query);
+        score_all(&index, &terms, params)
+    }
+
+    /// The reference ranking: positive dense scores only, fully sorted by descending
+    /// score (`total_cmp`) then ascending id, truncated to `k`.
+    fn reference(corpus: &Corpus, params: Bm25Params, query: &str, k: usize) -> Vec<RankedSource> {
+        let scores = reference_scores(corpus, params, query);
+        let mut hits: Vec<(f64, &Document)> = scores
+            .into_iter()
+            .zip(corpus.iter())
+            .filter(|(score, _)| *score > 0.0)
+            .collect();
+        hits.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.id.cmp(&b.1.id)));
+        hits.truncate(k);
+        hits.into_iter()
+            .enumerate()
+            .map(|(rank, (score, doc))| RankedSource {
+                doc_id: doc.id.clone(),
+                rank,
+                score,
+                document: doc.clone(),
+            })
+            .collect()
+    }
+
+    fn assert_same_hits(expected: &[RankedSource], got: &[RankedSource]) {
+        assert_eq!(expected.len(), got.len());
+        for (a, b) in expected.iter().zip(got) {
             assert_eq!(a.doc_id, b.doc_id);
             assert_eq!(a.rank, b.rank);
             assert_eq!(
@@ -969,16 +748,18 @@ mod tests {
     #[test]
     fn matches_single_index_for_every_shard_count() {
         let corpus = corpus();
-        let single = Searcher::new(IndexBuilder::default().build(&corpus));
-        for shards in 1..=7 {
-            let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+        for shards in [1, 2, 3, 7, 16] {
+            let sharded = Searcher::from_corpus(&corpus, shards);
             for query in [
                 "grand slam titles",
                 "djokovic federer nadal titles wins",
                 "pasta",
             ] {
                 for k in [1, 2, 5, 10] {
-                    assert_same_hits(&single.search(query, k), &sharded.search(query, k));
+                    assert_same_hits(
+                        &reference(&corpus, Bm25Params::default(), query, k),
+                        &sharded.search(query, k),
+                    );
                 }
             }
         }
@@ -995,7 +776,7 @@ mod tests {
     #[test]
     fn empty_shards_are_harmless() {
         let corpus = corpus();
-        let sharded = ShardedSearcher::from_corpus(&corpus, 9);
+        let sharded = Searcher::from_corpus(&corpus, 9);
         assert_eq!(sharded.index().num_shards(), 9);
         assert!(sharded.index().shard_sizes().contains(&0));
         let hits = sharded.search("grand slam titles", 3);
@@ -1018,31 +799,14 @@ mod tests {
     }
 
     #[test]
-    fn sequential_build_is_identical_to_parallel() {
-        let corpus = corpus();
-        let parallel = ShardedSearcher::new(ShardedIndexBuilder::new(3).build(&corpus));
-        let sequential = ShardedSearcher::new(
-            ShardedIndexBuilder::new(3)
-                .with_parallel_build(false)
-                .build(&corpus),
-        );
-        assert_same_hits(
-            &parallel.search("most titles", 5),
-            &sequential.search("most titles", 5),
-        );
-    }
-
-    #[test]
     fn score_document_matches_single_index_bitwise() {
         let corpus = corpus();
-        let single = Searcher::new(IndexBuilder::default().build(&corpus));
-        let sharded = ShardedSearcher::from_corpus(&corpus, 4);
-        for id in ["wins", "slams", "weeks", "clay", "cooking"] {
-            let a = single.score_document("most grand slam titles", id).unwrap();
-            let b = sharded
-                .score_document("most grand slam titles", id)
-                .unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "{id}");
+        let query = "most grand slam titles";
+        let dense = reference_scores(&corpus, Bm25Params::default(), query);
+        let sharded = Searcher::from_corpus(&corpus, 4);
+        for (doc, expected) in corpus.iter().zip(&dense) {
+            let got = sharded.score_document(query, &doc.id).unwrap();
+            assert_eq!(got.to_bits(), expected.to_bits(), "{}", doc.id);
         }
         assert!(matches!(
             sharded.score_document("titles", "nope"),
@@ -1056,13 +820,13 @@ mod tests {
 
     #[test]
     fn empty_query_and_empty_corpus() {
-        let sharded = ShardedSearcher::from_corpus(&corpus(), 2);
+        let sharded = Searcher::from_corpus(&corpus(), 2);
         assert!(matches!(
             sharded.try_search("the of and", 3),
             Err(RetrievalError::EmptyQuery)
         ));
         assert!(sharded.search("anything", 0).is_empty());
-        let empty = ShardedSearcher::from_corpus(&Corpus::new(), 4);
+        let empty = Searcher::from_corpus(&Corpus::new(), 4);
         assert!(empty.search("anything", 5).is_empty());
         assert_eq!(empty.index().num_docs(), 0);
     }
@@ -1070,11 +834,9 @@ mod tests {
     #[test]
     fn custom_params_are_respected() {
         let corpus = corpus();
-        let single = Searcher::new(IndexBuilder::default().build(&corpus))
-            .with_params(Bm25Params::robertson());
-        let sharded = ShardedSearcher::from_corpus(&corpus, 3).with_params(Bm25Params::robertson());
+        let sharded = Searcher::from_corpus(&corpus, 3).with_params(Bm25Params::robertson());
         assert_same_hits(
-            &single.search("grand slam titles", 5),
+            &reference(&corpus, Bm25Params::robertson(), "grand slam titles", 5),
             &sharded.search("grand slam titles", 5),
         );
         assert_eq!(sharded.params(), Bm25Params::robertson());
@@ -1120,8 +882,8 @@ mod tests {
             ))
             .unwrap();
 
-        let live = ShardedSearcher::new(index.clone());
-        let rebuilt = ShardedSearcher::new(ShardedIndexBuilder::new(3).build(&mirror));
+        let live = Searcher::new(index.clone());
+        let rebuilt = Searcher::new(ShardedIndexBuilder::new(3).build(&mirror));
         assert_same_hits(
             &live.search("french open clay titles", 5),
             &rebuilt.search("french open clay titles", 5),
@@ -1137,7 +899,7 @@ mod tests {
 
         // Compaction changes layout only.
         index.compact();
-        let compacted = ShardedSearcher::new(index);
+        let compacted = Searcher::new(index);
         assert_same_hits(
             &compacted.search("french open clay titles", 5),
             &rebuilt.search("french open clay titles", 5),
@@ -1150,14 +912,14 @@ mod tests {
         // every mutation step — including with tombstones in the base segments and
         // live delta segments. The full property suite lives in tests/pruning.rs;
         // this pins the wiring.
-        let mut searcher = ShardedSearcher::from_corpus(&corpus(), 3);
+        let mut searcher = Searcher::from_corpus(&corpus(), 3);
         let queries = [
             "grand slam titles",
             "djokovic federer nadal titles wins",
             "pasta",
             "most most most weeks", // duplicate terms exercise repeat accumulation
         ];
-        let check = |s: &ShardedSearcher| {
+        let check = |s: &Searcher| {
             for query in queries {
                 for k in [1, 2, 3, 10] {
                     let pruned = s.try_search(query, k).unwrap();
@@ -1194,7 +956,7 @@ mod tests {
     #[test]
     fn exotic_params_still_answer_via_fallback() {
         let exotic = Bm25Params { k1: 0.9, b: 1.5 };
-        let searcher = ShardedSearcher::from_corpus(&corpus(), 2).with_params(exotic);
+        let searcher = Searcher::from_corpus(&corpus(), 2).with_params(exotic);
         let hits = searcher.try_search("grand slam titles", 3).unwrap();
         let oracle = searcher
             .try_search_exhaustive("grand slam titles", 3)
@@ -1252,7 +1014,7 @@ mod tests {
                 "A completely different text",
             ))
             .unwrap();
-        let searcher = ShardedSearcher::new(index);
+        let searcher = Searcher::new(index);
         let score = searcher
             .score_document("completely different", "weeks")
             .unwrap();

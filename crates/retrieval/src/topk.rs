@@ -1,15 +1,14 @@
 //! Sparse accumulation and exact dynamic pruning for top-k queries.
 //!
-//! This module is the pruned hot path behind [`Searcher::search`] and
-//! [`ShardedSearcher::try_search`]: a term-at-a-time scorer that (a) accumulates into
-//! a reusable **sparse accumulator** so per-query cost scales with postings touched
-//! rather than corpus size, and (b) uses per-term **admissible score upper bounds** to
-//! skip non-essential postings lists MaxScore-style — while returning a top-k whose
-//! set, order and score *bits* are provably identical to the exhaustive dense path
+//! This module is the pruned hot path behind [`Searcher::search`], run once per
+//! segment of the index: a term-at-a-time scorer that (a) accumulates into a reusable
+//! **sparse accumulator** so per-query cost scales with postings touched rather than
+//! corpus size, and (b) uses per-term **admissible score upper bounds** to skip
+//! non-essential postings lists MaxScore-style — while returning a top-k whose set,
+//! order and score *bits* are provably identical to the exhaustive dense path
 //! ([`score_all_with`] + full selection).
 //!
-//! [`Searcher::search`]: crate::searcher::Searcher::search
-//! [`ShardedSearcher::try_search`]: crate::sharded::ShardedSearcher::try_search
+//! [`Searcher::search`]: crate::Searcher::search
 //! [`score_all_with`]: crate::bm25::score_all_with
 //!
 //! ## How exactness survives pruning
@@ -18,7 +17,7 @@
 //!    frequency and minimum document length over its postings
 //!    ([`InvertedIndex::term_max_tf`]/[`term_min_dl`]). The BM25 per-term
 //!    contribution is monotone non-decreasing in `tf` and non-increasing in document
-//!    length whenever `k1 ≥ 0` and `0 ≤ b ≤ 1` (checked by [`prunable`]; other
+//!    length whenever `k1 ≥ 0` and `0 ≤ b ≤ 1` (checked by `prunable`; other
 //!    parameterisations fall back to the exhaustive path), so evaluating the term
 //!    score at `(max_tf, min_dl)` bounds the term's contribution to *any* document.
 //! 2. **Candidate-generation order is free.** Query-term occurrences are processed in
@@ -43,19 +42,18 @@
 //!    candidate, and only the handful of candidates at or above the final threshold
 //!    pay it.
 //! 4. **Slack absorbs rounding.** Every pruning comparison goes through
-//!    [`definitely_less`], which demands a relative margin of `1e-9` — about five
+//!    `definitely_less`, which demands a relative margin of `1e-9` — about five
 //!    orders of magnitude wider than the worst-case accumulated rounding error of
 //!    these sums, and applied only in the conservative direction. Pruning needs
 //!    admissibility, not tightness: a slightly loose bound can only *reduce* how much
 //!    is skipped, never change the result. Equal-score ties are safe for the same
 //!    reason: a document is discarded only when its score is *strictly* below the
 //!    threshold by the margin, and tie-breaking among surviving candidates uses the
-//!    exact shared rank order ([`rank_cmp`]).
+//!    exact shared rank order (`rank_cmp`).
 //!
 //! [`InvertedIndex::term_max_tf`]: crate::index::InvertedIndex::term_max_tf
 //! [`term_min_dl`]: crate::index::InvertedIndex::term_min_dl
 //! [`term_score_dl`]: crate::bm25::term_score_dl
-//! [`rank_cmp`]: crate::searcher::rank_cmp
 //!
 //! The differential property suite (`crates/retrieval/tests/pruning.rs`) pins
 //! pruned ≡ exhaustive — set, order and score bits — across seeded corpora, shard

@@ -8,12 +8,14 @@
 //! sharding.rs` pins the read-only half and `crates/report/tests/` prove both survive
 //! the whole explanation engine.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use common::{assert_same_ranking, DenseReference};
 use rage_retrieval::{
-    corpus_fingerprint, Corpus, Document, IndexBuilder, Searcher, ShardedIndex,
-    ShardedIndexBuilder, ShardedSearcher,
+    corpus_fingerprint, Bm25Params, Corpus, Document, Searcher, ShardedIndex, ShardedIndexBuilder,
 };
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
@@ -52,13 +54,13 @@ fn random_query(rng: &mut StdRng) -> String {
     words.join(" ")
 }
 
-/// Assert the mutated index is bit-equal to a from-scratch rebuild of `mirror` (and,
-/// transitively, to a single unsharded index): rankings, score bits, `score_document`
+/// Assert the mutated index is bit-equal to a from-scratch rebuild of `mirror` and to
+/// the unpartitioned dense reference over it: rankings, score bits, `score_document`
 /// bits and the global statistics.
 fn assert_equals_rebuild(index: &ShardedIndex, mirror: &Corpus, shards: usize, context: &str) {
-    let live = ShardedSearcher::new(index.clone());
-    let rebuilt = ShardedSearcher::new(ShardedIndexBuilder::new(shards).build(mirror));
-    let single = Searcher::new(IndexBuilder::default().build(mirror));
+    let live = Searcher::new(index.clone());
+    let rebuilt = Searcher::new(ShardedIndexBuilder::new(shards).build(mirror));
+    let reference = DenseReference::new(mirror, Bm25Params::default());
 
     assert_eq!(index.num_docs(), mirror.len(), "{context}: num_docs");
     assert_eq!(
@@ -83,30 +85,13 @@ fn assert_equals_rebuild(index: &ShardedIndex, mirror: &Corpus, shards: usize, c
     for _ in 0..4 {
         let query = random_query(&mut rng);
         for k in [1, 3, mirror.len() / 2 + 1, mirror.len() + 5] {
-            let a = rebuilt.search(&query, k);
-            let b = live.search(&query, k);
-            let c = single.search(&query, k);
-            assert_eq!(a.len(), b.len(), "{context}: length for {query:?} k={k}");
-            for ((x, y), z) in a.iter().zip(&b).zip(&c) {
-                assert_eq!(x.doc_id, y.doc_id, "{context}: order for {query:?}");
-                assert_eq!(x.rank, y.rank, "{context}: rank for {query:?}");
-                assert_eq!(
-                    x.score.to_bits(),
-                    y.score.to_bits(),
-                    "{context}: score bits for {query:?} on {}",
-                    x.doc_id
-                );
-                assert_eq!(x.document, y.document, "{context}: document for {query:?}");
-                assert_eq!(x.doc_id, z.doc_id, "{context}: single order for {query:?}");
-                assert_eq!(
-                    x.score.to_bits(),
-                    z.score.to_bits(),
-                    "{context}: single score bits for {query:?}"
-                );
-            }
+            let expected = reference.search(&query, k);
+            let context = format!("{context}: {query:?} k={k}");
+            assert_same_ranking(&expected, &rebuilt.search(&query, k), &context);
+            assert_same_ranking(&expected, &live.search(&query, k), &context);
         }
         for doc in mirror.iter() {
-            let a = rebuilt.score_document(&query, &doc.id).unwrap();
+            let a = reference.score_document(&query, &doc.id);
             let b = live.score_document(&query, &doc.id).unwrap();
             assert_eq!(
                 a.to_bits(),
@@ -199,7 +184,7 @@ fn removing_every_document_guards_the_avg_doc_len_zero_path() {
             0f64.to_bits(),
             "shards={shards}"
         );
-        assert!(ShardedSearcher::new(index.clone())
+        assert!(Searcher::new(index.clone())
             .search("grand slam", 5)
             .is_empty());
 

@@ -1,18 +1,19 @@
-//! The sharding equivalence suite: `ShardedSearcher` must be indistinguishable from
-//! `Searcher` — identical document sets, identical order, bit-identical scores — for
-//! every shard count, corpus shape and query, including the edge cases (k larger than
-//! a shard or the corpus, empty shards, exact score ties).
+//! The sharding equivalence suite: at every shard count, `Searcher` must be
+//! indistinguishable from the unpartitioned dense reference (`common`) — identical
+//! document sets, identical order, bit-identical scores — for every corpus shape and
+//! query, including the edge cases (k larger than a shard or the corpus, empty
+//! shards, exact score ties).
 //!
 //! This is the retrieval half of the sharding contract; `crates/report/tests/sharded.rs`
 //! proves the property survives the whole explanation engine.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rage_retrieval::{
-    Bm25Params, Corpus, Document, IndexBuilder, Retriever, Searcher, ShardedIndexBuilder,
-    ShardedSearcher,
-};
+use common::{assert_same_ranking, DenseReference};
+use rage_retrieval::{Bm25Params, Corpus, Document, Retriever, Searcher};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
 
@@ -54,28 +55,20 @@ fn random_query(rng: &mut StdRng) -> String {
     words.join(" ")
 }
 
-/// Full equivalence: same ids, same ranks, bit-identical scores, same documents.
+/// Full equivalence with the reference: same ids, same ranks, bit-identical scores,
+/// same documents.
 fn assert_hits_identical(
-    single: &Searcher,
-    sharded: &ShardedSearcher,
+    reference: &DenseReference,
+    sharded: &Searcher,
     query: &str,
     k: usize,
     context: &str,
 ) {
-    let a = single.search(query, k);
-    let b = sharded.search(query, k);
-    assert_eq!(a.len(), b.len(), "{context}: result length for {query:?}");
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.doc_id, y.doc_id, "{context}: order for {query:?}");
-        assert_eq!(x.rank, y.rank, "{context}: rank for {query:?}");
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{context}: score bits for {query:?} on {}",
-            x.doc_id
-        );
-        assert_eq!(x.document, y.document, "{context}: document for {query:?}");
-    }
+    assert_same_ranking(
+        &reference.search(query, k),
+        &sharded.search(query, k),
+        &format!("{context} {query:?} k={k}"),
+    );
 }
 
 #[test]
@@ -85,15 +78,15 @@ fn property_sharded_top_k_equals_single_top_k() {
     // corpus, some of the 16 shards are empty.
     for (seed, num_docs) in [(11u64, 10usize), (12, 57), (13, 200)] {
         let corpus = random_corpus(seed, num_docs);
-        let single = Searcher::new(IndexBuilder::default().build(&corpus));
+        let reference = DenseReference::new(&corpus, Bm25Params::default());
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+            let sharded = Searcher::from_corpus(&corpus, shards);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..12 {
                 let query = random_query(&mut rng);
                 for k in [1, 3, num_docs / 2 + 1, num_docs + 7] {
                     assert_hits_identical(
-                        &single,
+                        &reference,
                         &sharded,
                         &query,
                         k,
@@ -110,11 +103,11 @@ fn k_larger_than_any_shard_still_merges_exactly() {
     // Each of 7 shards holds at most 5 documents, but k = 20 spans many shards; the
     // merge must pull deep results from every shard, not just shard-local winners.
     let corpus = random_corpus(21, 33);
-    let single = Searcher::new(IndexBuilder::default().build(&corpus));
-    let sharded = ShardedSearcher::from_corpus(&corpus, 7);
+    let reference = DenseReference::new(&corpus, Bm25Params::default());
+    let sharded = Searcher::from_corpus(&corpus, 7);
     for query in ["grand slam", "clay court rank", "win"] {
-        assert_hits_identical(&single, &sharded, query, 20, "k > shard size");
-        assert_hits_identical(&single, &sharded, query, 40, "k > corpus size");
+        assert_hits_identical(&reference, &sharded, query, 20, "k > shard size");
+        assert_hits_identical(&reference, &sharded, query, 40, "k > corpus size");
     }
 }
 
@@ -122,8 +115,8 @@ fn k_larger_than_any_shard_still_merges_exactly() {
 fn empty_shards_do_not_disturb_results() {
     // 4 documents across 16 shards: at least 12 shards are empty.
     let corpus = random_corpus(31, 4);
-    let single = Searcher::new(IndexBuilder::default().build(&corpus));
-    let sharded = ShardedSearcher::from_corpus(&corpus, 16);
+    let reference = DenseReference::new(&corpus, Bm25Params::default());
+    let sharded = Searcher::from_corpus(&corpus, 16);
     assert_eq!(sharded.index().num_shards(), 16);
     assert_eq!(
         sharded
@@ -135,7 +128,7 @@ fn empty_shards_do_not_disturb_results() {
         12
     );
     for query in ["grand slam title", "serve rally", "champion"] {
-        assert_hits_identical(&single, &sharded, query, 4, "empty shards");
+        assert_hits_identical(&reference, &sharded, query, 4, "empty shards");
     }
 }
 
@@ -157,9 +150,9 @@ fn equal_score_duplicates_merge_in_id_order_for_every_shard_count() {
     ));
     corpus.push(Document::new("weak", "", "match point"));
 
-    let single = Searcher::new(IndexBuilder::default().build(&corpus));
+    let reference = DenseReference::new(&corpus, Bm25Params::default());
     for &shards in SHARD_COUNTS {
-        let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+        let sharded = Searcher::from_corpus(&corpus, shards);
         let hits = sharded.search("grand slam title match", 8);
         let ids: Vec<&str> = hits.iter().map(|h| h.doc_id.as_str()).collect();
         assert_eq!(
@@ -172,20 +165,26 @@ fn equal_score_duplicates_merge_in_id_order_for_every_shard_count() {
             tie_scores.windows(2).all(|w| w[0] == w[1]),
             "shards={shards}: duplicates must tie exactly"
         );
-        assert_hits_identical(&single, &sharded, "grand slam title match", 8, "ties");
+        assert_hits_identical(&reference, &sharded, "grand slam title match", 8, "ties");
         // The tie group also behaves at a k that cuts through it.
-        assert_hits_identical(&single, &sharded, "grand slam title match", 4, "ties cut");
+        assert_hits_identical(
+            &reference,
+            &sharded,
+            "grand slam title match",
+            4,
+            "ties cut",
+        );
     }
 }
 
 #[test]
 fn score_document_is_bit_identical_for_every_shard_count() {
     let corpus = random_corpus(41, 30);
-    let single = Searcher::new(IndexBuilder::default().build(&corpus));
+    let reference = DenseReference::new(&corpus, Bm25Params::default());
     for &shards in SHARD_COUNTS {
-        let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+        let sharded = Searcher::from_corpus(&corpus, shards);
         for doc in corpus.iter() {
-            let a = single.score_document("grand slam win", &doc.id).unwrap();
+            let a = reference.score_document("grand slam win", &doc.id);
             let b = sharded.score_document("grand slam win", &doc.id).unwrap();
             assert_eq!(a.to_bits(), b.to_bits(), "shards={shards} doc={}", doc.id);
         }
@@ -193,31 +192,27 @@ fn score_document_is_bit_identical_for_every_shard_count() {
 }
 
 #[test]
-fn equivalence_holds_under_custom_params_and_sequential_build() {
+fn equivalence_holds_under_custom_params() {
     let corpus = random_corpus(51, 64);
-    let single =
-        Searcher::new(IndexBuilder::default().build(&corpus)).with_params(Bm25Params::robertson());
+    let reference = DenseReference::new(&corpus, Bm25Params::robertson());
     for &shards in SHARD_COUNTS {
-        let sharded = ShardedSearcher::new(
-            ShardedIndexBuilder::new(shards)
-                .with_parallel_build(false)
-                .build(&corpus),
-        )
-        .with_params(Bm25Params::robertson());
-        assert_hits_identical(&single, &sharded, "clay court final", 10, "robertson");
+        let sharded = Searcher::from_corpus(&corpus, shards).with_params(Bm25Params::robertson());
+        assert_hits_identical(&reference, &sharded, "clay court final", 10, "robertson");
     }
 }
 
 #[test]
-fn both_backends_agree_through_the_retriever_trait() {
+fn searcher_agrees_with_the_reference_through_the_retriever_trait() {
     let corpus = random_corpus(61, 40);
-    let backends: Vec<Box<dyn Retriever>> = vec![
-        Box::new(Searcher::new(IndexBuilder::default().build(&corpus))),
-        Box::new(ShardedSearcher::from_corpus(&corpus, 5)),
-    ];
-    let reference = backends[0].search("grand slam title", 10);
-    for backend in &backends {
-        assert_eq!(backend.num_docs(), 40);
-        assert_eq!(backend.search("grand slam title", 10), reference);
+    let expected =
+        DenseReference::new(&corpus, Bm25Params::default()).search("grand slam title", 10);
+    for shards in [1, 5] {
+        let retriever: Box<dyn Retriever> = Box::new(Searcher::from_corpus(&corpus, shards));
+        assert_eq!(retriever.num_docs(), 40);
+        assert_same_ranking(
+            &expected,
+            &retriever.search("grand slam title", 10),
+            &format!("dyn shards={shards}"),
+        );
     }
 }

@@ -64,10 +64,10 @@
 //!
 //! Each `POST /ask` is answered through [`Service::ask`] by the worker that
 //! parsed it. Asks are not batched across requests: the simulated model has
-//! no batched forward (`LanguageModel::batch_generate` runs its inputs one
-//! after another), so coalescing concurrent asks would save no work, while a
-//! shared dispatcher would add an admission wait and run every served
-//! forward on one thread. Answered on their own workers, concurrent asks run
+//! no batched forward (`LanguageModel` answers one prompt per `generate`
+//! call), so coalescing concurrent asks would save no work, while a shared
+//! dispatcher would add an admission wait and run every served forward on
+//! one thread. Answered on their own workers, concurrent asks run
 //! their forwards on as many cores as there are busy workers, and nothing
 //! sleeps. The `ask_batching` block of `GET /stats` ([`BatchStats`]) keeps
 //! its shape: every ask that reaches the service is a batch of size one.

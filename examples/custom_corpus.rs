@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let corpus = Corpus::read_jsonl(jsonl.trim().as_bytes())?;
     println!("loaded {} documents from JSONL", corpus.len());
 
-    let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+    let searcher = Searcher::from_corpus(&corpus, 1);
     let pipeline = RagPipeline::new(searcher, Arc::new(SimLlm::new(SimLlmConfig::default())));
 
     let question = "What is the most active volcano in Europe?";

@@ -20,7 +20,7 @@ fn main() -> Result<(), RageError> {
         "Match wins",
         "Roger Federer leads total match wins.",
     ));
-    let searcher = Searcher::new(IndexBuilder::default().build(&corpus));
+    let searcher = Searcher::from_corpus(&corpus, 1);
 
     // 2. The (simulated) LLM and the RAG pipeline.
     let llm = Arc::new(SimLlm::new(SimLlmConfig::default()));

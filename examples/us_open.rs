@@ -13,7 +13,7 @@ fn main() -> Result<(), RageError> {
     let scenario = rage::datasets::us_open::scenario();
     println!("{}\n", scenario.description);
 
-    let searcher = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
+    let searcher = Searcher::from_corpus(&scenario.corpus, 1);
     let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     let pipeline = RagPipeline::new(searcher, Arc::new(llm));
 
