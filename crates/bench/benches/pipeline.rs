@@ -4,8 +4,9 @@
 //! The `report/k=*/par{2,4}` vs `report/k=*/seq` ratios are the headline
 //! numbers for the evaluation subsystem. Only the lists a report knows up
 //! front (baselines, placements, insights) fan out, so the ratio stays below
-//! the width; 1-core CI runners show ~1×, and the ratio is recorded in the
-//! `--json` output either way. The wide side is the *whole* subsystem —
+//! the width. A single core shows ~1×; the bench host has 2 vCPUs, so `par4`
+//! gains little over `par2` there. The ratio is recorded in the `--json`
+//! output either way. The wide side is the *whole* subsystem —
 //! fan-out **plus** prefix cache — measured against the uncached width-1
 //! baseline; it is a subsystem speedup, not a pure thread-scaling number.
 

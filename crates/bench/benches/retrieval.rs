@@ -1,20 +1,22 @@
 //! E9: index construction and query latency at growing corpus sizes, one shard vs
 //! several.
 //!
-//! The `single` build legs build one `InvertedIndex`; the `single` query legs query a
-//! one-shard `Searcher`. The sharded cases partition the same corpus into N per-shard
-//! indexes (parallel build) and merge per-shard top-k selections at query time;
+//! Every leg times what a searcher runs: the `build/docs=*` and `*/single` build legs
+//! run `ShardedIndexBuilder::new(1).build`, the build behind
+//! `Searcher::from_corpus(.., 1)`, and the `single` query legs query that one-shard
+//! `Searcher`. The sharded cases partition the same corpus into N per-shard indexes
+//! (one build thread per shard) and merge per-shard top-k selections at query time;
 //! results are identical at every shard count by contract, so the interesting output
-//! is purely the timing — `build/.../shards=N` vs `build/...` and
-//! `query/.../shards=N` vs `query/...`, plus the recorded `single/sharded` ratios. On
-//! a single-CPU runner the sharded build ratio hovers near (or below) 1×; on a
-//! multicore runner the per-shard worker threads should push it well above.
+//! is purely the timing — `build/.../shards=N` vs `build/.../single` and
+//! `query/.../shards=N` vs `query/.../single`, plus the recorded `single/sharded`
+//! ratios. On a single core the sharded build ratio hovers near (or below) 1×; each
+//! extra core lets the per-shard build threads push it higher.
 
 use rage_bench::{black_box, scaled, section, Runner};
 use rage_datasets::entity_registry::{self, EntityRegistryConfig};
 use rage_datasets::large_corpus::{self, LargeCorpusConfig};
 use rage_datasets::synthetic::{filler_corpus, filler_queries, FillerConfig};
-use rage_retrieval::{Document, IndexBuilder, Searcher, ShardedIndexBuilder};
+use rage_retrieval::{Document, Searcher, ShardedIndexBuilder};
 
 const SHARD_COUNTS: &[usize] = &[2, 4, 8];
 
@@ -28,8 +30,9 @@ fn main() {
             ..FillerConfig::default()
         };
         let corpus = filler_corpus(config);
+        let builder = ShardedIndexBuilder::new(1);
         runner.bench(&format!("build/docs={num_docs}"), scaled(10), || {
-            black_box(IndexBuilder::default().build(&corpus));
+            black_box(builder.build(&corpus));
         });
     }
 
@@ -41,8 +44,9 @@ fn main() {
             ..FillerConfig::default()
         };
         let corpus = filler_corpus(config);
+        let one_shard = ShardedIndexBuilder::new(1);
         let single = runner.bench(&format!("build/docs={num_docs}/single"), scaled(10), || {
-            black_box(IndexBuilder::default().build(&corpus));
+            black_box(one_shard.build(&corpus));
         });
         for &shards in SHARD_COUNTS {
             let builder = ShardedIndexBuilder::new(shards);
@@ -182,11 +186,12 @@ fn main() {
     {
         let scenario = large_corpus::scenario(LargeCorpusConfig::default());
         let n = scenario.corpus_size();
+        let one_shard = ShardedIndexBuilder::new(1);
         runner.bench(
             &format!("large-corpus/build/docs={n}/single"),
             scaled(10),
             || {
-                black_box(IndexBuilder::default().build(&scenario.corpus));
+                black_box(one_shard.build(&scenario.corpus));
             },
         );
         let builder = ShardedIndexBuilder::new(8);
@@ -250,7 +255,7 @@ fn main() {
         // query forms with period 3, so any 6 consecutive lookups hold exactly two
         // of each form — every iteration times the same workload mix, which keeps
         // the per-iteration distribution unimodal (and the regression gate on the
-        // pruned bucket meaningful) on a noisy 1-CPU runner.
+        // pruned bucket meaningful) on a noisy 2-vCPU runner.
         let mut next = 0usize;
         let exhaustive = runner.bench("query/docs=100k/exhaustive", scaled(200), || {
             for _ in 0..6 {

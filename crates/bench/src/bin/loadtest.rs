@@ -31,9 +31,9 @@
 //! Per-endpoint latencies are aggregated into p50/p95/p99 (nearest-rank) per
 //! mode and written as JSON to `--out` (default `SERVER_pr.json`).
 //!
-//! Caveat that also lives in the server crate docs: on the 1-CPU benching
-//! container the worker pool only interleaves, so these percentiles
-//! understate a multicore deployment.
+//! Caveat that also lives in the server crate docs: the bench host has 2
+//! vCPUs, so at most two workers run at once and these percentiles
+//! understate a deployment with more cores.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

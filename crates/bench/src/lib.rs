@@ -371,11 +371,6 @@ pub mod workloads {
         (RagPipeline::new(searcher, Arc::new(llm)), cache)
     }
 
-    /// [`cached_pipeline_and_cache_for`] without the stats handle.
-    pub fn cached_pipeline_for(scenario: &Scenario) -> RagPipeline {
-        cached_pipeline_and_cache_for(scenario).0
-    }
-
     /// A fresh evaluator (empty cache) over a scenario's retrieved context.
     pub fn evaluator_for(scenario: &Scenario) -> Evaluator {
         let pipeline = pipeline_for(scenario);

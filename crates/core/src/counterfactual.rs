@@ -118,12 +118,6 @@ impl CounterfactualConfig {
         self
     }
 
-    /// Set the whole [`SearchBudget`] — cap and/or deadline (builder style).
-    pub fn with_search_budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Attach a wall-clock deadline (builder style).
     pub fn with_deadline(mut self, deadline: crate::budget::Deadline) -> Self {
         self.budget.deadline = Some(deadline);

@@ -2,9 +2,9 @@
 //!
 //! Every perturbation the searches consider costs one LLM inference. This
 //! module centralises those calls in one type, [`Evaluator`]: it builds the
-//! prompt for a perturbed context, queries the model, caches answers keyed by
-//! the (canonicalised) perturbation and counts true LLM invocations — the
-//! cost metric used by the pruning experiments (E7).
+//! model input for a perturbed context, queries the model, caches answers
+//! keyed by the (canonicalised) perturbation and counts true LLM invocations
+//! — the cost metric used by the pruning experiments (E7).
 //!
 //! ## Fan-out
 //!
@@ -55,13 +55,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 pub use rage_llm::cache::CacheStats;
-use rage_llm::{Generation, LanguageModel};
+use rage_llm::{Generation, LanguageModel, LlmInput};
 
 use crate::budget::{BudgetStop, SearchBudget};
 use crate::context::Context;
 use crate::error::RageError;
 use crate::perturbation::Perturbation;
-use crate::prompt::PromptBuilder;
 
 /// Number of stripes in the shared memo map. A power of two comfortably above
 /// any sensible fan-out width, so concurrent lookups rarely collide.
@@ -129,9 +128,7 @@ impl StripedMemo {
 /// See the module docs for the fan-out and cache contracts.
 pub struct Evaluator {
     llm: Arc<dyn LanguageModel>,
-    prompt_builder: PromptBuilder,
     context: Context,
-    question: String,
     width: usize,
     cache: StripedMemo,
     llm_calls: AtomicUsize,
@@ -140,32 +137,17 @@ pub struct Evaluator {
 
 impl Evaluator {
     /// Create an evaluator for a context, as wide as the cores available to
-    /// the process (read once per process); the question defaults to the
-    /// context's query.
+    /// the process (read once per process). The question posed to the model
+    /// is the context's query.
     pub fn new(llm: Arc<dyn LanguageModel>, context: Context) -> Self {
-        let question = context.query.clone();
         Self {
             llm,
-            prompt_builder: PromptBuilder::default(),
             context,
-            question,
             width: default_width(),
             cache: StripedMemo::new(),
             llm_calls: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
         }
-    }
-
-    /// Override the question (when it differs from the retrieval query).
-    pub fn with_question(mut self, question: impl Into<String>) -> Self {
-        self.question = question.into();
-        self
-    }
-
-    /// Override the prompt template.
-    pub fn with_prompt_builder(mut self, builder: PromptBuilder) -> Self {
-        self.prompt_builder = builder;
-        self
     }
 
     /// Set the fan-out width: how many threads a batch runs on (clamped to at
@@ -185,9 +167,9 @@ impl Evaluator {
         &self.context
     }
 
-    /// The question posed to the LLM.
+    /// The question posed to the LLM: the context's query.
     pub fn question(&self) -> &str {
-        &self.question
+        &self.context.query
     }
 
     /// Number of sources `k` in the context.
@@ -242,8 +224,9 @@ impl Evaluator {
             return Ok(hit);
         }
         let sources = perturbation.apply(&self.context)?;
-        let input = self.prompt_builder.build_input(&self.question, &sources);
-        let generation = self.llm.generate(&input);
+        let generation = self
+            .llm
+            .generate(&LlmInput::new(self.context.query.clone(), sources));
         self.llm_calls.fetch_add(1, Ordering::SeqCst);
         self.cache.insert(key, generation.clone());
         Ok(generation)
@@ -387,18 +370,12 @@ impl Evaluator {
     pub fn empty_context_answer(&self) -> Result<String, RageError> {
         self.answer_for(&Perturbation::Combination(Vec::new()))
     }
-
-    /// The rendered prompt text for a perturbation (for provenance display).
-    pub fn prompt_text(&self, perturbation: &Perturbation) -> Result<String, RageError> {
-        let sources = perturbation.apply(&self.context)?;
-        Ok(self.prompt_builder.render(&self.question, &sources))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_llm::{LlmInput, SourceText};
+    use rage_llm::SourceText;
     use rage_retrieval::Document;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -548,18 +525,6 @@ mod tests {
             .answer_for(&Perturbation::Combination(vec![5]))
             .is_err());
         assert_eq!(evaluator.llm_calls(), 0);
-    }
-
-    #[test]
-    fn question_override_is_used_in_prompts() {
-        let evaluator = Evaluator::new(Arc::new(FirstSourceLlm::new()), context())
-            .with_question("custom question?");
-        assert_eq!(evaluator.question(), "custom question?");
-        let text = evaluator
-            .prompt_text(&Perturbation::identity_combination(3))
-            .unwrap();
-        assert!(text.contains("custom question?"));
-        assert!(text.contains("alpha"));
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! ## Crate layout
 //!
 //! * [`context`] — the retrieved context `Dq` ([`Context`], [`ContextSource`]).
-//! * [`prompt`] — natural-language prompt assembly with delimited sources.
 //! * [`answer`] — answer normalisation (lowercase, strip punctuation, trim).
 //! * [`budget`] — the unified cost-control layer: [`SearchBudget`], monotonic
 //!   [`Deadline`]s and per-search [`Completeness`] markers.
@@ -92,7 +91,6 @@ pub mod insights;
 pub mod optimal;
 pub mod perturbation;
 pub mod pipeline;
-pub mod prompt;
 pub mod scoring;
 
 pub use answer::{answers_equal, normalize_answer};

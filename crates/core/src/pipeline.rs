@@ -1,7 +1,8 @@
 //! The retrieval-augmented generation pipeline.
 //!
-//! [`RagPipeline`] wires the three paper components together (Figure 1): the retrieval
-//! model `M` (BM25 over the local index), the prompt assembly, and the LLM `L`. Its
+//! [`RagPipeline`] wires the paper's components together (Figure 1): the retrieval
+//! model `M` (BM25 over the local index) and the LLM `L`, which receives the question
+//! and the ordered retrieved sources. Its
 //! [`ask`](RagPipeline::ask) method performs one full RAG round trip and returns the
 //! retrieved context alongside the model's answer, ready for explanation.
 
@@ -9,21 +10,18 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use rage_llm::{Generation, LanguageModel};
+use rage_llm::{Generation, LanguageModel, LlmInput};
 use rage_retrieval::{Retriever, Searcher};
 
 use crate::context::Context;
 use crate::error::RageError;
 use crate::evaluator::Evaluator;
-use crate::prompt::PromptBuilder;
 
 /// The answer of one RAG round trip, with full provenance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RagResponse {
     /// The retrieved context `Dq`.
     pub context: Context,
-    /// The rendered prompt `p` that was (conceptually) sent to the LLM.
-    pub prompt_text: String,
     /// The model's generation (answer, response text, attention read-out).
     pub generation: Generation,
 }
@@ -40,7 +38,7 @@ impl RagResponse {
     }
 }
 
-/// Retrieval + prompt assembly + LLM inference.
+/// Retrieval + LLM inference.
 ///
 /// Generic over the retrieval backend: any [`Retriever`] plugs in — the BM25
 /// [`Searcher`] (the default type parameter) at any shard count, the mutable
@@ -50,23 +48,12 @@ impl RagResponse {
 pub struct RagPipeline<R: Retriever = Searcher> {
     retriever: R,
     llm: Arc<dyn LanguageModel>,
-    prompt_builder: PromptBuilder,
 }
 
 impl<R: Retriever> RagPipeline<R> {
     /// Build a pipeline from a retrieval backend and a language model.
     pub fn new(retriever: R, llm: Arc<dyn LanguageModel>) -> Self {
-        Self {
-            retriever,
-            llm,
-            prompt_builder: PromptBuilder::default(),
-        }
-    }
-
-    /// Override the prompt template.
-    pub fn with_prompt_builder(mut self, builder: PromptBuilder) -> Self {
-        self.prompt_builder = builder;
-        self
+        Self { retriever, llm }
     }
 
     /// The retrieval component.
@@ -77,11 +64,6 @@ impl<R: Retriever> RagPipeline<R> {
     /// The language model (shared handle).
     pub fn llm(&self) -> Arc<dyn LanguageModel> {
         Arc::clone(&self.llm)
-    }
-
-    /// The prompt template in use.
-    pub fn prompt_builder(&self) -> &PromptBuilder {
-        &self.prompt_builder
     }
 
     /// Retrieve the top-`k` sources for `query` and answer from them.
@@ -116,24 +98,19 @@ impl<R: Retriever> RagPipeline<R> {
 
     /// Answer over a caller-supplied context (bypassing retrieval).
     pub fn answer_with_context(&self, context: Context) -> Result<RagResponse, RageError> {
-        let sources = context.to_source_texts();
-        let question = context.query.clone();
-        let prompt_text = self.prompt_builder.render(&question, &sources);
-        let input = self.prompt_builder.build_input(&question, &sources);
+        let input = LlmInput::new(context.query.clone(), context.to_source_texts());
         let generation = self.llm.generate(&input);
         Ok(RagResponse {
             context,
-            prompt_text,
             generation,
         })
     }
 
-    /// An [`Evaluator`] for the given context, sharing this pipeline's LLM and prompt
-    /// template — the entry point into the explanation searches. It fans out at
-    /// the default width; [`Evaluator::with_width`] overrides that.
+    /// An [`Evaluator`] for the given context, sharing this pipeline's LLM — the
+    /// entry point into the explanation searches. It fans out at the default
+    /// width; [`Evaluator::with_width`] overrides that.
     pub fn evaluator(&self, context: Context) -> Evaluator {
         Evaluator::new(Arc::clone(&self.llm), context)
-            .with_prompt_builder(self.prompt_builder.clone())
     }
 
     /// Convenience: retrieve, answer and build the evaluator in one step.
@@ -206,7 +183,6 @@ mod tests {
         assert_eq!(response.answer(), "Novak Djokovic");
         assert!(response.k() >= 1);
         assert_eq!(response.context.sources[0].doc_id, "slams");
-        assert!(response.prompt_text.contains("[Source 1: slams]"));
     }
 
     #[test]

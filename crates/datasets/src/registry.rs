@@ -52,12 +52,6 @@ impl ScenarioParams {
         self.size = Some(size);
         self
     }
-
-    /// Set the retrieval depth (builder style).
-    pub fn with_retrieval_k(mut self, k: usize) -> Self {
-        self.retrieval_k = Some(k);
-        self
-    }
 }
 
 /// A registered scenario: normalised name, presentation metadata and the builder.

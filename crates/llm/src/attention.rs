@@ -11,8 +11,8 @@ use crate::transformer::AttentionRecord;
 /// Attention mass attributed to each source of a prompt.
 ///
 /// `masses[i]` is the attention received by source `i` (in prompt order), summed over
-/// every layer, every head and every query token, restricted to key positions inside the
-/// source's token span. The `normalised` form divides by the total mass over all
+/// every layer, every head and every question token, restricted to key positions inside
+/// the source's token span. The `normalised` form divides by the total mass over all
 /// sources, yielding a distribution when at least one source received attention.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceAttention {
@@ -41,42 +41,12 @@ impl SourceAttention {
     }
 }
 
-/// Sum attention over all layers, heads and query tokens into each source's key span.
+/// Sum the attention of the question-token queries into each source's key span, over
+/// all layers and heads.
 ///
-/// Reads every row, so the record must come from a
-/// [`ReadOut::AllRows`](crate::transformer::ReadOut::AllRows) forward; a
-/// record missing rows panics instead of under-counting.
-pub fn aggregate_source_attention(
-    record: &AttentionRecord,
-    prompt: &TokenizedPrompt,
-) -> SourceAttention {
-    let mut masses = vec![0.0; prompt.source_spans.len()];
-    if record.seq_len == 0 || prompt.source_spans.is_empty() {
-        return SourceAttention { masses };
-    }
-    for layer in &record.layers {
-        for head in &layer.heads {
-            assert_eq!(
-                head.rows, record.seq_len,
-                "whole-prompt aggregation reads every row of every layer"
-            );
-            for q in 0..record.seq_len {
-                let row = head.row(q);
-                for (source_idx, &(start, end)) in prompt.source_spans.iter().enumerate() {
-                    let span_mass: f64 = row[start..end.min(row.len())].iter().sum();
-                    masses[source_idx] += span_mass;
-                }
-            }
-        }
-    }
-    SourceAttention { masses }
-}
-
-/// Sum attention restricted to question-token queries only.
-///
-/// This variant measures how much the *question* attends to each source, which is a
-/// sharper relevance signal than whole-prompt aggregation when sources are long. It
-/// reads only the question rows, so a
+/// This measures how much the *question* attends to each source; query rows inside the
+/// sources would favour long sources merely for their span size. It reads only the
+/// question rows, so a
 /// [`ReadOut::QuestionRows`](crate::transformer::ReadOut::QuestionRows) record suffices.
 pub fn aggregate_question_to_source_attention(
     record: &AttentionRecord,
@@ -125,7 +95,7 @@ mod tests {
                 SourceText::new("c", "completely unrelated cooking text"),
             ],
         );
-        let attention = aggregate_source_attention(&record, &prompt);
+        let attention = aggregate_question_to_source_attention(&record, &prompt);
         assert_eq!(attention.masses.len(), 3);
         assert!(attention.masses.iter().all(|&m| m > 0.0));
     }
@@ -139,7 +109,7 @@ mod tests {
                 SourceText::new("b", "gamma delta epsilon"),
             ],
         );
-        let attention = aggregate_source_attention(&record, &prompt);
+        let attention = aggregate_question_to_source_attention(&record, &prompt);
         let normalised = attention.normalised();
         let total: f64 = normalised.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -164,27 +134,10 @@ mod tests {
     #[test]
     fn no_sources_yields_empty_masses() {
         let (record, prompt) = setup("only a question", vec![]);
-        let attention = aggregate_source_attention(&record, &prompt);
+        let attention = aggregate_question_to_source_attention(&record, &prompt);
         assert!(attention.masses.is_empty());
         assert!(attention.normalised().is_empty());
         assert_eq!(attention.argmax(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "reads every row")]
-    fn whole_prompt_aggregation_rejects_a_question_rows_record() {
-        use crate::transformer::ReadOut;
-        let tok = SimTokenizer::new();
-        let prompt = tok.tokenize_prompt(&LlmInput::new(
-            "who is the champion",
-            vec![SourceText::new("a", "gauff is the champion")],
-        ));
-        let record = Transformer::new(TransformerConfig::default()).forward_cached(
-            &prompt,
-            None,
-            ReadOut::QuestionRows,
-        );
-        aggregate_source_attention(&record, &prompt);
     }
 
     #[test]
@@ -193,20 +146,5 @@ mod tests {
             masses: vec![0.0, 0.0],
         };
         assert_eq!(attention.normalised(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn longer_sources_receive_more_whole_prompt_mass() {
-        // Whole-prompt aggregation is span-size sensitive (more key positions), which is
-        // exactly why the model also exposes the question-restricted variant.
-        let (record, prompt) = setup(
-            "short question",
-            vec![
-                SourceText::new("long", "one two three four five six seven eight nine ten"),
-                SourceText::new("short", "one"),
-            ],
-        );
-        let attention = aggregate_source_attention(&record, &prompt);
-        assert!(attention.masses[0] > attention.masses[1]);
     }
 }

@@ -23,8 +23,8 @@
 //! over the differential sweep's shapes, on randomised prompts of up to ~400
 //! tokens, is 62 ULPs (≈ 8e-15 relative);
 //! `tests/simd_equivalence.rs` and `tests/kernel_equivalence.rs` assert the
-//! bound over randomised prompts and model shapes, bidirectional and causal,
-//! with the prefix cache off, cold and warm.
+//! bound over randomised prompts and model shapes, with the prefix cache off,
+//! cold and warm.
 //!
 //! Within the fused path the results are bit-exact: a cached forward equals
 //! an uncached one, a [`ReadOut::QuestionRows`](crate::transformer::ReadOut::QuestionRows)

@@ -34,11 +34,11 @@
 //!   reference divides each weight individually; the reciprocal form is
 //!   within ~2 ULP of it per weight but turns `n` long-latency divisions per
 //!   row into one.
-//! * **Value-mix head averaging** ([`mix_accumulate`], [`mix_tiled`]): the
-//!   `1/heads` factor is folded into each weight once per key rather than
-//!   applied per element. Exact — and therefore still bit-identical — when
-//!   `heads` is a power of two (every default model); ULP-divergent
-//!   otherwise.
+//! * **Value-mix head averaging** (the weights [`mix_tiled`] consumes, and
+//!   [`mix_accumulate`]): the `1/heads` factor is folded into each weight
+//!   once per key rather than applied per element. Exact — and therefore
+//!   still bit-identical — when `heads` is a power of two (every default
+//!   model); ULP-divergent otherwise.
 //!
 //! The residual update ([`super::residual_normalize`]) is shared with the
 //! reference's operation order: it is already lane-parallel across
@@ -310,19 +310,23 @@ pub fn weights_inplace(weights: &mut [f64], sum: f64) {
     }
 }
 
-/// Fused value mix: accumulate the attention-weighted, head-averaged value
-/// rows into one query's mixed vector. The head average is folded into each
-/// weight once per key (`w' = w/heads`, then `out[d] += w' * v[d]`) instead
-/// of once per element, halving the multiplies in the inner loop; the
-/// additions keep the reference's ascending-`k` order per scalar.
+/// Per-query value mix: accumulate the attention-weighted, head-averaged
+/// value rows into one query's mixed vector. The head average is folded into
+/// each weight once per key (`w' = w/heads`, then `out[d] += w' * v[d]`)
+/// instead of once per element; the additions keep the reference's
+/// ascending-`k` order per scalar.
 ///
 /// When `heads` is a power of two the fold is exact — scaling by `2^-k`
 /// commutes with the product's single rounding — so the result is
 /// bit-identical to the reference's per-element `(w*v)/heads`, which covers
 /// every default model configuration. For other head counts the weight fold
 /// rounds once (`w * (1/heads)` via reciprocal), making each output
-/// ULP-divergent; this is the fourth leg of the divergence contract (see the
-/// module docs) and is pinned by `tests/simd_equivalence.rs`.
+/// ULP-divergent; `tests/simd_equivalence.rs` pins both cases.
+///
+/// This kernel is not on the forward path:
+/// [`Transformer::forward_cached`](crate::transformer::Transformer::forward_cached)
+/// mixes every layer with [`mix_tiled`] over head-folded weights. It stays as
+/// the per-query oracle that `mix_tiled` must match bit for bit.
 pub fn mix_accumulate(weights: &[f64], values: &[f64], dim: usize, heads: f64, out: &mut [f64]) {
     let n = weights.len();
     assert_eq!(values.len(), n * dim, "values buffer shape mismatch");

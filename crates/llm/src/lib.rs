@@ -22,7 +22,7 @@
 //! * answers are grounded in the context sources through candidate-answer extraction and
 //!   evidence aggregation, so removing a supporting source can flip the answer
 //!   (combination counterfactuals);
-//! * a configurable positional prior reproduces the "lost in the middle" bias of ref.
+//! * a positional prior reproduces the "lost in the middle" bias of ref.
 //!   \[2\] of the paper, so re-ordering sources can flip the answer (permutation
 //!   counterfactuals and optimal permutations);
 //! * a prior-knowledge store answers the empty-context case (bottom-up counterfactuals)
@@ -46,10 +46,10 @@
 //! on. That path is also *demand-driven*: it computes only what its caller reads. Every
 //! layer before the last runs in full, because its rows feed the next layer's keys;
 //! the last layer scores and normalises only the rows the read-out consumes (the
-//! question rows for the default bidirectional [`SimLlm`](model::SimLlm), every row
-//! under causal masking — see [`ReadOut`](transformer::ReadOut)). Unread last-layer
-//! rows are never computed or stored, and neither is the final hidden state (the last
-//! layer has no value mix and no residual), because nothing reads it.
+//! question rows [`SimLlm`](model::SimLlm) aggregates — see
+//! [`ReadOut`](transformer::ReadOut)). Unread last-layer rows are never computed or
+//! stored, and neither is the final hidden state (the last layer has no value mix and
+//! no residual), because nothing reads it.
 //!
 //! The oracle is the straight-line reference implementation
 //! ([`Transformer::forward_reference`](transformer::Transformer::forward_reference),
@@ -64,8 +64,7 @@
 //! Three suites enforce the contract in debug and release codegen:
 //!
 //! * `tests/simd_equivalence.rs` pins each kernel's lane order, the `exp` and weight
-//!   bounds, and the forward-level ULP bound across model shapes, bidirectional and
-//!   causal;
+//!   bounds, and the forward-level ULP bound across model shapes;
 //! * `tests/kernel_equivalence.rs` compares fused and reference forwards with the
 //!   prefix cache off, cold and warm, compares the demand-driven record row by row with
 //!   the full one down to `f64::to_bits`, and runs every registered scenario's report
@@ -150,8 +149,8 @@ impl SourceText {
 /// Structured input to the language model: the question plus the ordered context `Dq`.
 ///
 /// The paper assembles a single natural-language prompt `p` from these parts; the
-/// rendering of `p` (delimiters, instructions) lives in `rage-core::prompt`, while the
-/// model consumes the structured form so that source token spans are known exactly.
+/// model consumes the structured form so that source token spans are known exactly
+/// (the tokenizer lays the prompt out question first, then the delimited sources).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LlmInput {
     /// The user's question `q`.

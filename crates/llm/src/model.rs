@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::attention::{aggregate_question_to_source_attention, aggregate_source_attention};
+use crate::attention::aggregate_question_to_source_attention;
 use crate::cache::PrefixCache;
 use crate::extraction::{classify_question, extract_candidates, QuestionKind};
 use crate::knowledge::PriorKnowledge;
@@ -20,70 +20,41 @@ use crate::tokenizer::SimTokenizer;
 use crate::transformer::{ReadOut, Transformer, TransformerConfig};
 use crate::{Generation, LanguageModel, LlmInput};
 
-/// How evidence for the same answer from multiple sources combines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EvidenceAggregation {
-    /// The answer is dominated by its single strongest piece of evidence (default; this
-    /// is what makes the model's answer follow the most-attended source, as in the
-    /// paper's Big Three narrative).
-    Max,
-    /// Evidence for the same answer accumulates across sources (majority-style).
-    Sum,
-}
+/// Human-readable model name used in reports.
+const MODEL_NAME: &str = "sim-llama-chat";
+
+/// Linear primacy tilt on top of the position prior: position `x ∈ [0, 1]` is scaled
+/// by `1 − PRIMACY_TILT·x`, reflecting the observation that primacy slightly outweighs
+/// recency.
+const PRIMACY_TILT: f64 = 0.15;
+
+/// For "most recent" questions: a source participates only if its effective attention
+/// is at least this fraction of the maximum (models sources being overlooked when
+/// buried in the middle of the context).
+const RECENT_THRESHOLD: f64 = 0.55;
+
+/// For counting questions: minimum fraction of the maximum effective attention a
+/// source needs to be counted (low, so counting is robust to ordering).
+const COUNT_THRESHOLD: f64 = 0.05;
 
 /// Configuration of the simulated model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The model's position prior is [`PositionBiasProfile::default`] ("lost in the
+/// middle"), and evidence for one answer from several sources counts as its single
+/// strongest piece: that is what makes the answer follow the most-attended source, as
+/// in the paper's Big Three narrative.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimLlmConfig {
     /// Attention-stack configuration.
     pub transformer: TransformerConfig,
-    /// Context-position prior ("lost in the middle" by default).
-    pub position_bias: PositionBiasProfile,
-    /// Additional linear primacy tilt in `[0, 1)`: position `x ∈ [0, 1]` is scaled by
-    /// `1 − tilt·x`, reflecting the observation that primacy slightly outweighs recency.
-    pub primacy_tilt: f64,
     /// Prior (pre-trained) knowledge store.
     pub prior: PriorKnowledge,
-    /// Evidence-aggregation policy for superlative/factoid questions.
-    pub aggregation: EvidenceAggregation,
-    /// For "most recent" questions: a source participates only if its effective
-    /// attention is at least this fraction of the maximum (models sources being
-    /// overlooked when buried in the middle of the context).
-    pub recent_threshold: f64,
-    /// For counting questions: minimum fraction of the maximum effective attention a
-    /// source needs to be counted (low, so counting is robust to ordering).
-    pub count_threshold: f64,
-    /// Multiplier applied to prior-knowledge scores when they compete with context.
-    pub prior_strength: f64,
-    /// Human-readable model name used in reports.
-    pub name: String,
-}
-
-impl Default for SimLlmConfig {
-    fn default() -> Self {
-        Self {
-            transformer: TransformerConfig::default(),
-            position_bias: PositionBiasProfile::default(),
-            primacy_tilt: 0.15,
-            prior: PriorKnowledge::empty(),
-            aggregation: EvidenceAggregation::Max,
-            recent_threshold: 0.55,
-            count_threshold: 0.05,
-            prior_strength: 1.0,
-            name: "sim-llama-chat".to_string(),
-        }
-    }
 }
 
 impl SimLlmConfig {
     /// A configuration with prior knowledge attached (builder style).
     pub fn with_prior(mut self, prior: PriorKnowledge) -> Self {
         self.prior = prior;
-        self
-    }
-
-    /// A configuration with a specific position-bias profile (builder style).
-    pub fn with_position_bias(mut self, profile: PositionBiasProfile) -> Self {
-        self.position_bias = profile;
         self
     }
 }
@@ -168,35 +139,24 @@ impl SimLlm {
         if k == 0 {
             return (Vec::new(), prompt.len());
         }
-        // Aggregation must match the mask. The prompt layout is question
-        // first, sources after: under causal masking a question row can
-        // never attend to a source token (sources are strictly in its
-        // future), so the question-restricted read-out would be identically
-        // zero. Causal models therefore aggregate over the whole prompt —
-        // source rows, computed after the sources appear, carry the signal.
-        // The forward computes exactly the rows the aggregation reads.
-        let causal = self.config.transformer.causal;
+        // The read-out is the question rows' attention into each source, so
+        // the fused forward computes only those rows of its last layer.
         let record = if self.use_reference_forward {
             self.transformer
                 .forward_reference(&prompt, self.prefix_cache.as_deref())
         } else {
-            let read_out = if causal {
-                ReadOut::AllRows
-            } else {
-                ReadOut::QuestionRows
-            };
-            self.transformer
-                .forward_cached(&prompt, self.prefix_cache.as_deref(), read_out)
+            self.transformer.forward_cached(
+                &prompt,
+                self.prefix_cache.as_deref(),
+                ReadOut::QuestionRows,
+            )
         };
-        let content = if causal {
-            aggregate_source_attention(&record, &prompt).normalised()
-        } else {
-            aggregate_question_to_source_attention(&record, &prompt).normalised()
-        };
+        let content = aggregate_question_to_source_attention(&record, &prompt).normalised();
         // The record is fully aggregated; hand its matrices back so the next
         // forward reuses their allocations instead of faulting fresh pages.
         self.transformer.recycle(record);
 
+        let position_bias = PositionBiasProfile::default();
         let mut effective: Vec<f64> = (0..k)
             .map(|i| {
                 let x = if k <= 1 {
@@ -204,8 +164,8 @@ impl SimLlm {
                 } else {
                     i as f64 / (k - 1) as f64
                 };
-                let tilt = 1.0 - self.config.primacy_tilt.clamp(0.0, 0.99) * x;
-                content[i] * self.config.position_bias.weight(i, k) * tilt
+                let tilt = 1.0 - PRIMACY_TILT * x;
+                content[i] * position_bias.weight(i, k) * tilt
             })
             .collect();
         let total: f64 = effective.iter().sum();
@@ -233,7 +193,7 @@ impl SimLlm {
             return "0".to_string();
         }
         let max_eff = effective.iter().cloned().fold(0.0_f64, f64::max);
-        let threshold = self.config.count_threshold * max_eff;
+        let threshold = COUNT_THRESHOLD * max_eff;
         let mut years: Vec<i32> = Vec::new();
         let mut yearless_hits = 0usize;
         for (i, source) in input.sources.iter().enumerate() {
@@ -280,7 +240,7 @@ impl SimLlm {
         kind: &QuestionKind,
     ) -> Option<String> {
         let max_eff = effective.iter().cloned().fold(0.0_f64, f64::max);
-        let threshold = self.config.recent_threshold * max_eff;
+        let threshold = RECENT_THRESHOLD * max_eff;
         let mut best: Option<(i32, f64, String)> = None;
         for (i, source) in input.sources.iter().enumerate() {
             if effective[i] < threshold {
@@ -301,7 +261,8 @@ impl SimLlm {
         best.map(|(_, _, answer)| answer)
     }
 
-    /// Answer a superlative or factoid question by scored evidence aggregation.
+    /// Answer a superlative or factoid question: each answer scores its strongest
+    /// piece of evidence, from a source or from prior knowledge.
     fn answer_scored(
         &self,
         input: &LlmInput,
@@ -310,33 +271,21 @@ impl SimLlm {
     ) -> Option<String> {
         // answer key (lowercased) -> (score, surface form)
         let mut scores: BTreeMap<String, (f64, String)> = BTreeMap::new();
+        let mut support = |answer: &str, contribution: f64| {
+            let entry = scores
+                .entry(answer.to_lowercase())
+                .or_insert((0.0, answer.to_string()));
+            if contribution > entry.0 {
+                entry.0 = contribution;
+            }
+        };
         for (i, source) in input.sources.iter().enumerate() {
             for candidate in extract_candidates(kind, &input.question, &source.text) {
-                let key = candidate.answer.to_lowercase();
-                let contribution = effective[i] * candidate.confidence;
-                let entry = scores.entry(key).or_insert((0.0, candidate.answer.clone()));
-                match self.config.aggregation {
-                    EvidenceAggregation::Max => {
-                        if contribution > entry.0 {
-                            entry.0 = contribution;
-                        }
-                    }
-                    EvidenceAggregation::Sum => entry.0 += contribution,
-                }
+                support(&candidate.answer, effective[i] * candidate.confidence);
             }
         }
         if let Some(prior) = self.config.prior.recall(&input.question) {
-            let key = prior.answer.to_lowercase();
-            let contribution = prior.score * self.config.prior_strength;
-            let entry = scores.entry(key).or_insert((0.0, prior.answer.clone()));
-            match self.config.aggregation {
-                EvidenceAggregation::Max => {
-                    if contribution > entry.0 {
-                        entry.0 = contribution;
-                    }
-                }
-                EvidenceAggregation::Sum => entry.0 += contribution,
-            }
+            support(&prior.answer, prior.score);
         }
         // BTreeMap iteration is key-ascending; keeping only strictly-greater scores makes
         // ties resolve to the lexicographically smallest answer, deterministically.
@@ -398,7 +347,7 @@ impl LanguageModel for SimLlm {
     }
 
     fn name(&self) -> &str {
-        &self.config.name
+        MODEL_NAME
     }
 }
 
@@ -614,20 +563,6 @@ mod tests {
         let llm = model_with_prior();
         let input = LlmInput::new(BIG_THREE_QUESTION, big_three_sources());
         assert_eq!(llm.generate(&input), llm.generate(&input));
-    }
-
-    #[test]
-    fn sum_aggregation_lets_majorities_win() {
-        let prior = PriorKnowledge::empty();
-        let mut config = SimLlmConfig::default().with_prior(prior);
-        config.aggregation = EvidenceAggregation::Sum;
-        config.position_bias = PositionBiasProfile::Uniform;
-        config.primacy_tilt = 0.0;
-        let llm = SimLlm::new(config);
-        let generation = llm.generate(&LlmInput::new(BIG_THREE_QUESTION, big_three_sources()));
-        // Three of five sources support Djokovic; with flat positions and summed
-        // evidence the majority answer wins.
-        assert_eq!(generation.answer, "Novak Djokovic");
     }
 
     #[test]

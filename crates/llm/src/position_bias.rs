@@ -6,10 +6,11 @@
 //! *counteracts* it (optimal permutations that place relevant sources in high-attention
 //! positions, optionally calibrated with "a predefined V-shaped distribution").
 //!
-//! [`PositionBiasProfile`] is that calibration knob: it maps a context position
-//! `0..k` to a multiplicative attention weight. The simulated model multiplies its
-//! content-based attention by this prior; the optimal-permutation solver uses the same
-//! profile as the expected-attention distribution over positions.
+//! [`PositionBiasProfile`] maps a context position `0..k` to a multiplicative attention
+//! weight. It is the analyst's placement knob: the optimal-permutation solver uses the
+//! chosen profile as the expected-attention distribution over positions. The simulated
+//! model's own prior is fixed: it multiplies its content-based attention by the
+//! [default](PositionBiasProfile::default) profile.
 
 use serde::{Deserialize, Serialize};
 

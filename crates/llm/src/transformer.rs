@@ -32,14 +32,6 @@ pub struct TransformerConfig {
     pub temperature: f64,
     /// Seed for the deterministic projection matrices and embeddings.
     pub seed: u64,
-    /// Causal attention: query position `q` attends only to key positions
-    /// `k <= q` (decoder-style masking of future positions). Off by default —
-    /// the read-out the explanation engine aggregates was calibrated on
-    /// bidirectional attention. With the workspace's question-first prompt
-    /// layout, causal masking means question rows never see source tokens,
-    /// so [`SimLlm`](crate::model::SimLlm) switches its aggregation to the
-    /// whole-prompt variant when this is on (see `SimLlm::effective_attention`).
-    pub causal: bool,
 }
 
 impl Default for TransformerConfig {
@@ -50,7 +42,6 @@ impl Default for TransformerConfig {
             dim: 32,
             temperature: 0.35,
             seed: 0x5eed_1234,
-            causal: false,
         }
     }
 }
@@ -255,12 +246,9 @@ impl Transformer {
     /// A buffer of `len` elements: the smallest pooled buffer whose
     /// capacity already holds `len`, resized in place, or a fresh one. A
     /// buffer that would have to grow is never taken — regrowing reallocates
-    /// and faults in fresh pages, the cost the pool exists to avoid. When
-    /// `zeroed` is false the contents are stale and the caller must
-    /// overwrite every element (the bidirectional score pass does); when
-    /// true the buffer is zero-filled, matching a fresh `vec![0.0; len]`
-    /// bit-for-bit.
-    fn take_scratch(&self, len: usize, zeroed: bool) -> Vec<f64> {
+    /// and faults in fresh pages, the cost the pool exists to avoid. The
+    /// contents are stale, so the caller must overwrite every element.
+    fn take_scratch(&self, len: usize) -> Vec<f64> {
         let mut pool = self.scratch.lock().expect("scratch pool poisoned");
         let fit = (0..pool.len())
             .filter(|&i| pool[i].capacity() >= len)
@@ -270,9 +258,6 @@ impl Transformer {
         };
         let mut buf = pool.swap_remove(index);
         drop(pool);
-        if zeroed {
-            buf.clear();
-        }
         buf.resize(len, 0.0);
         buf
     }
@@ -329,12 +314,12 @@ impl Transformer {
     /// the value mix and so the next layer's keys; when the record keeps only
     /// the question rows, each head's full matrix is folded into the
     /// head-combined mix weights and handed back to the scratch pool as soon
-    /// as its rows are copied out, so a bidirectional forward holds two
-    /// `n × n` buffers rather than one per head plus the combined weights.
-    /// The last layer projects all `n` keys but scores and normalises only
-    /// the read-out rows, and it computes neither a value mix nor a
-    /// residual: no caller reads the final hidden state. Rows that are not
-    /// stored can never be read as if they were valid.
+    /// as its rows are copied out, so a forward holds two `n × n` buffers
+    /// rather than one per head plus the combined weights. The last layer
+    /// projects all `n` keys but scores and normalises only the read-out
+    /// rows, and it computes neither a value mix nor a residual: no caller
+    /// reads the final hidden state. Rows that are not stored can never be
+    /// read as if they were valid.
     ///
     /// Only the input embeddings are taken from the cache: they are a pure
     /// function of `(token id, position)`. Everything else is recomputed, so
@@ -343,14 +328,13 @@ impl Transformer {
     ///
     /// This is the production path, implemented on the fused [`kernels`]:
     /// flat row-major buffers, four-lane inner loops, the per-head value
-    /// mixes folded into one pass over head-averaged weights, and a mirrored
-    /// score matrix (the pre-softmax score `dot(pᵩ, pₖ)·scale` is
+    /// mixes folded into one tiled pass over head-averaged weights, and a
+    /// mirrored score matrix (the pre-softmax score `dot(pᵩ, pₖ)·scale` is
     /// bit-symmetric in `q`/`k`, so only the upper triangle is computed —
     /// which also holds inside a row prefix, since row `q` mirrors only rows
-    /// `k < q`; under causal masking each row's visible prefix is computed
-    /// directly instead). Every attention value it computes runs through the
-    /// same kernels in the same operation order as the full computation, so
-    /// each stored row is bit-identical to the same row of the
+    /// `k < q`). Every attention value it computes runs through the same
+    /// kernels in the same operation order as the full computation, so each
+    /// stored row is bit-identical to the same row of the
     /// [`ReadOut::AllRows`] record. Against [`Transformer::forward_reference`]
     /// every weight is within [`SIMD_ULP_BOUND`](kernels::SIMD_ULP_BOUND)
     /// ULPs — see the [`kernels`] module docs for the contract.
@@ -396,13 +380,12 @@ impl Transformer {
         let mut projected = vec![0.0f64; n * head_dim];
         let mut mixed = vec![0.0f64; if last > 0 { n * dim } else { 0 }];
 
-        let causal = self.config.causal;
         // The per-head value mixes fold into one combined pass per layer:
         // the head weights are summed first, then the values are traversed
         // once instead of once per head. Same math, reassociated — part of
         // the documented ULP divergence. (With one head the fold is the
-        // identity, and a one-layer stack mixes nothing, so neither folds.)
-        let combine_mix = self.config.heads > 1 && last > 0;
+        // identity, and the tiled mix rounds exactly like the per-query
+        // `simd::mix_accumulate`.)
         let inv_heads = kernels::exact_reciprocal(heads_f).unwrap_or(1.0 / heads_f);
 
         let mut layers = Vec::with_capacity(self.config.layers);
@@ -416,7 +399,6 @@ impl Transformer {
             // a time: when the record keeps only read-out rows, at most one
             // other `n × n` head matrix is live beside them.
             let mut combined: Option<Vec<f64>> = None;
-            mixed.fill(0.0);
 
             for head in 0..self.config.heads {
                 // Every position is projected, also in the last layer: each
@@ -433,91 +415,56 @@ impl Transformer {
                 }
                 let scale = 1.0 / ((head_dim as f64).sqrt() * self.config.temperature);
 
-                // Pre-softmax scores for rows `0..rows`. Bidirectional:
-                // `dot(pᵩ, pₖ)` performs the same multiply/add sequence as
-                // `dot(pₖ, pᵩ)`, so the matrix is bit-symmetric — compute
-                // the upper triangle, mirror the rest (row `q` mirrors only
-                // rows `k < q`, all inside the computed prefix). Causal: each
-                // row needs only its visible prefix `k <= q` (the lower
-                // triangle), and earlier rows never computed those columns,
-                // so the prefix is computed directly — no mirror, same
-                // `n(n+1)/2` total dot products over a full record.
-                // Scores are computed straight into the attention matrix —
-                // no separate score scratch and clone (a full extra `n × n`
-                // memcpy). The matrix comes from the scratch pool: the
-                // bidirectional pass overwrites every element (mirror plus
-                // kernel row), while the causal pass needs the masked upper
-                // triangle zeroed, exactly like a fresh allocation. The
-                // mirror reads earlier rows of `attn` itself, which still
-                // hold raw scores because the softmax pass below only starts
-                // once every row is written.
+                // Pre-softmax scores for rows `0..rows`: `dot(pᵩ, pₖ)`
+                // performs the same multiply/add sequence as `dot(pₖ, pᵩ)`,
+                // so the matrix is bit-symmetric — compute the upper
+                // triangle, mirror the rest (row `q` mirrors only rows
+                // `k < q`, all inside the computed prefix). Scores are
+                // computed straight into the attention matrix, which comes
+                // from the scratch pool: the mirror plus the kernel row
+                // overwrite every element. The mirror reads earlier rows of
+                // `attn` itself, which still hold raw scores because the
+                // softmax pass below only starts once every row is written.
                 let mut attn = Matrix {
                     rows,
                     cols: n,
-                    data: self.take_scratch(rows * n, causal),
+                    data: self.take_scratch(rows * n),
                 };
                 for q in 0..rows {
                     let row_start = q * n;
-                    if causal {
-                        let visible = q + 1;
-                        simd::scores_into(
-                            &projected[q * head_dim..(q + 1) * head_dim],
-                            &projected[..visible * head_dim],
-                            head_dim,
-                            scale,
-                            &mut attn.data[row_start..row_start + visible],
-                        );
-                    } else {
-                        for k in 0..q {
-                            attn.data[row_start + k] = attn.data[k * n + q];
-                        }
-                        simd::scores_into(
-                            &projected[q * head_dim..(q + 1) * head_dim],
-                            &projected[q * head_dim..n * head_dim],
-                            head_dim,
-                            scale,
-                            &mut attn.data[row_start + q..row_start + n],
-                        );
+                    for k in 0..q {
+                        attn.data[row_start + k] = attn.data[k * n + q];
                     }
+                    simd::scores_into(
+                        &projected[q * head_dim..(q + 1) * head_dim],
+                        &projected[q * head_dim..n * head_dim],
+                        head_dim,
+                        scale,
+                        &mut attn.data[row_start + q..row_start + n],
+                    );
                 }
                 for q in 0..rows {
-                    // Fused softmax + value mix over the query's visible
-                    // weight prefix; masked (future) positions stay at the
-                    // allocation's zeros, exactly like the reference's
-                    // untouched entries.
-                    let visible = if causal { q + 1 } else { n };
                     let row = attn.row_mut(q);
-                    let sum = simd::softmax_exp_inplace(&mut row[..visible]);
-                    simd::weights_inplace(&mut row[..visible], sum);
-                    if mixes && !combine_mix {
-                        simd::mix_accumulate(
-                            &row[..visible],
-                            &hidden[..visible * dim],
-                            dim,
-                            heads_f,
-                            &mut mixed[q * dim..(q + 1) * dim],
-                        );
-                    }
+                    let sum = simd::softmax_exp_inplace(row);
+                    simd::weights_inplace(row, sum);
                 }
                 if !mixes {
                     head_matrices.push(attn);
                     continue;
                 }
                 if let Some(sum) = combined.as_mut() {
-                    // Bidirectional layers average with the last head: the
-                    // same `(w₀ + w₁ + …) · (1/heads)` product
-                    // `simd::mix_accumulate` forms per key, so the tiled mix
-                    // below rounds exactly like the per-query kernel. Causal
-                    // layers keep the plain sum, which `mix_accumulate`
-                    // averages per query.
+                    // Average with the last head: the same
+                    // `(w₀ + w₁ + …) · (1/heads)` product per key that
+                    // `simd::mix_accumulate` forms, so the tiled mix below
+                    // rounds exactly like the per-query kernel.
                     let last_head = head + 1 == self.config.heads;
-                    fold_head(sum, &attn.data, (last_head && !causal).then_some(inv_heads));
+                    fold_head(sum, &attn.data, last_head.then_some(inv_heads));
                 }
                 if read_rows == n {
                     // The record keeps the whole matrix, so the combined
                     // weights start from a copy of the first head's.
-                    if combine_mix && combined.is_none() {
-                        let mut sum = self.take_scratch(n * n, false);
+                    if combined.is_none() {
+                        let mut sum = self.take_scratch(n * n);
                         sum.copy_from_slice(&attn.data);
                         combined = Some(sum);
                     }
@@ -526,14 +473,14 @@ impl Transformer {
                     // The record keeps a copy of the read-out rows; the full
                     // matrix then becomes the combined weights (first head)
                     // or goes back to the pool.
-                    let mut kept = self.take_scratch(read_rows * n, false);
+                    let mut kept = self.take_scratch(read_rows * n);
                     kept.copy_from_slice(&attn.data[..read_rows * n]);
                     head_matrices.push(Matrix {
                         rows: read_rows,
                         cols: n,
                         data: kept,
                     });
-                    if combine_mix && combined.is_none() {
+                    if combined.is_none() {
                         combined = Some(attn.data);
                     } else {
                         self.give_scratch(attn.data);
@@ -541,36 +488,21 @@ impl Transformer {
                 }
             }
 
-            if !mixes {
-                // The last layer: its hidden states are never read, so no
-                // value mix and no residual.
+            let Some(combined) = combined else {
+                // Only a mixing layer folds head weights. This is the last
+                // layer: its hidden states are never read, so no value mix
+                // and no residual.
                 layers.push(LayerAttention {
                     heads: head_matrices,
                 });
                 break;
-            }
-            if let Some(combined) = combined {
-                if causal {
-                    // Causal rows have ragged visible prefixes: mix each
-                    // query over its own prefix of the summed head weights.
-                    for q in 0..n {
-                        let visible = q + 1;
-                        simd::mix_accumulate(
-                            &combined[q * n..q * n + visible],
-                            &hidden[..visible * dim],
-                            dim,
-                            heads_f,
-                            &mut mixed[q * dim..(q + 1) * dim],
-                        );
-                    }
-                } else {
-                    // One tiled mix over the whole layer, so the hidden
-                    // buffer streams through L1-sized key tiles exactly once
-                    // instead of once per query.
-                    simd::mix_tiled(&combined, &hidden, dim, &mut mixed);
-                }
-                self.give_scratch(combined);
-            }
+            };
+            // One tiled mix over the whole layer, so the hidden buffer
+            // streams through L1-sized key tiles exactly once instead of
+            // once per query.
+            mixed.fill(0.0);
+            simd::mix_tiled(&combined, &hidden, dim, &mut mixed);
+            self.give_scratch(combined);
 
             kernels::residual_normalize(&mut hidden, &mixed, dim);
             layers.push(LayerAttention {
@@ -635,11 +567,8 @@ impl Transformer {
 
                 let mut attn = Matrix::zeros(n, n);
                 for q in 0..n {
-                    // Scores for query q against every visible key (all of
-                    // them, or the causal prefix `k <= q`; masked positions
-                    // keep the matrix's zero initialisation).
-                    let visible = if self.config.causal { q + 1 } else { n };
-                    let mut scores: Vec<f64> = (0..visible)
+                    // Scores for query q against every key.
+                    let mut scores: Vec<f64> = (0..n)
                         .map(|k| dot(&projected[q], &projected[k]) * scale)
                         .collect();
                     // Numerically-stable softmax.
@@ -840,7 +769,7 @@ mod tests {
     fn scratch_pool_never_hands_out_a_buffer_that_must_grow() {
         let transformer = Transformer::new(TransformerConfig::default());
         transformer.give_scratch(vec![7.0; 4]);
-        let big = transformer.take_scratch(16, false);
+        let big = transformer.take_scratch(16);
         assert_eq!(big.len(), 16);
         // The short buffer stays pooled for a request it fits.
         let pool = transformer.scratch.lock().unwrap();
@@ -849,20 +778,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_resizes_in_place_and_zeroes_on_request() {
+    fn scratch_pool_resizes_in_place() {
         let transformer = Transformer::new(TransformerConfig::default());
         transformer.give_scratch(vec![7.0; 16]);
         // A shorter request reuses the longer buffer in place …
-        let stale = transformer.take_scratch(9, false);
+        let stale = transformer.take_scratch(9);
         assert_eq!(stale.len(), 9);
         let ptr = stale.as_ptr();
         transformer.give_scratch(stale);
-        // … and a zeroed request gets zeros everywhere, also past the length
-        // the buffer last had.
-        let zeroed = transformer.take_scratch(12, true);
-        assert_eq!(zeroed.as_ptr(), ptr);
-        assert_eq!(zeroed.len(), 12);
-        assert!(zeroed.iter().all(|x| x.to_bits() == 0));
+        // … and so does a longer one that still fits its capacity.
+        let longer = transformer.take_scratch(12);
+        assert_eq!(longer.as_ptr(), ptr);
+        assert_eq!(longer.len(), 12);
     }
 
     #[test]

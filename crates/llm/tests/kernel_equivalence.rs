@@ -15,8 +15,8 @@
 //!    each bit-identical to the full fused record's, so the aggregated
 //!    `SourceAttention` the model reads never moves.
 //! 2. **Model level** — `SimLlm` generations match between a fused and a
-//!    reference-forward model, causal and bidirectional: equal answers, and
-//!    attention read-outs within `1e-12` relative.
+//!    reference-forward model across the configuration sweep: equal answers,
+//!    and attention read-outs within `1e-12` relative.
 //! 3. **Report level** — every registered scenario's report, through
 //!    evaluators of fan-out width 1, 2 and 4 over a fused model, explains
 //!    what the reference model's report explains (see
@@ -29,9 +29,7 @@ use std::sync::{Arc, OnceLock};
 use rage_core::explanation::ReportConfig;
 use rage_core::{Evaluator, Perturbation, RagPipeline, RageReport};
 use rage_datasets::{Scenario, ScenarioRegistry};
-use rage_llm::attention::{
-    aggregate_question_to_source_attention, aggregate_source_attention, SourceAttention,
-};
+use rage_llm::attention::{aggregate_question_to_source_attention, SourceAttention};
 use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::SIMD_ULP_BOUND;
 use rage_llm::model::{SimLlm, SimLlmConfig};
@@ -133,8 +131,7 @@ fn assert_masses_identical(label: &str, got: &SourceAttention, want: &SourceAtte
 
 /// Assert a demand-driven record stores exactly the rows `read_out` names in
 /// every layer, each bit-identical to the same row of the full record, and
-/// that both aggregated read-outs it can serve match the full record's bit
-/// for bit.
+/// that the aggregated read-out matches the full record's bit for bit.
 fn assert_read_out_matches_full(
     label: &str,
     prompt: &TokenizedPrompt,
@@ -166,13 +163,6 @@ fn assert_read_out_matches_full(
         &aggregate_question_to_source_attention(got, prompt),
         &aggregate_question_to_source_attention(full, prompt),
     );
-    if read_out == ReadOut::AllRows {
-        assert_masses_identical(
-            &format!("{label}: whole-prompt read-out"),
-            &aggregate_source_attention(got, prompt),
-            &aggregate_source_attention(full, prompt),
-        );
-    }
 }
 
 /// Assert two attention records are identical down to the last bit.
@@ -249,14 +239,17 @@ fn assert_within_ulp_bound(label: &str, fused: &AttentionRecord, reference: &Att
 
 /// The configuration sweep: every dim/head/layer shape the kernels must
 /// handle, including non-power-of-two head counts (where the head-averaging
-/// division must stay a division), dims that don't divide evenly, and a
-/// single-token-block dimension smaller than the kernel block size.
+/// division must stay a division), one-head stacks that mix values, dims that
+/// don't divide evenly, and a single-token-block dimension smaller than the
+/// kernel block size.
 fn config_sweep() -> Vec<TransformerConfig> {
     let mut configs = Vec::new();
     for (dim, heads, layers) in [
         (32, 2, 2), // the default shape
         (32, 3, 2), // heads don't divide dim; head-average is a true division
         (8, 1, 1),  // minimal shape
+        (16, 1, 2), // one head, one mixing layer
+        (5, 1, 3),  // one head, two mixing layers, dim % 4 != 0
         (17, 4, 3), // odd dim, deeper stack
         (3, 2, 2),  // head_dim == 1
         (64, 8, 1), // wide and shallow
@@ -267,7 +260,6 @@ fn config_sweep() -> Vec<TransformerConfig> {
             dim,
             temperature: 0.35,
             seed: 0x5eed_1234 ^ ((dim as u64) << 8) ^ heads as u64,
-            causal: false,
         });
     }
     // Temperature extremes sharpen/flatten the softmax.
@@ -387,14 +379,6 @@ fn fused_and_reference_caches_are_interchangeable() {
     assert!(shared.stats().hits > 0, "the shared cache must hit");
 }
 
-/// Every sweep shape, bidirectional and causal.
-fn config_sweep_with_causal() -> Vec<TransformerConfig> {
-    config_sweep()
-        .into_iter()
-        .flat_map(|config| [false, true].map(|causal| TransformerConfig { causal, ..config }))
-        .collect()
-}
-
 #[test]
 fn demand_driven_read_out_matches_the_full_record_bitwise() {
     // Both read-outs, with the cache off, cold and warm: each stored row
@@ -403,15 +387,15 @@ fn demand_driven_read_out_matches_the_full_record_bitwise() {
     // bound of the reference.
     let tokenizer = SimTokenizer::new();
     let mut state = 0xD3A4_0DD0;
-    for config in config_sweep_with_causal() {
+    for config in config_sweep() {
         let transformer = Transformer::new(config);
         let warm = PrefixCache::default();
         for (round, input) in inputs(&mut state, 4).iter().enumerate() {
             let prompt = tokenizer.tokenize_prompt(input);
             let full = transformer.forward(&prompt);
             let label = format!(
-                "dim={} heads={} layers={} t={} causal={} round={round}",
-                config.dim, config.heads, config.layers, config.temperature, config.causal
+                "dim={} heads={} layers={} t={} round={round}",
+                config.dim, config.heads, config.layers, config.temperature
             );
             assert_within_ulp_bound(
                 &format!("{label} full record vs reference"),
@@ -445,8 +429,8 @@ fn demand_driven_read_out_matches_the_full_record_bitwise() {
 #[test]
 fn forward_after_a_shorter_prompt_on_a_shared_pool_matches_a_fresh_model() {
     // The scratch pool hands recycled buffers to later forwards of other
-    // shapes; stale contents must never leak into a record (the causal mask
-    // relies on zeroed buffers). One model runs a sequence of prompt lengths
+    // shapes; stale contents must never leak into a record. One model runs a
+    // sequence of prompt lengths
     // on its shared pool — a buffer sized by the long prompt, rewritten by
     // the short one, is then reused by the medium one — and every forward
     // must match the same forward on a fresh model.
@@ -471,22 +455,17 @@ fn forward_after_a_shorter_prompt_on_a_shared_pool_matches_a_fresh_model() {
             "nadal won the most titles on clay court",
         ],
     );
-    for causal in [false, true] {
-        let config = TransformerConfig {
-            causal,
-            ..TransformerConfig::default()
-        };
-        let shared = Transformer::new(config);
-        for (step, prompt) in [&long, &short, &medium, &short, &long].iter().enumerate() {
-            for read_out in [ReadOut::QuestionRows, ReadOut::AllRows] {
-                let got = shared.forward_cached(prompt, None, read_out);
-                assert_bit_identical(
-                    &format!("causal={causal} step={step} {read_out:?}"),
-                    &got,
-                    &Transformer::new(config).forward_cached(prompt, None, read_out),
-                );
-                shared.recycle(got);
-            }
+    let config = TransformerConfig::default();
+    let shared = Transformer::new(config);
+    for (step, prompt) in [&long, &short, &medium, &short, &long].iter().enumerate() {
+        for read_out in [ReadOut::QuestionRows, ReadOut::AllRows] {
+            let got = shared.forward_cached(prompt, None, read_out);
+            assert_bit_identical(
+                &format!("step={step} {read_out:?}"),
+                &got,
+                &Transformer::new(config).forward_cached(prompt, None, read_out),
+            );
+            shared.recycle(got);
         }
     }
 }
@@ -497,7 +476,7 @@ fn sim_llm_generations_match_reference_forward_bitwise() {
     // are equal, and each source's attention read-out is within
     // RELATIVE_TOLERANCE of the reference model's.
     let mut state = 0x5EED_0001;
-    for transformer in config_sweep_with_causal() {
+    for transformer in config_sweep() {
         let config = SimLlmConfig {
             transformer,
             ..SimLlmConfig::default()
@@ -505,12 +484,8 @@ fn sim_llm_generations_match_reference_forward_bitwise() {
         let fused = SimLlm::new(config.clone());
         let reference = SimLlm::new(config).with_reference_forward();
         let shape = format!(
-            "dim={} heads={} layers={} t={} causal={}",
-            transformer.dim,
-            transformer.heads,
-            transformer.layers,
-            transformer.temperature,
-            transformer.causal
+            "dim={} heads={} layers={} t={}",
+            transformer.dim, transformer.heads, transformer.layers, transformer.temperature
         );
         for (round, input) in inputs(&mut state, 6).iter().enumerate() {
             let f = fused.generate(input);

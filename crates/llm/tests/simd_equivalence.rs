@@ -1,7 +1,6 @@
-//! Differential suite for the lane-parallel kernels and the causal-attention
-//! mode.
+//! Differential suite for the lane-parallel kernels.
 //!
-//! Three layers of guarantees, complementing `kernel_equivalence.rs` (which
+//! Two layers of guarantees, complementing `kernel_equivalence.rs` (which
 //! pins the demand-driven read-out, the prefix cache and whole reports):
 //!
 //! 1. **Remainder-lane sweep** — every kernel over exhaustive small shapes
@@ -15,20 +14,12 @@
 //!    divergence of whole forward passes across the configuration sweep and
 //!    asserts [`SIMD_ULP_BOUND`], so any regression that widens the gap fails
 //!    loudly — in debug and (via CI) release codegen.
-//! 3. **Causal mode** — the causal fused path against the causal reference,
-//!    the full-visibility identities (a single-token prompt, and the last row
-//!    of a one-layer stack, are mask-independent), and proof that the mask
-//!    actually changes a registry scenario's attention read-out.
 
-use std::sync::Arc;
-
-use rage_datasets::us_open;
 use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::{self, simd, SIMD_ULP_BOUND};
-use rage_llm::model::{SimLlm, SimLlmConfig};
 use rage_llm::tokenizer::{PromptToken, Segment, SimTokenizer, TokenizedPrompt};
 use rage_llm::transformer::{AttentionRecord, ReadOut, Transformer, TransformerConfig};
-use rage_llm::{LanguageModel, LlmInput, SourceText};
+use rage_llm::{LlmInput, SourceText};
 
 /// SplitMix64 step — the workspace's standard deterministic mixer.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -60,6 +51,8 @@ fn config_sweep() -> Vec<TransformerConfig> {
         (32, 2, 2),
         (32, 3, 2),
         (8, 1, 1),
+        (16, 1, 2),
+        (5, 1, 3),
         (17, 4, 3),
         (3, 2, 2),
         (64, 8, 1),
@@ -70,7 +63,6 @@ fn config_sweep() -> Vec<TransformerConfig> {
             dim,
             temperature: 0.35,
             seed: 0x5eed_1234 ^ ((dim as u64) << 8) ^ heads as u64,
-            causal: false,
         });
     }
     configs.push(TransformerConfig {
@@ -309,25 +301,22 @@ fn simd_forward_divergence_from_scalar_is_ulp_bounded() {
     let tokenizer = SimTokenizer::new();
     let mut state = 0xD1FF_B0B0;
     let mut worst = 0u64;
-    for causal in [false, true] {
-        for mut config in config_sweep() {
-            config.causal = causal;
-            let transformer = Transformer::new(config);
-            for round in 0..6 {
-                let input = random_input(&mut state);
-                let prompt = tokenizer.tokenize_prompt(&input);
-                let a = transformer.forward_reference(&prompt, None);
-                let b = transformer.forward(&prompt);
-                let ulp = max_attention_ulp(&a, &b);
-                worst = worst.max(ulp);
-                assert!(
-                    ulp <= SIMD_ULP_BOUND,
-                    "dim={} heads={} layers={} causal={causal} round={round}: {ulp} ULP",
-                    config.dim,
-                    config.heads,
-                    config.layers
-                );
-            }
+    for config in config_sweep() {
+        let transformer = Transformer::new(config);
+        for round in 0..6 {
+            let input = random_input(&mut state);
+            let prompt = tokenizer.tokenize_prompt(&input);
+            let a = transformer.forward_reference(&prompt, None);
+            let b = transformer.forward(&prompt);
+            let ulp = max_attention_ulp(&a, &b);
+            worst = worst.max(ulp);
+            assert!(
+                ulp <= SIMD_ULP_BOUND,
+                "dim={} heads={} layers={} round={round}: {ulp} ULP",
+                config.dim,
+                config.heads,
+                config.layers
+            );
         }
     }
     // The bound must stay *meaningful*: if the fused forward ever became
@@ -361,197 +350,28 @@ fn context_length_sweep_small_prompts_both_backends() {
     // Context lengths 0..=17 (empty prompt, single token, block boundaries,
     // primes) through both forward paths, fused and reference: the fused
     // forward stays within the divergence bound of the reference, and the
-    // attention rows of both remain distributions over the visible prefix.
+    // attention rows of both remain distributions.
     let mut state = 0xC047EC7;
-    for causal in [false, true] {
-        let config = TransformerConfig {
-            causal,
-            ..TransformerConfig::default()
-        };
-        let transformer = Transformer::new(config);
-        for n in 0..=17usize {
-            let prompt = prompt_of_len(n, &mut state);
-            let reference = transformer.forward_reference(&prompt, None);
-            let fused = transformer.forward(&prompt);
-            if n == 0 {
-                assert_eq!((fused.seq_len, reference.seq_len), (0, 0));
-                continue;
-            }
-            assert!(
-                max_attention_ulp(&reference, &fused) <= SIMD_ULP_BOUND,
-                "causal={causal} n={n}"
-            );
-            for layer in fused.layers.iter().chain(&reference.layers) {
-                for head in &layer.heads {
-                    for q in 0..n {
-                        let visible = if causal { q + 1 } else { n };
-                        let row = head.row(q);
-                        let sum: f64 = row[..visible].iter().sum();
-                        assert!((sum - 1.0).abs() < 1e-9, "causal={causal} n={n} q={q}");
-                        assert!(row[visible..].iter().all(|w| *w == 0.0));
-                    }
+    let transformer = Transformer::new(TransformerConfig::default());
+    for n in 0..=17usize {
+        let prompt = prompt_of_len(n, &mut state);
+        let reference = transformer.forward_reference(&prompt, None);
+        let fused = transformer.forward(&prompt);
+        if n == 0 {
+            assert_eq!((fused.seq_len, reference.seq_len), (0, 0));
+            continue;
+        }
+        assert!(
+            max_attention_ulp(&reference, &fused) <= SIMD_ULP_BOUND,
+            "n={n}"
+        );
+        for layer in fused.layers.iter().chain(&reference.layers) {
+            for head in &layer.heads {
+                for q in 0..n {
+                    let sum: f64 = head.row(q).iter().sum();
+                    assert!((sum - 1.0).abs() < 1e-9, "n={n} q={q}");
                 }
             }
         }
-    }
-}
-
-// --------------------------------------------------------------------------
-// 3. Causal mode.
-// --------------------------------------------------------------------------
-
-#[test]
-fn causal_fused_matches_causal_reference_bitwise() {
-    // The name predates the ULP contract: the fused causal path stays within
-    // SIMD_ULP_BOUND of the causal reference across the sweep — the same
-    // contract the bidirectional path has.
-    let tokenizer = SimTokenizer::new();
-    let mut state = 0xCA5A_1111;
-    for mut config in config_sweep() {
-        config.causal = true;
-        let transformer = Transformer::new(config);
-        for round in 0..6 {
-            let input = random_input(&mut state);
-            let prompt = tokenizer.tokenize_prompt(&input);
-            let fused = transformer.forward(&prompt);
-            let reference = transformer.forward_reference(&prompt, None);
-            let ulp = max_attention_ulp(&fused, &reference);
-            assert!(
-                ulp <= SIMD_ULP_BOUND,
-                "dim={} heads={} round={round}: {ulp} ULP",
-                config.dim,
-                config.heads
-            );
-        }
-    }
-}
-
-#[test]
-fn full_visibility_causal_is_bit_identical_to_non_causal() {
-    // Where the causal mask hides nothing, masked and unmasked attention are
-    // the same computation and must agree bitwise, in the fused forward and
-    // in the reference:
-    // (a) a single-token prompt — every row's prefix is the whole sequence;
-    // (b) the last query row of a one-layer stack — its visible prefix is
-    //     the whole sequence, and with a single layer no masked row can
-    //     perturb its inputs.
-    let mut state = 0xF011;
-    let base = TransformerConfig {
-        layers: 1,
-        ..TransformerConfig::default()
-    };
-    let causal_config = TransformerConfig {
-        causal: true,
-        ..base
-    };
-    let plain = Transformer::new(base);
-    let masked = Transformer::new(causal_config);
-    for reference in [false, true] {
-        let path = if reference { "reference" } else { "fused" };
-        let forward = |t: &Transformer, p: &TokenizedPrompt| {
-            if reference {
-                t.forward_reference(p, None)
-            } else {
-                t.forward(p)
-            }
-        };
-        let single = prompt_of_len(1, &mut state);
-        assert_eq!(
-            forward(&plain, &single),
-            forward(&masked, &single),
-            "{path}: single-token prompt must be mask-independent"
-        );
-
-        for n in [2usize, 5, 12] {
-            let prompt = prompt_of_len(n, &mut state);
-            let a = forward(&plain, &prompt);
-            let b = forward(&masked, &prompt);
-            let last_plain = a.layers[0].heads.iter().map(|h| h.row(n - 1).to_vec());
-            let last_masked = b.layers[0].heads.iter().map(|h| h.row(n - 1).to_vec());
-            for (h, (x, y)) in last_plain.zip(last_masked).enumerate() {
-                let bits_x: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                let bits_y: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits_x, bits_y, "{path} n={n} head={h}: last row");
-            }
-        }
-    }
-}
-
-#[test]
-fn causal_masking_changes_registry_scenario_attention() {
-    // The mask must be observable end to end: the us_open registry scenario's
-    // per-source attention read-out changes when the model goes causal, and
-    // the causal read-out is still a usable distribution (the aggregation
-    // switch in SimLlm::effective_attention keeps it from collapsing to
-    // zero despite the question-first prompt layout).
-    let scenario = us_open::scenario();
-    let input = LlmInput::new(
-        scenario.question.clone(),
-        scenario
-            .corpus
-            .iter()
-            .map(|doc| SourceText::new(doc.id.clone(), doc.text.clone()))
-            .collect::<Vec<_>>(),
-    );
-
-    let plain = SimLlm::new(SimLlmConfig::default());
-    let causal_config = SimLlmConfig {
-        transformer: TransformerConfig {
-            causal: true,
-            ..TransformerConfig::default()
-        },
-        ..SimLlmConfig::default()
-    };
-    let causal = SimLlm::new(causal_config);
-
-    let a = plain.generate(&input);
-    let b = causal.generate(&input);
-    assert_eq!(a.source_attention.len(), b.source_attention.len());
-    assert_ne!(
-        a.source_attention, b.source_attention,
-        "causal masking must change the attention read-out"
-    );
-    let causal_total: f64 = b.source_attention.iter().sum();
-    assert!(
-        (causal_total - 1.0).abs() < 1e-9,
-        "causal attention must stay a distribution, got total {causal_total}"
-    );
-    assert!(
-        b.source_attention.iter().any(|w| *w > 0.0),
-        "causal attention must not collapse to zero"
-    );
-}
-
-#[test]
-fn causal_generation_is_deterministic_across_backends_and_caches() {
-    let causal_config = SimLlmConfig {
-        transformer: TransformerConfig {
-            causal: true,
-            ..TransformerConfig::default()
-        },
-        ..SimLlmConfig::default()
-    };
-    let scenario = us_open::scenario();
-    let input = LlmInput::new(
-        scenario.question.clone(),
-        scenario
-            .corpus
-            .iter()
-            .take(4)
-            .map(|doc| SourceText::new(doc.id.clone(), doc.text.clone()))
-            .collect::<Vec<_>>(),
-    );
-    // Both forward paths — the fused model and the reference-forward model —
-    // each against a cache of its own.
-    let fused = SimLlm::new(causal_config.clone());
-    let reference = SimLlm::new(causal_config).with_reference_forward();
-    for (path, model) in [("fused", fused), ("reference", reference)] {
-        let plain = model.clone();
-        let cached = model.with_prefix_cache(Arc::new(PrefixCache::default()));
-        let a = plain.generate(&input);
-        let b = cached.generate(&input);
-        let c = cached.generate(&input);
-        assert_eq!(a, b, "{path}: cold cache changed a causal generation");
-        assert_eq!(a, c, "{path}: warm cache changed a causal generation");
     }
 }

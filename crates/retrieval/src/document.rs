@@ -54,11 +54,6 @@ impl Document {
             format!("{}. {}", self.title, self.text)
         }
     }
-
-    /// Number of Unicode scalar values in the body.
-    pub fn len_chars(&self) -> usize {
-        self.text.chars().count()
-    }
 }
 
 /// An ordered collection of documents with unique ids.

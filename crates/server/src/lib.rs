@@ -78,7 +78,7 @@
 //! a 2-vCPU host, where two clients' asks run their forwards at the same
 //! time. On a single core the workers can only interleave, but answering on
 //! the worker still saves the admission wait a dispatcher would add. Beyond
-//! two cores the gain is unmeasured (see ROADMAP "Multicore speedup").
+//! two cores the gain is unmeasured.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
