@@ -7,7 +7,19 @@
 //! that [`Transformer::forward_cached`](crate::transformer::Transformer::forward_cached)
 //! runs on: flat row-major buffers instead of `Vec<Vec<f64>>` pointer chasing,
 //! no per-query allocations, and the four-lane kernels in [`simd`], which
-//! stable Rust auto-vectorises to packed SSE2 without `unsafe` or intrinsics.
+//! stable Rust auto-vectorises without `unsafe` or intrinsics.
+//!
+//! ## Build baseline
+//!
+//! The repository builds for `x86-64-v3` (AVX2 and FMA; `.cargo/config.toml`
+//! at its root), so the kernels run on 256-bit vectors, four `f64` lanes
+//! each. `RUSTFLAGS="-C target-cpu=x86-64"` replaces that flag and builds
+//! for plain x86-64, where the same kernels lower to packed SSE2. The two
+//! builds compute the same bits: Rust never contracts `a * b + c` into an
+//! FMA, and no kernel's per-element operation sequence depends on the
+//! vector width. `tests/kernel_equivalence.rs` pins an FNV-1a fingerprint of
+//! every attention weight over a seeded sweep, so a one-bit drift from a
+//! kernel or codegen change fails it on either build.
 //!
 //! ## The ULP contract
 //!

@@ -1,13 +1,18 @@
 //! Lane-parallel (SIMD-shaped) kernel implementations.
 //!
-//! The toolchain is stable Rust, `rage-llm` forbids `unsafe`, and the target
-//! baseline is plain x86-64 — so this module does not call vector intrinsics
-//! or `std::simd`. Instead every kernel is written as **fixed-width 4-lane
-//! blocks of straight-line scalar code** (`chunks_exact`, no data-dependent
-//! branches in the hot loops) that LLVM's auto-vectoriser lowers to packed
-//! SSE2 instructions at the default target, and to wider AVX vectors when the
-//! build opts into `-C target-cpu`. The lane shape — not the instruction set —
-//! is the contract, which keeps results identical across machines.
+//! The toolchain is stable Rust and `rage-llm` forbids `unsafe`, so this
+//! module does not call vector intrinsics or `std::simd`. Instead every
+//! kernel is written as **fixed-width 4-lane blocks of straight-line scalar
+//! code** (`chunks_exact`, no data-dependent branches in the hot loops), or
+//! as a plain loop over independent elements, which LLVM's auto-vectoriser
+//! lowers to packed instructions. The repository builds for `x86-64-v3`
+//! (`.cargo/config.toml` at its root), where one AVX2 vector holds all four
+//! `f64` lanes; `RUSTFLAGS="-C target-cpu=x86-64"` opts out to plain x86-64,
+//! where the same blocks lower to pairs of SSE2 vectors. Rust never contracts
+//! `a * b + c` into an FMA, so the instruction set changes speed, not bits:
+//! the lane shape is the contract, and results are identical on either
+//! build (`tests/kernel_equivalence.rs` pins a fingerprint of the attention
+//! weights).
 //!
 //! ## Divergence contract (vs. the reference forward)
 //!
@@ -45,8 +50,9 @@
 //! independent outputs, the auto-vectoriser handles it well, and keeping it
 //! exact keeps the divergence surface small.
 
-/// Lane width of the hand-unrolled blocks. Four `f64` lanes = two SSE2
-/// vectors (the stable-Rust baseline) or one AVX2 vector.
+/// Lane width of the hand-unrolled blocks. Four `f64` lanes = one AVX2
+/// vector at the `x86-64-v3` build baseline, or two SSE2 vectors on a plain
+/// `x86-64` build.
 const LANES: usize = 4;
 
 /// Tree-reduced dot product: 4 striped lane accumulators combined as
@@ -150,18 +156,21 @@ const C12: f64 = 1.0 / 479_001_600.0;
 ///
 /// Shape: Cody–Waite reduction `x = k·ln2 + r` with `|r| ≤ ln2/2`, a
 /// degree-12 Taylor polynomial for `exp(r)` evaluated in Estrin form (short
-/// dependency chains so four interleaved lanes pipeline), and an exact
-/// power-of-two scale built directly from the exponent bits.
+/// dependency chains), and an exact power-of-two scale built directly from
+/// the exponent bits.
 ///
-/// There is deliberately no `f64 → i32` cast anywhere: Rust's saturating
-/// float casts lower to scalar `cvttsd2si` plus clamp logic at the SSE2
-/// baseline, which serialises the whole four-lane pipeline. The [`MAGIC`]
-/// binade-shift trick keeps both the rounding and the exponent extraction in
-/// packed float/integer ops.
+/// [`softmax_exp_inplace`] calls it from one plain loop over the row, which
+/// the loop vectoriser lowers to packed code: four row elements per AVX2
+/// vector at the `x86-64-v3` baseline, two per SSE2 vector on a plain
+/// `x86-64` build. That needs every step to be a lane operation: the clamp
+/// and the flush are selects, and there is deliberately no float-to-integer
+/// cast anywhere (Rust's saturating casts wrap a scalar `cvttsd2si` in clamp
+/// logic on plain `x86-64`). The [`MAGIC`] binade-shift trick keeps both the
+/// rounding and the exponent extraction in packed float and integer ops.
 #[inline(always)]
 fn exp_lane(x: f64) -> f64 {
-    // Comparison select rather than `f64::max`: one `maxsd`, and the exact
-    // clamp the four-lane form uses, keeping the two bit-identical.
+    // Comparison select rather than `f64::max`: one packed `max`, without
+    // `f64::max`'s NaN handling.
     let xc = if x > EXP_FLUSH { x } else { EXP_FLUSH };
     let y = xc * LOG2_E;
     // round-to-nearest-even of y, no float→int cast (see MAGIC).
@@ -194,58 +203,13 @@ fn exp_lane(x: f64) -> f64 {
     }
 }
 
-/// Four [`exp_lane`]s in lockstep: every stage is a lane loop over
-/// `[f64; LANES]` arrays, so the vectoriser emits packed ops stage by stage.
-///
-/// Calling `exp_lane` four times in a row does *not* get there — superword
-/// vectorisation gives up on the select/bit-cast tails of the four inlined
-/// bodies and leaves most of the polynomial scalar (measured ~2× slower than
-/// this form on the softmax hot loop). Per lane the operation sequence here
-/// is exactly [`exp_lane`]'s, so the two are bit-identical for every input —
-/// asserted in tests, and what lets the remainder path below fall back to
-/// [`exp_lane`] without a divergence seam at `len % 4` boundaries.
-#[inline(always)]
-fn exp4(x: [f64; LANES]) -> [f64; LANES] {
-    let mut xc = [0.0f64; LANES];
-    for l in 0..LANES {
-        xc[l] = if x[l] > EXP_FLUSH { x[l] } else { EXP_FLUSH };
-    }
-    let mut kf = [0.0f64; LANES];
-    for l in 0..LANES {
-        kf[l] = (xc[l] * LOG2_E + MAGIC) - MAGIC;
-    }
-    let mut p = [0.0f64; LANES];
-    for l in 0..LANES {
-        let r = (xc[l] - kf[l] * LN2_HI) - kf[l] * LN2_LO;
-        let r2 = r * r;
-        let r4 = r2 * r2;
-        let r8 = r4 * r4;
-        let p0123 = (1.0 + r) + (0.5 + C3 * r) * r2;
-        let p4567 = (C4 + C5 * r) + (C6 + C7 * r) * r2;
-        let p89ab = (C8 + C9 * r) + (C10 + C11 * r) * r2;
-        p[l] = (p0123 + p4567 * r4) + (p89ab + C12 * r4) * r8;
-    }
-    let mut v = [0.0f64; LANES];
-    for l in 0..LANES {
-        let k_bits = (kf[l] + MAGIC).to_bits();
-        let scale = f64::from_bits(
-            k_bits
-                .wrapping_sub(1u64 << 51)
-                .wrapping_add(1023)
-                .wrapping_shl(52),
-        );
-        v[l] = scale * p[l];
-    }
-    for l in 0..LANES {
-        v[l] = if x[l] < EXP_FLUSH { 0.0 } else { v[l] };
-    }
-    v
-}
-
 /// Numerically-stable softmax, first half: subtract the row maximum and
 /// exponentiate in place, returning the sum of the exponentials. 4-lane
 /// striped maximum (order-insensitive for the finite scores the transformer
-/// produces), polynomial `exp` (see `exp_lane`) and a 4-lane tree sum.
+/// produces), polynomial `exp` (see `exp_lane`) over the row in one plain
+/// loop, then a 4-lane striped tree sum in a pass of its own: element `i`
+/// adds into lane `i % 4` in ascending order, and the lanes combine as
+/// `(s0+s1) + (s2+s3)`.
 pub fn softmax_exp_inplace(scores: &mut [f64]) -> f64 {
     // Striped maximum. Max is associative and commutative over non-NaN
     // inputs, so the lane order cannot change the result. The comparison
@@ -274,19 +238,23 @@ pub fn softmax_exp_inplace(scores: &mut [f64]) -> f64 {
         }
     }
 
+    // One plain loop, so the loop vectoriser packs `exp_lane` at the full
+    // vector width. Hand-unrolling it into four-lane blocks does worse: the
+    // superword vectoriser keeps most of such a block scalar. Summing in the
+    // same loop would make it an ordered float reduction, which the
+    // vectoriser may not reorder, so the loop would stay scalar.
+    for v in scores.iter_mut() {
+        *v = exp_lane(*v - max);
+    }
     let mut sum = [0.0f64; LANES];
-    let mut it = scores.chunks_exact_mut(LANES);
+    let mut it = scores.chunks_exact(LANES);
     for ch in &mut it {
-        let e = exp4([ch[0] - max, ch[1] - max, ch[2] - max, ch[3] - max]);
-        ch.copy_from_slice(&e);
-        for (s, ev) in sum.iter_mut().zip(e) {
-            *s += ev;
+        for (s, e) in sum.iter_mut().zip(ch) {
+            *s += e;
         }
     }
-    for (l, v) in it.into_remainder().iter_mut().enumerate() {
-        let e = exp_lane(*v - max);
-        *v = e;
-        sum[l] += e;
+    for (s, e) in sum.iter_mut().zip(it.remainder()) {
+        *s += e;
     }
     (sum[0] + sum[1]) + (sum[2] + sum[3])
 }
@@ -373,6 +341,14 @@ pub fn mix_accumulate(weights: &[f64], values: &[f64], dim: usize, heads: f64, o
 /// resident while every query block consumes it.
 const MIX_KEY_TILE: usize = 64;
 
+/// Dims per register tile of the blocked value mix: eight `f64`s are two
+/// AVX2 vectors, so a tile of four queries holds its 32 accumulators in
+/// eight of the sixteen vector registers, and each key row load feeds eight
+/// independent multiply-add chains. (On a plain `x86-64` build the
+/// accumulators alone fill all sixteen SSE2 registers.) `dim % 8` trailing
+/// dims take the per-element path.
+const MIX_DIM_TILE: usize = 2 * LANES;
+
 /// Tiled whole-matrix value mix: `weights` is `q_rows` contiguous `n`-wide
 /// weight rows **already averaged over heads by the caller**, `values` the
 /// `n × dim` hidden buffer, and every output element accumulates
@@ -387,10 +363,10 @@ const MIX_KEY_TILE: usize = 64;
 /// What changes is the memory schedule: the values (every token's hidden
 /// row, `n·dim` doubles — the largest working set in the forward pass) no
 /// longer stream through L2 once per query; a key tile is read once and
-/// reused from L1 by all query blocks, and register-tiled 4×4 accumulation
-/// keeps the inner loop FLOP-bound. At report-sized contexts that cuts the
-/// mix's L2 traffic several-fold, which is worth more than any further
-/// arithmetic tuning.
+/// reused from L1 by all query blocks, and register-tiled 4 × 8
+/// accumulation (four queries by `MIX_DIM_TILE` = 8 dims) keeps the inner loop
+/// FLOP-bound. At report-sized contexts that cuts the mix's L2 traffic
+/// several-fold, which is worth more than any further arithmetic tuning.
 pub fn mix_tiled(weights: &[f64], values: &[f64], dim: usize, out: &mut [f64]) {
     assert!(dim > 0, "mix_tiled requires dim > 0");
     assert_eq!(values.len() % dim, 0, "values buffer shape mismatch");
@@ -398,7 +374,7 @@ pub fn mix_tiled(weights: &[f64], values: &[f64], dim: usize, out: &mut [f64]) {
     let n = values.len() / dim;
     let q_rows = out.len() / dim;
     assert_eq!(weights.len(), q_rows * n, "weights buffer shape mismatch");
-    let d_tiles = dim / LANES;
+    let d_tiles = dim / MIX_DIM_TILE;
     let mut k0 = 0;
     while k0 < n {
         let kt = MIX_KEY_TILE.min(n - k0);
@@ -409,18 +385,20 @@ pub fn mix_tiled(weights: &[f64], values: &[f64], dim: usize, out: &mut [f64]) {
             let wr2 = &weights[(q0 + 2) * n + k0..(q0 + 2) * n + k0 + kt];
             let wr3 = &weights[(q0 + 3) * n + k0..(q0 + 3) * n + k0 + kt];
             for t in 0..d_tiles {
-                let d0 = t * LANES;
-                // 4 queries × 4 dims of accumulators live in registers
+                let d0 = t * MIX_DIM_TILE;
+                // 4 queries × 8 dims of accumulators live in registers
                 // across the key tile; out is read and written once per
                 // (key tile, dim tile) pair.
-                let mut acc = [[0.0f64; LANES]; 4];
+                let mut acc = [[0.0f64; MIX_DIM_TILE]; 4];
                 for (q, a) in acc.iter_mut().enumerate() {
-                    a.copy_from_slice(&out[(q0 + q) * dim + d0..(q0 + q) * dim + d0 + LANES]);
+                    let at = (q0 + q) * dim + d0;
+                    a.copy_from_slice(&out[at..at + MIX_DIM_TILE]);
                 }
                 for j in 0..kt {
-                    let row = &values[(k0 + j) * dim + d0..(k0 + j) * dim + d0 + LANES];
+                    let at = (k0 + j) * dim + d0;
+                    let row = &values[at..at + MIX_DIM_TILE];
                     let (w0, w1, w2, w3) = (wr0[j], wr1[j], wr2[j], wr3[j]);
-                    for l in 0..LANES {
+                    for l in 0..MIX_DIM_TILE {
                         acc[0][l] += w0 * row[l];
                         acc[1][l] += w1 * row[l];
                         acc[2][l] += w2 * row[l];
@@ -428,12 +406,13 @@ pub fn mix_tiled(weights: &[f64], values: &[f64], dim: usize, out: &mut [f64]) {
                     }
                 }
                 for (q, a) in acc.iter().enumerate() {
-                    out[(q0 + q) * dim + d0..(q0 + q) * dim + d0 + LANES].copy_from_slice(a);
+                    let at = (q0 + q) * dim + d0;
+                    out[at..at + MIX_DIM_TILE].copy_from_slice(a);
                 }
             }
-            // dim % 4 tail: plain per-element accumulation over the tile,
+            // dim % 8 tail: plain per-element accumulation over the tile,
             // same ascending-k order.
-            for d in d_tiles * LANES..dim {
+            for d in d_tiles * MIX_DIM_TILE..dim {
                 for (q, ws) in [wr0, wr1, wr2, wr3].iter().enumerate() {
                     let mut a = out[(q0 + q) * dim + d];
                     for (j, w) in ws.iter().enumerate() {
@@ -511,31 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn exp4_is_bit_identical_to_exp_lane() {
-        // The four-lane form must be a pure re-layout of exp_lane — any
-        // per-lane arithmetic drift would make softmax results depend on a
-        // score's position modulo 4.
-        let mut state = 0xE4;
-        for _ in 0..100_000 {
-            let xs = [
-                -unit(&mut state) * 800.0,
-                -unit(&mut state) * 800.0,
-                -unit(&mut state) * 800.0,
-                -unit(&mut state) * 800.0,
-            ];
-            let lanes = exp4(xs);
-            for (x, got) in xs.iter().zip(lanes) {
-                assert_eq!(got.to_bits(), exp_lane(*x).to_bits(), "x={x}");
-            }
-        }
-        let edges = [0.0, -0.0, EXP_FLUSH, EXP_FLUSH - 0.001, f64::NEG_INFINITY];
-        let lanes = exp4([edges[0], edges[1], edges[2], edges[3]]);
-        for (x, got) in edges.iter().take(LANES).zip(lanes) {
-            assert_eq!(got.to_bits(), exp_lane(*x).to_bits(), "edge x={x}");
-        }
-    }
-
-    #[test]
     fn tree_dot_matches_sequential_within_tolerance() {
         let mut state = 0xD07;
         for len in 0..=33usize {
@@ -587,12 +541,12 @@ mod tests {
         // per query whose weights were pre-averaged the same way: the key
         // tiling and query blocking reschedule memory, not arithmetic, so
         // every output element keeps the same ascending-k addition chain.
-        // Sweep every boundary: dim % 4 tail, q_rows % 4 tail, and key
+        // Sweep every boundary: dim % 8 tail, q_rows % 4 tail, and key
         // counts straddling MIX_KEY_TILE.
         let mut state = 0xB10C;
         for &n in &[1usize, 2, 5, 8, 63, 64, 65, 104, 130] {
             for &q_rows in &[1usize, 3, 4, 5, 8] {
-                for &dim in &[1usize, 4, 7, 8, 10] {
+                for &dim in &[1usize, 4, 7, 8, 10, 17, 32] {
                     let values: Vec<f64> = (0..n * dim)
                         .map(|_| (unit(&mut state) - 0.5) * 2.0)
                         .collect();

@@ -40,13 +40,18 @@
 //! Explanation search evaluates hundreds of perturbed prompts per report, and each
 //! forward pass is dominated by the `O(tokens²)` attention score/softmax/mix loops.
 //! Those loops live in [`kernels`]: one fused implementation over flat row-major
-//! buffers, written as four-lane blocks that stable Rust auto-vectorises to packed
-//! SSE2 (no `unsafe`, no intrinsics), which the production
+//! buffers, written as four-lane blocks and plain element loops that stable Rust
+//! auto-vectorises (no `unsafe`, no intrinsics), which the production
 //! [`Transformer::forward_cached`](transformer::Transformer::forward_cached) path runs
-//! on. That path is also *demand-driven*: it computes only what its caller reads. Every
-//! layer before the last runs in full, because its rows feed the next layer's keys;
-//! the last layer scores and normalises only the rows the read-out consumes (the
-//! question rows [`SimLlm`](model::SimLlm) aggregates — see
+//! on. The repository builds for `x86-64-v3` (`.cargo/config.toml` at its root), so
+//! they run on AVX2 vectors; `RUSTFLAGS="-C target-cpu=x86-64"` builds for plain
+//! x86-64 and SSE2 instead, with bit-identical results (see
+//! [`kernels`](kernels#build-baseline)).
+//!
+//! The production path is also *demand-driven*: it computes only what its caller
+//! reads. Every layer before the last runs in full, because its rows feed the next
+//! layer's keys; the last layer scores and normalises only the rows the read-out
+//! consumes (the question rows [`SimLlm`](model::SimLlm) aggregates — see
 //! [`ReadOut`](transformer::ReadOut)). Unread last-layer rows are never computed or
 //! stored, and neither is the final hidden state (the last layer has no value mix and
 //! no residual), because nothing reads it.
@@ -67,7 +72,8 @@
 //!   bounds, and the forward-level ULP bound across model shapes;
 //! * `tests/kernel_equivalence.rs` compares fused and reference forwards with the
 //!   prefix cache off, cold and warm, compares the demand-driven record row by row with
-//!   the full one down to `f64::to_bits`, and runs every registered scenario's report
+//!   the full one down to `f64::to_bits`, pins a fingerprint of the fused attention
+//!   weights and read-outs, and runs every registered scenario's report
 //!   through a fused and a reference-forward model, requiring equal answers,
 //!   counterfactuals and insight distributions, and scores and placement objectives
 //!   within `1e-12` relative;

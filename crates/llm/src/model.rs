@@ -126,11 +126,6 @@ impl SimLlm {
         self
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SimLlmConfig {
-        &self.config
-    }
-
     /// Effective per-source attention: content attention (from the transformer) scaled
     /// by the positional prior and the primacy tilt, normalised to sum to one.
     fn effective_attention(&self, input: &LlmInput) -> (Vec<f64>, usize) {

@@ -284,11 +284,6 @@ impl Transformer {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TransformerConfig {
-        &self.config
-    }
-
     /// Project a hidden-state vector with one head's projection matrix —
     /// reference operation order (sequential row dots), used by
     /// [`Transformer::forward_reference`].

@@ -22,6 +22,11 @@
 //!    what the reference model's report explains (see
 //!    [`assert_reports_agree`]).
 //!
+//! Beside the three levels, [`fused_attention_fingerprint_is_pinned`] pins
+//! the fused path's own bits: a hash of every attention weight and read-out
+//! over a seeded sweep must equal a constant, so a kernel or codegen change
+//! that claims to keep every bit is checked against the commit before it.
+//!
 //! Everything is seeded; failures reproduce deterministically.
 
 use std::sync::{Arc, OnceLock};
@@ -514,6 +519,120 @@ fn sim_llm_generations_match_reference_forward_bitwise() {
             }
         }
     }
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of each folded word.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold a record's shape and the bits of every stored weight; returns
+    /// how many weights it folded.
+    fn record(&mut self, record: &AttentionRecord) -> usize {
+        self.word(record.seq_len as u64);
+        let mut weights = 0;
+        for layer in &record.layers {
+            for matrix in &layer.heads {
+                self.word(matrix.rows as u64);
+                self.word(matrix.cols as u64);
+                for w in &matrix.data {
+                    self.word(w.to_bits());
+                }
+                weights += matrix.data.len();
+            }
+        }
+        weights
+    }
+}
+
+/// The fingerprint [`fused_attention_fingerprint_is_pinned`] must reproduce,
+/// computed on a plain `x86-64` build before the kernels were widened for
+/// `x86-64-v3`. Any build of a change that keeps every bit reproduces it.
+const FUSED_ATTENTION_FINGERPRINT: u64 = 0x729f_c4d2_bbbf_c710;
+
+#[test]
+fn fused_attention_fingerprint_is_pinned() {
+    // "Wide lanes without changing a bit": the kernels may be rescheduled,
+    // retiled or compiled for wider vectors, but every attention weight the
+    // fused forward stores and every source read-out `SimLlm::generate`
+    // returns must keep its exact bits. The hash folds `f64::to_bits` of all
+    // of them over shapes that cover the value mix's dim tiles and tails,
+    // one-head stacks and a non-power-of-two head count, on seeded prompts
+    // long enough to cross the mix's key tile, with both read-outs served
+    // from a warm prefix cache. Any one-bit drift changes the hash; a change
+    // that moves weights on purpose must say so and re-pin the constant. The
+    // positional embeddings call `libm`'s `sin`, `cos` and `powf`, so the
+    // constant holds for the libm it was computed with, as the goldens do.
+    let tokenizer = SimTokenizer::new();
+    let mut state = 0xF1_4E_A7_7E;
+    let mut hash = Fnv1a::new();
+    let mut weights = 0usize;
+    for (dim, heads, layers) in [
+        (32, 2, 2),
+        (16, 1, 2),
+        (5, 1, 3),
+        (32, 3, 2),
+        (17, 4, 3),
+        (8, 1, 1),
+        (12, 2, 1),
+        (33, 2, 2),
+    ] {
+        let transformer = TransformerConfig {
+            layers,
+            heads,
+            dim,
+            temperature: 0.35,
+            seed: 0x5eed_1234 ^ ((dim as u64) << 8) ^ heads as u64,
+        };
+        let mut prompts = inputs(&mut state, 6);
+        for _ in 0..3 {
+            let question = random_words(&mut state, 6);
+            let sources = (0..10)
+                .map(|i| {
+                    let len = 8 + (splitmix64(&mut state) % 7) as usize;
+                    SourceText::new(format!("s{i}"), random_words(&mut state, len))
+                })
+                .collect();
+            prompts.push(LlmInput::new(question, sources));
+        }
+        let model = Transformer::new(transformer);
+        let warm = PrefixCache::default();
+        for input in &prompts {
+            let prompt = tokenizer.tokenize_prompt(input);
+            model.forward_cached(&prompt, Some(&warm), ReadOut::QuestionRows);
+            for read_out in [ReadOut::QuestionRows, ReadOut::AllRows] {
+                weights += hash.record(&model.forward_cached(&prompt, Some(&warm), read_out));
+            }
+        }
+        assert!(warm.stats().hits > 0, "the warm cache must hit");
+        let llm = SimLlm::new(SimLlmConfig {
+            transformer,
+            ..SimLlmConfig::default()
+        });
+        for input in prompts.iter().take(5) {
+            let generation = llm.generate(input);
+            hash.word(generation.source_attention.len() as u64);
+            for mass in &generation.source_attention {
+                hash.word(mass.to_bits());
+            }
+        }
+    }
+    assert_eq!(
+        hash.0, FUSED_ATTENTION_FINGERPRINT,
+        "fused attention fingerprint {:#018x} over {weights} weights: a kernel or \
+         codegen change moved at least one attention bit",
+        hash.0
+    );
 }
 
 /// A pipeline over a scenario whose model uses the fused or reference

@@ -239,6 +239,12 @@ fn run_smoke(args: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    // First thing, before any instruction the x86-64-v3 build may use; see
+    // `rage_report::cpu` for why this exits instead of returning.
+    if let Err(message) = rage_report::cpu::check() {
+        eprintln!("report: {message}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match args.first().map(String::as_str) {
         None | Some("--help" | "-h" | "help") => {

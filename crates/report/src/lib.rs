@@ -116,6 +116,7 @@ use std::fmt::Write as _;
 use rage_core::counterfactual::SearchDirection;
 use rage_core::RageReport;
 
+pub mod cpu;
 mod diff;
 mod html;
 mod json;

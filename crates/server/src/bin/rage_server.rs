@@ -66,6 +66,12 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    // First thing, before any instruction the x86-64-v3 build may use; see
+    // `rage_report::cpu` for why this exits instead of returning.
+    if let Err(message) = rage_report::cpu::check() {
+        eprintln!("rage-server: {message}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if matches!(
         args.first().map(String::as_str),
