@@ -38,12 +38,12 @@
 //! ## The scenario registry
 //!
 //! All of the above are registered in the [`ScenarioRegistry`]
-//! (`ScenarioRegistry::builtin()`): a name → (builder, summary, docs) table with
-//! parameterised builders ([`ScenarioParams`] carries seed /
-//! size / retrieval-depth overrides). Consumers — the `report` CLI, smoke jobs, golden
-//! tests — enumerate the registry instead of hardcoding scenario lists, so a new
-//! scenario is one `register` call away from being rendered, smoke-tested and
-//! snapshotted. See the [`registry`] module docs for the add-a-scenario walkthrough.
+//! (`ScenarioRegistry::builtin()`): a fixed name → (summary, builder) table, one
+//! scenario per name, generated corpora at their generator's default configuration.
+//! Consumers — the `report` CLI, smoke jobs, golden tests — enumerate the registry
+//! instead of hardcoding scenario lists, so a new scenario is one table row away from
+//! being rendered, smoke-tested and snapshotted. See the [`registry`] module docs for
+//! the add-a-scenario walkthrough.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,5 +60,5 @@ pub mod synthetic;
 pub mod timeline;
 pub mod us_open;
 
-pub use registry::{ScenarioEntry, ScenarioParams, ScenarioRegistry};
+pub use registry::{ScenarioEntry, ScenarioRegistry};
 pub use scenario::Scenario;

@@ -69,15 +69,13 @@ pub mod prelude {
         CacheStats, Completeness, Context, Deadline, Evaluator, Perturbation, RagPipeline,
         RagResponse, RageError, RageReport, SearchBudget,
     };
-    pub use rage_datasets::{Scenario, ScenarioEntry, ScenarioParams, ScenarioRegistry};
+    pub use rage_datasets::{Scenario, ScenarioEntry, ScenarioRegistry};
     pub use rage_llm::cache::PrefixCache;
     pub use rage_llm::model::{SimLlm, SimLlmConfig};
     pub use rage_llm::position_bias::PositionBiasProfile;
     pub use rage_llm::{Generation, LanguageModel, LlmInput, SourceText};
     pub use rage_report::{diff, from_json, render_html, render_markdown, to_json, ReportDiff};
-    pub use rage_retrieval::{
-        Corpus, Document, IndexBuilder, Retriever, Searcher, ShardedIndexBuilder,
-    };
+    pub use rage_retrieval::{Corpus, Document, Retriever, Searcher, ShardedIndexBuilder};
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@
 //! `tests/sharded.rs` pins.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use rage_core::explanation::ReportConfig;
 use rage_core::{RagPipeline, RageError, RageReport};
@@ -19,10 +18,9 @@ use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::model::{SimLlm, SimLlmConfig};
 use rage_retrieval::Searcher;
 
-/// The shared scenario registry (built once, in presentation order).
+/// The shared scenario registry (a fixed table, in presentation order).
 pub fn registry() -> &'static ScenarioRegistry {
-    static REGISTRY: OnceLock<ScenarioRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(ScenarioRegistry::builtin)
+    &ScenarioRegistry
 }
 
 /// The scenario names the CLI accepts, in presentation order.

@@ -24,12 +24,15 @@
 //!   (PR 2/PR 4 differential suites), so *sharing state never changes
 //!   results* — `tests` below pin service output against the uncached
 //!   [`scenarios::report_for`] oracle.
-//! * **Report cache** — full [`RageReport`]s are memoised behind `Arc` under
-//!   a `ReportKey` of `(scenario, report-config fingerprint, shards,
-//!   schema_version, corpus_version)`. Reports are deterministic *given a
-//!   corpus version*, so a cached report is exactly what regeneration would
-//!   produce; the schema version is part of the key so a future v3 can never
-//!   serve v2 cache entries. Anytime requests share the exact entry: a
+//! * **Report cache** — full [`RageReport`]s, generated under the one
+//!   [`ReportConfig::default`] the CLI, the goldens and the server share, are
+//!   memoised behind `Arc` under a `ReportKey` of `(scenario, shards,
+//!   corpus_version)`. Reports are deterministic *given a corpus version*, so
+//!   a cached report is exactly what regeneration would produce. The schema
+//!   version is a compile-time constant and the cache lives in memory, so no
+//!   entry can outlive the schema it was rendered for. No `shards` parameter
+//!   means one shard, so a scenario's unsharded and one-shard requests share
+//!   one runtime and one entry. Anytime requests share the exact entry: a
 //!   cached report answers any deadline, a report a deadline cut short is
 //!   returned but never cached (it depends on timing, not only on the
 //!   corpus), and a complete one equals the exact report, so it is stored as
@@ -91,7 +94,7 @@ use rage_retrieval::{
 
 use crate::diff::{diff, ReportDiff};
 use crate::scenarios;
-use crate::{render_html, render_markdown, to_json, SCHEMA_VERSION};
+use crate::{render_html, render_markdown, to_json};
 
 /// Output format of a rendered report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -342,19 +345,16 @@ struct ScenarioRuntime {
 
 /// Key of the memoised-report map.
 ///
-/// `params` is a stable fingerprint of the [`ReportConfig`] (all fields are
-/// plain data, so the derived `Debug` rendering is deterministic),
-/// `schema_version` pins the structured format (bumping the schema can never
-/// serve stale cache entries), and `corpus_version` pins the corpus content:
-/// a mutation changes the key, so a report generated before the mutation can
-/// never be served after it. Deadlines are not part of the key: only reports
-/// no deadline cut short are cached, and those equal the exact report.
+/// Every report is generated under [`ReportConfig::default`] and rendered at
+/// the compiled-in schema version, so neither needs a place in the key.
+/// `corpus_version` pins the corpus content: a mutation changes the key, so a
+/// report generated before the mutation can never be served after it.
+/// Deadlines are not part of the key: only reports no deadline cut short are
+/// cached, and those equal the exact report.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ReportKey {
     scenario: String,
-    params: String,
-    shards: usize, // 0 = single index
-    schema_version: u64,
+    shards: usize,
     corpus_version: u64,
 }
 
@@ -385,7 +385,6 @@ pub struct ReportCacheStats {
 /// memoised reports and asks behind one `Sync` facade (see the
 /// [module docs](self)).
 pub struct Service {
-    config: ReportConfig,
     corpora: Mutex<HashMap<String, Arc<Mutex<CorpusState>>>>,
     runtimes: Mutex<HashMap<(String, usize), Arc<ScenarioRuntime>>>,
     reports: Mutex<HashMap<ReportKey, Arc<RageReport>>>,
@@ -400,16 +399,11 @@ impl Default for Service {
 }
 
 impl Service {
-    /// A service over the built-in registry with the default [`ReportConfig`]
-    /// (the configuration the CLI, the golden snapshots and the server share).
+    /// A service over the built-in registry, rendering every report under
+    /// [`ReportConfig::default`] (the configuration the CLI, the golden
+    /// snapshots and the server share).
     pub fn new() -> Self {
-        Self::with_config(ReportConfig::default())
-    }
-
-    /// A service rendering reports under a custom [`ReportConfig`].
-    pub fn with_config(config: ReportConfig) -> Self {
         Self {
-            config,
             corpora: Mutex::new(HashMap::new()),
             runtimes: Mutex::new(HashMap::new()),
             reports: Mutex::new(HashMap::new()),
@@ -421,11 +415,6 @@ impl Service {
     /// The scenario registry this service serves.
     pub fn registry(&self) -> &'static ScenarioRegistry {
         scenarios::registry()
-    }
-
-    /// The report configuration in use.
-    pub fn config(&self) -> &ReportConfig {
-        &self.config
     }
 
     /// `(name, summary)` pairs for every registered scenario, in presentation
@@ -494,12 +483,9 @@ impl Service {
         let prefix_cache = Arc::new(PrefixCache::default());
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(state.scenario.prior.clone()))
             .with_prefix_cache(Arc::clone(&prefix_cache));
-        // `shards = 0` ("single index") runs a one-shard live index, the
-        // same index `Searcher::from_corpus(.., 1)` builds; it accepts
-        // mutations.
         let live = Arc::new(LiveSearcher::from_corpus(
             &state.scenario.corpus,
-            shard_count.max(1),
+            shard_count,
         ));
         live.set_version(state.version);
         let retriever: Box<dyn Retriever> = Box::new(Arc::clone(&live));
@@ -514,16 +500,6 @@ impl Service {
         Ok(Arc::clone(map.entry(key).or_insert(runtime)))
     }
 
-    fn report_key(&self, canonical: &str, shard_count: usize, corpus_version: u64) -> ReportKey {
-        ReportKey {
-            scenario: canonical.to_string(),
-            params: format!("{:?}", self.config),
-            shards: shard_count,
-            schema_version: SCHEMA_VERSION,
-            corpus_version,
-        }
-    }
-
     /// Generate a report through a runtime and stamp it with the corpus
     /// provenance it was generated against.
     fn generate(
@@ -535,7 +511,7 @@ impl Service {
         let (_, mut report) = runtime.pipeline.ask_and_report(
             &runtime.question,
             runtime.retrieval_k,
-            &self.config,
+            &ReportConfig::default(),
             deadline,
         )?;
         report.corpus = Some(provenance);
@@ -555,11 +531,12 @@ impl Service {
     /// The full explanation report for a scenario at its *current* corpus
     /// version, memoised.
     ///
-    /// `shards: Some(n)` retrieves through an `n`-way sharded index; the
-    /// report is equal to the single-index one for every shard count, but the
-    /// two are cached under distinct keys (they exercise distinct runtimes).
-    /// The served report's `corpus` provenance always names the exact version
-    /// it was generated against.
+    /// `shards: Some(n)` retrieves through an `n`-way sharded index and `None`
+    /// through one shard, the same runtime and cache entry as `Some(1)`. The
+    /// report is equal for every shard count, but distinct counts are cached
+    /// under distinct keys (they exercise distinct runtimes). The served
+    /// report's `corpus` provenance always names the exact version it was
+    /// generated against.
     pub fn report(
         &self,
         name: &str,
@@ -591,7 +568,7 @@ impl Service {
         loop {
             attempts += 1;
             let provenance = lock_unpoisoned(&state_arc).provenance();
-            let key = self.report_key(canonical, shard_count, provenance.version);
+            let key = report_key(canonical, shard_count, provenance.version);
             if let Some(report) = lock_unpoisoned(&self.reports).get(&key) {
                 self.report_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(report));
@@ -605,7 +582,7 @@ impl Service {
                 let state = lock_unpoisoned(&state_arc);
                 let provenance = state.provenance();
                 let report = self.generate(&runtime, provenance, deadline)?;
-                let key = self.report_key(canonical, shard_count, provenance.version);
+                let key = report_key(canonical, shard_count, provenance.version);
                 return Ok(self.publish(key, report));
             }
             // Optimistic path: generate without blocking mutations, publish
@@ -841,7 +818,9 @@ impl Service {
     /// versions are served from the report cache and fail with
     /// [`ServiceError::UnknownVersion`] when no report was cached at that
     /// version (reports are only generated on request, so a version nobody
-    /// asked a report for has nothing to diff against).
+    /// asked a report for has nothing to diff against). Each side is a report
+    /// stamped with exactly the requested version, even when a mutation lands
+    /// during the call.
     pub fn diff_reports(
         &self,
         name: &str,
@@ -856,8 +835,14 @@ impl Service {
         Ok(diff(&a, &b))
     }
 
-    /// A report at a specific corpus version: generated when `version` is
+    /// A report stamped with exactly `version`: generated when `version` is
     /// current, served from the version-keyed cache otherwise.
+    ///
+    /// A mutation can land between reading the current version and
+    /// generating, and [`Service::report`] then returns a report of the newer
+    /// version. Such a report never stands in for the requested one: the
+    /// cache answers instead, or the call fails with
+    /// [`ServiceError::UnknownVersion`].
     fn report_at(
         &self,
         canonical: &'static str,
@@ -866,15 +851,21 @@ impl Service {
         version: u64,
     ) -> Result<Arc<RageReport>, ServiceError> {
         let state_arc = self.corpus_state(canonical);
-        let current = lock_unpoisoned(&state_arc).version;
-        if version == current {
-            return self.report(canonical, shards);
+        if version == lock_unpoisoned(&state_arc).version {
+            let report = self.report(canonical, shards)?;
+            if report
+                .corpus
+                .is_some_and(|corpus| corpus.version == version)
+            {
+                return Ok(report);
+            }
         }
-        let key = self.report_key(canonical, shard_count, version);
-        lock_unpoisoned(&self.reports)
-            .get(&key)
-            .map(Arc::clone)
-            .ok_or(ServiceError::UnknownVersion { version, current })
+        let key = report_key(canonical, shard_count, version);
+        let cached = lock_unpoisoned(&self.reports).get(&key).map(Arc::clone);
+        cached.ok_or_else(|| ServiceError::UnknownVersion {
+            version,
+            current: lock_unpoisoned(&state_arc).version,
+        })
     }
 
     /// One RAG round trip over a scenario's corpus with a caller-supplied
@@ -946,7 +937,7 @@ impl Service {
 /// so 64 is far beyond any useful partitioning; anything larger is abuse, not
 /// tuning, and is rejected as an [`ServiceError::InvalidArgument`] before any
 /// allocation happens. The cap also bounds the runtime map itself: at most
-/// `registry size × (MAX_SHARDS + 1)` entries can ever exist.
+/// `registry size × MAX_SHARDS` entries can ever exist.
 pub const MAX_SHARDS: usize = 64;
 
 /// Upper bound on a mutable corpus's size.
@@ -962,6 +953,14 @@ pub const MAX_CORPUS_DOCS: usize = 8192;
 /// mutation stream (each followed by a report request) grows the cache
 /// without limit.
 pub const MAX_CACHED_VERSIONS: usize = 16;
+
+fn report_key(canonical: &str, shards: usize, corpus_version: u64) -> ReportKey {
+    ReportKey {
+        scenario: canonical.to_string(),
+        shards,
+        corpus_version,
+    }
+}
 
 fn corpus_full() -> ServiceError {
     ServiceError::InvalidArgument {
@@ -980,12 +979,12 @@ fn validate_document(doc: &Document) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// `shards = Some(0)` is meaningless; `None` means "single index" (key 0);
-/// counts beyond [`MAX_SHARDS`] are rejected before any resource is sized
-/// from them.
+/// The shard count a request runs at: `None` is one shard, `Some(0)` is
+/// meaningless, and counts beyond [`MAX_SHARDS`] are rejected before any
+/// resource is sized from them.
 fn validate_shards(shards: Option<usize>) -> Result<usize, ServiceError> {
     match shards {
-        None => Ok(0),
+        None => Ok(1),
         Some(0) => Err(ServiceError::InvalidArgument {
             reason: "shard count must be at least 1".to_string(),
         }),
@@ -1221,7 +1220,7 @@ mod tests {
                 .render_report("us_open", ReportFormat::Json, None)
                 .unwrap(),
             expected,
-            "single-index runtime"
+            "one-shard runtime"
         );
         assert_eq!(
             service
@@ -1319,6 +1318,90 @@ mod tests {
         let err = service.diff_reports("us_open", 7, 1, None).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::NotFound);
         assert!(err.to_string().contains("version 7"), "{err}");
+    }
+
+    #[test]
+    fn same_version_diffs_stay_empty_under_concurrent_mutations() {
+        // A mutation can land between `diff_reports` reading the current
+        // version and generating its report. Both sides must still be
+        // stamped `v`: a racing call may fail with `UnknownVersion`, but
+        // never answer a non-empty diff.
+        use rage_datasets::live_updates;
+        use std::sync::atomic::AtomicBool;
+
+        let service = Service::new();
+        let script = live_updates::mutation_script();
+        let stop = AtomicBool::new(false);
+        let (mutated, first_mutation) = std::sync::mpsc::channel();
+        let outcomes: Vec<(u64, Result<ReportDiff, ServiceError>)> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Add, correct, retract, and again: every step moves the
+                // grounded answer, so a mixed-version diff is never empty.
+                for (n, step) in script.iter().cycle().enumerate() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    match &step.mutation {
+                        live_updates::Mutation::Add(doc) => {
+                            service.add_document("live_updates", doc.clone())
+                        }
+                        live_updates::Mutation::Update(doc) => {
+                            service.update_document("live_updates", doc.clone())
+                        }
+                        live_updates::Mutation::Remove(id) => {
+                            service.remove_document("live_updates", id)
+                        }
+                    }
+                    .unwrap();
+                    if n == 0 {
+                        mutated.send(()).unwrap();
+                    }
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+            });
+            // The diffs start once the corpus has begun to move.
+            first_mutation.recv().unwrap();
+            let outcomes = (0..12)
+                .map(|_| {
+                    let v = service.corpus_provenance("live_updates").unwrap().version;
+                    (v, service.diff_reports("live_updates", v, v, None))
+                })
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            outcomes
+        });
+        for (v, outcome) in outcomes {
+            match outcome {
+                Ok(d) => assert!(d.is_empty(), "version {v} against itself: {d:?}"),
+                Err(err) => assert!(
+                    matches!(err, ServiceError::UnknownVersion { version, .. } if version == v),
+                    "{err}"
+                ),
+            }
+        }
+        // Once the corpus is quiet the current version always answers.
+        let v = service.corpus_provenance("live_updates").unwrap().version;
+        let quiet = service.diff_reports("live_updates", v, v, None).unwrap();
+        assert!(quiet.is_empty());
+    }
+
+    #[test]
+    fn unsharded_and_one_shard_requests_share_one_entry() {
+        // No `shards` parameter means one shard: the same runtime and report
+        // cache entry as `shards = 1`, not a second copy of both.
+        let service = Service::new();
+        let unsharded = service.report("us_open", None).unwrap();
+        let one_shard = service.report("us_open", Some(1)).unwrap();
+        assert!(Arc::ptr_eq(&unsharded, &one_shard));
+        assert_eq!(
+            service.report_cache_stats(),
+            ReportCacheStats {
+                hits: 1,
+                misses: 1,
+                entries: 1
+            }
+        );
+        assert_eq!(lock_unpoisoned(&service.runtimes).len(), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Sharding is a deployment decision, never a behaviour change.
 
 use rage_core::explanation::ReportConfig;
-use rage_datasets::ScenarioParams;
-use rage_report::scenarios::{registry, report_for, report_for_sharded, scenario_by_name};
+use rage_datasets::large_corpus::{self, LargeCorpusConfig};
+use rage_report::scenarios::{report_for, report_for_sharded, scenario_by_name};
 use rage_report::{from_json, to_json};
 
 fn fast_config() -> ReportConfig {
@@ -63,8 +63,9 @@ fn adversarial_report_is_shard_count_invariant() {
 fn large_corpus_report_is_shard_count_invariant() {
     // A scaled-down large corpus (the needles-in-haystack structure is preserved)
     // keeps the test quick while still spreading signal documents across shards.
-    let scenario = registry()
-        .build_with("large_corpus", &ScenarioParams::default().with_size(384))
-        .unwrap();
+    let scenario = large_corpus::scenario(LargeCorpusConfig {
+        num_docs: 384,
+        ..LargeCorpusConfig::default()
+    });
     assert_sharded_equals_single(&scenario, &[2, 7]);
 }

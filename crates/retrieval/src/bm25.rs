@@ -8,34 +8,22 @@
 //! idf(t)      = ln(1 + (N − df(t) + 0.5) / (df(t) + 0.5))
 //! ```
 //!
-//! with the Lucene/Pyserini defaults `k1 = 0.9`, `b = 0.4`.
-
-use serde::{Deserialize, Serialize};
+//! with the Lucene/Pyserini defaults `k1 = 0.9` ([`K1`]) and `b = 0.4` ([`B`]), the
+//! one configuration RAGE retrieves with.
 
 use crate::index::InvertedIndex;
 
-/// BM25 free parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Bm25Params {
-    /// Term-frequency saturation parameter.
-    pub k1: f64,
-    /// Length-normalisation parameter.
-    pub b: f64,
-}
+/// Term-frequency saturation parameter (Pyserini's default).
+pub const K1: f64 = 0.9;
 
-impl Default for Bm25Params {
-    fn default() -> Self {
-        // Pyserini's default BM25 configuration.
-        Self { k1: 0.9, b: 0.4 }
-    }
-}
+/// Length-normalisation parameter (Pyserini's default).
+pub const B: f64 = 0.4;
 
-impl Bm25Params {
-    /// The classic Robertson parameters (`k1 = 1.2`, `b = 0.75`).
-    pub fn robertson() -> Self {
-        Self { k1: 1.2, b: 0.75 }
-    }
-}
+// The pruned query path's admissible bounds (see `crate::topk`) need the term score
+// to be monotone non-decreasing in `tf` and non-increasing in document length, which
+// holds for `k1 ≥ 0` and `0 ≤ b ≤ 1`. Constants outside that envelope fail the build
+// instead of silently voiding the pruning argument.
+const _: () = assert!(K1 >= 0.0 && 0.0 <= B && B <= 1.0);
 
 /// Inverse document frequency with the Lucene +1 smoothing (always non-negative).
 pub fn idf(num_docs: usize, doc_freq: usize) -> f64 {
@@ -44,26 +32,21 @@ pub fn idf(num_docs: usize, doc_freq: usize) -> f64 {
     (1.0 + (n - df + 0.5) / (df + 0.5)).ln()
 }
 
-/// Per-term BM25 contribution for a document.
-pub fn term_score(params: Bm25Params, idf: f64, tf: u32, doc_len: u32, avg_doc_len: f64) -> f64 {
-    term_score_dl(params, idf, tf, f64::from(doc_len), avg_doc_len)
-}
-
-/// [`term_score`] with the document length already converted to `f64`.
+/// Per-term BM25 contribution for a document of length `dl`.
 ///
-/// The conversion is exact, so passing the index's precomputed norm length
-/// ([`InvertedIndex::doc_norm_len`]) produces bit-identical scores while sparing the
-/// hot loop one `u32 → f64` convert per posting. This is the single scoring kernel
-/// every query path bottoms out in — exhaustive, pruned, and per-document alike — so
-/// operand order here *defines* the bit-identity contract.
-pub fn term_score_dl(params: Bm25Params, idf: f64, tf: u32, dl: f64, avg_doc_len: f64) -> f64 {
+/// `dl` is the document's analysed length as `f64`; the index precomputes it
+/// ([`InvertedIndex::doc_norm_len`]), sparing the hot loop one `u32 → f64` convert
+/// per posting. This is the single scoring kernel every query path bottoms out in —
+/// exhaustive, pruned, and per-document alike — so operand order here *defines* the
+/// bit-identity contract.
+pub fn term_score_dl(idf: f64, tf: u32, dl: f64, avg_doc_len: f64) -> f64 {
     let tf = f64::from(tf);
     let avgdl = if avg_doc_len > 0.0 { avg_doc_len } else { 1.0 };
-    let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl);
+    let denom = tf + K1 * (1.0 - B + B * dl / avgdl);
     if denom == 0.0 {
         0.0
     } else {
-        idf * tf * (params.k1 + 1.0) / denom
+        idf * tf * (K1 + 1.0) / denom
     }
 }
 
@@ -75,7 +58,7 @@ pub fn term_score_dl(params: Bm25Params, idf: f64, tf: u32, dl: f64, avg_doc_len
 /// on the collection's average document length. A sharded deployment that scored each
 /// shard against its own local statistics would rank differently from a single index
 /// over the same corpus. Passing the *global* statistics here makes per-document scores
-/// bit-identical to the unsharded ones, because [`term_score`] is invoked with exactly
+/// bit-identical to the unsharded ones, because [`term_score_dl`] is invoked with exactly
 /// the same operands in exactly the same order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectionStats<'a> {
@@ -92,14 +75,14 @@ pub struct CollectionStats<'a> {
 ///
 /// Returns a dense vector of scores indexed by document ordinal; documents matching no
 /// query term score exactly `0.0`.
-pub fn score_all(index: &InvertedIndex, query_terms: &[String], params: Bm25Params) -> Vec<f64> {
+pub fn score_all(index: &InvertedIndex, query_terms: &[String]) -> Vec<f64> {
     let doc_freqs: Vec<usize> = query_terms.iter().map(|t| index.doc_freq(t)).collect();
     let stats = CollectionStats {
         num_docs: index.num_docs(),
         avg_doc_len: index.avg_doc_len(),
         doc_freqs: &doc_freqs,
     };
-    score_all_with(index, query_terms, params, &stats)
+    score_all_with(index, query_terms, &stats)
 }
 
 /// Like [`score_all`], but with explicitly supplied collection statistics.
@@ -111,7 +94,6 @@ pub fn score_all(index: &InvertedIndex, query_terms: &[String], params: Bm25Para
 pub fn score_all_with(
     index: &InvertedIndex,
     query_terms: &[String],
-    params: Bm25Params,
     stats: &CollectionStats<'_>,
 ) -> Vec<f64> {
     debug_assert_eq!(query_terms.len(), stats.doc_freqs.len());
@@ -125,7 +107,7 @@ pub fn score_all_with(
             for posting in postings {
                 let dl = index.doc_norm_len(posting.doc);
                 scores[posting.doc as usize] +=
-                    term_score_dl(params, idf, posting.tf, dl, stats.avg_doc_len);
+                    term_score_dl(idf, posting.tf, dl, stats.avg_doc_len);
             }
         }
     }
@@ -143,7 +125,6 @@ pub fn score_all_with(
 pub fn score_doc_with(
     index: &InvertedIndex,
     query_terms: &[String],
-    params: Bm25Params,
     stats: &CollectionStats<'_>,
     ordinal: u32,
 ) -> f64 {
@@ -160,7 +141,7 @@ pub fn score_doc_with(
         let postings = index.postings_by_id(term_id);
         if let Ok(pos) = postings.binary_search_by_key(&ordinal, |p| p.doc) {
             let dl = index.doc_norm_len(ordinal);
-            score += term_score_dl(params, idf, postings[pos].tf, dl, stats.avg_doc_len);
+            score += term_score_dl(idf, postings[pos].tf, dl, stats.avg_doc_len);
         }
     }
     score
@@ -170,7 +151,7 @@ pub fn score_doc_with(
 mod tests {
     use super::*;
     use crate::document::{Corpus, Document};
-    use crate::index::IndexBuilder;
+    use crate::tokenize::analyze;
 
     fn index() -> InvertedIndex {
         let mut corpus = Corpus::new();
@@ -185,7 +166,7 @@ mod tests {
             "",
             "completely unrelated text about cooking",
         ));
-        IndexBuilder::default().build(&corpus)
+        InvertedIndex::build(&corpus)
     }
 
     #[test]
@@ -205,11 +186,10 @@ mod tests {
 
     #[test]
     fn term_score_increases_with_tf_but_saturates() {
-        let p = Bm25Params::default();
-        let s1 = term_score(p, 1.0, 1, 10, 10.0);
-        let s2 = term_score(p, 1.0, 2, 10, 10.0);
-        let s10 = term_score(p, 1.0, 10, 10, 10.0);
-        let s11 = term_score(p, 1.0, 11, 10, 10.0);
+        let s1 = term_score_dl(1.0, 1, 10.0, 10.0);
+        let s2 = term_score_dl(1.0, 2, 10.0, 10.0);
+        let s10 = term_score_dl(1.0, 10, 10.0, 10.0);
+        let s11 = term_score_dl(1.0, 11, 10.0, 10.0);
         assert!(s2 > s1);
         assert!(s10 > s2);
         // Saturation: marginal gain shrinks.
@@ -218,32 +198,21 @@ mod tests {
 
     #[test]
     fn longer_documents_are_penalised() {
-        let p = Bm25Params::default();
-        let short = term_score(p, 1.0, 2, 5, 10.0);
-        let long = term_score(p, 1.0, 2, 50, 10.0);
+        let short = term_score_dl(1.0, 2, 5.0, 10.0);
+        let long = term_score_dl(1.0, 2, 50.0, 10.0);
         assert!(short > long);
     }
 
     #[test]
-    fn b_zero_disables_length_normalisation() {
-        let p = Bm25Params { k1: 0.9, b: 0.0 };
-        let short = term_score(p, 1.0, 2, 5, 10.0);
-        let long = term_score(p, 1.0, 2, 500, 10.0);
-        assert!((short - long).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_tf_scores_zero() {
-        let p = Bm25Params::default();
-        assert_eq!(term_score(p, 2.0, 0, 10, 10.0), 0.0);
+        assert_eq!(term_score_dl(2.0, 0, 10.0, 10.0), 0.0);
     }
 
     #[test]
     fn score_all_ranks_matching_documents() {
         let idx = index();
-        let tokenizer = idx.tokenizer().clone();
-        let terms = tokenizer.tokenize("grand slam");
-        let scores = score_all(&idx, &terms, Bm25Params::default());
+        let terms = analyze("grand slam");
+        let scores = score_all(&idx, &terms);
         assert_eq!(scores.len(), 3);
         // Document b repeats "grand slam" and should outrank a; c matches nothing.
         assert!(scores[1] > scores[0]);
@@ -254,27 +223,14 @@ mod tests {
     #[test]
     fn score_all_ignores_unknown_terms() {
         let idx = index();
-        let scores = score_all(
-            &idx,
-            &["nonexistentterm".to_string()],
-            Bm25Params::default(),
-        );
+        let scores = score_all(&idx, &["nonexistentterm".to_string()]);
         assert!(scores.iter().all(|&s| s == 0.0));
     }
 
     #[test]
-    fn robertson_params_differ_from_default() {
-        let d = Bm25Params::default();
-        let r = Bm25Params::robertson();
-        assert_ne!(d, r);
-        assert_eq!(r.k1, 1.2);
-        assert_eq!(r.b, 0.75);
-    }
-
-    #[test]
     fn empty_index_scores_nothing() {
-        let idx = IndexBuilder::default().build(&Corpus::new());
-        let scores = score_all(&idx, &["anything".into()], Bm25Params::default());
+        let idx = InvertedIndex::build(&Corpus::new());
+        let scores = score_all(&idx, &["anything".into()]);
         assert!(scores.is_empty());
     }
 }

@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::document::{Corpus, Document};
-use crate::tokenize::Tokenizer;
+use crate::tokenize::analyze;
 
 /// One posting: a document ordinal and the term's frequency inside that document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,40 +55,58 @@ pub struct Posting {
     pub tf: u32,
 }
 
-/// Builder for [`InvertedIndex`].
-#[derive(Debug, Clone, Default)]
-pub struct IndexBuilder {
-    tokenizer: Tokenizer,
+/// An immutable in-memory inverted index over a [`Corpus`] (see the [module
+/// docs](self) for the arena layout).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct InvertedIndex {
+    /// All distinct terms, sorted, concatenated.
+    term_arena: String,
+    /// `num_terms + 1` byte offsets into `term_arena`; term `i` is the slice
+    /// `term_arena[term_offsets[i]..term_offsets[i + 1]]`.
+    term_offsets: Vec<u32>,
+    /// `num_terms + 1` offsets into `postings`; term `i`'s list is the slice
+    /// `postings[posting_offsets[i]..posting_offsets[i + 1]]`.
+    posting_offsets: Vec<u32>,
+    /// One contiguous arena of all postings lists, each sorted by ascending ordinal.
+    postings: Vec<Posting>,
+    /// Per term: the maximum `tf` over its postings (admissible bound operand).
+    term_max_tf: Vec<u32>,
+    /// Per term: the minimum analysed length over its posting documents (admissible
+    /// bound operand).
+    term_min_dl: Vec<u32>,
+    /// Document ids by ordinal.
+    doc_ids: Vec<String>,
+    /// Analysed token counts by ordinal.
+    doc_lens: Vec<u32>,
+    /// `doc_lens` pre-converted to `f64` — the BM25 length-norm operand, precomputed
+    /// once at build time instead of per posting per query.
+    doc_norm_lens: Vec<f64>,
+    /// Document id → ordinal.
+    ordinals: HashMap<String, u32>,
+    avg_doc_len: f64,
+    corpus: Corpus,
 }
 
-impl IndexBuilder {
-    /// Use a custom tokenizer for analysis.
-    pub fn with_tokenizer(mut self, tokenizer: Tokenizer) -> Self {
-        self.tokenizer = tokenizer;
-        self
-    }
-
-    /// Analyse and index every document of the corpus.
-    pub fn build(&self, corpus: &Corpus) -> InvertedIndex {
-        let analysed: Vec<Vec<String>> = corpus
-            .iter()
-            .map(|doc| self.tokenizer.tokenize(&doc.full_text()))
-            .collect();
-        self.build_analysed(corpus.clone(), &analysed)
+impl InvertedIndex {
+    /// Analyse ([`analyze`]) and index every document of the corpus.
+    pub fn build(corpus: &Corpus) -> Self {
+        let analysed: Vec<Vec<String>> =
+            corpus.iter().map(|doc| analyze(&doc.full_text())).collect();
+        Self::build_analysed(corpus.clone(), &analysed)
     }
 
     /// Index documents whose token streams were already analysed. The corpus moves
     /// into the index, so a caller that assembled it for this index pays no copy.
     ///
     /// `analysed` must be parallel to the corpus and hold, per document, exactly the
-    /// tokens this builder's tokenizer would produce for
-    /// [`Document::full_text`] — analysis is deterministic, so callers that cache
-    /// token streams (the sharded delta segments do) get an index bit-identical to
-    /// [`IndexBuilder::build`] without re-analysing unchanged documents.
+    /// tokens [`analyze`] produces for [`Document::full_text`] — analysis is
+    /// deterministic, so callers that cache token streams (the sharded delta
+    /// segments do) get an index bit-identical to [`InvertedIndex::build`] without
+    /// re-analysing unchanged documents.
     ///
     /// # Panics
     /// If `analysed` and the corpus differ in length.
-    pub fn build_analysed(&self, corpus: Corpus, analysed: &[Vec<String>]) -> InvertedIndex {
+    pub fn build_analysed(corpus: Corpus, analysed: &[Vec<String>]) -> Self {
         assert_eq!(
             corpus.len(),
             analysed.len(),
@@ -167,7 +185,7 @@ impl IndexBuilder {
             .map(|(ordinal, id)| (id.clone(), ordinal as u32))
             .collect();
 
-        InvertedIndex {
+        Self {
             term_arena,
             term_offsets,
             posting_offsets,
@@ -179,46 +197,10 @@ impl IndexBuilder {
             doc_norm_lens,
             ordinals,
             avg_doc_len,
-            tokenizer: self.tokenizer.clone(),
             corpus,
         }
     }
-}
 
-/// An immutable in-memory inverted index over a [`Corpus`] (see the [module
-/// docs](self) for the arena layout).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InvertedIndex {
-    /// All distinct terms, sorted, concatenated.
-    term_arena: String,
-    /// `num_terms + 1` byte offsets into `term_arena`; term `i` is the slice
-    /// `term_arena[term_offsets[i]..term_offsets[i + 1]]`.
-    term_offsets: Vec<u32>,
-    /// `num_terms + 1` offsets into `postings`; term `i`'s list is the slice
-    /// `postings[posting_offsets[i]..posting_offsets[i + 1]]`.
-    posting_offsets: Vec<u32>,
-    /// One contiguous arena of all postings lists, each sorted by ascending ordinal.
-    postings: Vec<Posting>,
-    /// Per term: the maximum `tf` over its postings (admissible bound operand).
-    term_max_tf: Vec<u32>,
-    /// Per term: the minimum analysed length over its posting documents (admissible
-    /// bound operand).
-    term_min_dl: Vec<u32>,
-    /// Document ids by ordinal.
-    doc_ids: Vec<String>,
-    /// Analysed token counts by ordinal.
-    doc_lens: Vec<u32>,
-    /// `doc_lens` pre-converted to `f64` — the BM25 length-norm operand, precomputed
-    /// once at build time instead of per posting per query.
-    doc_norm_lens: Vec<f64>,
-    /// Document id → ordinal.
-    ordinals: HashMap<String, u32>,
-    avg_doc_len: f64,
-    tokenizer: Tokenizer,
-    corpus: Corpus,
-}
-
-impl InvertedIndex {
     /// Number of indexed documents.
     pub fn num_docs(&self) -> usize {
         self.doc_ids.len()
@@ -232,11 +214,6 @@ impl InvertedIndex {
     /// Average analysed document length (in tokens).
     pub fn avg_doc_len(&self) -> f64 {
         self.avg_doc_len
-    }
-
-    /// The tokenizer that analysed this index (queries must use the same one).
-    pub fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
     }
 
     /// The corpus backing the index.
@@ -344,7 +321,7 @@ mod tests {
         corpus.push(Document::new("a", "", "federer wins match wins"));
         corpus.push(Document::new("b", "", "djokovic wins slam"));
         corpus.push(Document::new("c", "", "nadal clay"));
-        IndexBuilder::default().build(&corpus)
+        InvertedIndex::build(&corpus)
     }
 
     #[test]
@@ -393,7 +370,7 @@ mod tests {
 
     #[test]
     fn empty_corpus_index() {
-        let idx = IndexBuilder::default().build(&Corpus::new());
+        let idx = InvertedIndex::build(&Corpus::new());
         assert_eq!(idx.num_docs(), 0);
         assert_eq!(idx.num_terms(), 0);
         assert_eq!(idx.avg_doc_len(), 0.0);
@@ -405,7 +382,7 @@ mod tests {
     fn title_is_indexed() {
         let mut corpus = Corpus::new();
         corpus.push(Document::new("t", "Wimbledon Final", "the match"));
-        let idx = IndexBuilder::default().build(&corpus);
+        let idx = InvertedIndex::build(&corpus);
         assert_eq!(idx.doc_freq("wimbledon"), 1);
     }
 
@@ -472,13 +449,9 @@ mod tests {
         let mut corpus = Corpus::new();
         corpus.push(Document::new("a", "Match wins", "federer wins match wins"));
         corpus.push(Document::new("b", "", "djokovic wins slam"));
-        let builder = IndexBuilder::default();
-        let tokens: Vec<Vec<String>> = corpus
-            .iter()
-            .map(|d| builder.tokenizer.tokenize(&d.full_text()))
-            .collect();
-        let from_tokens = builder.build_analysed(corpus.clone(), &tokens);
-        let from_scratch = builder.build(&corpus);
+        let tokens: Vec<Vec<String>> = corpus.iter().map(|d| analyze(&d.full_text())).collect();
+        let from_tokens = InvertedIndex::build_analysed(corpus.clone(), &tokens);
+        let from_scratch = InvertedIndex::build(&corpus);
         assert_eq!(from_tokens.num_terms(), from_scratch.num_terms());
         assert_eq!(
             from_tokens.avg_doc_len().to_bits(),
@@ -495,6 +468,6 @@ mod tests {
     fn build_analysed_rejects_length_mismatch() {
         let mut corpus = Corpus::new();
         corpus.push(Document::new("a", "", "text"));
-        IndexBuilder::default().build_analysed(corpus, &[]);
+        InvertedIndex::build_analysed(corpus, &[]);
     }
 }

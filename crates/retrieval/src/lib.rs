@@ -6,15 +6,18 @@
 //! Pyserini toolkit backed by a Lucene inverted index. This crate reproduces that
 //! substrate from scratch in safe Rust:
 //!
-//! * [`tokenize`] — lowercasing word tokenizer, light suffix stemmer and stopword list,
-//!   mirroring Lucene's `EnglishAnalyzer` defaults closely enough for ranking parity.
+//! * [`tokenize`] — the one analysis chain ([`tokenize::analyze`]): lowercasing word
+//!   segmentation, stopword list and light suffix stemmer, mirroring Lucene's
+//!   `EnglishAnalyzer` defaults closely enough for ranking parity. Indexing and
+//!   queries both call it, so they always agree on the terms.
 //! * [`document`] — the [`Document`] and [`Corpus`] types plus JSONL
 //!   (one-JSON-object-per-line) persistence, the same interchange format Pyserini uses
 //!   for its document collections.
 //! * [`index`] — an in-memory inverted index in a compact arena layout (interned term
 //!   dictionary, contiguous postings arena, precomputed per-document BM25 length
-//!   norms), built by [`IndexBuilder`].
-//! * [`bm25`] — Okapi BM25 scoring with tunable `k1`/`b`.
+//!   norms), built by [`InvertedIndex::build`].
+//! * [`bm25`] — Okapi BM25 scoring at Pyserini's defaults, `k1 = 0.9` and `b = 0.4`
+//!   (the constants [`bm25::K1`] and [`bm25::B`]).
 //! * [`topk`] — the pruned query hot path: sparse accumulation plus MaxScore-style
 //!   exact dynamic pruning over per-term score upper bounds.
 //! * [`searcher`] — the [`Searcher`] facade producing the ranked context `Dq` (a
@@ -90,8 +93,9 @@
 //!   documents can only over-estimate; a loose bound reduces how much is skipped but
 //!   can never change the result.
 //! * **Parameter guard** — the monotonicity argument (and therefore pruning) only
-//!   holds for `k1 ≥ 0`, `0 ≤ b ≤ 1`. Exotic parameterisations are detected and
-//!   scored exhaustively instead.
+//!   holds for `k1 ≥ 0`, `0 ≤ b ≤ 1`. A compile-time assertion beside [`bm25::K1`]
+//!   and [`bm25::B`] holds the constants to that envelope, so a build with other
+//!   values fails instead of pruning inexactly.
 //!
 //! Pruned and exhaustive paths return identical rankings down to the score *bits*;
 //! [`Searcher::try_search_exhaustive`] exposes the dense oracle the differential suite
@@ -110,13 +114,11 @@ pub mod sharded;
 pub mod tokenize;
 pub mod topk;
 
-pub use bm25::Bm25Params;
 pub use document::{Corpus, Document};
 pub use error::RetrievalError;
-pub use index::{IndexBuilder, InvertedIndex};
+pub use index::InvertedIndex;
 pub use retriever::{CorpusVersion, Retriever};
 pub use searcher::{RankedSource, Searcher};
 pub use sharded::{
     corpus_fingerprint, document_fingerprint, LiveSearcher, ShardedIndex, ShardedIndexBuilder,
 };
-pub use tokenize::Tokenizer;

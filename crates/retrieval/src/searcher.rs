@@ -19,13 +19,14 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::bm25::{score_all_with, score_doc_with, Bm25Params, CollectionStats};
+use crate::bm25::{score_all_with, score_doc_with, CollectionStats};
 use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
 use crate::index::InvertedIndex;
 use crate::retriever::{CorpusVersion, Retriever};
 use crate::sharded::{ShardedIndex, ShardedIndexBuilder};
-use crate::topk::{prunable, pruned_top_k, ScoreWorkspace};
+use crate::tokenize::analyze;
+use crate::topk::{pruned_top_k, ScoreWorkspace};
 
 /// One retrieved source: a document plus its rank and BM25 score for the query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -148,7 +149,6 @@ type Candidate<'a> = (f64, &'a str, &'a InvertedIndex, u32);
 #[derive(Debug)]
 pub struct Searcher {
     index: ShardedIndex,
-    params: Bm25Params,
     /// Reusable sparse scoring workspace shared by every segment of a query (sized to
     /// the largest segment touched). Queries that find it busy fall back to a
     /// throwaway workspace — results are identical either way.
@@ -159,33 +159,25 @@ impl Clone for Searcher {
     fn clone(&self) -> Self {
         Self {
             index: self.index.clone(),
-            params: self.params,
             workspace: Mutex::new(ScoreWorkspace::new()),
         }
     }
 }
 
 impl Searcher {
-    /// Create a searcher with default (Pyserini) BM25 parameters.
+    /// Create a searcher over an index.
     pub fn new(index: ShardedIndex) -> Self {
         Self {
             index,
-            params: Bm25Params::default(),
             workspace: Mutex::new(ScoreWorkspace::new()),
         }
     }
 
-    /// Partition, index and wrap a corpus in one step with defaults. One shard is the
-    /// right choice for the demonstration corpora; more shards build in parallel and
-    /// return the same rankings.
+    /// Partition, index and wrap a corpus in one step. One shard is the right choice
+    /// for the demonstration corpora; more shards build in parallel and return the
+    /// same rankings.
     pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
         Self::new(ShardedIndexBuilder::new(num_shards).build(corpus))
-    }
-
-    /// Override the BM25 parameters.
-    pub fn with_params(mut self, params: Bm25Params) -> Self {
-        self.params = params;
-        self
     }
 
     /// The underlying segmented index.
@@ -196,11 +188,6 @@ impl Searcher {
     /// Mutable access to the underlying index, for incremental mutations.
     pub fn index_mut(&mut self) -> &mut ShardedIndex {
         &mut self.index
-    }
-
-    /// The BM25 parameters in use.
-    pub fn params(&self) -> Bm25Params {
-        self.params
     }
 
     /// Retrieve the `k` most relevant sources for `query`, most relevant first.
@@ -215,21 +202,15 @@ impl Searcher {
 
     /// Like [`Searcher::search`] but reports empty/unanalysable queries as errors.
     ///
-    /// Runs the exact dynamic-pruning engine over every segment; parameters outside
-    /// the pruning admissibility envelope fall back to exhaustive scoring. Either way
-    /// the result is bit-identical to [`try_search_exhaustive`](Self::try_search_exhaustive).
+    /// Runs the exact dynamic-pruning engine over every segment, bit-identical to
+    /// [`try_search_exhaustive`](Self::try_search_exhaustive).
     pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
-        let terms = self.index.tokenizer().tokenize(query);
+        let terms = analyze(query);
         if terms.is_empty() {
             return Err(RetrievalError::EmptyQuery);
         }
         if k == 0 || self.index.num_docs() == 0 {
             return Ok(Vec::new());
-        }
-        if !prunable(self.params) {
-            // Exotic parameters (k1 < 0 or b outside [0, 1]) void the bound
-            // admissibility argument — score exhaustively instead.
-            return Ok(self.exhaustive_with_terms(&terms, k));
         }
         let doc_freqs = self.index.doc_freqs(&terms);
         let stats = self.index.stats(&doc_freqs);
@@ -244,20 +225,37 @@ impl Searcher {
     ///
     /// This is the differential oracle the pruning property suite
     /// (`crates/retrieval/tests/pruning.rs`) and the retrieval bench
-    /// (`query/docs=100k/exhaustive`) run against; it is not a serving path.
+    /// (`query/docs=100k/exhaustive`) run against; it is not a serving path. Every
+    /// segment is scored densely, and tombstoned base ordinals are zeroed before
+    /// selection (`select_top_k` never returns non-positive scores), so dead documents
+    /// are indistinguishable from absent ones.
     pub fn try_search_exhaustive(
         &self,
         query: &str,
         k: usize,
     ) -> Result<Vec<RankedSource>, RetrievalError> {
-        let terms = self.index.tokenizer().tokenize(query);
+        let terms = analyze(query);
         if terms.is_empty() {
             return Err(RetrievalError::EmptyQuery);
         }
         if k == 0 || self.index.num_docs() == 0 {
             return Ok(Vec::new());
         }
-        Ok(self.exhaustive_with_terms(&terms, k))
+        let doc_freqs = self.index.doc_freqs(&terms);
+        let stats = self.index.stats(&doc_freqs);
+        let mut candidates: Vec<Candidate<'_>> = Vec::new();
+        for (segment, dead) in self.index.segments() {
+            let mut scores = score_all_with(segment, &terms, &stats);
+            for &ordinal in dead.into_iter().flatten() {
+                scores[ordinal as usize] = 0.0;
+            }
+            for (local, score) in select_top_k(&scores, k, |o| id_in(segment, o)) {
+                candidates.push((score, id_in(segment, local), segment, local));
+            }
+        }
+        candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
+        candidates.truncate(k);
+        Ok(to_ranked(candidates))
     }
 
     /// Pruned per-segment top-k with a running cross-segment threshold, then an exact
@@ -275,7 +273,7 @@ impl Searcher {
         // strictly below it cannot displace any of them in the merged ranking.
         let mut floor: Option<f64> = None;
         for (segment, dead) in self.index.segments() {
-            let selected = pruned_top_k(segment, terms, self.params, stats, k, dead, floor, ws);
+            let selected = pruned_top_k(segment, terms, stats, k, dead, floor, ws);
             for (local, score) in selected {
                 candidates.push((score, id_in(segment, local), segment, local));
             }
@@ -288,27 +286,6 @@ impl Searcher {
         to_ranked(candidates)
     }
 
-    /// Dense scoring of every segment; tombstoned base ordinals are zeroed before
-    /// selection (`select_top_k` never returns non-positive scores), so dead documents
-    /// are indistinguishable from absent ones.
-    fn exhaustive_with_terms(&self, terms: &[String], k: usize) -> Vec<RankedSource> {
-        let doc_freqs = self.index.doc_freqs(terms);
-        let stats = self.index.stats(&doc_freqs);
-        let mut candidates: Vec<Candidate<'_>> = Vec::new();
-        for (segment, dead) in self.index.segments() {
-            let mut scores = score_all_with(segment, terms, self.params, &stats);
-            for &ordinal in dead.into_iter().flatten() {
-                scores[ordinal as usize] = 0.0;
-            }
-            for (local, score) in select_top_k(&scores, k, |o| id_in(segment, o)) {
-                candidates.push((score, id_in(segment, local), segment, local));
-            }
-        }
-        candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
-        candidates.truncate(k);
-        to_ranked(candidates)
-    }
-
     /// Score a single document (by id) against a query, even if it would not rank
     /// top-k.
     ///
@@ -316,7 +293,7 @@ impl Searcher {
     /// directly by probing each query term's postings (O(terms · log postings)
     /// instead of O(corpus); see [`score_doc_with`]).
     pub fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
-        let terms = self.index.tokenizer().tokenize(query);
+        let terms = analyze(query);
         if terms.is_empty() {
             return Err(RetrievalError::EmptyQuery);
         }
@@ -326,7 +303,7 @@ impl Searcher {
             .ok_or_else(|| RetrievalError::UnknownDocument(doc_id.to_string()))?;
         let doc_freqs = self.index.doc_freqs(&terms);
         let stats = self.index.stats(&doc_freqs);
-        Ok(score_doc_with(segment, &terms, self.params, &stats, local))
+        Ok(score_doc_with(segment, &terms, &stats, local))
     }
 }
 
@@ -381,7 +358,6 @@ impl Retriever for Searcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexBuilder;
 
     fn searcher() -> Searcher {
         let mut corpus = Corpus::new();
@@ -521,18 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn exotic_params_fall_back_to_exhaustive_scoring() {
-        // b > 1 voids the min-length bound admissibility; search must still answer,
-        // via the dense path, and agree with the explicit exhaustive call.
-        let exotic = Bm25Params { k1: 0.9, b: 1.2 };
-        let s = searcher().with_params(exotic);
-        let hits = s.search("grand slam titles", 3);
-        let oracle = s.try_search_exhaustive("grand slam titles", 3).unwrap();
-        assert_eq!(hits, oracle);
-        assert!(!hits.is_empty());
-    }
-
-    #[test]
     fn heap_full_precheck_keeps_tie_heavy_selection_identical() {
         // Satellite regression: many duplicate scores around the heap boundary. The
         // pre-check ("skip when strictly below the current worst") must not change
@@ -561,10 +525,10 @@ mod tests {
             "",
             "registry and much other filler text here",
         ));
-        let index = IndexBuilder::default().build(&corpus);
+        let index = InvertedIndex::build(&corpus);
 
-        let terms = index.tokenizer().tokenize("identical registry entry");
-        let dense = crate::bm25::score_all(&index, &terms, Bm25Params::default());
+        let terms = analyze("identical registry entry");
+        let dense = crate::bm25::score_all(&index, &terms);
         for k in [1, 2, 3, 4, 5, 9, 13, 14, 20] {
             // Naive oracle: full sort under the shared rank order.
             let mut all: Vec<(u32, f64)> = dense
@@ -613,15 +577,5 @@ mod tests {
     fn search_on_empty_index() {
         let s = Searcher::from_corpus(&Corpus::new(), 1);
         assert!(s.search("anything", 5).is_empty());
-    }
-
-    #[test]
-    fn custom_params_change_scores() {
-        let s_default = searcher();
-        let s_robertson = searcher().with_params(Bm25Params::robertson());
-        let d = s_default.search("grand slam titles", 1)[0].score;
-        let r = s_robertson.search("grand slam titles", 1)[0].score;
-        assert_ne!(d, r);
-        assert_eq!(s_robertson.params(), Bm25Params::robertson());
     }
 }

@@ -29,10 +29,9 @@
 //! k-th best candidate score is handed to later segments as an initial pruning
 //! threshold (a document scoring strictly below it cannot enter the merged top-k, so
 //! skipping it is exact). Every emitted score is still produced by the shared
-//! query-order rescoring kernel, preserving bit-identity; parameter settings outside
-//! the bounds' admissibility envelope fall back to exhaustive scoring
-//! ([`Searcher::try_search_exhaustive`], which is also the differential oracle the
-//! pruning suite compares against).
+//! query-order rescoring kernel, preserving bit-identity with exhaustive scoring
+//! ([`Searcher::try_search_exhaustive`], the differential oracle the pruning suite
+//! compares against).
 //!
 //! ## The delta/compaction contract
 //!
@@ -75,10 +74,10 @@ use std::thread;
 use crate::bm25::CollectionStats;
 use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
-use crate::index::{IndexBuilder, InvertedIndex};
+use crate::index::InvertedIndex;
 use crate::retriever::{CorpusVersion, Retriever};
 use crate::searcher::{RankedSource, Searcher};
-use crate::tokenize::Tokenizer;
+use crate::tokenize::analyze;
 
 /// A delta segment larger than this triggers automatic compaction of its shard.
 const DELTA_COMPACT_LIMIT: usize = 64;
@@ -119,10 +118,9 @@ pub fn corpus_fingerprint(corpus: &Corpus) -> u64 {
         .fold(0u64, |acc, doc| acc.wrapping_add(document_fingerprint(doc)))
 }
 
-/// Builder for [`ShardedIndex`]: how many shards and which tokenizer.
+/// Builder for [`ShardedIndex`]: how many shards.
 #[derive(Debug, Clone)]
 pub struct ShardedIndexBuilder {
-    tokenizer: Tokenizer,
     num_shards: usize,
 }
 
@@ -136,16 +134,7 @@ impl ShardedIndexBuilder {
     /// If `num_shards` is zero.
     pub fn new(num_shards: usize) -> Self {
         assert!(num_shards >= 1, "at least one shard required");
-        Self {
-            tokenizer: Tokenizer::default(),
-            num_shards,
-        }
-    }
-
-    /// Use a custom tokenizer for analysis (all shards share it).
-    pub fn with_tokenizer(mut self, tokenizer: Tokenizer) -> Self {
-        self.tokenizer = tokenizer;
-        self
+        Self { num_shards }
     }
 
     /// Analyse and index every document of the corpus, one index per shard. Several
@@ -154,7 +143,6 @@ impl ShardedIndexBuilder {
     pub fn build(&self, corpus: &Corpus) -> ShardedIndex {
         let docs = corpus.documents();
         let bounds = partition_bounds(docs.len(), self.num_shards);
-        let index_builder = IndexBuilder::default().with_tokenizer(self.tokenizer.clone());
 
         // Each shard's documents are copied once, into the shard corpus that then
         // moves into its index.
@@ -162,11 +150,11 @@ impl ShardedIndexBuilder {
             let shard_docs = &docs[start..end];
             let analysed: Vec<Vec<String>> = shard_docs
                 .iter()
-                .map(|doc| self.tokenizer.tokenize(&doc.full_text()))
+                .map(|doc| analyze(&doc.full_text()))
                 .collect();
             let shard =
                 Corpus::from_documents(shard_docs.to_vec()).expect("parent corpus ids are unique");
-            index_builder.build_analysed(shard, &analysed)
+            InvertedIndex::build_analysed(shard, &analysed)
         };
 
         let indexes: Vec<InvertedIndex> = if self.num_shards == 1 {
@@ -198,7 +186,7 @@ impl ShardedIndexBuilder {
             total_len as f64 / num_docs as f64
         };
 
-        let empty_delta = index_builder.build(&Corpus::new());
+        let empty_delta = InvertedIndex::build(&Corpus::new());
         let shards = indexes
             .into_iter()
             .map(|base| Shard {
@@ -216,7 +204,6 @@ impl ShardedIndexBuilder {
             num_docs,
             total_len,
             avg_doc_len,
-            tokenizer: self.tokenizer.clone(),
             version: 1,
             fingerprint: corpus_fingerprint(corpus),
         }
@@ -253,7 +240,7 @@ struct Shard {
     delta_docs: Vec<Document>,
     /// Cached analysed token streams, parallel to `delta_docs`. Analysis is
     /// deterministic, so re-indexing from the cache is bit-identical to re-analysing —
-    /// it just spares every rebuild a full tokenizer pass over the whole delta.
+    /// it just spares every rebuild a full analysis pass over the whole delta.
     delta_tokens: Vec<Vec<String>>,
     /// Index over `delta_docs`, rebuilt on each mutation of this shard.
     delta: InvertedIndex,
@@ -271,10 +258,10 @@ impl Shard {
             + self.delta.doc_freq(term)
     }
 
-    fn rebuild_delta(&mut self, builder: &IndexBuilder) {
+    fn rebuild_delta(&mut self) {
         let corpus =
             Corpus::from_documents(self.delta_docs.clone()).expect("delta document ids are unique");
-        self.delta = builder.build_analysed(corpus, &self.delta_tokens);
+        self.delta = InvertedIndex::build_analysed(corpus, &self.delta_tokens);
     }
 
     /// Whether this shard's pending state warrants folding into a new base segment.
@@ -284,7 +271,7 @@ impl Shard {
 
     /// Merge live base documents and delta documents into a fresh base segment; a
     /// pure layout change (no statistic, version or fingerprint moves).
-    fn compact(&mut self, builder: &IndexBuilder) {
+    fn compact(&mut self) {
         if self.dead.is_empty() && self.delta_docs.is_empty() {
             return;
         }
@@ -300,10 +287,10 @@ impl Shard {
         docs.append(&mut self.delta_docs);
         self.delta_tokens.clear();
         let corpus = Corpus::from_documents(docs).expect("live ids are unique");
-        self.base = builder.build(&corpus);
+        self.base = InvertedIndex::build(&corpus);
         self.dead.clear();
         self.dead_terms.clear();
-        self.delta = builder.build(&Corpus::new());
+        self.delta = InvertedIndex::build(&Corpus::new());
     }
 }
 
@@ -320,7 +307,6 @@ pub struct ShardedIndex {
     num_docs: usize,
     total_len: u64,
     avg_doc_len: f64,
-    tokenizer: Tokenizer,
     version: u64,
     fingerprint: u64,
 }
@@ -344,11 +330,6 @@ impl ShardedIndex {
     /// Live documents per shard, in shard order.
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.live_docs()).collect()
-    }
-
-    /// The tokenizer shared by every shard (queries must use the same one).
-    pub fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
     }
 
     /// Global document frequency of an analysed term over live documents.
@@ -409,14 +390,9 @@ impl ShardedIndex {
     /// Compact every shard (see the [delta/compaction contract](self)). Scores,
     /// statistics, version and fingerprint are unchanged — only the layout moves.
     pub fn compact(&mut self) {
-        let builder = self.index_builder();
         for shard in &mut self.shards {
-            shard.compact(&builder);
+            shard.compact();
         }
-    }
-
-    fn index_builder(&self) -> IndexBuilder {
-        IndexBuilder::default().with_tokenizer(self.tokenizer.clone())
     }
 
     fn recompute_avg(&mut self) {
@@ -430,27 +406,25 @@ impl ShardedIndex {
     fn add_internal(&mut self, doc: Document) {
         // Analyse exactly once: the token stream feeds both the global length
         // statistics and (via the shard's token cache) every delta rebuild.
-        let tokens = self.tokenizer.tokenize(&doc.full_text());
+        let tokens = analyze(&doc.full_text());
         let len = tokens.len() as u64;
         self.fingerprint = self.fingerprint.wrapping_add(document_fingerprint(&doc));
         let target = (0..self.shards.len())
             .min_by_key(|&s| (self.shards[s].live_docs(), s))
             .expect("at least one shard");
-        let builder = self.index_builder();
         let shard = &mut self.shards[target];
         shard.delta_docs.push(doc);
         shard.delta_tokens.push(tokens);
-        shard.rebuild_delta(&builder);
+        shard.rebuild_delta();
         self.num_docs += 1;
         self.total_len += len;
         self.recompute_avg();
         if self.shards[target].wants_compaction() {
-            self.shards[target].compact(&builder);
+            self.shards[target].compact();
         }
     }
 
     fn remove_internal(&mut self, doc_id: &str) -> Result<Document, RetrievalError> {
-        let builder = self.index_builder();
         for s in 0..self.shards.len() {
             // The live copy may sit in the delta segment...
             if let Some(pos) = self.shards[s]
@@ -466,7 +440,7 @@ impl ShardedIndex {
                 let len = u64::from(shard.delta.doc_len(ordinal));
                 let doc = shard.delta_docs.remove(pos);
                 shard.delta_tokens.remove(pos);
-                shard.rebuild_delta(&builder);
+                shard.rebuild_delta();
                 self.finish_removal(&doc, len);
                 return Ok(doc);
             }
@@ -482,18 +456,13 @@ impl ShardedIndex {
                         .clone();
                     let len = u64::from(shard.base.doc_len(ordinal));
                     shard.dead.insert(ordinal);
-                    let terms: BTreeSet<String> = shard
-                        .base
-                        .tokenizer()
-                        .tokenize(&doc.full_text())
-                        .into_iter()
-                        .collect();
+                    let terms: BTreeSet<String> = analyze(&doc.full_text()).into_iter().collect();
                     for term in terms {
                         *shard.dead_terms.entry(term).or_insert(0) += 1;
                     }
                     self.finish_removal(&doc, len);
                     if self.shards[s].wants_compaction() {
-                        self.shards[s].compact(&builder);
+                        self.shards[s].compact();
                     }
                     return Ok(doc);
                 }
@@ -668,7 +637,7 @@ impl Retriever for LiveSearcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bm25::{score_all, Bm25Params};
+    use crate::bm25::score_all;
 
     fn corpus() -> Corpus {
         let mut corpus = Corpus::new();
@@ -702,16 +671,15 @@ mod tests {
 
     /// The unpartitioned dense reference's score vector, in corpus order:
     /// `bm25::score_all` over one index of the whole corpus.
-    fn reference_scores(corpus: &Corpus, params: Bm25Params, query: &str) -> Vec<f64> {
-        let index = IndexBuilder::default().build(corpus);
-        let terms = index.tokenizer().tokenize(query);
-        score_all(&index, &terms, params)
+    fn reference_scores(corpus: &Corpus, query: &str) -> Vec<f64> {
+        let index = InvertedIndex::build(corpus);
+        score_all(&index, &analyze(query))
     }
 
     /// The reference ranking: positive dense scores only, fully sorted by descending
     /// score (`total_cmp`) then ascending id, truncated to `k`.
-    fn reference(corpus: &Corpus, params: Bm25Params, query: &str, k: usize) -> Vec<RankedSource> {
-        let scores = reference_scores(corpus, params, query);
+    fn reference(corpus: &Corpus, query: &str, k: usize) -> Vec<RankedSource> {
+        let scores = reference_scores(corpus, query);
         let mut hits: Vec<(f64, &Document)> = scores
             .into_iter()
             .zip(corpus.iter())
@@ -756,10 +724,7 @@ mod tests {
                 "pasta",
             ] {
                 for k in [1, 2, 5, 10] {
-                    assert_same_hits(
-                        &reference(&corpus, Bm25Params::default(), query, k),
-                        &sharded.search(query, k),
-                    );
+                    assert_same_hits(&reference(&corpus, query, k), &sharded.search(query, k));
                 }
             }
         }
@@ -786,7 +751,7 @@ mod tests {
     #[test]
     fn global_stats_match_single_index() {
         let corpus = corpus();
-        let single = IndexBuilder::default().build(&corpus);
+        let single = InvertedIndex::build(&corpus);
         let sharded = ShardedIndexBuilder::new(3).build(&corpus);
         assert_eq!(sharded.num_docs(), single.num_docs());
         assert_eq!(
@@ -802,7 +767,7 @@ mod tests {
     fn score_document_matches_single_index_bitwise() {
         let corpus = corpus();
         let query = "most grand slam titles";
-        let dense = reference_scores(&corpus, Bm25Params::default(), query);
+        let dense = reference_scores(&corpus, query);
         let sharded = Searcher::from_corpus(&corpus, 4);
         for (doc, expected) in corpus.iter().zip(&dense) {
             let got = sharded.score_document(query, &doc.id).unwrap();
@@ -829,17 +794,6 @@ mod tests {
         let empty = Searcher::from_corpus(&Corpus::new(), 4);
         assert!(empty.search("anything", 5).is_empty());
         assert_eq!(empty.index().num_docs(), 0);
-    }
-
-    #[test]
-    fn custom_params_are_respected() {
-        let corpus = corpus();
-        let sharded = Searcher::from_corpus(&corpus, 3).with_params(Bm25Params::robertson());
-        assert_same_hits(
-            &reference(&corpus, Bm25Params::robertson(), "grand slam titles", 5),
-            &sharded.search("grand slam titles", 5),
-        );
-        assert_eq!(sharded.params(), Bm25Params::robertson());
     }
 
     #[test]
@@ -951,18 +905,6 @@ mod tests {
         check(&searcher);
         searcher.index_mut().compact();
         check(&searcher);
-    }
-
-    #[test]
-    fn exotic_params_still_answer_via_fallback() {
-        let exotic = Bm25Params { k1: 0.9, b: 1.5 };
-        let searcher = Searcher::from_corpus(&corpus(), 2).with_params(exotic);
-        let hits = searcher.try_search("grand slam titles", 3).unwrap();
-        let oracle = searcher
-            .try_search_exhaustive("grand slam titles", 3)
-            .unwrap();
-        assert_same_hits(&oracle, &hits);
-        assert!(!hits.is_empty());
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! works with: Unicode-aware lowercasing word segmentation, a small English stopword
 //! list, and a conservative suffix stemmer (a light variant of the Porter S1 rules).
 
-use serde::{Deserialize, Serialize};
-
-/// English stopwords removed by the default analyzer.
+/// English stopwords removed by the analyzer.
 ///
 /// The list matches Lucene's `EnglishAnalyzer::ENGLISH_STOP_WORDS_SET`.
 pub const ENGLISH_STOPWORDS: &[&str] = &[
@@ -16,115 +14,50 @@ pub const ENGLISH_STOPWORDS: &[&str] = &[
     "they", "this", "to", "was", "will", "with",
 ];
 
-/// Configuration of the analysis chain.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-pub struct AnalyzerConfig {
-    /// Lowercase tokens before further processing.
-    pub lowercase: bool,
-    /// Remove the stopwords in [`ENGLISH_STOPWORDS`].
-    pub remove_stopwords: bool,
-    /// Apply the light suffix stemmer.
-    pub stem: bool,
-    /// Minimum token length kept after analysis (shorter tokens are dropped).
-    pub min_token_len: usize,
-}
-
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        Self {
-            lowercase: true,
-            remove_stopwords: true,
-            stem: true,
-            min_token_len: 1,
-        }
-    }
-}
-
-/// A tokenizer + normaliser used for both indexing and query analysis.
+/// Split raw text into analysed terms: lowercased, stopwords removed, lightly stemmed.
 ///
-/// Both sides of retrieval must use the *same* analyzer for scores to make sense, so
-/// [`crate::index::IndexBuilder`] stores the tokenizer inside the built index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct Tokenizer {
-    config: AnalyzerConfig,
+/// Indexing and query analysis both call this one function, so both sides of
+/// retrieval always agree on the terms.
+pub fn analyze(text: &str) -> Vec<String> {
+    raw_tokens(text)
+        .into_iter()
+        .filter_map(|tok| normalize(&tok))
+        .collect()
 }
 
-impl Tokenizer {
-    /// Create a tokenizer with the given configuration.
-    pub fn new(config: AnalyzerConfig) -> Self {
-        Self { config }
-    }
-
-    /// A tokenizer that only splits and lowercases (no stopword removal, no stemming).
-    ///
-    /// Useful when exact surface forms matter, e.g. for answer-string matching.
-    pub fn whitespace() -> Self {
-        Self {
-            config: AnalyzerConfig {
-                lowercase: true,
-                remove_stopwords: false,
-                stem: false,
-                min_token_len: 1,
-            },
+/// Split raw text into surface tokens without normalisation (keeps case, stopwords).
+fn raw_tokens(text: &str) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let mut current = String::new();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() || ch == '\'' {
+            current.push(ch);
+        } else if !current.is_empty() {
+            tokens.push(std::mem::take(&mut current));
         }
     }
-
-    /// The analyzer configuration in use.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
+    if !current.is_empty() {
+        tokens.push(current);
     }
+    tokens
+}
 
-    /// Split raw text into analysed terms.
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
-        self.raw_tokens(text)
-            .into_iter()
-            .filter_map(|tok| self.normalize(&tok))
-            .collect()
+/// Normalise a single surface token; returns `None` if the token is filtered out.
+fn normalize(token: &str) -> Option<String> {
+    let mut tok = token.to_lowercase();
+    // Strip possessive suffix before stopword / stemming decisions ("Federer's" -> "federer").
+    if let Some(stripped) = tok.strip_suffix("'s") {
+        tok = stripped.to_string();
     }
-
-    /// Split raw text into surface tokens without normalisation (keeps case, stopwords).
-    pub fn raw_tokens(&self, text: &str) -> Vec<String> {
-        let mut tokens = Vec::new();
-        let mut current = String::new();
-        for ch in text.chars() {
-            if ch.is_alphanumeric() || ch == '\'' {
-                current.push(ch);
-            } else if !current.is_empty() {
-                tokens.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            tokens.push(current);
-        }
-        tokens
+    tok = tok.trim_matches('\'').to_string();
+    if tok.is_empty() || ENGLISH_STOPWORDS.contains(&tok.as_str()) {
+        return None;
     }
-
-    /// Normalise a single surface token; returns `None` if the token is filtered out.
-    pub fn normalize(&self, token: &str) -> Option<String> {
-        let mut tok = if self.config.lowercase {
-            token.to_lowercase()
-        } else {
-            token.to_string()
-        };
-        // Strip possessive suffix before stopword / stemming decisions ("Federer's" -> "federer").
-        if let Some(stripped) = tok.strip_suffix("'s") {
-            tok = stripped.to_string();
-        }
-        tok = tok.trim_matches('\'').to_string();
-        if tok.is_empty() || tok.chars().count() < self.config.min_token_len {
-            return None;
-        }
-        if self.config.remove_stopwords && ENGLISH_STOPWORDS.contains(&tok.as_str()) {
-            return None;
-        }
-        if self.config.stem {
-            tok = light_stem(&tok);
-        }
-        if tok.is_empty() {
-            None
-        } else {
-            Some(tok)
-        }
+    tok = light_stem(&tok);
+    if tok.is_empty() {
+        None
+    } else {
+        Some(tok)
     }
 }
 
@@ -178,15 +111,13 @@ mod tests {
 
     #[test]
     fn tokenizes_and_lowercases() {
-        let tok = Tokenizer::default();
-        let terms = tok.tokenize("Roger Federer WON 369 matches!");
+        let terms = analyze("Roger Federer WON 369 matches!");
         assert_eq!(terms, vec!["roger", "federer", "won", "369", "matche"]);
     }
 
     #[test]
     fn removes_stopwords() {
-        let tok = Tokenizer::default();
-        let terms = tok.tokenize("the best of the big three");
+        let terms = analyze("the best of the big three");
         assert!(!terms.contains(&"the".to_string()));
         assert!(!terms.contains(&"of".to_string()));
         assert!(terms.contains(&"best".to_string()));
@@ -194,16 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_tokenizer_keeps_stopwords() {
-        let tok = Tokenizer::whitespace();
-        let terms = tok.tokenize("The Answer Is Federer");
-        assert_eq!(terms, vec!["the", "answer", "is", "federer"]);
-    }
-
-    #[test]
     fn strips_possessive() {
-        let tok = Tokenizer::default();
-        let terms = tok.tokenize("Djokovic's titles");
+        let terms = analyze("Djokovic's titles");
         assert_eq!(terms, vec!["djokovic", "title"]);
     }
 
@@ -235,35 +158,21 @@ mod tests {
 
     #[test]
     fn empty_and_punctuation_only_input() {
-        let tok = Tokenizer::default();
-        assert!(tok.tokenize("").is_empty());
-        assert!(tok.tokenize("!!! --- ???").is_empty());
+        assert!(analyze("").is_empty());
+        assert!(analyze("!!! --- ???").is_empty());
     }
 
     #[test]
     fn unicode_words_survive() {
-        let tok = Tokenizer::default();
-        let terms = tok.tokenize("Gaël Monfils était présent");
+        let terms = analyze("Gaël Monfils était présent");
         assert!(terms.contains(&"gaël".to_string()));
         assert!(terms.contains(&"était".to_string()));
     }
 
     #[test]
-    fn min_token_len_filters_short_tokens() {
-        let tok = Tokenizer::new(AnalyzerConfig {
-            min_token_len: 3,
-            remove_stopwords: false,
-            ..AnalyzerConfig::default()
-        });
-        let terms = tok.tokenize("a an the best");
-        assert_eq!(terms, vec!["the", "best"]);
-    }
-
-    #[test]
     fn raw_tokens_preserve_case() {
-        let tok = Tokenizer::default();
         assert_eq!(
-            tok.raw_tokens("Coco Gauff, 2023"),
+            raw_tokens("Coco Gauff, 2023"),
             vec!["Coco", "Gauff", "2023"]
         );
     }

@@ -17,8 +17,8 @@
 //!    frequency and minimum document length over its postings
 //!    ([`InvertedIndex::term_max_tf`]/[`term_min_dl`]). The BM25 per-term
 //!    contribution is monotone non-decreasing in `tf` and non-increasing in document
-//!    length whenever `k1 ≥ 0` and `0 ≤ b ≤ 1` (checked by `prunable`; other
-//!    parameterisations fall back to the exhaustive path), so evaluating the term
+//!    length whenever `k1 ≥ 0` and `0 ≤ b ≤ 1` (a compile-time assertion beside
+//!    [`K1`] and [`B`] holds the constants to that envelope), so evaluating the term
 //!    score at `(max_tf, min_dl)` bounds the term's contribution to *any* document.
 //! 2. **Candidate-generation order is free.** Query-term occurrences are processed in
 //!    descending bound order, so rare, high-impact terms establish the top-k
@@ -54,6 +54,8 @@
 //! [`InvertedIndex::term_max_tf`]: crate::index::InvertedIndex::term_max_tf
 //! [`term_min_dl`]: crate::index::InvertedIndex::term_min_dl
 //! [`term_score_dl`]: crate::bm25::term_score_dl
+//! [`K1`]: crate::bm25::K1
+//! [`B`]: crate::bm25::B
 //!
 //! The differential property suite (`crates/retrieval/tests/pruning.rs`) pins
 //! pruned ≡ exhaustive — set, order and score bits — across seeded corpora, shard
@@ -62,7 +64,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use crate::bm25::{idf, term_score_dl, Bm25Params, CollectionStats};
+use crate::bm25::{idf, term_score_dl, CollectionStats};
 use crate::index::InvertedIndex;
 use crate::searcher::select_top_k_entries;
 
@@ -76,14 +78,6 @@ const RELATIVE_SLACK: f64 = 1e-9;
 /// rounding slack. Operands are non-negative in every call site.
 fn definitely_less(a: f64, b: f64) -> bool {
     a * (1.0 + RELATIVE_SLACK) < b * (1.0 - RELATIVE_SLACK)
-}
-
-/// Whether the admissibility argument holds for these parameters (see the [module
-/// docs](self)): the BM25 term score is monotone non-decreasing in `tf` and
-/// non-increasing in document length only for `k1 ≥ 0` and `0 ≤ b ≤ 1`. Exotic
-/// parameterisations are scored exhaustively instead.
-pub(crate) fn prunable(params: Bm25Params) -> bool {
-    params.k1 >= 0.0 && (0.0..=1.0).contains(&params.b)
 }
 
 /// A reusable sparse score accumulator: ordinal → partial score for the documents a
@@ -227,19 +221,13 @@ struct Occurrence {
 
 /// Exact rescore of one candidate in original query order — the same contributions,
 /// added in the same order, as `score_all_with` produces for this ordinal.
-fn rescore(
-    index: &InvertedIndex,
-    occurrences: &[Occurrence],
-    params: Bm25Params,
-    avg_doc_len: f64,
-    doc: u32,
-) -> f64 {
+fn rescore(index: &InvertedIndex, occurrences: &[Occurrence], avg_doc_len: f64, doc: u32) -> f64 {
     let dl = index.doc_norm_len(doc);
     let mut score = 0.0;
     for occ in occurrences {
         let postings = index.postings_by_id(occ.term_id);
         if let Ok(pos) = postings.binary_search_by_key(&doc, |p| p.doc) {
-            score += term_score_dl(params, occ.idf, postings[pos].tf, dl, avg_doc_len);
+            score += term_score_dl(occ.idf, postings[pos].tf, dl, avg_doc_len);
         }
     }
     score
@@ -257,11 +245,9 @@ fn rescore(
 /// Returns `(ordinal, score)` pairs in final rank order; scores are bit-identical to
 /// `score_all_with(index, ..)[ordinal]`. Only documents with positive scores are
 /// returned, matching the dense selection.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn pruned_top_k(
     index: &InvertedIndex,
     query_terms: &[String],
-    params: Bm25Params,
     stats: &CollectionStats<'_>,
     k: usize,
     dead: Option<&HashSet<u32>>,
@@ -269,7 +255,6 @@ pub(crate) fn pruned_top_k(
     ws: &mut ScoreWorkspace,
 ) -> Vec<(u32, f64)> {
     debug_assert_eq!(query_terms.len(), stats.doc_freqs.len());
-    debug_assert!(prunable(params));
     if k == 0 || index.num_docs() == 0 {
         return Vec::new();
     }
@@ -287,7 +272,6 @@ pub(crate) fn pruned_top_k(
         };
         let idf = idf(stats.num_docs, df);
         let bound = term_score_dl(
-            params,
             idf,
             index.term_max_tf(term_id),
             f64::from(index.term_min_dl(term_id)),
@@ -339,7 +323,7 @@ pub(crate) fn pruned_top_k(
                 let dl = index.doc_norm_len(posting.doc);
                 ws.add(
                     posting.doc,
-                    term_score_dl(params, occ.idf, posting.tf, dl, stats.avg_doc_len),
+                    term_score_dl(occ.idf, posting.tf, dl, stats.avg_doc_len),
                 );
             }
             if ws.touched.len() >= k {
@@ -366,7 +350,7 @@ pub(crate) fn pruned_top_k(
                         let dl = index.doc_norm_len(doc);
                         ws.add(
                             doc,
-                            term_score_dl(params, occ.idf, postings[pos].tf, dl, stats.avg_doc_len),
+                            term_score_dl(occ.idf, postings[pos].tf, dl, stats.avg_doc_len),
                         );
                     }
                 }
@@ -375,7 +359,7 @@ pub(crate) fn pruned_top_k(
                     let dl = index.doc_norm_len(posting.doc);
                     ws.add_existing(
                         posting.doc,
-                        term_score_dl(params, occ.idf, posting.tf, dl, stats.avg_doc_len),
+                        term_score_dl(occ.idf, posting.tf, dl, stats.avg_doc_len),
                     );
                 }
             }
@@ -408,7 +392,7 @@ pub(crate) fn pruned_top_k(
             }
         }
         let score = if ws.is_multi(doc) {
-            rescore(index, &occurrences, params, stats.avg_doc_len, doc)
+            rescore(index, &occurrences, stats.avg_doc_len, doc)
         } else {
             approx
         };
@@ -429,8 +413,8 @@ mod tests {
     use super::*;
     use crate::bm25::score_all_with;
     use crate::document::{Corpus, Document};
-    use crate::index::IndexBuilder;
     use crate::searcher::select_top_k;
+    use crate::tokenize::analyze;
 
     /// Deterministic toy corpus mixing rare and common terms, duplicates and ties.
     fn corpus(n: usize) -> Corpus {
@@ -457,9 +441,8 @@ mod tests {
     }
 
     fn check_equivalence(corpus: &Corpus, query: &str, k: usize) {
-        let index = IndexBuilder::default().build(corpus);
-        let params = Bm25Params::default();
-        let terms = index.tokenizer().tokenize(query);
+        let index = InvertedIndex::build(corpus);
+        let terms = analyze(query);
         let doc_freqs: Vec<usize> = terms.iter().map(|t| index.doc_freq(t)).collect();
         let stats = CollectionStats {
             num_docs: index.num_docs(),
@@ -467,11 +450,11 @@ mod tests {
             doc_freqs: &doc_freqs,
         };
 
-        let dense = score_all_with(&index, &terms, params, &stats);
+        let dense = score_all_with(&index, &terms, &stats);
         let expected = select_top_k(&dense, k, |o| index.doc_id(o).unwrap());
 
         let mut ws = ScoreWorkspace::new();
-        let pruned = pruned_top_k(&index, &terms, params, &stats, k, None, None, &mut ws);
+        let pruned = pruned_top_k(&index, &terms, &stats, k, None, None, &mut ws);
 
         assert_eq!(expected.len(), pruned.len(), "query {query:?} k {k}");
         for (e, p) in expected.iter().zip(&pruned) {
@@ -519,9 +502,8 @@ mod tests {
     #[test]
     fn dead_ordinals_are_never_candidates() {
         let corpus = corpus(50);
-        let index = IndexBuilder::default().build(&corpus);
-        let params = Bm25Params::default();
-        let terms = index.tokenizer().tokenize("shared registry entry");
+        let index = InvertedIndex::build(&corpus);
+        let terms = analyze("shared registry entry");
         let doc_freqs: Vec<usize> = terms.iter().map(|t| index.doc_freq(t)).collect();
         let stats = CollectionStats {
             num_docs: index.num_docs(),
@@ -530,21 +512,12 @@ mod tests {
         };
         let dead: HashSet<u32> = (0..25).collect();
         let mut ws = ScoreWorkspace::new();
-        let got = pruned_top_k(
-            &index,
-            &terms,
-            params,
-            &stats,
-            100,
-            Some(&dead),
-            None,
-            &mut ws,
-        );
+        let got = pruned_top_k(&index, &terms, &stats, 100, Some(&dead), None, &mut ws);
         assert!(!got.is_empty());
         assert!(got.iter().all(|&(o, _)| o >= 25));
 
         // Dense equivalent: score everything, zero the dead, select.
-        let mut dense = score_all_with(&index, &terms, params, &stats);
+        let mut dense = score_all_with(&index, &terms, &stats);
         for &d in &dead {
             dense[d as usize] = 0.0;
         }
@@ -561,9 +534,8 @@ mod tests {
         // With a floor far above every score, nothing survives; with a floor of
         // zero, results match the floorless run exactly.
         let corpus = corpus(80);
-        let index = IndexBuilder::default().build(&corpus);
-        let params = Bm25Params::default();
-        let terms = index.tokenizer().tokenize("alpha laboratory shared");
+        let index = InvertedIndex::build(&corpus);
+        let terms = analyze("alpha laboratory shared");
         let doc_freqs: Vec<usize> = terms.iter().map(|t| index.doc_freq(t)).collect();
         let stats = CollectionStats {
             num_docs: index.num_docs(),
@@ -571,11 +543,11 @@ mod tests {
             doc_freqs: &doc_freqs,
         };
         let mut ws = ScoreWorkspace::new();
-        let no_floor = pruned_top_k(&index, &terms, params, &stats, 5, None, None, &mut ws);
+        let no_floor = pruned_top_k(&index, &terms, &stats, 5, None, None, &mut ws);
         assert!(!no_floor.is_empty());
-        let zero_floor = pruned_top_k(&index, &terms, params, &stats, 5, None, Some(0.0), &mut ws);
+        let zero_floor = pruned_top_k(&index, &terms, &stats, 5, None, Some(0.0), &mut ws);
         assert_eq!(no_floor, zero_floor);
-        let sky_floor = pruned_top_k(&index, &terms, params, &stats, 5, None, Some(1e9), &mut ws);
+        let sky_floor = pruned_top_k(&index, &terms, &stats, 5, None, Some(1e9), &mut ws);
         assert!(sky_floor.is_empty());
     }
 
@@ -583,22 +555,21 @@ mod tests {
     fn workspace_is_reusable_across_queries_and_segments() {
         let big = corpus(120);
         let small = corpus(30);
-        let big_index = IndexBuilder::default().build(&big);
-        let small_index = IndexBuilder::default().build(&small);
-        let params = Bm25Params::default();
+        let big_index = InvertedIndex::build(&big);
+        let small_index = InvertedIndex::build(&small);
         let mut ws = ScoreWorkspace::new();
         for _ in 0..3 {
             for (index, label) in [(&big_index, "big"), (&small_index, "small")] {
-                let terms = index.tokenizer().tokenize("gamma university shared entry");
+                let terms = analyze("gamma university shared entry");
                 let doc_freqs: Vec<usize> = terms.iter().map(|t| index.doc_freq(t)).collect();
                 let stats = CollectionStats {
                     num_docs: index.num_docs(),
                     avg_doc_len: index.avg_doc_len(),
                     doc_freqs: &doc_freqs,
                 };
-                let dense = score_all_with(index, &terms, params, &stats);
+                let dense = score_all_with(index, &terms, &stats);
                 let expected = select_top_k(&dense, 7, |o| index.doc_id(o).unwrap());
-                let got = pruned_top_k(index, &terms, params, &stats, 7, None, None, &mut ws);
+                let got = pruned_top_k(index, &terms, &stats, 7, None, None, &mut ws);
                 assert_eq!(expected.len(), got.len(), "{label}");
                 for (e, p) in expected.iter().zip(&got) {
                     assert_eq!(e.0, p.0, "{label}");
@@ -606,17 +577,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prunable_rejects_exotic_parameters() {
-        assert!(prunable(Bm25Params::default()));
-        assert!(prunable(Bm25Params::robertson()));
-        assert!(prunable(Bm25Params { k1: 0.0, b: 0.0 }));
-        assert!(prunable(Bm25Params { k1: 2.0, b: 1.0 }));
-        assert!(!prunable(Bm25Params { k1: -0.1, b: 0.4 }));
-        assert!(!prunable(Bm25Params { k1: 0.9, b: 1.5 }));
-        assert!(!prunable(Bm25Params { k1: 0.9, b: -0.2 }));
     }
 
     #[test]

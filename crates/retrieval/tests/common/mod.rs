@@ -1,33 +1,30 @@
 //! The unpartitioned dense reference the retrieval suites compare [`Searcher`] against.
 //!
 //! It shares no query code with the searcher: every document of one
-//! [`IndexBuilder`] index over the whole corpus is scored by [`bm25::score_all`],
+//! [`InvertedIndex`] over the whole corpus is scored by [`bm25::score_all`],
 //! documents with a positive score are fully sorted by descending score
 //! (`f64::total_cmp`) then ascending id, and the ranking is truncated to `k`.
 //!
 //! [`Searcher`]: rage_retrieval::Searcher
 
-use rage_retrieval::bm25;
 use rage_retrieval::searcher::RankedSource;
-use rage_retrieval::{Bm25Params, Corpus, IndexBuilder, InvertedIndex};
+use rage_retrieval::tokenize::analyze;
+use rage_retrieval::{bm25, Corpus, InvertedIndex};
 
 pub struct DenseReference {
     index: InvertedIndex,
-    params: Bm25Params,
 }
 
 impl DenseReference {
-    pub fn new(corpus: &Corpus, params: Bm25Params) -> Self {
+    pub fn new(corpus: &Corpus) -> Self {
         Self {
-            index: IndexBuilder::default().build(corpus),
-            params,
+            index: InvertedIndex::build(corpus),
         }
     }
 
     /// The dense score vector, indexed by corpus position.
     fn scores(&self, query: &str) -> Vec<f64> {
-        let terms = self.index.tokenizer().tokenize(query);
-        bm25::score_all(&self.index, &terms, self.params)
+        bm25::score_all(&self.index, &analyze(query))
     }
 
     /// The reference top-`k` ranking for `query`.

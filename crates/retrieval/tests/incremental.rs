@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use common::{assert_same_ranking, DenseReference};
 use rage_retrieval::{
-    corpus_fingerprint, Bm25Params, Corpus, Document, Searcher, ShardedIndex, ShardedIndexBuilder,
+    corpus_fingerprint, Corpus, Document, Searcher, ShardedIndex, ShardedIndexBuilder,
 };
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
@@ -60,7 +60,7 @@ fn random_query(rng: &mut StdRng) -> String {
 fn assert_equals_rebuild(index: &ShardedIndex, mirror: &Corpus, shards: usize, context: &str) {
     let live = Searcher::new(index.clone());
     let rebuilt = Searcher::new(ShardedIndexBuilder::new(shards).build(mirror));
-    let reference = DenseReference::new(mirror, Bm25Params::default());
+    let reference = DenseReference::new(mirror);
 
     assert_eq!(index.num_docs(), mirror.len(), "{context}: num_docs");
     assert_eq!(

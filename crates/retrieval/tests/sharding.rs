@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use common::{assert_same_ranking, DenseReference};
-use rage_retrieval::{Bm25Params, Corpus, Document, Retriever, Searcher};
+use rage_retrieval::{Corpus, Document, Retriever, Searcher};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
 
@@ -78,7 +78,7 @@ fn property_sharded_top_k_equals_single_top_k() {
     // corpus, some of the 16 shards are empty.
     for (seed, num_docs) in [(11u64, 10usize), (12, 57), (13, 200)] {
         let corpus = random_corpus(seed, num_docs);
-        let reference = DenseReference::new(&corpus, Bm25Params::default());
+        let reference = DenseReference::new(&corpus);
         for &shards in SHARD_COUNTS {
             let sharded = Searcher::from_corpus(&corpus, shards);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
@@ -103,7 +103,7 @@ fn k_larger_than_any_shard_still_merges_exactly() {
     // Each of 7 shards holds at most 5 documents, but k = 20 spans many shards; the
     // merge must pull deep results from every shard, not just shard-local winners.
     let corpus = random_corpus(21, 33);
-    let reference = DenseReference::new(&corpus, Bm25Params::default());
+    let reference = DenseReference::new(&corpus);
     let sharded = Searcher::from_corpus(&corpus, 7);
     for query in ["grand slam", "clay court rank", "win"] {
         assert_hits_identical(&reference, &sharded, query, 20, "k > shard size");
@@ -115,7 +115,7 @@ fn k_larger_than_any_shard_still_merges_exactly() {
 fn empty_shards_do_not_disturb_results() {
     // 4 documents across 16 shards: at least 12 shards are empty.
     let corpus = random_corpus(31, 4);
-    let reference = DenseReference::new(&corpus, Bm25Params::default());
+    let reference = DenseReference::new(&corpus);
     let sharded = Searcher::from_corpus(&corpus, 16);
     assert_eq!(sharded.index().num_shards(), 16);
     assert_eq!(
@@ -150,7 +150,7 @@ fn equal_score_duplicates_merge_in_id_order_for_every_shard_count() {
     ));
     corpus.push(Document::new("weak", "", "match point"));
 
-    let reference = DenseReference::new(&corpus, Bm25Params::default());
+    let reference = DenseReference::new(&corpus);
     for &shards in SHARD_COUNTS {
         let sharded = Searcher::from_corpus(&corpus, shards);
         let hits = sharded.search("grand slam title match", 8);
@@ -180,7 +180,7 @@ fn equal_score_duplicates_merge_in_id_order_for_every_shard_count() {
 #[test]
 fn score_document_is_bit_identical_for_every_shard_count() {
     let corpus = random_corpus(41, 30);
-    let reference = DenseReference::new(&corpus, Bm25Params::default());
+    let reference = DenseReference::new(&corpus);
     for &shards in SHARD_COUNTS {
         let sharded = Searcher::from_corpus(&corpus, shards);
         for doc in corpus.iter() {
@@ -192,20 +192,9 @@ fn score_document_is_bit_identical_for_every_shard_count() {
 }
 
 #[test]
-fn equivalence_holds_under_custom_params() {
-    let corpus = random_corpus(51, 64);
-    let reference = DenseReference::new(&corpus, Bm25Params::robertson());
-    for &shards in SHARD_COUNTS {
-        let sharded = Searcher::from_corpus(&corpus, shards).with_params(Bm25Params::robertson());
-        assert_hits_identical(&reference, &sharded, "clay court final", 10, "robertson");
-    }
-}
-
-#[test]
 fn searcher_agrees_with_the_reference_through_the_retriever_trait() {
     let corpus = random_corpus(61, 40);
-    let expected =
-        DenseReference::new(&corpus, Bm25Params::default()).search("grand slam title", 10);
+    let expected = DenseReference::new(&corpus).search("grand slam title", 10);
     for shards in [1, 5] {
         let retriever: Box<dyn Retriever> = Box::new(Searcher::from_corpus(&corpus, shards));
         assert_eq!(retriever.num_docs(), 40);
