@@ -68,11 +68,20 @@ impl<R: Retriever> RagPipeline<R> {
 
     /// Retrieve the top-`k` sources for `query` and answer from them.
     ///
+    /// Fails as [`RagPipeline::retrieve`] does.
+    pub fn ask(&self, query: &str, k: usize) -> Result<RagResponse, RageError> {
+        let context = self.retrieve(query, k)?;
+        self.answer_with_context(context)
+    }
+
+    /// Retrieve the top-`k` sources for `query` as the context `Dq`, without
+    /// running the model.
+    ///
     /// Fails with [`RageError::InvalidArgument`] when `k` is zero (an explanation needs
     /// at least one source, so asking for none is a caller error — not a retrieval
     /// miss) and with [`RageError::EmptyContext`] when nothing relevant is retrieved,
     /// since there would be no context to explain.
-    pub fn ask(&self, query: &str, k: usize) -> Result<RagResponse, RageError> {
+    pub fn retrieve(&self, query: &str, k: usize) -> Result<Context, RageError> {
         Self::validate_k(k)?;
         let hits = self.retriever.try_search(query, k)?;
         if hits.is_empty() {
@@ -80,8 +89,7 @@ impl<R: Retriever> RagPipeline<R> {
                 query: query.to_string(),
             });
         }
-        let context = Context::from_ranked(query, &hits);
-        self.answer_with_context(context)
+        Ok(Context::from_ranked(query, &hits))
     }
 
     /// Reject `k = 0` up front: retrieval would dutifully return zero hits and
@@ -183,6 +191,12 @@ mod tests {
         assert_eq!(response.answer(), "Novak Djokovic");
         assert!(response.k() >= 1);
         assert_eq!(response.context.sources[0].doc_id, "slams");
+        // `retrieve` is the retrieval half of `ask`.
+        assert_eq!(
+            p.retrieve("Who holds the most grand slam titles?", 2)
+                .unwrap(),
+            response.context
+        );
     }
 
     #[test]

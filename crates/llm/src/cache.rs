@@ -204,15 +204,6 @@ impl PrefixCache {
         inner.stats.evictions += inner.embeddings.insert(key, Arc::clone(&value));
         value
     }
-
-    /// Drop every cached entry (counters are kept). Entries are pure functions
-    /// of their keys, so clearing can only cost recomputation, never change
-    /// results — services call this when the corpus behind a pipeline mutates,
-    /// guaranteeing no state predating the mutation survives.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        inner.embeddings = BoundedMap::new(self.capacity);
-    }
 }
 
 #[cfg(test)]
@@ -230,21 +221,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 0);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clear_drops_entries_but_keeps_counters() {
-        let cache = PrefixCache::with_capacity(8);
-        cache.embedding(1, 0, || vec![1.0]);
-        cache.embedding(2, 0, || vec![2.0]);
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 2);
-        // Re-computation after clear yields the same value (pure function of key).
-        let again = cache.embedding(1, 0, || vec![1.0]);
-        assert_eq!(*again, vec![1.0]);
-        assert_eq!(cache.stats().misses, 3);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   version by exactly one and is applied synchronously to every live
 //!   runtime of the scenario, so a [`LiveSearcher`] is always bit-identical
 //!   to a from-scratch rebuild of the current corpus (the contract pinned by
-//!   `crates/retrieval/tests/incremental.rs`).
+//!   `crates/retrieval/tests/incremental.rs`). The version is the service's
+//!   own counter: a runtime built after some mutations has counted fewer of
+//!   them in its index, and nothing reads the index's count.
 //! * **Scenario runtimes** — per `(scenario, shards)` pair the service builds
 //!   the pipeline once (a [`LiveSearcher`] over the authoritative corpus,
 //!   prior-seeded [`SimLlm`] with an attached [`PrefixCache`]) and keeps it
@@ -45,8 +47,7 @@
 //!
 //! ## Cache-invalidation rules
 //!
-//! Three caches sit between a request and the engine, and every one of them
-//! keys on (or is cleared by) the corpus version, so no byte generated
+//! Three caches sit between a request and the engine. No byte generated
 //! against corpus version `N` can ever be served for version `M ≠ N`:
 //!
 //! 1. **Report cache** — `ReportKey` embeds the corpus version. A mutation
@@ -55,18 +56,18 @@
 //!    scenarios' entries. Entries for superseded versions are retained —
 //!    they are what [`Service::diff_reports`] serves historical versions
 //!    from — but at most [`MAX_CACHED_VERSIONS`] distinct versions per
-//!    scenario; older ones are pruned on mutation.
-//! 2. **Prefix cache** — entries are pure functions of `(token, position)`
-//!    and the model seed, so a mutation cannot make them *wrong*; they are
-//!    cleared anyway on every mutation so no state predating the mutation
-//!    survives in a runtime, keeping the "runtime ≡ freshly built runtime"
-//!    argument unconditional.
+//!    scenario; every insert prunes the oldest beyond that.
+//! 2. **Prefix cache** — entries are pure functions of `(token id,
+//!    position)` and the model seed, and token ids are hashes of the token
+//!    text, so no entry depends on the corpus: a mutation leaves the cache
+//!    as it is.
 //! 3. **Runtime indexes** — not invalidated but *mutated in place* under the
-//!    scenario's corpus lock (add/remove/update on the [`LiveSearcher`]),
-//!    then re-stamped with the authoritative version. Readers never observe
-//!    a half-applied mutation (the searcher's internal `RwLock`), and the
-//!    incremental-equivalence suite proves the mutated index scores
-//!    bit-identically to a rebuild.
+//!    scenario's corpus lock (add/remove/update on the [`LiveSearcher`]).
+//!    A report retrieves under the same lock, and retrieval is the only
+//!    step of a report that reads the corpus, so a report is exact for the
+//!    version it read and is stamped and cached under that version, even
+//!    when mutations land while it generates. The incremental-equivalence
+//!    suite proves the mutated index scores bit-identically to a rebuild.
 //!
 //! Every input that sizes a resource is validated *before* the resource is
 //! built: shard counts are capped at [`MAX_SHARDS`] (bounding the runtime
@@ -89,7 +90,7 @@ use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::cache::PrefixCache;
 use rage_llm::model::{SimLlm, SimLlmConfig};
 use rage_retrieval::{
-    corpus_fingerprint, document_fingerprint, Document, LiveSearcher, RetrievalError, Retriever,
+    corpus_fingerprint, document_fingerprint, Document, LiveSearcher, RetrievalError,
 };
 
 use crate::diff::{diff, ReportDiff};
@@ -287,9 +288,10 @@ fn mutation_error(err: RetrievalError) -> ServiceError {
 /// The authoritative corpus of one scenario plus its version counter.
 ///
 /// `scenario.corpus` starts as the registry seed (version 1); every accepted
-/// mutation advances `version` by exactly one. All runtimes of the scenario
-/// are mutated under this state's lock, so "state version == every runtime's
-/// version" holds at every quiescent point.
+/// mutation advances `version` by exactly one. Every runtime of the scenario
+/// is built and mutated under this state's lock, and a report retrieves
+/// under it, so whoever holds the lock sees every runtime's index hold
+/// exactly the corpus of `version`.
 struct CorpusState {
     scenario: Scenario,
     version: u64,
@@ -337,9 +339,8 @@ enum CorpusOp {
 struct ScenarioRuntime {
     question: String,
     retrieval_k: usize,
-    /// The mutable index behind `pipeline` — mutations go through here.
-    live: Arc<LiveSearcher>,
-    pipeline: RagPipeline<Box<dyn Retriever>>,
+    /// Mutations reach its index through [`RagPipeline::retriever`].
+    pipeline: RagPipeline<LiveSearcher>,
     prefix_cache: Arc<PrefixCache>,
 }
 
@@ -348,7 +349,8 @@ struct ScenarioRuntime {
 /// Every report is generated under [`ReportConfig::default`] and rendered at
 /// the compiled-in schema version, so neither needs a place in the key.
 /// `corpus_version` pins the corpus content: a mutation changes the key, so a
-/// report generated before the mutation can never be served after it.
+/// report whose retrieval read the corpus before the mutation can never be
+/// served after it.
 /// Deadlines are not part of the key: only reports no deadline cut short are
 /// cached, and those equal the exact report.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -374,8 +376,8 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ReportCacheStats {
     /// Requests answered from a memoised report.
     pub hits: u64,
-    /// Requests that generated a report (memoised unless a deadline cut it
-    /// short).
+    /// Requests that generated a report: one miss per generation, and each
+    /// generated report is memoised unless a deadline cut it short.
     pub misses: u64,
     /// Reports currently memoised.
     pub entries: usize,
@@ -385,6 +387,8 @@ pub struct ReportCacheStats {
 /// memoised reports and asks behind one `Sync` facade (see the
 /// [module docs](self)).
 pub struct Service {
+    // Lock order: `corpora`, then one scenario's `CorpusState`, then
+    // `runtimes` or `reports`. Never the reverse.
     corpora: Mutex<HashMap<String, Arc<Mutex<CorpusState>>>>,
     runtimes: Mutex<HashMap<(String, usize), Arc<ScenarioRuntime>>>,
     reports: Mutex<HashMap<ReportKey, Arc<RageReport>>>,
@@ -463,69 +467,64 @@ impl Service {
     /// The shared runtime for `(scenario, shards)`, built on first use over
     /// the *current* authoritative corpus.
     ///
-    /// The build holds the scenario's corpus lock, so a runtime can never be
-    /// born stale: mutations wait for the build, then apply to the freshly
-    /// registered runtime like any other. Unrelated scenarios lock different
-    /// states and build in parallel.
+    /// The caller holds the scenario's corpus lock (`state`), so a runtime can
+    /// never be born stale: mutations wait for the build, then apply to the
+    /// freshly registered runtime like any other. Unrelated scenarios lock
+    /// different states and build in parallel.
     fn runtime(
         &self,
-        name: &str,
-        shards: Option<usize>,
-    ) -> Result<Arc<ScenarioRuntime>, ServiceError> {
-        let canonical = self.canonical_name(name)?;
-        let shard_count = validate_shards(shards)?;
+        canonical: &str,
+        shard_count: usize,
+        state: &CorpusState,
+    ) -> Arc<ScenarioRuntime> {
         let key = (canonical.to_string(), shard_count);
         if let Some(runtime) = lock_unpoisoned(&self.runtimes).get(&key) {
-            return Ok(Arc::clone(runtime));
+            return Arc::clone(runtime);
         }
-        let state_arc = self.corpus_state(canonical);
-        let state = lock_unpoisoned(&state_arc);
         let prefix_cache = Arc::new(PrefixCache::default());
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(state.scenario.prior.clone()))
             .with_prefix_cache(Arc::clone(&prefix_cache));
-        let live = Arc::new(LiveSearcher::from_corpus(
-            &state.scenario.corpus,
-            shard_count,
-        ));
-        live.set_version(state.version);
-        let retriever: Box<dyn Retriever> = Box::new(Arc::clone(&live));
         let runtime = Arc::new(ScenarioRuntime {
             question: state.scenario.question.clone(),
             retrieval_k: state.scenario.retrieval_k,
-            live,
-            pipeline: RagPipeline::new(retriever, Arc::new(llm)),
+            pipeline: RagPipeline::new(
+                LiveSearcher::from_corpus(&state.scenario.corpus, shard_count),
+                Arc::new(llm),
+            ),
             prefix_cache,
         });
         let mut map = lock_unpoisoned(&self.runtimes);
-        Ok(Arc::clone(map.entry(key).or_insert(runtime)))
-    }
-
-    /// Generate a report through a runtime and stamp it with the corpus
-    /// provenance it was generated against.
-    fn generate(
-        &self,
-        runtime: &ScenarioRuntime,
-        provenance: CorpusProvenance,
-        deadline: Option<Deadline>,
-    ) -> Result<Arc<RageReport>, ServiceError> {
-        let (_, mut report) = runtime.pipeline.ask_and_report(
-            &runtime.question,
-            runtime.retrieval_k,
-            &ReportConfig::default(),
-            deadline,
-        )?;
-        report.corpus = Some(provenance);
-        Ok(Arc::new(report))
+        Arc::clone(map.entry(key).or_insert(runtime))
     }
 
     /// Memoise a freshly generated report under `key` and return the cached
     /// one — unless a deadline cut it short: such a report depends on timing,
     /// so it is returned to its caller and never replayed to another.
+    ///
+    /// A report finished after a mutation is published under the superseded
+    /// version it read, so every insert, not only the first of a version,
+    /// restores the [`MAX_CACHED_VERSIONS`] bound: the scenario's oldest
+    /// versions are dropped (they stop being servable through
+    /// [`Service::diff_reports`]).
     fn publish(&self, key: ReportKey, report: Arc<RageReport>) -> Arc<RageReport> {
         if report.deadline_truncated() {
             return report;
         }
-        Arc::clone(lock_unpoisoned(&self.reports).entry(key).or_insert(report))
+        let scenario = key.scenario.clone();
+        let mut map = lock_unpoisoned(&self.reports);
+        let report = Arc::clone(map.entry(key).or_insert(report));
+        let mut versions: Vec<u64> = map
+            .keys()
+            .filter(|key| key.scenario == scenario)
+            .map(|key| key.corpus_version)
+            .collect();
+        versions.sort_unstable();
+        versions.dedup();
+        if versions.len() > MAX_CACHED_VERSIONS {
+            let cutoff = versions[versions.len() - MAX_CACHED_VERSIONS];
+            map.retain(|key, _| key.scenario != scenario || key.corpus_version >= cutoff);
+        }
+        report
     }
 
     /// The full explanation report for a scenario at its *current* corpus
@@ -535,8 +534,8 @@ impl Service {
     /// through one shard, the same runtime and cache entry as `Some(1)`. The
     /// report is equal for every shard count, but distinct counts are cached
     /// under distinct keys (they exercise distinct runtimes). The served
-    /// report's `corpus` provenance always names the exact version it was
-    /// generated against.
+    /// report's `corpus` provenance always names the exact version its
+    /// retrieval read.
     pub fn report(
         &self,
         name: &str,
@@ -547,13 +546,18 @@ impl Service {
 
     /// An anytime report: like [`Service::report`], but every explanation
     /// search is bounded by `deadline_ms` of wall clock, measured from this
-    /// call and shared by every retry; sections the deadline cuts short carry
+    /// call; sections the deadline cuts short carry
     /// [`rage_core::Completeness::DeadlineTruncated`] markers.
     ///
     /// A memoised report for the current corpus version answers the request
     /// at once, deadline or not. A report the deadline cut short is returned
     /// but never cached; a complete one equals the exact report and is cached
     /// as that report (see the module docs).
+    ///
+    /// Only the cache lookup and the retrieval hold the scenario's corpus
+    /// lock. The report is then generated from the retrieved context with the
+    /// lock released, so mutations land meanwhile, and it is stamped and
+    /// cached under the version its retrieval read.
     pub fn report_with_deadline(
         &self,
         name: &str,
@@ -564,38 +568,26 @@ impl Service {
         let canonical = self.canonical_name(name)?;
         let shard_count = validate_shards(shards)?;
         let state_arc = self.corpus_state(canonical);
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            let provenance = lock_unpoisoned(&state_arc).provenance();
-            let key = report_key(canonical, shard_count, provenance.version);
-            if let Some(report) = lock_unpoisoned(&self.reports).get(&key) {
-                self.report_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(report));
-            }
-            self.report_misses.fetch_add(1, Ordering::Relaxed);
-            let runtime = self.runtime(canonical, shards)?;
-            if attempts > 3 {
-                // Pessimistic fallback: pin the corpus for the whole
-                // generation so a hostile mutation stream cannot starve this
-                // request forever. Mutations queue behind the lock (~100ms).
-                let state = lock_unpoisoned(&state_arc);
-                let provenance = state.provenance();
-                let report = self.generate(&runtime, provenance, deadline)?;
-                let key = report_key(canonical, shard_count, provenance.version);
-                return Ok(self.publish(key, report));
-            }
-            // Optimistic path: generate without blocking mutations, publish
-            // only if the corpus did not move underneath the generation —
-            // otherwise the report describes a corpus that no longer exists
-            // and is regenerated against the new version.
-            let report = self.generate(&runtime, provenance, deadline)?;
-            let state = lock_unpoisoned(&state_arc);
-            if state.version == provenance.version {
-                drop(state);
-                return Ok(self.publish(key, report));
-            }
+        let state = lock_unpoisoned(&state_arc);
+        let provenance = state.provenance();
+        let key = report_key(canonical, shard_count, provenance.version);
+        if let Some(report) = lock_unpoisoned(&self.reports).get(&key) {
+            self.report_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(report));
         }
+        self.report_misses.fetch_add(1, Ordering::Relaxed);
+        let runtime = self.runtime(canonical, shard_count, &state);
+        let context = runtime
+            .pipeline
+            .retrieve(&runtime.question, runtime.retrieval_k)?;
+        drop(state);
+        let mut report = RageReport::generate_with_deadline(
+            &runtime.pipeline.evaluator(context),
+            &ReportConfig::default(),
+            deadline,
+        )?;
+        report.corpus = Some(provenance);
+        Ok(self.publish(key, Arc::new(report)))
     }
 
     /// Render a scenario's report in the requested format.
@@ -695,8 +687,8 @@ impl Service {
     /// All error paths exit before any shared state moves: the version bumps
     /// and the runtimes mutate only after the authoritative corpus accepted
     /// the operation. The whole application happens under the scenario's
-    /// corpus lock, so concurrent requests observe either the old corpus
-    /// everywhere or the new corpus everywhere.
+    /// corpus lock, so a report's retrieval, which holds the same lock, reads
+    /// either the old corpus everywhere or the new corpus everywhere.
     fn mutate(&self, name: &str, op: CorpusOp) -> Result<CorpusProvenance, ServiceError> {
         let canonical = self.canonical_name(name)?;
         let state_arc = self.corpus_state(canonical);
@@ -747,7 +739,6 @@ impl Service {
             .wrapping_add(added.map_or(0, document_fingerprint))
             .wrapping_sub(removed.as_ref().map_or(0, document_fingerprint));
         state.version += 1;
-        let version = state.version;
         let runtimes: Vec<Arc<ScenarioRuntime>> = lock_unpoisoned(&self.runtimes)
             .iter()
             .filter(|((scenario, _), _)| scenario == canonical)
@@ -757,58 +748,27 @@ impl Service {
             // The authoritative corpus accepted the operation and every
             // runtime mirrors it exactly (mutations only happen here, under
             // the state lock), so re-applying cannot fail.
+            let live = runtime.pipeline.retriever();
             match &op {
                 CorpusOp::Add(doc) => {
-                    runtime
-                        .live
-                        .add(doc.clone())
+                    live.add(doc.clone())
                         .expect("live index in sync with authoritative corpus");
                 }
                 CorpusOp::Update(doc) => {
-                    runtime
-                        .live
-                        .update(doc.clone())
+                    live.update(doc.clone())
                         .expect("live index in sync with authoritative corpus");
                 }
                 CorpusOp::Upsert(doc) => {
-                    runtime
-                        .live
-                        .upsert(doc.clone())
+                    live.upsert(doc.clone())
                         .expect("live index in sync with authoritative corpus");
                 }
                 CorpusOp::Remove(id) => {
-                    runtime
-                        .live
-                        .remove(id)
+                    live.remove(id)
                         .expect("live index in sync with authoritative corpus");
                 }
             }
-            runtime.live.set_version(version);
-            // Prefix-cache entries are pure functions of their keys and would
-            // stay *correct*, but clearing guarantees no pipeline state
-            // predating the mutation survives (see the module docs).
-            runtime.prefix_cache.clear();
         }
-        self.prune_report_versions(canonical);
         Ok(state.provenance())
-    }
-
-    /// Keep at most [`MAX_CACHED_VERSIONS`] distinct corpus versions of one
-    /// scenario in the report cache (older versions stop being servable
-    /// through [`Service::diff_reports`] once pruned).
-    fn prune_report_versions(&self, canonical: &str) {
-        let mut map = lock_unpoisoned(&self.reports);
-        let mut versions: Vec<u64> = map
-            .keys()
-            .filter(|key| key.scenario == canonical)
-            .map(|key| key.corpus_version)
-            .collect();
-        versions.sort_unstable();
-        versions.dedup();
-        if versions.len() > MAX_CACHED_VERSIONS {
-            let cutoff = versions[versions.len() - MAX_CACHED_VERSIONS];
-            map.retain(|key, _| key.scenario != canonical || key.corpus_version >= cutoff);
-        }
     }
 
     /// The structured diff between a scenario's reports at two corpus
@@ -838,10 +798,10 @@ impl Service {
     /// A report stamped with exactly `version`: generated when `version` is
     /// current, served from the version-keyed cache otherwise.
     ///
-    /// A mutation can land between reading the current version and
-    /// generating, and [`Service::report`] then returns a report of the newer
-    /// version. Such a report never stands in for the requested one: the
-    /// cache answers instead, or the call fails with
+    /// A mutation can land between reading the current version here and the
+    /// report's retrieval, and [`Service::report`] then returns a report of
+    /// the newer version. Such a report never stands in for the requested
+    /// one: the cache answers instead, or the call fails with
     /// [`ServiceError::UnknownVersion`].
     fn report_at(
         &self,
@@ -879,7 +839,9 @@ impl Service {
         query: &str,
         k: Option<usize>,
     ) -> Result<RagResponse, ServiceError> {
-        let runtime = self.runtime(name, None)?;
+        let canonical = self.canonical_name(name)?;
+        let state_arc = self.corpus_state(canonical);
+        let runtime = self.runtime(canonical, 1, &lock_unpoisoned(&state_arc));
         let k = k.unwrap_or(runtime.retrieval_k);
         Ok(runtime.pipeline.ask(query, k)?)
     }
@@ -1323,7 +1285,7 @@ mod tests {
     #[test]
     fn same_version_diffs_stay_empty_under_concurrent_mutations() {
         // A mutation can land between `diff_reports` reading the current
-        // version and generating its report. Both sides must still be
+        // version and its report's retrieval. Both sides must still be
         // stamped `v`: a racing call may fail with `UnknownVersion`, but
         // never answer a non-empty diff.
         use rage_datasets::live_updates;
@@ -1379,10 +1341,71 @@ mod tests {
                 ),
             }
         }
+        // Every generated report was published: the diffs ran on one thread,
+        // each made at most one miss, and no two misses read one version.
+        let stats = service.report_cache_stats();
+        assert_eq!(stats.misses, stats.entries as u64, "{stats:?}");
         // Once the corpus is quiet the current version always answers.
         let v = service.corpus_provenance("live_updates").unwrap().version;
         let quiet = service.diff_reports("live_updates", v, v, None).unwrap();
         assert!(quiet.is_empty());
+    }
+
+    #[test]
+    fn a_mutation_lands_while_a_report_generates() {
+        // The corpus lock covers a report's retrieval, not its generation,
+        // and `timeline` (k = 10) generates for far longer than an add takes.
+        let service = Service::new();
+        let doc = Document::new(
+            "late-entry",
+            "Late entry",
+            "A source added while the timeline report generates.",
+        );
+        std::thread::scope(|scope| {
+            let report =
+                scope.spawn(|| service.report_with_deadline("timeline", None, Some(10_000)));
+            // The miss is counted under the corpus lock, before retrieval, so
+            // the add below can only land after the retrieval.
+            while service.report_cache_stats().misses == 0 {
+                std::thread::yield_now();
+            }
+            let provenance = service.add_document("timeline", doc).unwrap();
+            assert_eq!(provenance.version, 2);
+            assert!(
+                !report.is_finished(),
+                "the add waited for the whole generation"
+            );
+            let report = report.join().unwrap().unwrap();
+            assert_eq!(report.corpus.unwrap().version, 1);
+        });
+    }
+
+    #[test]
+    fn report_cache_keeps_at_most_max_cached_versions_per_scenario() {
+        // A report can be published for a version older than every cached
+        // one, so the bound is restored on each insert, one scenario at a
+        // time.
+        let service = Service::new();
+        let report = service.report("us_open", None).unwrap();
+        service.report("big_three", None).unwrap();
+        let newest = MAX_CACHED_VERSIONS as u64 + 1;
+        for version in 2..=newest {
+            service.publish(report_key("us_open", 1, version), Arc::clone(&report));
+        }
+        let cached = |scenario: &str| -> Vec<u64> {
+            let mut versions: Vec<u64> = lock_unpoisoned(&service.reports)
+                .keys()
+                .filter(|key| key.scenario == scenario)
+                .map(|key| key.corpus_version)
+                .collect();
+            versions.sort_unstable();
+            versions
+        };
+        assert_eq!(cached("us_open"), (2..=newest).collect::<Vec<_>>());
+        // A superseded version published late is the oldest, so it goes.
+        service.publish(report_key("us_open", 1, 1), Arc::clone(&report));
+        assert_eq!(cached("us_open"), (2..=newest).collect::<Vec<_>>());
+        assert_eq!(cached("big_three"), vec![1]);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! * [`sharded`] — the segmented [`ShardedIndex`] a [`Searcher`] queries: one or more
 //!   contiguous shards, with incremental mutation
 //!   ([`ShardedIndex::add`]/`remove`/`update`) through per-shard delta segments, and
-//!   the thread-safe mutable [`LiveSearcher`]. Every mutation advances a
-//!   [`CorpusVersion`] (monotonic counter plus order-independent content fingerprint)
-//!   that caches key on; see the `sharded` module docs for the delta/compaction
-//!   contract.
+//!   the thread-safe mutable [`LiveSearcher`]. Every mutation advances the index's
+//!   [`CorpusVersion`] (a monotonic count of its own mutations plus an
+//!   order-independent content fingerprint); see the `sharded` module docs for the
+//!   delta/compaction contract.
 //!
 //! ## One searcher, any shard count
 //!

@@ -22,15 +22,16 @@ use serde::{Deserialize, Serialize};
 use crate::error::RetrievalError;
 use crate::searcher::RankedSource;
 
-/// The identity of one corpus state: a monotonically increasing version number plus an
-/// order-independent content fingerprint.
+/// The identity of one index's corpus state: a monotonically increasing version number
+/// plus an order-independent content fingerprint.
 ///
-/// A freshly built index is version 1; every mutation (`add`/`remove`/`update`)
-/// increments the version, while compaction — which only reorganises the layout —
-/// never does. The fingerprint is a wrapping sum of per-document FNV-1a hashes, so two
-/// corpora holding the same documents (in any order) fingerprint identically.
-/// Downstream caches key on the version and can use the fingerprint to detect that two
-/// versions actually hold the same content.
+/// The version counts that index's own mutations since its build: a freshly built
+/// index is version 1, every mutation (`add`/`remove`/`update`) increments it, and
+/// compaction — which only reorganises the layout — never does. Two indexes built at
+/// different times over one evolving corpus therefore number its states differently.
+/// The fingerprint is a wrapping sum of per-document FNV-1a hashes, so two corpora
+/// holding the same documents (in any order) fingerprint identically, whichever index
+/// holds them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CorpusVersion {
     /// Monotonically increasing mutation counter (1 = as built).
@@ -70,8 +71,8 @@ pub trait Retriever: Send + Sync {
     ///
     /// The BM25 backends ([`Searcher`](crate::Searcher),
     /// [`LiveSearcher`](crate::LiveSearcher)) return the current [`CorpusVersion`];
-    /// backends that track no corpus state keep the `None` default. Pipelines and
-    /// services thread this value into cache keys and report provenance.
+    /// backends that track no corpus state keep the `None` default. It is a read-out
+    /// for callers of the backend; nothing in the pipeline reads it.
     fn corpus_version(&self) -> Option<CorpusVersion> {
         None
     }

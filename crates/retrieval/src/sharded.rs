@@ -64,8 +64,8 @@
 //! [`compact`](ShardedIndex::compact).
 //!
 //! Every mutation increments the index's [`CorpusVersion`] (a fresh build is
-//! version 1) and maintains an order-independent content fingerprint; downstream
-//! caches key on the version to invalidate stale results.
+//! version 1), so the version counts the index's own mutations since its build, and
+//! maintains an order-independent content fingerprint.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -345,13 +345,6 @@ impl ShardedIndex {
         }
     }
 
-    /// Override the version counter (the fingerprint is content-derived and cannot be
-    /// set). Services holding one authoritative version per corpus use this to align
-    /// a freshly built index with the corpus's true mutation count.
-    pub fn set_version(&mut self, version: u64) {
-        self.version = version;
-    }
-
     /// Whether a live document with this id exists.
     pub fn contains(&self, doc_id: &str) -> bool {
         self.locate(doc_id).is_some()
@@ -531,8 +524,9 @@ impl ShardedIndex {
 /// Queries take a read lock (and so run concurrently); mutations take the write lock
 /// and apply incrementally through the [delta/compaction contract](self). A pipeline
 /// holding an `Arc<LiveSearcher>` observes every mutation on its next query — no
-/// rebuild, no re-wiring — and can read the current [`CorpusVersion`] through
-/// [`Retriever::corpus_version`] to invalidate anything it cached.
+/// rebuild, no re-wiring. Its [`CorpusVersion`] counts the mutations applied to this
+/// searcher since it was built; a caller that numbers corpus states across several
+/// searchers keeps its own counter.
 #[derive(Debug)]
 pub struct LiveSearcher {
     inner: RwLock<Searcher>,
@@ -604,11 +598,6 @@ impl LiveSearcher {
     /// The current corpus identity.
     pub fn version(&self) -> CorpusVersion {
         self.read().index().corpus_version()
-    }
-
-    /// Override the version counter (see [`ShardedIndex::set_version`]).
-    pub fn set_version(&self, version: u64) {
-        self.write().index_mut().set_version(version);
     }
 }
 
@@ -1006,11 +995,10 @@ mod tests {
             .update(Document::new("upserted", "", "replaced body"))
             .unwrap();
         assert_eq!(old.text, "inserted fresh");
-        live.set_version(41);
         live.upsert(Document::new("upserted", "", "replaced again"))
             .unwrap();
-        assert_eq!(live.version().version, 42);
+        assert_eq!(live.version().version, 6);
         live.compact();
-        assert_eq!(live.version().version, 42);
+        assert_eq!(live.version().version, 6);
     }
 }

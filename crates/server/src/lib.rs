@@ -39,13 +39,14 @@
 //!
 //! `POST /corpus/docs` and `DELETE /corpus/docs/{id}` mutate a scenario's
 //! corpus *in place* through [`Service`]'s incremental index: every mutation
-//! bumps the scenario's `corpus_version`, invalidates its cached reports (the
-//! report cache is keyed on the version) and clears its model prefix cache,
-//! so a later `GET /report` is regenerated against the new corpus and stamps
-//! the version + corpus fingerprint into the report's `"corpus"` provenance
-//! member. `GET /stats` lists every materialised corpus's current version,
-//! and `GET /diff` turns two versions of one scenario into a structured
-//! report diff.
+//! bumps the scenario's corpus version, and the report cache is keyed on the
+//! version, so a later `GET /report` is regenerated against the new corpus.
+//! A report's `"corpus"` provenance member names the version and corpus
+//! fingerprint its retrieval read. A write waits for a report's retrieval,
+//! never for its generation, and a report finished after a write keeps the
+//! version it read. `GET /stats` lists every materialised corpus's current
+//! version, and `GET /diff` turns two versions of one scenario into a
+//! structured report diff.
 //!
 //! ## Connection persistence
 //!
@@ -87,6 +88,7 @@ pub mod http;
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -800,8 +802,9 @@ fn diff_versions_endpoint(request: &HttpRequest, service: &Service) -> HttpRespo
                 &format!("missing required query parameter: {key} (a corpus version)"),
             );
         };
-        match raw.parse::<u64>() {
-            Ok(version) => *slot = version,
+        // Versions start at 1, so 0 is malformed, not an unknown version.
+        match raw.parse::<NonZeroU64>() {
+            Ok(version) => *slot = version.get(),
             Err(_) => {
                 return HttpResponse::error(
                     400,

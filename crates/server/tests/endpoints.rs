@@ -637,6 +637,10 @@ fn corpus_mutation_over_http_invalidates_the_served_report() {
     assert_eq!(status, 404);
     let (status, _, _) = get(&server, "/diff?scenario=us_open&from=one&to=2");
     assert_eq!(status, 400);
+    for zero in ["from=0&to=2", "from=1&to=0"] {
+        let (status, _, body) = get(&server, &format!("/diff?scenario=us_open&{zero}"));
+        assert_eq!(status, 400, "{zero}: {}", String::from_utf8_lossy(&body));
+    }
     let (status, _, _) = get(&server, "/diff?scenario=us_open&from=1");
     assert_eq!(status, 400);
 
