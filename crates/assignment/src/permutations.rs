@@ -2,8 +2,8 @@
 //!
 //! The RAGE paper contrasts a naive `O(k!)` permutation sampler (generate every
 //! permutation, then sample) with an `O(k·s)` sampler that invokes the Fisher–Yates
-//! shuffle `s` times. Both are implemented here, together with full enumeration
-//! (Heap's algorithm) and Lehmer-code ranking used by tests and benchmarks.
+//! shuffle `s` times. The latter is implemented here, together with full enumeration
+//! (Heap's algorithm) and Lehmer-code ranking used by tests.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -89,9 +89,7 @@ pub fn fisher_yates_shuffle<T, R: Rng + ?Sized>(items: &mut [T], rng: &mut R) {
 
 /// Draw `s` independent uniformly-random permutations of `0..k` in `O(k·s)` time.
 ///
-/// This is the efficient sampler of §II-C; the naive alternative (enumerate all `k!`
-/// permutations, then subsample) is provided by [`naive_sample_permutations`] for the
-/// benchmark comparison.
+/// This is the efficient sampler of §II-C.
 pub fn sample_permutations<R: Rng + ?Sized>(k: usize, s: usize, rng: &mut R) -> Vec<Vec<usize>> {
     (0..s)
         .map(|_| {
@@ -99,20 +97,6 @@ pub fn sample_permutations<R: Rng + ?Sized>(k: usize, s: usize, rng: &mut R) -> 
             fisher_yates_shuffle(&mut perm, rng);
             perm
         })
-        .collect()
-}
-
-/// The naive `O(k!)` sampler: materialise every permutation, then draw `s` of them
-/// uniformly (with replacement, mirroring the independent draws of the efficient
-/// sampler).
-pub fn naive_sample_permutations<R: Rng + ?Sized>(
-    k: usize,
-    s: usize,
-    rng: &mut R,
-) -> Vec<Vec<usize>> {
-    let all: Vec<Vec<usize>> = PermutationIter::new(k).collect();
-    (0..s)
-        .map(|_| all[rng.gen_range(0..all.len())].clone())
         .collect()
 }
 
@@ -311,14 +295,6 @@ mod tests {
         let sample = sample_permutations(8, 25, &mut rng);
         assert_eq!(sample.len(), 25);
         assert!(sample.iter().all(|p| is_permutation(p, 8)));
-    }
-
-    #[test]
-    fn naive_sampler_matches_contract() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let sample = naive_sample_permutations(5, 10, &mut rng);
-        assert_eq!(sample.len(), 10);
-        assert!(sample.iter().all(|p| is_permutation(p, 5)));
     }
 
     #[test]

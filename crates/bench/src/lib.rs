@@ -18,13 +18,14 @@
 //!   compare against a checked-in baseline.
 //!
 //! Absolute numbers are indicative only; the interesting outputs are the
-//! *ratios* the paper's experiments compare (pruned vs exhaustive search,
-//! `O(s·k³)` vs `O(k!)` placements, `O(k·s)` vs `O(k!)` sampling) and
-//! report cost at fan-out width 1 vs a wider evaluator.
+//! *ratios* between legs of one run: the fused forward vs its reference,
+//! pruned vs exhaustive retrieval, an incremental index update vs a rebuild,
+//! and report cost at fan-out width 1 vs a wider evaluator.
 //!
 //! Run everything with `cargo bench`, or one target with
-//! `cargo bench --bench optimal_permutations`. The `RAGE_BENCH_FAST=1`
-//! environment variable shrinks iteration counts for smoke runs.
+//! `cargo bench --bench hot` (also `kernels`, `retrieval`). The
+//! `RAGE_BENCH_FAST=1` environment variable shrinks iteration counts for
+//! smoke runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

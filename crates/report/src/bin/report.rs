@@ -28,6 +28,7 @@
 //! and, with `--out-dir DIR`, writes the renderings it computed as
 //! `DIR/<scenario>.<md|json|html>` artifacts.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use rage_json::JsonValue;
@@ -47,13 +48,28 @@ fn usage() -> String {
     )
 }
 
+/// Write to stdout through one lock. A reader that has already exited
+/// (`report --list-scenarios | head -1`) is no failure: the write is dropped
+/// quietly, and the exit status stays what the command itself decided.
+fn print_out(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    let mut stdout = io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(err) if err.kind() != io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {err}"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// `--list-scenarios`: names and one-line summaries straight from the registry.
-fn list_scenarios() {
+fn list_scenarios() -> Result<(), String> {
     let registry = scenarios::registry();
     let width = registry.names().iter().map(|n| n.len()).max().unwrap_or(0);
-    for entry in registry.iter() {
-        println!("{:width$}  {}", entry.name(), entry.summary());
-    }
+    let listing: String = registry
+        .iter()
+        .map(|entry| format!("{:width$}  {}\n", entry.name(), entry.summary()))
+        .collect();
+    print_out(format_args!("{listing}"))
 }
 
 /// The value following `args[i]` (a `--flag value` pair).
@@ -75,10 +91,7 @@ fn write_output(rendering: &str, out: Option<&str>) -> Result<(), String> {
             eprintln!("wrote {path}");
             Ok(())
         }
-        None => {
-            println!("{rendering}");
-            Ok(())
-        }
+        None => print_out(format_args!("{rendering}\n")),
     }
 }
 
@@ -167,8 +180,8 @@ fn run_diff(args: &[String]) -> Result<bool, String> {
 
     let report_diff = diff(&read_report(path_a)?, &read_report(path_b)?);
     match format.as_str() {
-        "md" | "markdown" => println!("{}", report_diff.render_markdown()),
-        "json" => println!("{}", report_diff.to_json().render()),
+        "md" | "markdown" => print_out(format_args!("{}\n", report_diff.render_markdown()))?,
+        "json" => print_out(format_args!("{}\n", report_diff.to_json().render()))?,
         other => return Err(format!("unknown format {other:?} (md|json)")),
     }
     Ok(report_diff.is_empty())
@@ -227,13 +240,13 @@ fn run_smoke(args: &[String]) -> Result<(), String> {
                 write_output(rendering, Some(&path))?;
             }
         }
-        println!(
-            "smoke ok: {name} (md {} bytes, html {} bytes, json {} bytes, answer {:?})",
+        print_out(format_args!(
+            "smoke ok: {name} (md {} bytes, html {} bytes, json {} bytes, answer {:?})\n",
             md.len(),
             html.len(),
             value.render().len(),
             report.full_context_answer
-        );
+        ))?;
     }
     Ok(())
 }
@@ -247,14 +260,8 @@ fn main() -> ExitCode {
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match args.first().map(String::as_str) {
-        None | Some("--help" | "-h" | "help") => {
-            print!("{}", usage());
-            Ok(())
-        }
-        Some("--list-scenarios") => {
-            list_scenarios();
-            Ok(())
-        }
+        None | Some("--help" | "-h" | "help") => print_out(format_args!("{}", usage())),
+        Some("--list-scenarios") => list_scenarios(),
         // GNU-diff-style exit codes so CI gates can trip on drift: 0 when the
         // reports are identical, 1 when they differ, 2 when the comparison
         // itself failed.

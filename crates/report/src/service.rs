@@ -1,86 +1,78 @@
 //! The shared [`Service`] layer: one code path for the `report` CLI and the
 //! HTTP server.
 //!
-//! Before this module, every consumer of the explanation engine wired its own
-//! pipeline: the CLI built a fresh index + model per invocation, and a server
-//! would have had to duplicate that wiring (and would have paid the full
-//! index-build and report-generation cost on every request). [`Service`]
-//! centralises it:
+//! The service keeps one lock-guarded `ScenarioState` per scenario, seeded
+//! from the registry on first use. It holds everything served for that
+//! scenario:
 //!
-//! * **Corpus states** — per scenario the service owns one *authoritative*
-//!   mutable corpus plus a monotonically increasing corpus version (starting
-//!   at 1 for the registry seed). [`Service::add_document`],
+//! * **The authoritative corpus** and its version, a counter that starts at 1
+//!   for the registry seed. [`Service::add_document`],
 //!   [`Service::update_document`], [`Service::upsert_document`] and
-//!   [`Service::remove_document`] mutate it; every mutation advances the
-//!   version by exactly one and is applied synchronously to every live
-//!   runtime of the scenario, so a [`LiveSearcher`] is always bit-identical
-//!   to a from-scratch rebuild of the current corpus (the contract pinned by
-//!   `crates/retrieval/tests/incremental.rs`). The version is the service's
-//!   own counter: a runtime built after some mutations has counted fewer of
-//!   them in its index, and nothing reads the index's count.
-//! * **Scenario runtimes** — per `(scenario, shards)` pair the service builds
-//!   the pipeline once (a [`LiveSearcher`] over the authoritative corpus,
-//!   prior-seeded [`SimLlm`] with an attached [`PrefixCache`]) and keeps it
-//!   behind an `Arc`, so concurrent requests share the index, the model and
-//!   the prefix cache. The prefix cache is bit-identical by construction
-//!   (PR 2/PR 4 differential suites), so *sharing state never changes
-//!   results* — `tests` below pin service output against the uncached
+//!   [`Service::remove_document`] mutate it. Every accepted mutation advances
+//!   the version by exactly one and is applied, under the state's lock, to
+//!   every live index of the scenario, so a [`LiveSearcher`] is always
+//!   bit-identical to a from-scratch rebuild of the current corpus (the
+//!   contract pinned by `crates/retrieval/tests/incremental.rs`).
+//! * **One model**: a prior-seeded [`SimLlm`] with an attached
+//!   [`PrefixCache`], shared by every request and every shard count. The
+//!   prefix cache is bit-identical by construction, so sharing it never
+//!   changes results: `tests` below pin service output against the uncached
 //!   [`scenarios::report_for`] oracle.
-//! * **Report cache** — full [`RageReport`]s, generated under the one
-//!   [`ReportConfig::default`] the CLI, the goldens and the server share, are
-//!   memoised behind `Arc` under a `ReportKey` of `(scenario, shards,
-//!   corpus_version)`. Reports are deterministic *given a corpus version*, so
-//!   a cached report is exactly what regeneration would produce. The schema
-//!   version is a compile-time constant and the cache lives in memory, so no
-//!   entry can outlive the schema it was rendered for. No `shards` parameter
-//!   means one shard, so a scenario's unsharded and one-shard requests share
-//!   one runtime and one entry. Anytime requests share the exact entry: a
+//! * **One pipeline per shard count**: a [`LiveSearcher`] over the corpus
+//!   plus the scenario's model, built on first use under the state's lock,
+//!   so it is never born stale. No `shards` parameter means one shard, so a
+//!   scenario's unsharded and one-shard requests share one pipeline.
+//! * **Memoised reports** by corpus version, then shard count. Every report
+//!   is generated under the one [`ReportConfig::default`] the CLI, the
+//!   goldens and the server share, and rendered at the compiled-in schema
+//!   version, so neither needs a place in the key. Reports are deterministic
+//!   *given a corpus version*, so a cached report is exactly what
+//!   regeneration would produce. Anytime requests share the exact entry: a
 //!   cached report answers any deadline, a report a deadline cut short is
 //!   returned but never cached (it depends on timing, not only on the
 //!   corpus), and a complete one equals the exact report, so it is stored as
-//!   that report. A scenario therefore holds at most one entry per shard
-//!   count and retained corpus version, whatever deadlines callers send.
-//! * **Error taxonomy** — [`ServiceError`] splits caller mistakes (unknown
-//!   scenario/format, invalid `k` or shard count, unanswerable query,
-//!   duplicate document id) from engine failures, so transports can map them
-//!   to 4xx vs 5xx without string-matching (see [`ServiceError::kind`]).
+//!   that report.
+//!
+//! [`ServiceError`] splits caller mistakes (unknown scenario/format, invalid
+//! `k` or shard count, unanswerable query, duplicate document id) from engine
+//! failures, so transports can map them to 4xx vs 5xx without
+//! string-matching (see [`ServiceError::kind`]).
 //!
 //! ## Cache-invalidation rules
 //!
-//! Three caches sit between a request and the engine. No byte generated
-//! against corpus version `N` can ever be served for version `M ≠ N`:
+//! No byte generated against corpus version `N` can ever be served for
+//! version `M ≠ N`:
 //!
-//! 1. **Report cache** — `ReportKey` embeds the corpus version. A mutation
-//!    therefore *misses* the cache on the next request (a fresh report is
-//!    generated and stamped with the new version) without touching other
-//!    scenarios' entries. Entries for superseded versions are retained —
-//!    they are what [`Service::diff_reports`] serves historical versions
-//!    from — but at most [`MAX_CACHED_VERSIONS`] distinct versions per
-//!    scenario; every insert prunes the oldest beyond that.
-//! 2. **Prefix cache** — entries are pure functions of `(token id,
-//!    position)` and the model seed, and token ids are hashes of the token
-//!    text, so no entry depends on the corpus: a mutation leaves the cache
-//!    as it is.
-//! 3. **Runtime indexes** — not invalidated but *mutated in place* under the
-//!    scenario's corpus lock (add/remove/update on the [`LiveSearcher`]).
-//!    A report retrieves under the same lock, and retrieval is the only
-//!    step of a report that reads the corpus, so a report is exact for the
-//!    version it read and is stamped and cached under that version, even
-//!    when mutations land while it generates. The incremental-equivalence
-//!    suite proves the mutated index scores bit-identically to a rebuild.
+//! 1. **Reports** are keyed by the corpus version their retrieval read. A
+//!    mutation therefore *misses* on the next request (a fresh report is
+//!    generated and stamped with the new version) and leaves other
+//!    scenarios' states alone. Reports of superseded versions are retained,
+//!    since [`Service::diff_reports`] serves historical versions from them,
+//!    but at most [`MAX_CACHED_VERSIONS`] versions per scenario: every
+//!    publish drops the oldest beyond that.
+//! 2. **The prefix cache** holds pure functions of `(token id, position)`
+//!    and the model's config and prior, and token ids are hashes of the
+//!    token text. No entry depends on the corpus or on the index, so a
+//!    mutation leaves the cache as it is and every shard count shares it.
+//! 3. **Indexes** are not invalidated but *mutated in place* under the
+//!    state's lock. A report looks up its cache entry and retrieves under
+//!    one hold of that lock, and retrieval is the only step of a report that
+//!    reads the corpus. The report then generates with the lock released,
+//!    so it is exact for the version it read and is stamped and cached under
+//!    that version, even when mutations land while it generates.
 //!
 //! Every input that sizes a resource is validated *before* the resource is
-//! built: shard counts are capped at [`MAX_SHARDS`] (bounding the runtime
-//! map), corpora at [`MAX_CORPUS_DOCS`] (bounding what a remote-reachable
-//! mutation stream can grow) — untrusted parameters can neither spawn thread
-//! storms nor grow memory without limit.
+//! built: shard counts are capped at [`MAX_SHARDS`] (bounding the indexes a
+//! scenario can hold), corpora at [`MAX_CORPUS_DOCS`] (bounding what a
+//! remote-reachable mutation stream can grow), so untrusted parameters can
+//! neither spawn thread storms nor grow memory without limit.
 //!
 //! The service is `Sync`; the HTTP server shares one `Arc<Service>` across
 //! its worker pool, and the CLI uses a short-lived instance for a single
-//! render — the exact same path, which is what makes the server's
+//! render. It is the exact same path, which is what makes the server's
 //! `/report?format=json` byte-identical to `report --format json`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -285,14 +277,14 @@ fn mutation_error(err: RetrievalError) -> ServiceError {
     }
 }
 
-/// The authoritative corpus of one scenario plus its version counter.
+/// Everything the service keeps for one scenario, behind one lock.
 ///
 /// `scenario.corpus` starts as the registry seed (version 1); every accepted
-/// mutation advances `version` by exactly one. Every runtime of the scenario
-/// is built and mutated under this state's lock, and a report retrieves
-/// under it, so whoever holds the lock sees every runtime's index hold
-/// exactly the corpus of `version`.
-struct CorpusState {
+/// mutation advances `version` by exactly one. Every pipeline is built and
+/// mutated under this state's lock, and a report retrieves under it, so
+/// whoever holds the lock sees every index hold exactly the corpus of
+/// `version`.
+struct ScenarioState {
     scenario: Scenario,
     version: u64,
     /// `corpus_fingerprint(&scenario.corpus)`, kept current by `Service::mutate`:
@@ -300,15 +292,29 @@ struct CorpusState {
     /// mutation adds and subtracts the documents it touches instead of
     /// rehashing the whole corpus under the lock on every read.
     fingerprint: u64,
+    /// The scenario's one model, with its prefix cache; every pipeline
+    /// shares it.
+    llm: Arc<SimLlm>,
+    /// One pipeline per shard count; mutations reach each index through
+    /// [`RagPipeline::retriever`].
+    pipelines: HashMap<usize, Arc<RagPipeline<LiveSearcher>>>,
+    /// Memoised reports by corpus version, then shard count, holding at most
+    /// [`MAX_CACHED_VERSIONS`] versions.
+    reports: BTreeMap<u64, HashMap<usize, Arc<RageReport>>>,
 }
 
-impl CorpusState {
+impl ScenarioState {
     fn new(scenario: Scenario) -> Self {
         let fingerprint = corpus_fingerprint(&scenario.corpus);
+        let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()))
+            .with_prefix_cache(Arc::new(PrefixCache::default()));
         Self {
             scenario,
             version: 1,
             fingerprint,
+            llm: Arc::new(llm),
+            pipelines: HashMap::new(),
+            reports: BTreeMap::new(),
         }
     }
 
@@ -319,10 +325,41 @@ impl CorpusState {
             num_docs: self.scenario.corpus.len(),
         }
     }
+
+    /// The pipeline at `shards`, built on first use over the *current*
+    /// corpus. The caller holds the lock, so mutations wait for the build
+    /// and then apply to the new index like any other.
+    fn pipeline(&mut self, shards: usize) -> Arc<RagPipeline<LiveSearcher>> {
+        let pipeline = self.pipelines.entry(shards).or_insert_with(|| {
+            let searcher = LiveSearcher::from_corpus(&self.scenario.corpus, shards);
+            Arc::new(RagPipeline::new(searcher, self.llm.clone()))
+        });
+        Arc::clone(pipeline)
+    }
+
+    fn cached(&self, version: u64, shards: usize) -> Option<Arc<RageReport>> {
+        self.reports.get(&version)?.get(&shards).map(Arc::clone)
+    }
+
+    /// Memoise a complete report under the version its retrieval read and
+    /// return the cached one.
+    ///
+    /// A report finished after a mutation is published under the superseded
+    /// version it read, so every insert, not only the first of a version,
+    /// restores the [`MAX_CACHED_VERSIONS`] bound: the oldest versions are
+    /// dropped (they stop being servable through [`Service::diff_reports`]).
+    fn publish(&mut self, version: u64, shards: usize, report: Arc<RageReport>) -> Arc<RageReport> {
+        let by_shards = self.reports.entry(version).or_default();
+        let report = Arc::clone(by_shards.entry(shards).or_insert(report));
+        while self.reports.len() > MAX_CACHED_VERSIONS {
+            self.reports.pop_first();
+        }
+        report
+    }
 }
 
 /// One corpus mutation, applied identically to the authoritative corpus and
-/// to every live runtime index.
+/// to every live index.
 enum CorpusOp {
     /// Strict add: fails on a live duplicate id.
     Add(Document),
@@ -334,44 +371,22 @@ enum CorpusOp {
     Remove(String),
 }
 
-/// The pipeline and model state shared by every request against one
-/// `(scenario, shards)` pair.
-struct ScenarioRuntime {
-    question: String,
-    retrieval_k: usize,
-    /// Mutations reach its index through [`RagPipeline::retriever`].
-    pipeline: RagPipeline<LiveSearcher>,
-    prefix_cache: Arc<PrefixCache>,
-}
-
-/// Key of the memoised-report map.
+/// Lock a mutex of the service, recovering from poisoning.
 ///
-/// Every report is generated under [`ReportConfig::default`] and rendered at
-/// the compiled-in schema version, so neither needs a place in the key.
-/// `corpus_version` pins the corpus content: a mutation changes the key, so a
-/// report whose retrieval read the corpus before the mutation can never be
-/// served after it.
-/// Deadlines are not part of the key: only reports no deadline cut short are
-/// cached, and those equal the exact report.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ReportKey {
-    scenario: String,
-    shards: usize,
-    corpus_version: u64,
-}
-
-/// Lock a cache map, recovering from poisoning.
-///
-/// The guarded maps only ever hold fully-constructed `Arc`ed values inserted
-/// via `entry().or_insert`, so a panic elsewhere in a holder's request (the
-/// server catches per-connection panics) cannot leave them mid-mutation;
-/// recovering keeps the service answering instead of cascading one panic into
+/// A panic in a holder's request (the server catches per-connection panics)
+/// leaves the guarded value consistent: the scenario map and a state's caches
+/// only ever gain fully-built `Arc`s, retrieval only reads, and
+/// `Service::mutate` moves nothing until the authoritative corpus has
+/// accepted the operation. Past that point only a broken invariant can panic
+/// (an index out of sync with the corpus, which its `expect`s name).
+/// Recovering keeps the service answering instead of cascading one panic into
 /// a permanent failure of every subsequent request.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Hit/miss counters and size of the service's report cache.
+/// Hit/miss counters and size of the service's report caches, summed over
+/// every scenario.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReportCacheStats {
     /// Requests answered from a memoised report.
@@ -379,19 +394,17 @@ pub struct ReportCacheStats {
     /// Requests that generated a report: one miss per generation, and each
     /// generated report is memoised unless a deadline cut it short.
     pub misses: u64,
-    /// Reports currently memoised.
+    /// Reports currently memoised, one per scenario, retained corpus version
+    /// and shard count.
     pub entries: usize,
 }
 
-/// The shared explanation service: authoritative corpora, scenario runtimes,
-/// memoised reports and asks behind one `Sync` facade (see the
-/// [module docs](self)).
+/// The shared explanation service: one state per scenario (authoritative
+/// corpus, model, pipelines and memoised reports) behind one `Sync` facade
+/// (see the [module docs](self)).
 pub struct Service {
-    // Lock order: `corpora`, then one scenario's `CorpusState`, then
-    // `runtimes` or `reports`. Never the reverse.
-    corpora: Mutex<HashMap<String, Arc<Mutex<CorpusState>>>>,
-    runtimes: Mutex<HashMap<(String, usize), Arc<ScenarioRuntime>>>,
-    reports: Mutex<HashMap<ReportKey, Arc<RageReport>>>,
+    // Lock order: `scenarios`, then one `ScenarioState`. Never the reverse.
+    scenarios: Mutex<HashMap<&'static str, Arc<Mutex<ScenarioState>>>>,
     report_hits: AtomicU64,
     report_misses: AtomicU64,
 }
@@ -408,9 +421,7 @@ impl Service {
     /// snapshots and the server share).
     pub fn new() -> Self {
         Self {
-            corpora: Mutex::new(HashMap::new()),
-            runtimes: Mutex::new(HashMap::new()),
-            reports: Mutex::new(HashMap::new()),
+            scenarios: Mutex::new(HashMap::new()),
             report_hits: AtomicU64::new(0),
             report_misses: AtomicU64::new(0),
         }
@@ -447,10 +458,10 @@ impl Service {
             })
     }
 
-    /// The authoritative corpus state of a scenario, seeded from the registry
-    /// on first use (at version 1).
-    fn corpus_state(&self, canonical: &'static str) -> Arc<Mutex<CorpusState>> {
-        if let Some(state) = lock_unpoisoned(&self.corpora).get(canonical) {
+    /// The state of a scenario, seeded from the registry on first use (at
+    /// version 1).
+    fn state(&self, canonical: &'static str) -> Arc<Mutex<ScenarioState>> {
+        if let Some(state) = lock_unpoisoned(&self.scenarios).get(canonical) {
             return Arc::clone(state);
         }
         // Build outside the lock; two racing builders construct identical
@@ -459,81 +470,28 @@ impl Service {
             .registry()
             .build(canonical)
             .expect("canonical name resolves");
-        let state = Arc::new(Mutex::new(CorpusState::new(scenario)));
-        let mut map = lock_unpoisoned(&self.corpora);
-        Arc::clone(map.entry(canonical.to_string()).or_insert(state))
+        let state = Arc::new(Mutex::new(ScenarioState::new(scenario)));
+        let mut map = lock_unpoisoned(&self.scenarios);
+        Arc::clone(map.entry(canonical).or_insert(state))
     }
 
-    /// The shared runtime for `(scenario, shards)`, built on first use over
-    /// the *current* authoritative corpus.
-    ///
-    /// The caller holds the scenario's corpus lock (`state`), so a runtime can
-    /// never be born stale: mutations wait for the build, then apply to the
-    /// freshly registered runtime like any other. Unrelated scenarios lock
-    /// different states and build in parallel.
-    fn runtime(
-        &self,
-        canonical: &str,
-        shard_count: usize,
-        state: &CorpusState,
-    ) -> Arc<ScenarioRuntime> {
-        let key = (canonical.to_string(), shard_count);
-        if let Some(runtime) = lock_unpoisoned(&self.runtimes).get(&key) {
-            return Arc::clone(runtime);
-        }
-        let prefix_cache = Arc::new(PrefixCache::default());
-        let llm = SimLlm::new(SimLlmConfig::default().with_prior(state.scenario.prior.clone()))
-            .with_prefix_cache(Arc::clone(&prefix_cache));
-        let runtime = Arc::new(ScenarioRuntime {
-            question: state.scenario.question.clone(),
-            retrieval_k: state.scenario.retrieval_k,
-            pipeline: RagPipeline::new(
-                LiveSearcher::from_corpus(&state.scenario.corpus, shard_count),
-                Arc::new(llm),
-            ),
-            prefix_cache,
-        });
-        let mut map = lock_unpoisoned(&self.runtimes);
-        Arc::clone(map.entry(key).or_insert(runtime))
-    }
-
-    /// Memoise a freshly generated report under `key` and return the cached
-    /// one — unless a deadline cut it short: such a report depends on timing,
-    /// so it is returned to its caller and never replayed to another.
-    ///
-    /// A report finished after a mutation is published under the superseded
-    /// version it read, so every insert, not only the first of a version,
-    /// restores the [`MAX_CACHED_VERSIONS`] bound: the scenario's oldest
-    /// versions are dropped (they stop being servable through
-    /// [`Service::diff_reports`]).
-    fn publish(&self, key: ReportKey, report: Arc<RageReport>) -> Arc<RageReport> {
-        if report.deadline_truncated() {
-            return report;
-        }
-        let scenario = key.scenario.clone();
-        let mut map = lock_unpoisoned(&self.reports);
-        let report = Arc::clone(map.entry(key).or_insert(report));
-        let mut versions: Vec<u64> = map
-            .keys()
-            .filter(|key| key.scenario == scenario)
-            .map(|key| key.corpus_version)
-            .collect();
-        versions.sort_unstable();
-        versions.dedup();
-        if versions.len() > MAX_CACHED_VERSIONS {
-            let cutoff = versions[versions.len() - MAX_CACHED_VERSIONS];
-            map.retain(|key, _| key.scenario != scenario || key.corpus_version >= cutoff);
-        }
-        report
+    /// Every materialised state, with the map released before the caller
+    /// locks any of them: a state's lock can be held for a whole index build,
+    /// and holding the map meanwhile would stall every other scenario.
+    fn states(&self) -> Vec<(&'static str, Arc<Mutex<ScenarioState>>)> {
+        lock_unpoisoned(&self.scenarios)
+            .iter()
+            .map(|(name, state)| (*name, Arc::clone(state)))
+            .collect()
     }
 
     /// The full explanation report for a scenario at its *current* corpus
     /// version, memoised.
     ///
     /// `shards: Some(n)` retrieves through an `n`-way sharded index and `None`
-    /// through one shard, the same runtime and cache entry as `Some(1)`. The
+    /// through one shard, the same pipeline and cache entry as `Some(1)`. The
     /// report is equal for every shard count, but distinct counts are cached
-    /// under distinct keys (they exercise distinct runtimes). The served
+    /// under distinct entries (they exercise distinct indexes). The served
     /// report's `corpus` provenance always names the exact version its
     /// retrieval read.
     pub fn report(
@@ -554,10 +512,10 @@ impl Service {
     /// but never cached; a complete one equals the exact report and is cached
     /// as that report (see the module docs).
     ///
-    /// Only the cache lookup and the retrieval hold the scenario's corpus
-    /// lock. The report is then generated from the retrieved context with the
-    /// lock released, so mutations land meanwhile, and it is stamped and
-    /// cached under the version its retrieval read.
+    /// Only the cache lookup and the retrieval hold the scenario's lock. The
+    /// report is then generated from the retrieved context with the lock
+    /// released, so mutations land meanwhile, and it is stamped and cached
+    /// under the version its retrieval read.
     pub fn report_with_deadline(
         &self,
         name: &str,
@@ -567,27 +525,43 @@ impl Service {
         let deadline = deadline_ms.map(Deadline::after_ms);
         let canonical = self.canonical_name(name)?;
         let shard_count = validate_shards(shards)?;
-        let state_arc = self.corpus_state(canonical);
-        let state = lock_unpoisoned(&state_arc);
-        let provenance = state.provenance();
-        let key = report_key(canonical, shard_count, provenance.version);
-        if let Some(report) = lock_unpoisoned(&self.reports).get(&key) {
+        let state = self.state(canonical);
+        let held = lock_unpoisoned(&state);
+        self.report_from(&state, held, shard_count, deadline)
+    }
+
+    /// The report path from a held lock on `state`: look up the current
+    /// version, retrieve on a miss, release the lock, generate, re-lock and
+    /// publish.
+    fn report_from(
+        &self,
+        state: &Mutex<ScenarioState>,
+        mut held: MutexGuard<'_, ScenarioState>,
+        shards: usize,
+        deadline: Option<Deadline>,
+    ) -> Result<Arc<RageReport>, ServiceError> {
+        let provenance = held.provenance();
+        if let Some(report) = held.cached(provenance.version, shards) {
             self.report_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(report));
+            return Ok(report);
         }
         self.report_misses.fetch_add(1, Ordering::Relaxed);
-        let runtime = self.runtime(canonical, shard_count, &state);
-        let context = runtime
-            .pipeline
-            .retrieve(&runtime.question, runtime.retrieval_k)?;
-        drop(state);
+        let pipeline = held.pipeline(shards);
+        let context = pipeline.retrieve(&held.scenario.question, held.scenario.retrieval_k)?;
+        drop(held);
         let mut report = RageReport::generate_with_deadline(
-            &runtime.pipeline.evaluator(context),
+            &pipeline.evaluator(context),
             &ReportConfig::default(),
             deadline,
         )?;
         report.corpus = Some(provenance);
-        Ok(self.publish(key, Arc::new(report)))
+        let report = Arc::new(report);
+        // A report a deadline cut short depends on timing, so it is returned
+        // to its caller and never replayed to another.
+        if report.deadline_truncated() {
+            return Ok(report);
+        }
+        Ok(lock_unpoisoned(state).publish(provenance.version, shards, report))
     }
 
     /// Render a scenario's report in the requested format.
@@ -624,20 +598,18 @@ impl Service {
     /// document count), materialising the seed corpus on first use.
     pub fn corpus_provenance(&self, name: &str) -> Result<CorpusProvenance, ServiceError> {
         let canonical = self.canonical_name(name)?;
-        let state_arc = self.corpus_state(canonical);
-        let provenance = lock_unpoisoned(&state_arc).provenance();
+        let provenance = lock_unpoisoned(&self.state(canonical)).provenance();
         Ok(provenance)
     }
 
     /// `(scenario, provenance)` for every corpus that has been materialised,
     /// sorted by scenario name (the `/stats` endpoint renders this).
     pub fn corpus_versions(&self) -> Vec<(String, CorpusProvenance)> {
-        let map = lock_unpoisoned(&self.corpora);
-        let mut out: Vec<(String, CorpusProvenance)> = map
-            .iter()
-            .map(|(name, state)| (name.clone(), lock_unpoisoned(state).provenance()))
+        let mut out: Vec<(String, CorpusProvenance)> = self
+            .states()
+            .into_iter()
+            .map(|(name, state)| (name.to_string(), lock_unpoisoned(&state).provenance()))
             .collect();
-        drop(map);
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -682,16 +654,16 @@ impl Service {
     }
 
     /// Apply one mutation to the authoritative corpus and to every live
-    /// runtime of the scenario, returning the new provenance.
+    /// index of the scenario, returning the new provenance.
     ///
     /// All error paths exit before any shared state moves: the version bumps
-    /// and the runtimes mutate only after the authoritative corpus accepted
+    /// and the indexes mutate only after the authoritative corpus accepted
     /// the operation. The whole application happens under the scenario's
-    /// corpus lock, so a report's retrieval, which holds the same lock, reads
-    /// either the old corpus everywhere or the new corpus everywhere.
+    /// lock, so a report's retrieval, which holds the same lock, reads either
+    /// the old corpus everywhere or the new corpus everywhere.
     fn mutate(&self, name: &str, op: CorpusOp) -> Result<CorpusProvenance, ServiceError> {
         let canonical = self.canonical_name(name)?;
-        let state_arc = self.corpus_state(canonical);
+        let state_arc = self.state(canonical);
         let mut state = lock_unpoisoned(&state_arc);
         // The document the operation adds and the one it replaces or removes.
         let (added, removed) = match &op {
@@ -739,16 +711,11 @@ impl Service {
             .wrapping_add(added.map_or(0, document_fingerprint))
             .wrapping_sub(removed.as_ref().map_or(0, document_fingerprint));
         state.version += 1;
-        let runtimes: Vec<Arc<ScenarioRuntime>> = lock_unpoisoned(&self.runtimes)
-            .iter()
-            .filter(|((scenario, _), _)| scenario == canonical)
-            .map(|(_, runtime)| Arc::clone(runtime))
-            .collect();
-        for runtime in runtimes {
+        for pipeline in state.pipelines.values() {
             // The authoritative corpus accepted the operation and every
-            // runtime mirrors it exactly (mutations only happen here, under
+            // index mirrors it exactly (mutations only happen here, under
             // the state lock), so re-applying cannot fail.
-            let live = runtime.pipeline.retriever();
+            let live = pipeline.retriever();
             match &op {
                 CorpusOp::Add(doc) => {
                     live.add(doc.clone())
@@ -790,42 +757,32 @@ impl Service {
     ) -> Result<ReportDiff, ServiceError> {
         let canonical = self.canonical_name(name)?;
         let shard_count = validate_shards(shards)?;
-        let a = self.report_at(canonical, shard_count, shards, from)?;
-        let b = self.report_at(canonical, shard_count, shards, to)?;
+        let a = self.report_at(canonical, shard_count, from)?;
+        let b = self.report_at(canonical, shard_count, to)?;
         Ok(diff(&a, &b))
     }
 
     /// A report stamped with exactly `version`: generated when `version` is
     /// current, served from the version-keyed cache otherwise.
     ///
-    /// A mutation can land between reading the current version here and the
-    /// report's retrieval, and [`Service::report`] then returns a report of
-    /// the newer version. Such a report never stands in for the requested
-    /// one: the cache answers instead, or the call fails with
-    /// [`ServiceError::UnknownVersion`].
+    /// The version check and the report's lookup and retrieval share one
+    /// hold of the scenario's lock, so no mutation can land between them.
     fn report_at(
         &self,
         canonical: &'static str,
-        shard_count: usize,
-        shards: Option<usize>,
+        shards: usize,
         version: u64,
     ) -> Result<Arc<RageReport>, ServiceError> {
-        let state_arc = self.corpus_state(canonical);
-        if version == lock_unpoisoned(&state_arc).version {
-            let report = self.report(canonical, shards)?;
-            if report
-                .corpus
-                .is_some_and(|corpus| corpus.version == version)
-            {
-                return Ok(report);
-            }
+        let state = self.state(canonical);
+        let held = lock_unpoisoned(&state);
+        if version == held.version {
+            return self.report_from(&state, held, shards, None);
         }
-        let key = report_key(canonical, shard_count, version);
-        let cached = lock_unpoisoned(&self.reports).get(&key).map(Arc::clone);
-        cached.ok_or_else(|| ServiceError::UnknownVersion {
-            version,
-            current: lock_unpoisoned(&state_arc).version,
-        })
+        held.cached(version, shards)
+            .ok_or(ServiceError::UnknownVersion {
+                version,
+                current: held.version,
+            })
     }
 
     /// One RAG round trip over a scenario's corpus with a caller-supplied
@@ -840,10 +797,12 @@ impl Service {
         k: Option<usize>,
     ) -> Result<RagResponse, ServiceError> {
         let canonical = self.canonical_name(name)?;
-        let state_arc = self.corpus_state(canonical);
-        let runtime = self.runtime(canonical, 1, &lock_unpoisoned(&state_arc));
-        let k = k.unwrap_or(runtime.retrieval_k);
-        Ok(runtime.pipeline.ask(query, k)?)
+        let state = self.state(canonical);
+        let (pipeline, retrieval_k) = {
+            let mut held = lock_unpoisoned(&state);
+            (held.pipeline(1), held.scenario.retrieval_k)
+        };
+        Ok(pipeline.ask(query, k.unwrap_or(retrieval_k))?)
     }
 
     /// A whole batch of queries against one scenario: one [`Service::ask`] per
@@ -866,17 +825,25 @@ impl Service {
             .collect())
     }
 
-    /// Hit/miss counters and entry count of the memoised-report cache.
+    /// Hit/miss counters and entry count of the memoised-report caches.
     pub fn report_cache_stats(&self) -> ReportCacheStats {
+        let entries = self
+            .states()
+            .into_iter()
+            .map(|(_, state)| {
+                let held = lock_unpoisoned(&state);
+                held.reports.values().map(HashMap::len).sum::<usize>()
+            })
+            .sum();
         ReportCacheStats {
             hits: self.report_hits.load(Ordering::Relaxed),
             misses: self.report_misses.load(Ordering::Relaxed),
-            entries: lock_unpoisoned(&self.reports).len(),
+            entries,
         }
     }
 
-    /// The prefix-cache statistics of a scenario's shared model, if its
-    /// runtime has been built.
+    /// The statistics of a scenario's one prefix cache, shared by every shard
+    /// count, if the pipeline at `shards` has been built.
     pub fn prefix_cache_stats(
         &self,
         name: &str,
@@ -884,22 +851,26 @@ impl Service {
     ) -> Option<rage_llm::cache::CacheStats> {
         let canonical = self.canonical_name(name).ok()?;
         let shard_count = validate_shards(shards).ok()?;
-        let map = lock_unpoisoned(&self.runtimes);
-        map.get(&(canonical.to_string(), shard_count))
-            .map(|runtime| runtime.prefix_cache.stats())
+        let state = Arc::clone(lock_unpoisoned(&self.scenarios).get(canonical)?);
+        let held = lock_unpoisoned(&state);
+        if !held.pipelines.contains_key(&shard_count) {
+            return None;
+        }
+        held.llm.prefix_cache_stats()
     }
 }
 
 /// Upper bound on the `shards` parameter.
 ///
 /// Every shard costs a partition slot and (during the parallel build) an OS
-/// thread, and each distinct accepted count occupies a [`Service`] runtime
-/// cache entry forever — and the parameter is remote-reachable through
-/// `GET /report?shards=N`. Corpora here are at most a few thousand documents,
-/// so 64 is far beyond any useful partitioning; anything larger is abuse, not
-/// tuning, and is rejected as an [`ServiceError::InvalidArgument`] before any
-/// allocation happens. The cap also bounds the runtime map itself: at most
-/// `registry size × MAX_SHARDS` entries can ever exist.
+/// thread, and each distinct accepted count adds an index to its scenario's
+/// [`Service`] state for good (the model is shared) — and the parameter is
+/// remote-reachable through `GET /report?shards=N`. Corpora here are at most
+/// a few thousand documents, so 64 is far beyond any useful partitioning;
+/// anything larger is abuse, not tuning, and is rejected as an
+/// [`ServiceError::InvalidArgument`] before any allocation happens. The cap
+/// also bounds the indexes themselves: at most `registry size × MAX_SHARDS`
+/// can ever exist.
 pub const MAX_SHARDS: usize = 64;
 
 /// Upper bound on a mutable corpus's size.
@@ -915,14 +886,6 @@ pub const MAX_CORPUS_DOCS: usize = 8192;
 /// mutation stream (each followed by a report request) grows the cache
 /// without limit.
 pub const MAX_CACHED_VERSIONS: usize = 16;
-
-fn report_key(canonical: &str, shards: usize, corpus_version: u64) -> ReportKey {
-    ReportKey {
-        scenario: canonical.to_string(),
-        shards,
-        corpus_version,
-    }
-}
 
 fn corpus_full() -> ServiceError {
     ServiceError::InvalidArgument {
@@ -1388,29 +1351,28 @@ mod tests {
         let service = Service::new();
         let report = service.report("us_open", None).unwrap();
         service.report("big_three", None).unwrap();
+        let us_open = service.state("us_open");
         let newest = MAX_CACHED_VERSIONS as u64 + 1;
         for version in 2..=newest {
-            service.publish(report_key("us_open", 1, version), Arc::clone(&report));
+            lock_unpoisoned(&us_open).publish(version, 1, Arc::clone(&report));
         }
-        let cached = |scenario: &str| -> Vec<u64> {
-            let mut versions: Vec<u64> = lock_unpoisoned(&service.reports)
+        let cached = |scenario: &'static str| -> Vec<u64> {
+            lock_unpoisoned(&service.state(scenario))
+                .reports
                 .keys()
-                .filter(|key| key.scenario == scenario)
-                .map(|key| key.corpus_version)
-                .collect();
-            versions.sort_unstable();
-            versions
+                .copied()
+                .collect()
         };
         assert_eq!(cached("us_open"), (2..=newest).collect::<Vec<_>>());
         // A superseded version published late is the oldest, so it goes.
-        service.publish(report_key("us_open", 1, 1), Arc::clone(&report));
+        lock_unpoisoned(&us_open).publish(1, 1, Arc::clone(&report));
         assert_eq!(cached("us_open"), (2..=newest).collect::<Vec<_>>());
         assert_eq!(cached("big_three"), vec![1]);
     }
 
     #[test]
     fn unsharded_and_one_shard_requests_share_one_entry() {
-        // No `shards` parameter means one shard: the same runtime and report
+        // No `shards` parameter means one shard: the same pipeline and report
         // cache entry as `shards = 1`, not a second copy of both.
         let service = Service::new();
         let unsharded = service.report("us_open", None).unwrap();
@@ -1424,7 +1386,25 @@ mod tests {
                 entries: 1
             }
         );
-        assert_eq!(lock_unpoisoned(&service.runtimes).len(), 1);
+        assert_eq!(
+            lock_unpoisoned(&service.state("us_open")).pipelines.len(),
+            1
+        );
+    }
+
+    #[test]
+    fn every_shard_count_shares_the_scenario_model() {
+        // Prefix-cache entries depend on neither the corpus nor the index, so
+        // a second shard count replays every lookup of the first as a hit.
+        let service = Service::new();
+        let single = service.report("us_open", None).unwrap();
+        let first = service.prefix_cache_stats("us_open", None).unwrap();
+        let sharded = service.report("us_open", Some(3)).unwrap();
+        assert_eq!(*single, *sharded);
+        let after = service.prefix_cache_stats("us_open", None).unwrap();
+        assert_eq!(after.misses, first.misses, "{after:?}");
+        assert_eq!(after.hits, first.hits + first.lookups(), "{after:?}");
+        assert_eq!(service.prefix_cache_stats("us_open", Some(3)), Some(after));
     }
 
     #[test]
@@ -1589,7 +1569,7 @@ mod tests {
         let service = Service::new();
         let assert_in_sync = |note: &str| {
             let provenance = service.corpus_provenance("live_updates").unwrap();
-            let state_arc = service.corpus_state("live_updates");
+            let state_arc = service.state("live_updates");
             let state = lock_unpoisoned(&state_arc);
             assert_eq!(
                 provenance.fingerprint,
