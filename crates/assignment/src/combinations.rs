@@ -3,9 +3,8 @@
 //! The combination counterfactual search of the RAGE paper evaluates candidate subsets
 //! "in increasing order of subset size", breaking ties between equal-size subsets by
 //! their estimated relevance. [`CombinationIter`] provides the lexicographic k-subset
-//! enumeration and [`SizeOrderedSubsets`] the size-major traversal that the search is
-//! built on; relevance tie-breaking happens in `rage-core`, which sorts each size class
-//! before evaluating it.
+//! enumeration of one size class; `rage-core` walks the sizes in increasing order and
+//! sorts each class by relevance before evaluating it.
 
 /// Iterator over all k-element subsets of `{0, 1, .., n-1}` in lexicographic order.
 #[derive(Debug, Clone)]
@@ -47,62 +46,6 @@ impl Iterator for CombinationIter {
             }
         }
         Some(current)
-    }
-}
-
-/// Iterator over every non-empty subset of `{0, .., n-1}`, grouped by increasing size;
-/// inside a size class the order is lexicographic.
-///
-/// This is exactly the candidate enumeration order of RAGE's combination counterfactual
-/// search before the per-size relevance re-ordering is applied.
-#[derive(Debug, Clone)]
-pub struct SizeOrderedSubsets {
-    n: usize,
-    size: usize,
-    max_size: usize,
-    inner: CombinationIter,
-}
-
-impl SizeOrderedSubsets {
-    /// All non-empty subsets of `{0, .., n-1}` from size 1 up to size `n`.
-    pub fn new(n: usize) -> Self {
-        Self::bounded(n, n)
-    }
-
-    /// Subsets from size 1 up to `max_size` (inclusive, clamped to `n`).
-    pub fn bounded(n: usize, max_size: usize) -> Self {
-        let max_size = max_size.min(n);
-        Self {
-            n,
-            size: 1,
-            max_size,
-            inner: CombinationIter::new(n, 1),
-        }
-    }
-
-    /// Collect the subsets of one specific size, in lexicographic order.
-    pub fn of_size(n: usize, k: usize) -> Vec<Vec<usize>> {
-        CombinationIter::new(n, k).collect()
-    }
-}
-
-impl Iterator for SizeOrderedSubsets {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.n == 0 || self.size > self.max_size {
-            return None;
-        }
-        loop {
-            if let Some(subset) = self.inner.next() {
-                return Some(subset);
-            }
-            self.size += 1;
-            if self.size > self.max_size {
-                return None;
-            }
-            self.inner = CombinationIter::new(self.n, self.size);
-        }
     }
 }
 
@@ -166,7 +109,11 @@ mod tests {
 
     #[test]
     fn size_ordered_traversal() {
-        let subsets: Vec<_> = SizeOrderedSubsets::new(3).collect();
+        // The counterfactual search's walk: sizes in increasing order, each
+        // size class lexicographic.
+        let subsets: Vec<_> = (1..=3)
+            .flat_map(|size| CombinationIter::new(3, size))
+            .collect();
         assert_eq!(
             subsets,
             vec![
@@ -183,33 +130,20 @@ mod tests {
 
     #[test]
     fn size_ordered_counts() {
+        // Walking every size visits each of the 2^n − 1 non-empty subsets.
         for n in 1..10usize {
-            let count = SizeOrderedSubsets::new(n).count() as u128;
-            assert_eq!(count, (1u128 << n) - 1);
+            let count: usize = (1..=n)
+                .map(|size| CombinationIter::new(n, size).count())
+                .sum();
+            assert_eq!(count as u128, (1u128 << n) - 1);
         }
     }
 
     #[test]
-    fn size_ordered_is_monotone_in_size() {
-        let sizes: Vec<usize> = SizeOrderedSubsets::new(6).map(|s| s.len()).collect();
-        assert!(sizes.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn bounded_traversal_stops_at_max_size() {
-        let subsets: Vec<_> = SizeOrderedSubsets::bounded(5, 2).collect();
-        assert!(subsets.iter().all(|s| s.len() <= 2));
-        assert_eq!(subsets.len() as u128, binomial(5, 1) + binomial(5, 2));
-    }
-
-    #[test]
     fn empty_ground_set() {
-        assert_eq!(SizeOrderedSubsets::new(0).count(), 0);
-    }
-
-    #[test]
-    fn of_size_helper() {
-        assert_eq!(SizeOrderedSubsets::of_size(4, 3).len(), 4);
+        // One empty subset of size 0, none larger.
+        assert_eq!(CombinationIter::new(0, 0).count(), 1);
+        assert_eq!(CombinationIter::new(0, 1).count(), 0);
     }
 
     #[test]

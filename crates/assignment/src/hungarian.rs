@@ -77,7 +77,8 @@ impl CostMatrix {
 pub struct Assignment {
     /// `assignment[r]` is the column assigned to row `r`.
     pub assignment: Vec<usize>,
-    /// Total cost (for [`solve_assignment`]) or total profit (for [`solve_max_assignment`]).
+    /// Total cost (for [`solve_assignment`]) or total profit (for
+    /// [`k_best_max_assignments`](crate::kbest::k_best_max_assignments)).
     pub total: f64,
 }
 
@@ -172,21 +173,6 @@ pub fn solve_assignment(costs: &CostMatrix) -> Assignment {
     Assignment { assignment, total }
 }
 
-/// Solve the maximum-profit assignment problem (each cell is a profit, not a cost).
-pub fn solve_max_assignment(profits: &CostMatrix) -> Assignment {
-    let min_solution = solve_assignment(&profits.negated());
-    let total = min_solution
-        .assignment
-        .iter()
-        .enumerate()
-        .map(|(r, &c)| profits.get(r, c))
-        .sum();
-    Assignment {
-        assignment: min_solution.assignment,
-        total,
-    }
-}
-
 /// Brute-force minimum-cost assignment by enumerating all `n!` permutations.
 ///
 /// Only used by tests and the naive baseline of experiment E6.
@@ -211,6 +197,7 @@ pub fn brute_force_assignment(costs: &CostMatrix) -> Assignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kbest::k_best_max_assignments;
 
     fn is_valid_assignment(a: &Assignment, n: usize) -> bool {
         crate::permutations::is_permutation(&a.assignment, n)
@@ -257,7 +244,7 @@ mod tests {
     #[test]
     fn max_assignment_picks_largest_profits() {
         let profits = CostMatrix::from_rows(2, &[5.0, 1.0, 2.0, 4.0]);
-        let solution = solve_max_assignment(&profits);
+        let solution = k_best_max_assignments(&profits, 1).remove(0);
         assert_eq!(solution.assignment, vec![0, 1]);
         assert_eq!(solution.total, 9.0);
     }
@@ -269,7 +256,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
             let profits = CostMatrix::from_fn(5, |_, _| rng.gen_range(0.0..100.0));
-            let max = solve_max_assignment(&profits);
+            let max = k_best_max_assignments(&profits, 1).remove(0);
             let brute = brute_force_assignment(&profits.negated());
             assert!((max.total + brute.total).abs() < 1e-9);
         }

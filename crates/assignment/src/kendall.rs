@@ -56,26 +56,6 @@ pub fn kendall_tau(perm: &[usize]) -> f64 {
     (concordant - discordant) / total_pairs
 }
 
-/// Kendall's tau between two arbitrary rankings of the same items.
-///
-/// `a` and `b` must be permutations of `0..k`; the result is the tau of `b` relative to
-/// the ordering imposed by `a`.
-pub fn kendall_tau_between(a: &[usize], b: &[usize]) -> f64 {
-    assert_eq!(a.len(), b.len(), "rankings must have equal length");
-    let k = a.len();
-    if k < 2 {
-        return 1.0;
-    }
-    // Position of each item in `a`.
-    let mut pos_in_a = vec![0usize; k];
-    for (idx, &item) in a.iter().enumerate() {
-        pos_in_a[item] = idx;
-    }
-    // Re-express b in a's coordinate system, then correlate with the identity.
-    let relabelled: Vec<usize> = b.iter().map(|&item| pos_in_a[item]).collect();
-    kendall_tau(&relabelled)
-}
-
 /// Kendall tau *distance*: the number of discordant pairs between a permutation and the
 /// identity (0 = identical order, `k·(k−1)/2` = reversed).
 pub fn kendall_tau_distance(perm: &[usize]) -> u64 {
@@ -148,27 +128,6 @@ mod tests {
             let tau = kendall_tau(&perm);
             assert!((-1.0..=1.0).contains(&tau));
         }
-    }
-
-    #[test]
-    fn between_with_identity_reference_matches_plain_tau() {
-        let reference: Vec<usize> = (0..5).collect();
-        for perm in PermutationIter::new(5) {
-            assert!((kendall_tau_between(&reference, &perm) - kendall_tau(&perm)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn between_is_symmetric() {
-        let a = vec![2, 0, 3, 1, 4];
-        let b = vec![4, 1, 0, 3, 2];
-        assert!((kendall_tau_between(&a, &b) - kendall_tau_between(&b, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn between_identical_rankings() {
-        let a = vec![3, 1, 4, 0, 2];
-        assert_eq!(kendall_tau_between(&a, &a), 1.0);
     }
 
     #[test]

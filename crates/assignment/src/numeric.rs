@@ -1,4 +1,4 @@
-//! Factorials, binomial coefficients and ranking helpers.
+//! Factorials and binomial coefficients.
 //!
 //! All counting functions saturate at `u128::MAX` instead of overflowing, because RAGE
 //! only uses them to decide whether a perturbation space is small enough to enumerate
@@ -26,51 +26,6 @@ pub fn binomial(n: usize, k: usize) -> u128 {
         acc = acc.saturating_mul((n - i) as u128) / (i as u128 + 1);
     }
     acc
-}
-
-/// Total number of non-empty subsets of an `n`-element set (`2^n − 1`), saturating.
-pub fn num_nonempty_subsets(n: usize) -> u128 {
-    if n >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
-    }
-}
-
-/// Rank of a k-combination given in strictly increasing order, in lexicographic order
-/// among all `C(n, k)` combinations of `{0, .., n-1}`.
-pub fn combination_rank(n: usize, combo: &[usize]) -> u128 {
-    let k = combo.len();
-    let mut rank: u128 = 0;
-    let mut prev: isize = -1;
-    for (i, &c) in combo.iter().enumerate() {
-        for j in (prev + 1) as usize..c {
-            rank = rank.saturating_add(binomial(n - j - 1, k - i - 1));
-        }
-        prev = c as isize;
-    }
-    rank
-}
-
-/// Inverse of [`combination_rank`]: the `rank`-th (0-based) k-combination of
-/// `{0, .., n-1}` in lexicographic order.
-pub fn combination_unrank(n: usize, k: usize, mut rank: u128) -> Vec<usize> {
-    let mut combo = Vec::with_capacity(k);
-    let mut next = 0usize;
-    for remaining in (1..=k).rev() {
-        let mut c = next;
-        loop {
-            let count = binomial(n - c - 1, remaining - 1);
-            if rank < count {
-                break;
-            }
-            rank -= count;
-            c += 1;
-        }
-        combo.push(c);
-        next = c + 1;
-    }
-    combo
 }
 
 #[cfg(test)]
@@ -110,52 +65,6 @@ mod tests {
         for n in 1..20usize {
             for k in 1..n {
                 assert_eq!(binomial(n, k), binomial(n - 1, k - 1) + binomial(n - 1, k));
-            }
-        }
-    }
-
-    #[test]
-    fn nonempty_subsets() {
-        assert_eq!(num_nonempty_subsets(0), 0);
-        assert_eq!(num_nonempty_subsets(3), 7);
-        assert_eq!(num_nonempty_subsets(10), 1023);
-        assert_eq!(num_nonempty_subsets(200), u128::MAX);
-    }
-
-    #[test]
-    fn combination_rank_lexicographic() {
-        // All C(5,2)=10 combinations in lexicographic order.
-        let combos: Vec<Vec<usize>> = (0..10)
-            .map(|r| combination_unrank(5, 2, r as u128))
-            .collect();
-        let expected = vec![
-            vec![0, 1],
-            vec![0, 2],
-            vec![0, 3],
-            vec![0, 4],
-            vec![1, 2],
-            vec![1, 3],
-            vec![1, 4],
-            vec![2, 3],
-            vec![2, 4],
-            vec![3, 4],
-        ];
-        assert_eq!(combos, expected);
-        for (r, combo) in combos.iter().enumerate() {
-            assert_eq!(combination_rank(5, combo), r as u128);
-        }
-    }
-
-    #[test]
-    fn rank_unrank_round_trip() {
-        let n = 8;
-        for k in 1..=n {
-            let total = binomial(n, k);
-            for rank in 0..total {
-                let combo = combination_unrank(n, k, rank);
-                assert_eq!(combo.len(), k);
-                assert!(combo.windows(2).all(|w| w[0] < w[1]));
-                assert_eq!(combination_rank(n, &combo), rank);
             }
         }
     }

@@ -1,14 +1,13 @@
-//! Permutation enumeration, ranking and unbiased sampling.
+//! Permutation enumeration and unbiased sampling.
 //!
 //! The RAGE paper contrasts a naive `O(k!)` permutation sampler (generate every
 //! permutation, then sample) with an `O(k·s)` sampler that invokes the Fisher–Yates
 //! shuffle `s` times. The latter is implemented here, together with full enumeration
-//! (Heap's algorithm) and Lehmer-code ranking used by tests.
+//! (Heap's algorithm) and the similarity-ordered enumeration of the permutation
+//! counterfactual search.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-use crate::numeric::factorial;
 
 /// Iterator over all permutations of `0..n` using Heap's algorithm.
 ///
@@ -33,11 +32,6 @@ impl PermutationIter {
             first: true,
             done: false,
         }
-    }
-
-    /// Total number of permutations this iterator will yield.
-    pub fn total(&self) -> u128 {
-        factorial(self.items.len())
     }
 }
 
@@ -173,43 +167,6 @@ impl Iterator for SimilarityPermutations {
     }
 }
 
-/// The first `limit` permutations of [`SimilarityPermutations`], materialised.
-///
-/// Kept for callers that genuinely need the prefix as a slice; prefer iterating
-/// [`SimilarityPermutations`] directly when consumption may stop early.
-pub fn permutations_by_similarity(k: usize, limit: usize) -> Vec<Vec<usize>> {
-    SimilarityPermutations::new(k).take(limit).collect()
-}
-
-/// Lehmer-code rank of a permutation of `0..n` (0 = identity, `n!`−1 = reverse-sorted).
-pub fn lehmer_rank(perm: &[usize]) -> u128 {
-    let n = perm.len();
-    let mut rank: u128 = 0;
-    for i in 0..n {
-        let smaller_later = perm[i + 1..].iter().filter(|&&x| x < perm[i]).count() as u128;
-        rank = rank.saturating_add(smaller_later.saturating_mul(factorial(n - i - 1)));
-    }
-    rank
-}
-
-/// Inverse of [`lehmer_rank`]: the permutation of `0..n` with the given rank.
-pub fn lehmer_unrank(n: usize, mut rank: u128) -> Vec<usize> {
-    let mut available: Vec<usize> = (0..n).collect();
-    let mut perm = Vec::with_capacity(n);
-    for i in 0..n {
-        let f = factorial(n - i - 1);
-        let idx = (rank / f) as usize;
-        rank %= f;
-        perm.push(available.remove(idx.min(available.len().saturating_sub(1))));
-    }
-    perm
-}
-
-/// Apply a permutation to a slice: `result[i] = items[perm[i]]`.
-pub fn apply_permutation<T: Clone>(items: &[T], perm: &[usize]) -> Vec<T> {
-    perm.iter().map(|&i| items[i].clone()).collect()
-}
-
 /// Check that `perm` is a valid permutation of `0..n`.
 pub fn is_permutation(perm: &[usize], n: usize) -> bool {
     if perm.len() != n {
@@ -228,9 +185,15 @@ pub fn is_permutation(perm: &[usize], n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numeric::factorial;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
+
+    /// The first `limit` permutations in similarity order.
+    fn by_similarity(k: usize, limit: usize) -> Vec<Vec<usize>> {
+        SimilarityPermutations::new(k).take(limit).collect()
+    }
 
     #[test]
     fn enumerates_all_permutations() {
@@ -247,7 +210,6 @@ mod tests {
     fn first_permutation_is_identity() {
         let mut it = PermutationIter::new(4);
         assert_eq!(it.next().unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(it.total(), 24);
     }
 
     #[test]
@@ -308,33 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn lehmer_rank_identity_and_reverse() {
-        assert_eq!(lehmer_rank(&[0, 1, 2, 3]), 0);
-        assert_eq!(lehmer_rank(&[3, 2, 1, 0]), factorial(4) - 1);
-    }
-
-    #[test]
-    fn lehmer_round_trip() {
-        let n = 6;
-        for rank in 0..factorial(n) {
-            let perm = lehmer_unrank(n, rank);
-            assert!(is_permutation(&perm, n));
-            assert_eq!(lehmer_rank(&perm), rank);
-        }
-    }
-
-    #[test]
-    fn apply_permutation_reorders() {
-        let items = vec!["a", "b", "c", "d"];
-        assert_eq!(
-            apply_permutation(&items, &[3, 1, 0, 2]),
-            vec!["d", "b", "a", "c"]
-        );
-    }
-
-    #[test]
     fn similarity_enumeration_starts_with_identity_and_is_monotone() {
-        let perms = permutations_by_similarity(5, 40);
+        let perms = by_similarity(5, 40);
         assert_eq!(perms[0], vec![0, 1, 2, 3, 4]);
         assert_eq!(perms.len(), 40);
         let inversion_counts: Vec<u64> = perms
@@ -350,7 +287,7 @@ mod tests {
     #[test]
     fn similarity_enumeration_covers_everything_when_unbounded() {
         for k in 0..6usize {
-            let perms = permutations_by_similarity(k, 1000);
+            let perms = by_similarity(k, 1000);
             assert_eq!(perms.len() as u128, factorial(k));
             let unique: HashSet<_> = perms.iter().cloned().collect();
             assert_eq!(unique.len(), perms.len());
@@ -359,9 +296,9 @@ mod tests {
 
     #[test]
     fn similarity_enumeration_respects_limit() {
-        assert_eq!(permutations_by_similarity(6, 10).len(), 10);
-        assert!(permutations_by_similarity(4, 0).is_empty());
-        assert_eq!(permutations_by_similarity(0, 5), vec![Vec::<usize>::new()]);
+        assert_eq!(by_similarity(6, 10).len(), 10);
+        assert!(by_similarity(4, 0).is_empty());
+        assert_eq!(by_similarity(0, 5), vec![Vec::<usize>::new()]);
     }
 
     #[test]

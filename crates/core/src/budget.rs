@@ -123,11 +123,6 @@ impl SearchBudget {
         self
     }
 
-    /// Whether this budget can never stop a search.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_evaluations.is_none() && self.deadline.is_none()
-    }
-
     /// Check the budget at a batch boundary, after `evaluated` candidate
     /// evaluations: `None` means keep going. The deadline outranks the count
     /// (an expired anytime request should stop even with count room left).
@@ -144,12 +139,6 @@ impl SearchBudget {
             _ => None,
         }
     }
-
-    /// Evaluations left under the cap after `evaluated` (`None` = unlimited).
-    pub fn remaining(&self, evaluated: usize) -> Option<usize> {
-        self.max_evaluations
-            .map(|max| max.saturating_sub(evaluated))
-    }
 }
 
 impl From<Option<usize>> for SearchBudget {
@@ -160,12 +149,6 @@ impl From<Option<usize>> for SearchBudget {
             max_evaluations,
             deadline: None,
         }
-    }
-}
-
-impl From<usize> for SearchBudget {
-    fn from(max_evaluations: usize) -> Self {
-        SearchBudget::max_evaluations(max_evaluations)
     }
 }
 
@@ -269,10 +252,8 @@ mod tests {
     #[test]
     fn unlimited_budget_never_stops() {
         let budget = SearchBudget::UNLIMITED;
-        assert!(budget.is_unlimited());
         assert_eq!(budget.check(0), None);
         assert_eq!(budget.check(usize::MAX), None);
-        assert_eq!(budget.remaining(123), None);
     }
 
     #[test]
@@ -280,8 +261,6 @@ mod tests {
         let budget = SearchBudget::max_evaluations(3);
         assert_eq!(budget.check(2), None);
         assert_eq!(budget.check(3), Some(BudgetStop::Evaluations));
-        assert_eq!(budget.remaining(1), Some(2));
-        assert_eq!(budget.remaining(5), Some(0));
     }
 
     #[test]
@@ -291,7 +270,6 @@ mod tests {
             SearchBudget::from(Some(7usize)),
             SearchBudget::max_evaluations(7)
         );
-        assert_eq!(SearchBudget::from(7usize).max_evaluations, Some(7));
     }
 
     #[test]
@@ -310,7 +288,6 @@ mod tests {
     fn future_deadline_does_not_stop() {
         let budget = SearchBudget::UNLIMITED.with_deadline(Deadline::after_ms(60_000));
         assert_eq!(budget.check(1_000_000), None);
-        assert!(!budget.is_unlimited());
     }
 
     #[test]

@@ -106,12 +106,6 @@ impl CounterfactualConfig {
         self
     }
 
-    /// Bound the candidate set size (builder style).
-    pub fn with_max_size(mut self, max_size: usize) -> Self {
-        self.max_size = Some(max_size);
-        self
-    }
-
     /// Bound the number of candidate evaluations (builder style).
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.budget.max_evaluations = Some(budget);
@@ -334,23 +328,6 @@ pub fn find_combination_counterfactual(
     })
 }
 
-/// Like [`find_combination_counterfactual`] but demands a result: failing to
-/// find one (budget exhausted or space exhausted) is a
-/// [`RageError::BudgetExhausted`], with
-/// [`space_exhausted`](RageError::BudgetExhausted::space_exhausted)
-/// distinguishing "no counterfactual exists in the searched space" from
-/// "the budget or deadline stopped the search first".
-pub fn require_combination_counterfactual(
-    evaluator: &Evaluator,
-    config: &CounterfactualConfig,
-) -> Result<CombinationCounterfactual, RageError> {
-    let outcome = find_combination_counterfactual(evaluator, config)?;
-    outcome.counterfactual.ok_or(RageError::BudgetExhausted {
-        evaluated: outcome.stats.candidates,
-        space_exhausted: !outcome.exhausted_budget,
-    })
-}
-
 /// Search for the answer-changing re-ordering most similar to the original.
 ///
 /// Candidate permutations are enumerated in decreasing Kendall-tau similarity
@@ -430,18 +407,6 @@ pub fn find_permutation_counterfactual(
             candidates,
             llm_calls: evaluator.llm_calls() - llm_calls_before,
         },
-    })
-}
-
-/// Like [`find_permutation_counterfactual`] but demands a result.
-pub fn require_permutation_counterfactual(
-    evaluator: &Evaluator,
-    budget: &SearchBudget,
-) -> Result<PermutationCounterfactual, RageError> {
-    let outcome = find_permutation_counterfactual(evaluator, budget)?;
-    outcome.counterfactual.ok_or(RageError::BudgetExhausted {
-        evaluated: outcome.stats.candidates,
-        space_exhausted: !outcome.exhausted_budget,
     })
 }
 
@@ -568,7 +533,10 @@ mod tests {
         let llm = Arc::new(FirstSourceLlm::with_attention(vec![0.2, 0.5, 0.3]));
         let evaluator = Evaluator::new(llm.clone(), context(3));
         // ConstantLlm-like behaviour is not needed; we only inspect call order.
-        let config = CounterfactualConfig::top_down().with_max_size(1);
+        let config = CounterfactualConfig {
+            max_size: Some(1),
+            ..CounterfactualConfig::top_down()
+        };
         find_combination_counterfactual(&evaluator, &config).unwrap();
         let calls = llm.calls.lock().unwrap();
         // Call 0 is the full-context baseline (also provides attention);
@@ -604,31 +572,26 @@ mod tests {
                 pruned: 0
             }
         );
-
-        let err = require_combination_counterfactual(&evaluator, &config).unwrap_err();
-        assert!(matches!(
-            err,
-            RageError::BudgetExhausted {
-                evaluated: 3,
-                space_exhausted: false
-            }
-        ));
     }
 
     #[test]
     fn space_exhaustion_is_reported_as_such() {
-        // ConstantLlm never flips, so the unbounded search covers all 7
-        // candidates and the error must say the *space* is exhausted.
+        // ConstantLlm never flips. Unbounded, the search covers all 7
+        // candidates and reports that the *space* ran out (a larger budget
+        // cannot help); capped at 3 evaluations, it reports that the budget
+        // stopped it first.
         let evaluator = Evaluator::new(Arc::new(ConstantLlm), context(3));
-        let err = require_combination_counterfactual(&evaluator, &CounterfactualConfig::top_down())
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RageError::BudgetExhausted {
-                evaluated: 7,
-                space_exhausted: true
-            }
-        ));
+        let config = CounterfactualConfig::top_down();
+        let space = find_combination_counterfactual(&evaluator, &config).unwrap();
+        assert!(space.counterfactual.is_none());
+        assert!(!space.exhausted_budget);
+        assert_eq!(space.completeness, Completeness::Exact);
+        assert_eq!(space.stats.candidates, 7);
+
+        let capped = find_combination_counterfactual(&evaluator, &config.with_budget(3)).unwrap();
+        assert!(capped.counterfactual.is_none());
+        assert!(capped.exhausted_budget);
+        assert!(!capped.completeness.is_exact());
     }
 
     #[test]
@@ -649,15 +612,6 @@ mod tests {
                 pruned: 15
             }
         );
-        // The pruned "no counterfactual" verdict counts as space-resolved.
-        let err = require_combination_counterfactual(&evaluator, &config).unwrap_err();
-        assert!(matches!(
-            err,
-            RageError::BudgetExhausted {
-                evaluated: 0,
-                space_exhausted: true
-            }
-        ));
     }
 
     #[test]
@@ -764,13 +718,6 @@ mod tests {
                 pruned: 0
             }
         );
-        assert!(matches!(
-            require_permutation_counterfactual(&evaluator, &budget),
-            Err(RageError::BudgetExhausted {
-                evaluated: 4,
-                space_exhausted: false
-            })
-        ));
     }
 
     #[test]

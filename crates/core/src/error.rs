@@ -26,23 +26,6 @@ pub enum RageError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The search stopped without finding a counterfactual — either the
-    /// evaluation budget ran out first, or the whole searched space was
-    /// covered and provably contains none.
-    BudgetExhausted {
-        /// Number of perturbations evaluated before giving up.
-        evaluated: usize,
-        /// `true` when the search covered its entire candidate space (no
-        /// counterfactual exists in it — a larger budget cannot help);
-        /// `false` when the budget or deadline cut the search short (a larger
-        /// budget might still find one).
-        space_exhausted: bool,
-    },
-    /// A configuration value was out of range.
-    InvalidConfig {
-        /// Human-readable reason.
-        reason: String,
-    },
     /// A caller-supplied argument was invalid before any work was attempted
     /// (e.g. asking for `k = 0` sources).
     ///
@@ -63,28 +46,16 @@ impl fmt::Display for RageError {
             RageError::EmptyContext { query } => {
                 write!(f, "no sources retrieved for query: {query}")
             }
-            RageError::InvalidSourceIndex { index, context_size } => write!(
+            RageError::InvalidSourceIndex {
+                index,
+                context_size,
+            } => write!(
                 f,
                 "source index {index} out of range for a context of {context_size} sources"
             ),
             RageError::InvalidPermutation { reason } => {
                 write!(f, "invalid permutation perturbation: {reason}")
             }
-            RageError::BudgetExhausted {
-                evaluated,
-                space_exhausted: true,
-            } => write!(
-                f,
-                "search space exhausted after {evaluated} perturbations: no counterfactual exists in the searched space"
-            ),
-            RageError::BudgetExhausted {
-                evaluated,
-                space_exhausted: false,
-            } => write!(
-                f,
-                "evaluation budget exhausted after {evaluated} perturbations without a counterfactual; a larger budget or deadline may find one"
-            ),
-            RageError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             RageError::InvalidArgument { reason } => write!(f, "invalid argument: {reason}"),
         }
     }
@@ -121,48 +92,15 @@ mod tests {
         };
         assert!(err.to_string().contains('7'));
         assert!(err.to_string().contains('3'));
-        let err = RageError::BudgetExhausted {
-            evaluated: 12,
-            space_exhausted: false,
-        };
-        assert!(err.to_string().contains("12"));
         let err = RageError::InvalidPermutation {
             reason: "dup".into(),
         };
         assert!(err.to_string().contains("dup"));
-        let err = RageError::InvalidConfig {
-            reason: "bad".into(),
-        };
-        assert!(err.to_string().contains("bad"));
         let err = RageError::InvalidArgument {
             reason: "k must be at least 1".into(),
         };
         assert!(err.to_string().contains("invalid argument"));
         assert!(err.to_string().contains("k must be at least 1"));
-    }
-
-    #[test]
-    fn budget_exhaustion_distinguishes_space_exhaustion() {
-        // Regression (ISSUE 8 satellite): the two failure modes used to share
-        // one message. "Space exhausted" must tell the caller a larger budget
-        // cannot help; "budget exhausted" must suggest one might.
-        let out_of_budget = RageError::BudgetExhausted {
-            evaluated: 3,
-            space_exhausted: false,
-        };
-        assert!(out_of_budget.to_string().contains("budget exhausted"));
-        assert!(out_of_budget.to_string().contains("larger budget"));
-        assert!(!out_of_budget.to_string().contains("space exhausted"));
-
-        let no_counterfactual = RageError::BudgetExhausted {
-            evaluated: 7,
-            space_exhausted: true,
-        };
-        assert!(no_counterfactual.to_string().contains("space exhausted"));
-        assert!(no_counterfactual
-            .to_string()
-            .contains("no counterfactual exists"));
-        assert!(!no_counterfactual.to_string().contains("larger budget"));
     }
 
     #[test]

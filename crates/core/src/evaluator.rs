@@ -726,9 +726,11 @@ mod tests {
         let samples = random_permutations(3, 6, 11);
         // The first deadline window (width 2) must hold two distinct forwards.
         assert_ne!(samples[0], samples[1]);
-        let reference = Insights::from_perturbations(
+        let reference = Insights::with_budget(
             &Evaluator::new(Arc::new(FirstSourceLlm::new()), context()).with_width(1),
             &samples,
+            DEFAULT_MIN_CONFIDENCE,
+            &SearchBudget::UNLIMITED,
         )
         .unwrap();
         for budget in [

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rage_assignment::combinations::SizeOrderedSubsets;
 use rage_assignment::permutations::sample_permutations;
 
 use crate::answer::normalize_answer;
@@ -163,16 +162,9 @@ pub struct Insights {
     pub stats: SearchStats,
 }
 
-/// Minimum confidence for a rule to be reported by [`Insights::from_perturbations`].
+/// Minimum confidence for a rule to be reported: the threshold every report
+/// passes to [`Insights::with_budget`].
 pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.8;
-
-/// Every non-empty combination of `k` sources up to `max_size` (all sizes when
-/// `None`), in the search's size-then-lexicographic order.
-pub fn all_combinations(k: usize, max_size: Option<usize>) -> Vec<Perturbation> {
-    SizeOrderedSubsets::bounded(k, max_size.unwrap_or(k))
-        .map(Perturbation::Combination)
-        .collect()
-}
 
 /// `s` uniformly random permutations of `k` sources (deterministic in `seed`),
 /// sampled with the `O(k·s)` Fisher–Yates sampler.
@@ -185,47 +177,22 @@ pub fn random_permutations(k: usize, s: usize, seed: u64) -> Vec<Perturbation> {
 }
 
 impl Insights {
-    /// Evaluate every perturbation and aggregate distribution, table and rules
-    /// (rules need [`DEFAULT_MIN_CONFIDENCE`]; use
-    /// [`Insights::with_min_confidence`] to override).
-    pub fn from_perturbations(
-        evaluator: &Evaluator,
-        perturbations: &[Perturbation],
-    ) -> Result<Self, RageError> {
-        Self::with_min_confidence(evaluator, perturbations, DEFAULT_MIN_CONFIDENCE)
-    }
-
-    /// Like [`Insights::from_perturbations`] with an explicit rule-confidence
-    /// threshold in `[0, 1]`.
-    ///
-    /// The whole sample is needed (no early exit), so it is submitted to the
-    /// evaluator as one batch, which fans out across the evaluator's width.
-    pub fn with_min_confidence(
-        evaluator: &Evaluator,
-        perturbations: &[Perturbation],
-        min_confidence: f64,
-    ) -> Result<Self, RageError> {
-        Self::with_budget(
-            evaluator,
-            perturbations,
-            min_confidence,
-            &SearchBudget::UNLIMITED,
-        )
-    }
-
-    /// Like [`Insights::with_min_confidence`] under a [`SearchBudget`].
+    /// Evaluate the prefix of `perturbations` that `budget` affords and
+    /// aggregate distribution, table and rules (rules need `min_confidence`,
+    /// in `[0, 1]`).
     ///
     /// An evaluation cap keeps the *prefix* of the (seeded, deterministic)
     /// sample, so two runs with the same seed and cap see identical
-    /// perturbations. Without a deadline the kept sample is submitted as one
-    /// batch, exactly like the unbudgeted path; with a deadline it is
-    /// evaluated in windows of the evaluator's [`width`](Evaluator::width),
-    /// with the deadline checked before each window, so it fans out across
-    /// the cores and overshoots the deadline by at most one window. When the
-    /// sample is truncated, the returned
-    /// [`Insights::completeness`] is non-`Exact` (counting the unevaluated
-    /// tail as `pruned`) and every [`AnswerShare`] carries a
-    /// normal-approximation 95% confidence interval for its share.
+    /// perturbations. The whole sample is needed (no early exit): without a
+    /// deadline the kept sample is submitted as one batch, which fans out
+    /// across the evaluator's width; with a deadline it is evaluated in
+    /// windows of the evaluator's [`width`](Evaluator::width), with the
+    /// deadline checked before each window, so it still fans out across the
+    /// cores and overshoots the deadline by at most one window. When the
+    /// sample is truncated, the returned [`Insights::completeness`] is
+    /// non-`Exact` (counting the unevaluated tail as `pruned`) and every
+    /// [`AnswerShare`] carries a normal-approximation 95% confidence interval
+    /// for its share.
     pub fn with_budget(
         evaluator: &Evaluator,
         perturbations: &[Perturbation],
@@ -418,6 +385,7 @@ mod tests {
     use super::*;
     use crate::context::Context;
     use crate::evaluator::Evaluator;
+    use rage_assignment::combinations::CombinationIter;
     use rage_assignment::permutations::is_permutation;
     use rage_llm::{Generation, LanguageModel, LlmInput};
     use rage_retrieval::Document;
@@ -441,6 +409,26 @@ mod tests {
         }
     }
 
+    /// Every non-empty combination of `k` sources, in size-then-lexicographic
+    /// order.
+    fn all_combinations(k: usize) -> Vec<Perturbation> {
+        (1..=k)
+            .flat_map(|size| CombinationIter::new(k, size))
+            .map(Perturbation::Combination)
+            .collect()
+    }
+
+    /// The insights over the whole sample, with the report's rule threshold.
+    fn insights(ev: &Evaluator, perturbations: &[Perturbation]) -> Insights {
+        Insights::with_budget(
+            ev,
+            perturbations,
+            DEFAULT_MIN_CONFIDENCE,
+            &SearchBudget::UNLIMITED,
+        )
+        .unwrap()
+    }
+
     fn evaluator() -> Evaluator {
         Evaluator::new(
             Arc::new(FirstSourceLlm),
@@ -457,13 +445,6 @@ mod tests {
 
     #[test]
     fn sample_helpers_enumerate_and_sample() {
-        let combos = all_combinations(3, None);
-        assert_eq!(combos.len(), 7);
-        assert!(matches!(&combos[0], Perturbation::Combination(v) if v == &vec![0]));
-
-        let bounded = all_combinations(4, Some(2));
-        assert!(bounded.iter().all(|p| p.len() <= 2));
-
         let perms = random_permutations(4, 10, 42);
         assert_eq!(perms.len(), 10);
         for p in &perms {
@@ -503,7 +484,7 @@ mod tests {
     #[test]
     fn distribution_counts_first_source_answers() {
         let ev = evaluator();
-        let insights = Insights::from_perturbations(&ev, &all_combinations(3, None)).unwrap();
+        let insights = insights(&ev, &all_combinations(3));
         assert_eq!(insights.num_samples, 7);
         // Subsets led by source 0: {0}, {0,1}, {0,2}, {0,1,2} → 4 × "a";
         // led by source 1: {1}, {1,2} → 2 × "b"; {2} → 1 × "c".
@@ -517,7 +498,7 @@ mod tests {
     #[test]
     fn frequency_table_tracks_presence_and_position() {
         let ev = evaluator();
-        let insights = Insights::from_perturbations(&ev, &all_combinations(3, None)).unwrap();
+        let insights = insights(&ev, &all_combinations(3));
         let row0 = &insights.table.rows[0];
         assert_eq!(row0.doc_id, "a");
         assert_eq!(row0.present_in, 4);
@@ -535,7 +516,7 @@ mod tests {
     #[test]
     fn rules_capture_the_deciding_source() {
         let ev = evaluator();
-        let insights = Insights::from_perturbations(&ev, &all_combinations(3, None)).unwrap();
+        let insights = insights(&ev, &all_combinations(3));
         // "source a present → answer a" holds with confidence 1.
         let rule = insights
             .rules
@@ -557,7 +538,7 @@ mod tests {
     fn permutation_samples_have_full_presence() {
         let ev = evaluator();
         let perms = random_permutations(3, 12, 7);
-        let insights = Insights::from_perturbations(&ev, &perms).unwrap();
+        let insights = insights(&ev, &perms);
         assert_eq!(insights.num_samples, 12);
         for row in &insights.table.rows {
             assert_eq!(row.present_in, 12);
@@ -573,10 +554,10 @@ mod tests {
     #[test]
     fn cache_is_shared_with_other_searches() {
         let ev = evaluator();
-        let combos = all_combinations(3, None);
-        let first = Insights::from_perturbations(&ev, &combos).unwrap();
+        let combos = all_combinations(3);
+        let first = insights(&ev, &combos);
         assert_eq!(first.stats.llm_calls, 7);
-        let second = Insights::from_perturbations(&ev, &combos).unwrap();
+        let second = insights(&ev, &combos);
         assert_eq!(second.stats.llm_calls, 0);
         assert_eq!(second.distribution, first.distribution);
     }
@@ -584,7 +565,7 @@ mod tests {
     #[test]
     fn empty_sample_is_well_formed() {
         let ev = evaluator();
-        let insights = Insights::from_perturbations(&ev, &[]).unwrap();
+        let insights = insights(&ev, &[]);
         assert_eq!(insights.num_samples, 0);
         assert_eq!(insights.completeness, Completeness::Exact);
         assert!(insights.distribution.top().is_none());
@@ -594,13 +575,15 @@ mod tests {
 
     #[test]
     fn unlimited_budget_reproduces_the_plain_sample() {
-        let combos = all_combinations(3, None);
-        let plain = Insights::from_perturbations(&evaluator(), &combos).unwrap();
+        // A deadline that never fires takes the windowed path, which must
+        // reproduce the one-batch sample exactly.
+        let combos = all_combinations(3);
+        let plain = insights(&evaluator(), &combos);
         let budgeted = Insights::with_budget(
             &evaluator(),
             &combos,
             DEFAULT_MIN_CONFIDENCE,
-            &SearchBudget::UNLIMITED,
+            &SearchBudget::UNLIMITED.with_deadline(crate::budget::Deadline::after_ms(600_000)),
         )
         .unwrap();
         assert_eq!(budgeted, plain);
@@ -614,7 +597,7 @@ mod tests {
 
     #[test]
     fn evaluation_cap_keeps_the_sample_prefix_with_intervals() {
-        let combos = all_combinations(3, None);
+        let combos = all_combinations(3);
         let insights = Insights::with_budget(
             &evaluator(),
             &combos,
@@ -644,7 +627,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_truncates_the_sample() {
-        let combos = all_combinations(3, None);
+        let combos = all_combinations(3);
         let deadline = crate::budget::Deadline::after_ms(0);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let insights = Insights::with_budget(

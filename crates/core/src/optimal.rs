@@ -67,12 +67,6 @@ impl OptimalConfig {
         self
     }
 
-    /// Set the position-bias profile (builder style).
-    pub fn with_position_bias(mut self, profile: PositionBiasProfile) -> Self {
-        self.position_bias = profile;
-        self
-    }
-
     /// Set the number of ranked placements (builder style).
     pub fn with_num_orders(mut self, s: usize) -> Self {
         self.num_orders = s;
@@ -154,30 +148,17 @@ fn evaluate_orders(
     Ok((orders, completeness))
 }
 
-/// The top-`s` placements by ranked assignment enumeration (`O(s·k³)`).
+/// The top-`s` placements by ranked assignment enumeration (`O(s·k³)`), under
+/// a [`SearchBudget`]: the ranked prefix the budget affords, with a
+/// [`Completeness`] marker. Orders arrive best-first for
+/// [`OrderObjective::Best`] and worst-first for [`OrderObjective::Worst`].
 ///
 /// Each returned order is evaluated against the model (answers come from the
-/// evaluator's cache when repeated); the whole ranking is submitted as one
-/// evaluation batch. Orders arrive best-first for [`OrderObjective::Best`]
-/// and worst-first for [`OrderObjective::Worst`].
-pub fn ranked_orders(
-    evaluator: &Evaluator,
-    config: &OptimalConfig,
-    objective: OrderObjective,
-) -> Result<Vec<OptimalPermutation>, RageError> {
-    ranked_orders_with_budget(evaluator, config, objective, &SearchBudget::UNLIMITED)
-        .map(|(orders, _)| orders)
-}
-
-/// Like [`ranked_orders`] but under a [`SearchBudget`], returning the ranked
-/// prefix it could afford together with a [`Completeness`] marker.
-///
-/// Without a deadline the ranking (cut to the evaluation cap) is submitted as
-/// one evaluation batch, exactly like [`ranked_orders`]. Under a deadline the
-/// ranking is evaluated in windows of the evaluator's
+/// evaluator's cache when repeated). Without a deadline the ranking (cut to
+/// the evaluation cap) is submitted as one evaluation batch. Under a deadline
+/// the ranking is evaluated in windows of the evaluator's
 /// [`width`](Evaluator::width), the deadline is checked before each window,
-/// and a truncated run returns the best-first (or worst-first) prefix
-/// evaluated so far.
+/// and a truncated run returns the prefix evaluated so far.
 pub fn ranked_orders_with_budget(
     evaluator: &Evaluator,
     config: &OptimalConfig,
@@ -203,28 +184,13 @@ pub fn ranked_orders_with_budget(
     evaluate_orders(evaluator, scored_orders, budget)
 }
 
-/// Convenience wrapper: the top placements ([`OrderObjective::Best`]).
-pub fn best_orders(
-    evaluator: &Evaluator,
-    config: &OptimalConfig,
-) -> Result<Vec<OptimalPermutation>, RageError> {
-    ranked_orders(evaluator, config, OrderObjective::Best)
-}
-
-/// Convenience wrapper: the bottom placements ([`OrderObjective::Worst`]).
-pub fn worst_orders(
-    evaluator: &Evaluator,
-    config: &OptimalConfig,
-) -> Result<Vec<OptimalPermutation>, RageError> {
-    ranked_orders(evaluator, config, OrderObjective::Worst)
-}
-
 /// The naive `O(k!)` baseline: score every permutation and sort.
 ///
-/// Produces the same objective sequence as [`ranked_orders`]; only usable for
-/// small `k`. Ties between equal-objective orders are broken lexicographically,
-/// so the *orders* may differ from the ranked enumeration's tie order while the
-/// *objectives* always agree.
+/// The oracle of [`ranked_orders_with_budget`]: under an unlimited budget both
+/// produce the same objective sequence; only usable for small `k`. Ties between
+/// equal-objective orders are broken lexicographically, so the *orders* may
+/// differ from the ranked enumeration's tie order while the *objectives* always
+/// agree.
 pub fn naive_orders(
     evaluator: &Evaluator,
     config: &OptimalConfig,
@@ -295,15 +261,28 @@ mod tests {
     }
 
     fn config() -> OptimalConfig {
-        OptimalConfig::default()
-            .with_scoring(ScoringMethod::RetrievalScore)
-            .with_position_bias(PositionBiasProfile::LostInTheMiddle { depth: 0.7 })
+        OptimalConfig {
+            position_bias: PositionBiasProfile::LostInTheMiddle { depth: 0.7 },
+            ..OptimalConfig::default().with_scoring(ScoringMethod::RetrievalScore)
+        }
+    }
+
+    /// The unbudgeted ranking: every placement the configuration asks for.
+    fn ranking(
+        ev: &Evaluator,
+        cfg: &OptimalConfig,
+        objective: OrderObjective,
+    ) -> Vec<OptimalPermutation> {
+        let (orders, marker) =
+            ranked_orders_with_budget(ev, cfg, objective, &SearchBudget::UNLIMITED).unwrap();
+        assert_eq!(marker, Completeness::Exact);
+        orders
     }
 
     #[test]
     fn best_orders_are_ranked_and_valid() {
         let ev = evaluator(4);
-        let best = best_orders(&ev, &config().with_num_orders(6)).unwrap();
+        let best = ranking(&ev, &config().with_num_orders(6), OrderObjective::Best);
         assert_eq!(best.len(), 6);
         for pair in best.windows(2) {
             assert!(pair[0].objective >= pair[1].objective - 1e-9);
@@ -318,8 +297,8 @@ mod tests {
     #[test]
     fn best_beats_worst() {
         let ev = evaluator(5);
-        let best = best_orders(&ev, &config()).unwrap();
-        let worst = worst_orders(&ev, &config()).unwrap();
+        let best = ranking(&ev, &config(), OrderObjective::Best);
+        let worst = ranking(&ev, &config(), OrderObjective::Worst);
         assert!(best[0].objective >= worst[0].objective);
         // Worst-first ordering is non-decreasing.
         for pair in worst.windows(2) {
@@ -333,7 +312,7 @@ mod tests {
             let ev = evaluator(k);
             let cfg = config().with_num_orders(8);
             for objective in [OrderObjective::Best, OrderObjective::Worst] {
-                let ranked = ranked_orders(&ev, &cfg, objective).unwrap();
+                let ranked = ranking(&ev, &cfg, objective);
                 let naive = naive_orders(&ev, &cfg, objective).unwrap();
                 assert_eq!(ranked.len(), naive.len(), "k={k}");
                 for (r, n) in ranked.iter().zip(naive.iter()) {
@@ -353,7 +332,7 @@ mod tests {
         // Descending scores [5,4,3,2,1] and a deep U-shape: the best placement
         // puts the two strongest sources at the two ends.
         let ev = evaluator(5);
-        let best = best_orders(&ev, &config().with_num_orders(1)).unwrap();
+        let best = ranking(&ev, &config().with_num_orders(1), OrderObjective::Best);
         let order = &best[0].order;
         let edge_sources = [order[0], order[4]];
         assert!(edge_sources.contains(&0), "order {order:?}");
@@ -363,10 +342,11 @@ mod tests {
     #[test]
     fn uniform_bias_makes_every_order_equal() {
         let ev = evaluator(3);
-        let cfg = config()
-            .with_position_bias(PositionBiasProfile::Uniform)
-            .with_num_orders(6);
-        let best = best_orders(&ev, &cfg).unwrap();
+        let cfg = OptimalConfig {
+            position_bias: PositionBiasProfile::Uniform,
+            ..config().with_num_orders(6)
+        };
+        let best = ranking(&ev, &cfg, OrderObjective::Best);
         assert_eq!(best.len(), 6);
         let first = best[0].objective;
         assert!(best.iter().all(|op| (op.objective - first).abs() < 1e-9));
@@ -375,7 +355,7 @@ mod tests {
     #[test]
     fn answers_follow_the_placement() {
         let ev = evaluator(3);
-        let best = best_orders(&ev, &config().with_num_orders(2)).unwrap();
+        let best = ranking(&ev, &config().with_num_orders(2), OrderObjective::Best);
         for op in &best {
             // FirstSourceLlm answers with the id of the source in position 0.
             let expected = char::from(b'a' + op.order[0] as u8).to_string();
@@ -386,11 +366,9 @@ mod tests {
     #[test]
     fn degenerate_requests() {
         let ev = evaluator(3);
-        assert!(best_orders(&ev, &config().with_num_orders(0))
-            .unwrap()
-            .is_empty());
+        assert!(ranking(&ev, &config().with_num_orders(0), OrderObjective::Best).is_empty());
         // More orders than 3! exist.
-        let all = best_orders(&ev, &config().with_num_orders(100)).unwrap();
+        let all = ranking(&ev, &config().with_num_orders(100), OrderObjective::Best);
         assert_eq!(all.len(), 6);
     }
 
@@ -398,7 +376,7 @@ mod tests {
     fn budgeted_ranking_matches_the_unlimited_prefix() {
         let ev = evaluator(4);
         let cfg = config().with_num_orders(6);
-        let full = ranked_orders(&ev, &cfg, OrderObjective::Best).unwrap();
+        let full = ranking(&ev, &cfg, OrderObjective::Best);
         let (capped, marker) = ranked_orders_with_budget(
             &evaluator(4),
             &cfg,
@@ -416,12 +394,13 @@ mod tests {
             }
         );
 
-        // An unlimited budget reproduces the plain ranking exactly.
+        // A deadline that never fires takes the windowed path, which must
+        // reproduce the one-batch ranking exactly.
         let (all, marker) = ranked_orders_with_budget(
             &evaluator(4),
             &cfg,
             OrderObjective::Best,
-            &SearchBudget::UNLIMITED,
+            &SearchBudget::UNLIMITED.with_deadline(crate::budget::Deadline::after_ms(600_000)),
         )
         .unwrap();
         assert_eq!(all, full);

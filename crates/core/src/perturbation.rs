@@ -116,14 +116,6 @@ impl Perturbation {
         Ok(context.select(&indices))
     }
 
-    /// The context positions removed by a combination (empty for permutations).
-    pub fn removed_positions(&self, k: usize) -> Vec<usize> {
-        match self {
-            Perturbation::Combination(kept) => (0..k).filter(|i| !kept.contains(i)).collect(),
-            Perturbation::Permutation(_) => Vec::new(),
-        }
-    }
-
     /// A short human-readable description in terms of document ids.
     pub fn describe(&self, context: &Context) -> String {
         match self {
@@ -173,7 +165,6 @@ mod tests {
     fn removal_constructor_complements() {
         let p = Perturbation::removal(4, &[1, 3]);
         assert_eq!(p, Perturbation::Combination(vec![0, 2]));
-        assert_eq!(p.removed_positions(4), vec![1, 3]);
     }
 
     #[test]

@@ -6,14 +6,15 @@
 use std::sync::Arc;
 
 use rage_core::counterfactual::{
-    find_combination_counterfactual, find_permutation_counterfactual,
-    require_combination_counterfactual, CounterfactualConfig,
+    find_combination_counterfactual, find_permutation_counterfactual, CounterfactualConfig,
 };
 use rage_core::explanation::ReportConfig;
-use rage_core::insights::{random_permutations, Insights};
-use rage_core::optimal::{best_orders, naive_orders, ranked_orders, OptimalConfig, OrderObjective};
+use rage_core::insights::{random_permutations, Insights, DEFAULT_MIN_CONFIDENCE};
+use rage_core::optimal::{
+    naive_orders, ranked_orders_with_budget, OptimalConfig, OptimalPermutation, OrderObjective,
+};
 use rage_core::{
-    answers_equal, Evaluator, Perturbation, RagPipeline, RageError, RageReport, ScoringMethod,
+    answers_equal, Completeness, Evaluator, Perturbation, RagPipeline, RageReport, ScoringMethod,
     SearchBudget,
 };
 use rage_datasets::synthetic::{ranking_scenario, RankingConfig};
@@ -25,6 +26,18 @@ fn pipeline_for(scenario: &Scenario) -> RagPipeline {
     let searcher = Searcher::from_corpus(&scenario.corpus, 1);
     let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
     RagPipeline::new(searcher, Arc::new(llm))
+}
+
+/// The unbudgeted ranked placements for `objective`.
+fn ranking(
+    evaluator: &Evaluator,
+    config: &OptimalConfig,
+    objective: OrderObjective,
+) -> Vec<OptimalPermutation> {
+    let (orders, completeness) =
+        ranked_orders_with_budget(evaluator, config, objective, &SearchBudget::UNLIMITED).unwrap();
+    assert_eq!(completeness, Completeness::Exact);
+    orders
 }
 
 fn explain(scenario: &Scenario) -> (String, Evaluator) {
@@ -115,7 +128,13 @@ fn us_open_insights_expose_order_sensitivity() {
     let scenario = us_open::scenario();
     let (_, evaluator) = explain(&scenario);
     let samples = random_permutations(evaluator.k(), 40, 3);
-    let insights = Insights::from_perturbations(&evaluator, &samples).unwrap();
+    let insights = Insights::with_budget(
+        &evaluator,
+        &samples,
+        DEFAULT_MIN_CONFIDENCE,
+        &SearchBudget::UNLIMITED,
+    )
+    .unwrap();
     assert_eq!(insights.num_samples, 40);
     // Both the up-to-date and the stale champion appear across orders.
     assert!(insights.distribution.share_of("Coco Gauff") > 0.5);
@@ -130,7 +149,10 @@ fn synthetic_top_down_counterfactual_flips_the_answer() {
     assert_eq!(answer, scenario.expected_full_context_answer);
 
     let config = CounterfactualConfig::top_down().with_scoring(ScoringMethod::RetrievalScore);
-    let cf = require_combination_counterfactual(&evaluator, &config).unwrap();
+    let cf = find_combination_counterfactual(&evaluator, &config)
+        .unwrap()
+        .counterfactual
+        .expect("removing the cited sources flips the answer");
     assert!(!answers_equal(&cf.answer, &answer));
     // Increasing-size enumeration means the citation is minimal-size: no
     // single removal smaller than it could have been skipped.
@@ -149,16 +171,18 @@ fn synthetic_budget_exhaustion_is_reported() {
         .with_scoring(ScoringMethod::RetrievalScore)
         .with_budget(0);
     let outcome = find_combination_counterfactual(&evaluator, &config).unwrap();
+    // The budget, not the space, stopped the search: a larger budget may
+    // still find a counterfactual.
     assert!(outcome.counterfactual.is_none());
     assert!(outcome.exhausted_budget);
     assert_eq!(outcome.stats.candidates, 0);
-    assert!(matches!(
-        require_combination_counterfactual(&evaluator, &config),
-        Err(RageError::BudgetExhausted {
+    assert_eq!(
+        outcome.completeness,
+        Completeness::BudgetTruncated {
             evaluated: 0,
-            space_exhausted: false
-        })
-    ));
+            pruned: 0
+        }
+    );
 }
 
 #[test]
@@ -172,7 +196,7 @@ fn optimal_k_best_agrees_with_the_naive_baseline_up_to_k6() {
             .with_scoring(ScoringMethod::RetrievalScore)
             .with_num_orders(10);
         for objective in [OrderObjective::Best, OrderObjective::Worst] {
-            let ranked = ranked_orders(&evaluator, &config, objective).unwrap();
+            let ranked = ranking(&evaluator, &config, objective);
             let naive = naive_orders(&evaluator, &config, objective).unwrap();
             assert_eq!(ranked.len(), naive.len());
             for (r, n) in ranked.iter().zip(naive.iter()) {
@@ -195,7 +219,7 @@ fn optimal_orders_are_ranked_and_answerable() {
     let config = OptimalConfig::default()
         .with_scoring(ScoringMethod::RetrievalScore)
         .with_num_orders(5);
-    let best = best_orders(&evaluator, &config).unwrap();
+    let best = ranking(&evaluator, &config, OrderObjective::Best);
     assert_eq!(best.len(), 5);
     for pair in best.windows(2) {
         assert!(pair[0].objective >= pair[1].objective - 1e-9);

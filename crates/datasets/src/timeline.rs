@@ -34,15 +34,6 @@ pub fn doc_id(year: i32) -> String {
     format!("player-of-the-year-{year}")
 }
 
-/// The years in which Djokovic won (the documents a correct citation must include).
-pub fn djokovic_years() -> Vec<i32> {
-    WINNERS
-        .iter()
-        .filter(|(_, name)| *name == "Novak Djokovic")
-        .map(|(year, _)| *year)
-        .collect()
-}
-
 /// The corpus: one document per season.
 pub fn corpus() -> Corpus {
     let mut corpus = Corpus::new();
@@ -105,6 +96,16 @@ mod tests {
             assert_eq!(doc.fields.get("winner").unwrap(), winner);
             assert!(doc.text.contains(&year.to_string()));
         }
+    }
+
+    /// The years in which Djokovic won (the documents a correct citation must
+    /// include).
+    fn djokovic_years() -> Vec<i32> {
+        WINNERS
+            .iter()
+            .filter(|(_, name)| *name == "Novak Djokovic")
+            .map(|(year, _)| *year)
+            .collect()
     }
 
     #[test]

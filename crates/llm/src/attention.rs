@@ -30,15 +30,6 @@ impl SourceAttention {
         }
         self.masses.iter().map(|m| m / total).collect()
     }
-
-    /// Index of the source with the highest mass, if any.
-    pub fn argmax(&self) -> Option<usize> {
-        self.masses
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
 }
 
 /// Sum the attention of the question-token queries into each source's key span, over
@@ -128,7 +119,11 @@ mod tests {
             ],
         );
         let attention = aggregate_question_to_source_attention(&record, &prompt);
-        assert_eq!(attention.argmax(), Some(0));
+        assert!(
+            attention.masses[0] > attention.masses[1],
+            "{:?}",
+            attention.masses
+        );
     }
 
     #[test]
@@ -137,7 +132,6 @@ mod tests {
         let attention = aggregate_question_to_source_attention(&record, &prompt);
         assert!(attention.masses.is_empty());
         assert!(attention.normalised().is_empty());
-        assert_eq!(attention.argmax(), None);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct Embedder {
 }
 
 /// SplitMix64 step — a tiny, high-quality deterministic mixer.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -50,7 +50,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Map a u64 to a float uniformly distributed in `[-1, 1)`.
-fn unit_float(bits: u64) -> f64 {
+pub(crate) fn unit_float(bits: u64) -> f64 {
     (bits >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
 }
 

@@ -53,11 +53,6 @@ impl PriorKnowledge {
         Self::default()
     }
 
-    /// Build from a list of facts.
-    pub fn from_facts(facts: Vec<PriorFact>) -> Self {
-        Self { facts }
-    }
-
     /// Add a fact (builder style).
     pub fn with_fact(mut self, fact: PriorFact) -> Self {
         self.facts.push(fact);
@@ -154,10 +149,9 @@ mod tests {
 
     #[test]
     fn picks_highest_scoring_fact() {
-        let p = PriorKnowledge::from_facts(vec![
-            PriorFact::new(&["winner"], "Weak Answer", 0.1),
-            PriorFact::new(&["winner", "race"], "Strong Answer", 0.8),
-        ]);
+        let p = PriorKnowledge::empty()
+            .with_fact(PriorFact::new(&["winner"], "Weak Answer", 0.1))
+            .with_fact(PriorFact::new(&["winner", "race"], "Strong Answer", 0.8));
         let m = p.recall("who is the winner of the race").unwrap();
         assert_eq!(m.answer, "Strong Answer");
     }

@@ -202,13 +202,6 @@ pub struct Generation {
     pub prompt_tokens: usize,
 }
 
-impl Generation {
-    /// Attention mass of the source at `index`, or `0.0` if out of range.
-    pub fn attention_for(&self, index: usize) -> f64 {
-        self.source_attention.get(index).copied().unwrap_or(0.0)
-    }
-}
-
 /// The behavioural interface RAGE needs from any language model.
 ///
 /// The simulated model implements it; an adapter around a real transformer checkpoint
@@ -235,17 +228,5 @@ mod tests {
         let empty = LlmInput::without_context("q");
         assert_eq!(empty.num_sources(), 0);
         assert_eq!(empty.question, "q");
-    }
-
-    #[test]
-    fn generation_attention_accessor() {
-        let generation = Generation {
-            answer: "x".into(),
-            text: "x".into(),
-            source_attention: vec![0.5, 0.25],
-            prompt_tokens: 10,
-        };
-        assert_eq!(generation.attention_for(1), 0.25);
-        assert_eq!(generation.attention_for(9), 0.0);
     }
 }

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{LlmInput, SourceText};
+use crate::LlmInput;
 
 /// Hash space size for token ids (also the embedding table size).
 pub const VOCAB_SIZE: usize = 32_768;
@@ -61,14 +61,23 @@ impl TokenizedPrompt {
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
+}
 
-    /// The source index (prompt order) a token position belongs to, if any.
-    pub fn source_of_position(&self, pos: usize) -> Option<usize> {
-        match self.tokens.get(pos)?.segment {
-            Segment::Source(idx) => Some(idx as usize),
-            _ => None,
-        }
+/// Whether `ch` belongs to a word; every other character separates words.
+fn is_word_char(ch: char) -> bool {
+    ch.is_alphanumeric() || ch == '\''
+}
+
+/// The number of words [`SimTokenizer::words`] splits `text` into.
+fn count_words(text: &str) -> usize {
+    let mut count = 0;
+    let mut in_word = false;
+    for ch in text.chars() {
+        let word_char = is_word_char(ch);
+        count += usize::from(word_char && !in_word);
+        in_word = word_char;
     }
+    count
 }
 
 /// Word-level tokenizer with deterministic hashed ids.
@@ -86,7 +95,7 @@ impl SimTokenizer {
         let mut words = Vec::new();
         let mut current = String::new();
         for ch in text.chars() {
-            if ch.is_alphanumeric() || ch == '\'' {
+            if is_word_char(ch) {
                 current.extend(ch.to_lowercase());
             } else if !current.is_empty() {
                 words.push(std::mem::take(&mut current));
@@ -96,6 +105,22 @@ impl SimTokenizer {
             words.push(current);
         }
         words
+    }
+
+    /// The number of tokens [`SimTokenizer::tokenize_prompt`] produces for a
+    /// question and the texts of its sources, counted without tokenising or
+    /// allocating: the question marker and words, then a delimiter and the
+    /// words of each source.
+    pub fn prompt_len<'a>(
+        &self,
+        question: &str,
+        sources: impl IntoIterator<Item = &'a str>,
+    ) -> usize {
+        1 + count_words(question)
+            + sources
+                .into_iter()
+                .map(|text| 1 + count_words(text))
+                .sum::<usize>()
     }
 
     /// Deterministic vocabulary id of a word (FNV-1a hash folded into the vocab space).
@@ -150,16 +175,12 @@ impl SimTokenizer {
             question_span,
         }
     }
-
-    /// Tokenise a list of raw source texts (convenience for tests and benches).
-    pub fn tokenize_sources(&self, question: &str, sources: &[SourceText]) -> TokenizedPrompt {
-        self.tokenize_prompt(&LlmInput::new(question, sources.to_vec()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SourceText;
 
     fn input() -> LlmInput {
         LlmInput::new(
@@ -197,8 +218,8 @@ mod tests {
         // Every token inside a span belongs to that source.
         for (idx, &(start, end)) in prompt.source_spans.iter().enumerate() {
             assert!(start < end);
-            for pos in start..end {
-                assert_eq!(prompt.source_of_position(pos), Some(idx));
+            for token in &prompt.tokens[start..end] {
+                assert_eq!(token.segment, Segment::Source(idx as u16));
             }
         }
         // Question span starts at zero and has the marker plus six words.
@@ -219,7 +240,10 @@ mod tests {
             .collect();
         assert_eq!(delimiter_positions.len(), 2);
         for pos in delimiter_positions {
-            assert_eq!(prompt.source_of_position(pos), None);
+            assert!(prompt
+                .source_spans
+                .iter()
+                .all(|&(start, end)| !(start..end).contains(&pos)));
         }
     }
 
@@ -230,6 +254,32 @@ mod tests {
         assert!(prompt.source_spans.is_empty());
         assert!(!prompt.is_empty());
         assert_eq!(prompt.len(), 3); // marker + "who" + "won"
+    }
+
+    #[test]
+    fn prompt_len_counts_what_tokenize_prompt_builds() {
+        let tok = SimTokenizer::new();
+        let inputs = [
+            input(),
+            LlmInput::without_context(""),
+            LlmInput::without_context("  ...  "),
+            LlmInput::new(
+                "Who's the 2023 champion, Coco?",
+                vec![
+                    SourceText::new("a", "Gauff—champion; Świątek: runner-up!"),
+                    SourceText::new("b", ""),
+                    SourceText::new("c", "it's  O'Neill's   turn\n\tnow"),
+                ],
+            ),
+        ];
+        for input in &inputs {
+            let texts = input.sources.iter().map(|s| s.text.as_str());
+            assert_eq!(
+                tok.prompt_len(&input.question, texts),
+                tok.tokenize_prompt(input).len(),
+                "{input:?}"
+            );
+        }
     }
 
     #[test]
@@ -248,12 +298,5 @@ mod tests {
         let source_ids: Vec<u32> = prompt.tokens[s..e].iter().map(|t| t.id).collect();
         assert_eq!(question_ids[0], source_ids[0]);
         assert_eq!(question_ids[1], source_ids[1]);
-    }
-
-    #[test]
-    fn tokenize_sources_convenience() {
-        let tok = SimTokenizer::new();
-        let prompt = tok.tokenize_sources("q", &[SourceText::new("a", "alpha beta")]);
-        assert_eq!(prompt.source_spans.len(), 1);
     }
 }

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::PrefixCache;
-use crate::embedding::{dot, normalize, Embedder, EmbeddingConfig};
+use crate::embedding::{dot, normalize, splitmix64, unit_float, Embedder, EmbeddingConfig};
 use crate::kernels::{self, simd};
 use crate::tokenizer::TokenizedPrompt;
 
@@ -135,13 +135,6 @@ impl ReadOut {
     }
 }
 
-impl AttentionRecord {
-    /// Total number of attention matrices (layers × heads).
-    pub fn num_matrices(&self) -> usize {
-        self.layers.iter().map(|l| l.heads.len()).sum()
-    }
-}
-
 /// The simulated attention stack.
 #[derive(Debug, Clone)]
 pub struct Transformer {
@@ -192,19 +185,6 @@ fn fold_head(sum: &mut [f64], weights: &[f64], average: Option<f64>) {
             }
         }
     }
-}
-
-/// SplitMix64 step (kept local to avoid a circular helper dependency).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit_float(bits: u64) -> f64 {
-    (bits >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
 }
 
 impl Transformer {
@@ -625,7 +605,7 @@ mod tests {
         );
         let config = TransformerConfig::default();
         assert_eq!(record.layers.len(), config.layers);
-        assert_eq!(record.num_matrices(), config.layers * config.heads);
+        assert!(record.layers.iter().all(|l| l.heads.len() == config.heads));
         assert_eq!(record.seq_len, prompt.len());
         for layer in &record.layers {
             for head in &layer.heads {

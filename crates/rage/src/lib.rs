@@ -62,7 +62,7 @@ pub mod prelude {
     pub use rage_core::explanation::ReportConfig;
     pub use rage_core::insights::Insights;
     pub use rage_core::optimal::{
-        best_orders, naive_orders, ranked_orders_with_budget, worst_orders, OptimalConfig,
+        naive_orders, ranked_orders_with_budget, OptimalConfig, OrderObjective,
     };
     pub use rage_core::scoring::ScoringMethod;
     pub use rage_core::{

@@ -126,7 +126,9 @@ pub mod service;
 pub use diff::{diff, ReportDiff};
 pub use html::render_html;
 pub use json::{from_json, to_json, ReportJsonError, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
-pub use service::{ReportCacheStats, ReportFormat, Service, ServiceError, MAX_SHARDS};
+pub use service::{
+    ReportCacheStats, ReportFormat, Service, ServiceError, MAX_PROMPT_TOKENS, MAX_SHARDS,
+};
 // Re-exported so Service callers (the HTTP server above all) can build the
 // documents they feed the corpus-mutation API without a direct dependency on
 // the retrieval crate.
@@ -360,20 +362,13 @@ pub fn render_markdown(report: &RageReport) -> String {
 mod tests {
     use super::*;
     use rage_core::explanation::ReportConfig;
-    use rage_core::{Context, Evaluator, RagPipeline};
-    use rage_llm::model::{SimLlm, SimLlmConfig};
-    use rage_retrieval::{Document, Searcher};
+    use rage_core::{Context, Evaluator};
+    use rage_retrieval::Document;
     use std::sync::Arc;
 
+    /// The `us_open` report the service serves.
     fn us_open_report() -> RageReport {
-        let scenario = rage_datasets::us_open::scenario();
-        let searcher = Searcher::from_corpus(&scenario.corpus, 1);
-        let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
-        let pipeline = RagPipeline::new(searcher, Arc::new(llm));
-        let (_, evaluator) = pipeline
-            .ask_and_explain(&scenario.question, scenario.retrieval_k)
-            .unwrap();
-        RageReport::generate(&evaluator, &ReportConfig::default()).unwrap()
+        RageReport::clone(&Service::new().report("us_open", None).unwrap())
     }
 
     /// Answers a fixed string whenever any source is present — every sampled

@@ -64,8 +64,11 @@
 //! Every input that sizes a resource is validated *before* the resource is
 //! built: shard counts are capped at [`MAX_SHARDS`] (bounding the indexes a
 //! scenario can hold), corpora at [`MAX_CORPUS_DOCS`] (bounding what a
-//! remote-reachable mutation stream can grow), so untrusted parameters can
-//! neither spawn thread storms nor grow memory without limit.
+//! remote-reachable mutation stream can grow) and prompts at
+//! [`MAX_PROMPT_TOKENS`] (bounding a forward's attention buffers, checked
+//! after retrieval and before the model runs), so untrusted parameters can
+//! neither spawn thread storms nor grow memory without limit. A retrieval
+//! count `k` sizes nothing: retrieval clamps it to the live document count.
 //!
 //! The service is `Sync`; the HTTP server shares one `Arc<Service>` across
 //! its worker pool, and the CLI uses a short-lived instance for a single
@@ -77,10 +80,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rage_core::explanation::ReportConfig;
-use rage_core::{CorpusProvenance, Deadline, RagPipeline, RagResponse, RageError, RageReport};
+use rage_core::{
+    Context, CorpusProvenance, Deadline, RagPipeline, RagResponse, RageError, RageReport,
+};
 use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::cache::PrefixCache;
 use rage_llm::model::{SimLlm, SimLlmConfig};
+use rage_llm::tokenizer::SimTokenizer;
 use rage_retrieval::{
     corpus_fingerprint, document_fingerprint, Document, LiveSearcher, RetrievalError,
 };
@@ -545,9 +551,10 @@ impl Service {
             self.report_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(report);
         }
-        self.report_misses.fetch_add(1, Ordering::Relaxed);
         let pipeline = held.pipeline(shards);
         let context = pipeline.retrieve(&held.scenario.question, held.scenario.retrieval_k)?;
+        check_prompt(&context)?;
+        self.report_misses.fetch_add(1, Ordering::Relaxed);
         drop(held);
         let mut report = RageReport::generate_with_deadline(
             &pipeline.evaluator(context),
@@ -788,8 +795,10 @@ impl Service {
     /// One RAG round trip over a scenario's corpus with a caller-supplied
     /// query.
     ///
-    /// `k: None` uses the scenario's own `retrieval_k`; `k: Some(0)` is an
-    /// [`ServiceError::InvalidArgument`].
+    /// `k: None` uses the scenario's own `retrieval_k`. `k: Some(0)` and a
+    /// query whose prompt would exceed [`MAX_PROMPT_TOKENS`] are
+    /// [`ServiceError::InvalidArgument`]s; the latter is refused after
+    /// retrieval, before the model runs.
     pub fn ask(
         &self,
         name: &str,
@@ -802,7 +811,9 @@ impl Service {
             let mut held = lock_unpoisoned(&state);
             (held.pipeline(1), held.scenario.retrieval_k)
         };
-        Ok(pipeline.ask(query, k.unwrap_or(retrieval_k))?)
+        let context = pipeline.retrieve(query, k.unwrap_or(retrieval_k))?;
+        check_prompt(&context)?;
+        Ok(pipeline.answer_with_context(context)?)
     }
 
     /// A whole batch of queries against one scenario: one [`Service::ask`] per
@@ -873,6 +884,18 @@ impl Service {
 /// can ever exist.
 pub const MAX_SHARDS: usize = 64;
 
+/// Upper bound on the prompt the model reads for one ask or report, in
+/// tokens: the question plus the retrieved sources.
+///
+/// A forward's attention buffers grow with the square of the prompt, and both
+/// the query (`POST /ask`) and the corpus (`POST /corpus/docs`) are remote
+/// input: a 120 KB query asks for a 29 GB buffer. The largest prompt a
+/// registered scenario builds is 313 tokens (`entity_registry`, k = 6), so
+/// 1024 leaves 3× headroom. A longer prompt is refused as
+/// [`ServiceError::InvalidArgument`] right after retrieval, before any
+/// forward.
+pub const MAX_PROMPT_TOKENS: usize = 1024;
+
 /// Upper bound on a mutable corpus's size.
 ///
 /// `POST /corpus/docs` is remote-reachable; without a cap an add stream grows
@@ -891,6 +914,28 @@ fn corpus_full() -> ServiceError {
     ServiceError::InvalidArgument {
         reason: format!("corpus holds the maximum of {MAX_CORPUS_DOCS} documents"),
     }
+}
+
+/// The number of tokens of the prompt the model reads for `context`, counted
+/// with the tokenizer's word rule and without tokenising.
+fn prompt_tokens(context: &Context) -> usize {
+    SimTokenizer::new().prompt_len(
+        &context.query,
+        context.sources.iter().map(|source| source.text.as_str()),
+    )
+}
+
+/// Refuse a context whose prompt exceeds [`MAX_PROMPT_TOKENS`].
+fn check_prompt(context: &Context) -> Result<(), ServiceError> {
+    let tokens = prompt_tokens(context);
+    if tokens > MAX_PROMPT_TOKENS {
+        return Err(ServiceError::InvalidArgument {
+            reason: format!(
+                "the prompt would hold {tokens} tokens, more than the maximum of {MAX_PROMPT_TOKENS}"
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Reject documents that could not round-trip through the corpus (empty ids
@@ -1423,6 +1468,68 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(response, oracle);
+    }
+
+    #[test]
+    fn the_prompt_count_equals_the_prompt_the_model_reads() {
+        let service = Service::new();
+        for name in ["us_open", "entity_registry", "large_corpus"] {
+            let scenario = scenarios::scenario_by_name(name).unwrap();
+            let response = service.ask(name, &scenario.question, None).unwrap();
+            assert_eq!(
+                prompt_tokens(&response.context),
+                response.generation.prompt_tokens,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_huge_k_returns_every_match() {
+        // Regression: retrieval sized a heap from k, so a huge k panicked
+        // (capacity overflow) or aborted the process (allocation failure).
+        let service = Service::new();
+        let response = service
+            .ask("us_open", "Who won the US Open?", Some(1 << 60))
+            .unwrap();
+        assert_eq!(response.k(), 5);
+    }
+
+    #[test]
+    fn an_overlong_ask_is_refused_before_the_model_runs() {
+        let service = Service::new();
+        service
+            .ask("us_open", "Who won the US Open?", None)
+            .unwrap();
+        let before = service.prefix_cache_stats("us_open", None).unwrap();
+        let query = format!("Who won the US Open?{}", " again".repeat(2_000));
+        let err = service.ask("us_open", &query, None).unwrap_err();
+        assert!(matches!(err, ServiceError::InvalidArgument { .. }), "{err}");
+        assert!(
+            err.to_string().contains(&MAX_PROMPT_TOKENS.to_string()),
+            "{err}"
+        );
+        // No forward ran: the prefix cache saw no lookup.
+        let after = service.prefix_cache_stats("us_open", None).unwrap();
+        assert_eq!(after.lookups(), before.lookups());
+    }
+
+    #[test]
+    fn a_report_over_an_overlong_document_is_refused_and_not_counted() {
+        let service = Service::new();
+        let text = format!(
+            "The most recent Coastal Classic champion is Long Text.{}",
+            " Coastal".repeat(2_000)
+        );
+        service
+            .add_document("live_updates", Document::new("long-doc", "Long", text))
+            .unwrap();
+        let before = service.report_cache_stats();
+        let err = service.report("live_updates", None).unwrap_err();
+        assert!(matches!(err, ServiceError::InvalidArgument { .. }), "{err}");
+        let after = service.report_cache_stats();
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(after.entries, before.entries);
     }
 
     #[test]

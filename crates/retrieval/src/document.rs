@@ -7,7 +7,6 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
@@ -253,18 +252,6 @@ impl Corpus {
         }
         Ok(())
     }
-
-    /// Load a corpus from a JSONL file on disk.
-    pub fn load_jsonl(path: impl AsRef<Path>) -> Result<Self, RetrievalError> {
-        let file = std::fs::File::open(path)?;
-        Self::read_jsonl(file)
-    }
-
-    /// Save the corpus to a JSONL file on disk.
-    pub fn save_jsonl(&self, path: impl AsRef<Path>) -> Result<(), RetrievalError> {
-        let file = std::fs::File::create(path)?;
-        self.write_jsonl(file)
-    }
 }
 
 impl FromIterator<Document> for Corpus {
@@ -426,8 +413,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corpus.jsonl");
         let c = sample();
-        c.save_jsonl(&path).unwrap();
-        let restored = Corpus::load_jsonl(&path).unwrap();
+        c.write_jsonl(std::fs::File::create(&path).unwrap())
+            .unwrap();
+        let restored = Corpus::read_jsonl(std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(c, restored);
         std::fs::remove_file(&path).ok();
     }

@@ -1,9 +1,9 @@
 //! The inverted index, in a compact arena layout.
 //!
 //! [`InvertedIndex`] stores, for every analysed term, a postings list of
-//! `(document ordinal, term frequency)` pairs, plus per-document lengths and the corpus
-//! itself. It is the in-memory stand-in for the Lucene index RAGE's prototype queried
-//! through Pyserini.
+//! `(document ordinal, term frequency)` pairs, plus per-document lengths and the indexed
+//! documents, which [`InvertedIndex::document`] returns by ordinal. It is the in-memory
+//! stand-in for the Lucene index RAGE's prototype queried through Pyserini.
 //!
 //! ## Layout
 //!
@@ -214,11 +214,6 @@ impl InvertedIndex {
     /// Average analysed document length (in tokens).
     pub fn avg_doc_len(&self) -> f64 {
         self.avg_doc_len
-    }
-
-    /// The corpus backing the index.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
     }
 
     /// The interned term with the given id (its rank in the sorted dictionary).

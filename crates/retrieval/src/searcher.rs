@@ -203,13 +203,16 @@ impl Searcher {
     /// Like [`Searcher::search`] but reports empty/unanalysable queries as errors.
     ///
     /// Runs the exact dynamic-pruning engine over every segment, bit-identical to
-    /// [`try_search_exhaustive`](Self::try_search_exhaustive).
+    /// [`try_search_exhaustive`](Self::try_search_exhaustive). `k` is clamped to the live
+    /// document count before anything is sized from it: no more documents can match,
+    /// and a caller-supplied `k` must not size an allocation.
     pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
         let terms = analyze(query);
         if terms.is_empty() {
             return Err(RetrievalError::EmptyQuery);
         }
-        if k == 0 || self.index.num_docs() == 0 {
+        let k = k.min(self.index.num_docs());
+        if k == 0 {
             return Ok(Vec::new());
         }
         let doc_freqs = self.index.doc_freqs(&terms);
@@ -228,7 +231,8 @@ impl Searcher {
     /// (`query/docs=100k/exhaustive`) run against; it is not a serving path. Every
     /// segment is scored densely, and tombstoned base ordinals are zeroed before
     /// selection (`select_top_k` never returns non-positive scores), so dead documents
-    /// are indistinguishable from absent ones.
+    /// are indistinguishable from absent ones. `k` is clamped as in
+    /// [`Searcher::try_search`].
     pub fn try_search_exhaustive(
         &self,
         query: &str,
@@ -238,7 +242,8 @@ impl Searcher {
         if terms.is_empty() {
             return Err(RetrievalError::EmptyQuery);
         }
-        if k == 0 || self.index.num_docs() == 0 {
+        let k = k.min(self.index.num_docs());
+        if k == 0 {
             return Ok(Vec::new());
         }
         let doc_freqs = self.index.doc_freqs(&terms);
@@ -408,6 +413,21 @@ mod tests {
         for pair in hits.windows(2) {
             assert!(pair[0].score >= pair[1].score);
         }
+    }
+
+    #[test]
+    fn huge_k_is_clamped_to_the_live_document_count() {
+        // Regression: both paths sized a heap from the caller's k, so a huge k
+        // panicked (capacity overflow) instead of returning every match.
+        let mut s = searcher();
+        s.index_mut().remove("weeks").unwrap();
+        let n = s.index().num_docs();
+        let query = "djokovic federer nadal titles wins";
+        let all = s.try_search(query, n).unwrap();
+        assert_eq!(all.len(), 3);
+        assert_eq!(s.try_search(query, 1 << 60).unwrap(), all);
+        assert_eq!(s.try_search_exhaustive(query, 1 << 60).unwrap(), all);
+        assert_eq!(s.try_search_exhaustive(query, n).unwrap(), all);
     }
 
     #[test]

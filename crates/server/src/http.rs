@@ -8,7 +8,7 @@
 //! follows HTTP/1.1 semantics: requests default to keep-alive (HTTP/1.0 to
 //! close) and a `Connection` header overrides either way; the parsed
 //! [`HttpRequest::keep_alive`] flag carries the decision and
-//! [`HttpResponse::write_to_with_connection`] echoes it back.
+//! [`HttpResponse::write_to`] echoes it back.
 //!
 //! ## Robustness contract
 //!
@@ -25,7 +25,7 @@
 //! * bodies shorter than their declared `Content-Length` (a truncated
 //!   request) are a 400;
 //! * the *whole* request is read under one wall-clock deadline
-//!   ([`parse_request_with_deadline`]): the per-read socket timeout only
+//!   ([`parse_request`]): the per-read socket timeout only
 //!   bounds a fully silent peer, so a slow-loris client trickling one byte
 //!   per timeout window would otherwise hold a worker indefinitely — the
 //!   deadline is checked between reads and answers 408 when exceeded.
@@ -230,24 +230,20 @@ fn is_valid_method(method: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
 }
 
-/// Parse one request from `reader` (request line, headers, body).
+/// Parse one request from `reader` (request line, headers, body) under an
+/// optional overall wall-clock `deadline`.
 ///
 /// Returns `Ok(None)` when the connection was closed before sending anything
 /// (a bare TCP connect/disconnect — not an error worth answering). All other
 /// failure modes produce an [`HttpError`] with the status the caller should
 /// write back.
-pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Option<HttpRequest>, HttpError> {
-    parse_request_with_deadline(reader, None)
-}
-
-/// [`parse_request`] under an overall wall-clock `deadline`.
 ///
 /// The deadline is checked between reads, so the whole request — line,
 /// headers and body together — errors with 408 once it has taken too long,
 /// no matter how steadily the peer trickles bytes. (Each individual blocking
 /// read is still bounded by the socket's read timeout, so the worst case is
 /// `deadline + read_timeout`.)
-pub fn parse_request_with_deadline<R: BufRead>(
+pub fn parse_request<R: BufRead>(
     reader: &mut R,
     deadline: Option<Instant>,
 ) -> Result<Option<HttpRequest>, HttpError> {
@@ -434,20 +430,10 @@ impl HttpResponse {
     }
 
     /// Serialise the response (status line, headers, body) onto `writer`,
-    /// closing the connection (`Connection: close`).
-    pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        self.write_to_with_connection(writer, false)
-    }
-
-    /// Serialise the response, advertising whether the server will keep the
-    /// connection open for another request. Responses are always
-    /// `Content-Length`-framed, so a keep-alive client knows exactly where
-    /// each response ends.
-    pub fn write_to_with_connection<W: Write>(
-        &self,
-        writer: &mut W,
-        keep_alive: bool,
-    ) -> std::io::Result<()> {
+    /// advertising whether the server will keep the connection open for
+    /// another request. Responses are always `Content-Length`-framed, so a
+    /// keep-alive client knows exactly where each response ends.
+    pub fn write_to<W: Write>(&self, writer: &mut W, keep_alive: bool) -> std::io::Result<()> {
         write!(
             writer,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -478,7 +464,7 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(raw: &[u8]) -> Result<Option<HttpRequest>, HttpError> {
-        parse_request(&mut BufReader::new(raw))
+        parse_request(&mut BufReader::new(raw), None)
     }
 
     #[test]
@@ -538,13 +524,13 @@ mod tests {
         // parser stops consuming no matter how much input remains.
         let raw = b"GET /scenarios HTTP/1.1\r\nHost: t\r\n\r\n";
         let expired = Instant::now() - std::time::Duration::from_millis(1);
-        let err = parse_request_with_deadline(&mut BufReader::new(&raw[..]), Some(expired))
+        let err = parse_request(&mut BufReader::new(&raw[..]), Some(expired))
             .expect_err("expired deadline must reject");
         assert_eq!(err.status, 408);
 
         // A deadline comfortably in the future changes nothing.
         let future = Instant::now() + std::time::Duration::from_secs(60);
-        let request = parse_request_with_deadline(&mut BufReader::new(&raw[..]), Some(future))
+        let request = parse_request(&mut BufReader::new(&raw[..]), Some(future))
             .unwrap()
             .unwrap();
         assert_eq!(request.path, "/scenarios");
@@ -554,7 +540,7 @@ mod tests {
     fn expired_deadline_covers_the_body_read_too() {
         let raw = b"POST /ask HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
         let expired = Instant::now() - std::time::Duration::from_millis(1);
-        let err = parse_request_with_deadline(&mut BufReader::new(&raw[..]), Some(expired))
+        let err = parse_request(&mut BufReader::new(&raw[..]), Some(expired))
             .expect_err("expired deadline must reject");
         assert_eq!(err.status, 408);
     }
@@ -564,7 +550,7 @@ mod tests {
         let mut out = Vec::new();
         HttpResponse::error(405, "method not allowed")
             .with_allow("GET")
-            .write_to(&mut out)
+            .write_to(&mut out, false)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(
@@ -609,7 +595,7 @@ mod tests {
                 ))
             }
         }
-        let result = parse_request(&mut BufReader::new(IdleReader)).unwrap();
+        let result = parse_request(&mut BufReader::new(IdleReader), None).unwrap();
         assert_eq!(result, None);
 
         // A timeout *mid-request* is still a hard 400: bytes were committed.
@@ -627,7 +613,7 @@ mod tests {
                 Ok(1)
             }
         }
-        let err = parse_request(&mut BufReader::new(TruncatingReader(b"GET /sce")))
+        let err = parse_request(&mut BufReader::new(TruncatingReader(b"GET /sce")), None)
             .expect_err("mid-request timeout must reject");
         assert_eq!(err.status, 400);
     }
@@ -641,7 +627,7 @@ mod tests {
     fn keep_alive_responses_advertise_the_connection_state() {
         let mut out = Vec::new();
         HttpResponse::ok("application/json", "{}")
-            .write_to_with_connection(&mut out, true)
+            .write_to(&mut out, true)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
@@ -649,7 +635,7 @@ mod tests {
 
         let mut out = Vec::new();
         HttpResponse::ok("application/json", "{}")
-            .write_to_with_connection(&mut out, false)
+            .write_to(&mut out, false)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: close\r\n"), "{text}");
@@ -659,7 +645,7 @@ mod tests {
     fn responses_serialise_with_length_and_close() {
         let mut out = Vec::new();
         HttpResponse::ok("application/json", "{}")
-            .write_to(&mut out)
+            .write_to(&mut out, false)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");

@@ -15,8 +15,8 @@
 //! |---------------------|------------------------------------------------------|
 //! | `GET /`             | HTML index: every scenario, linked to its HTML view  |
 //! | `GET /scenarios`    | JSON list of registry scenarios (name + summary)     |
-//! | `GET /report?scenario=S[&format=md\|json\|html][&shards=N][&deadline_ms=MS]` | one rendered explanation report (default `json`); the `html` format is the self-contained interactive page; `deadline_ms` serves an *anytime* report whose searches stop at the wall-clock deadline, with explicit completeness markers on truncated sections (a cached exact report answers at once; a truncated one is never cached) |
-//! | `POST /ask`         | JSON body `{"scenario": S, "query": Q[, "k": N][, "deadline_ms": MS]}` — one RAG round trip over the scenario's corpus, answered on the worker that parsed it; `deadline_ms` starts when the body is parsed: an ask already past it answers 408 before any retrieval or forward runs, and one that finishes past it answers 408, so the caller waits at most the deadline plus one ask |
+//! | `GET /report?scenario=S[&format=md\|json\|html][&shards=N][&deadline_ms=MS]` | one rendered explanation report (default `json`); the `html` format is the self-contained interactive page; `deadline_ms` serves an *anytime* report whose searches stop at the wall-clock deadline, with explicit completeness markers on truncated sections (a cached exact report answers at once; a truncated one is never cached); a report whose prompt would exceed [`rage_report::MAX_PROMPT_TOKENS`] (a corpus grown with an overlong document) answers 400 before the model runs |
+//! | `POST /ask`         | JSON body `{"scenario": S, "query": Q[, "k": N][, "deadline_ms": MS]}` — one RAG round trip over the scenario's corpus, answered on the worker that parsed it; `k` sizes nothing (retrieval clamps it to the corpus size); a prompt (question plus retrieved sources) longer than [`rage_report::MAX_PROMPT_TOKENS`] answers 400 before the model runs; `deadline_ms` starts when the body is parsed: an ask already past it answers 408 before any retrieval or forward runs, and one that finishes past it answers 408, so the caller waits at most the deadline plus one ask |
 //! | `POST /diff`        | JSON body `{"a": <report>, "b": <report>}` (two report documents, schema v1 or v2) — their [`rage_report::ReportDiff`] |
 //! | `GET /diff?scenario=S&from=N&to=N[&shards=N]` | diff the scenario's reports at two corpus versions (the `to` side may be the live version; older sides come from the service's bounded version cache) |
 //! | `POST /corpus/docs` | JSON body `{"scenario": S, "doc": {"id", "text"[, "title"][, "fields"]}[, "mode": "add"\|"update"\|"upsert"]}` — mutate the scenario's live corpus; answers the new corpus provenance |
@@ -27,8 +27,10 @@
 //! mirrored in the HTTP status line. Caller mistakes are always 4xx — unknown
 //! scenarios 404, malformed bodies/parameters 400 (including `k = 0`, which
 //! the engine reports as an invalid argument, *not* as an empty retrieval,
-//! and `shards` beyond [`rage_report::MAX_SHARDS`], which is rejected before
-//! it can size any allocation or thread pool), adding a document whose id is
+//! `shards` beyond [`rage_report::MAX_SHARDS`], which is rejected before it
+//! can size any allocation or thread pool, and a prompt beyond
+//! [`rage_report::MAX_PROMPT_TOKENS`], which is rejected before a forward
+//! sizes its attention buffers from it), adding a document whose id is
 //! already live 409, a known path with the wrong method 405 with an `Allow`
 //! header, and a request that trickles past the configured wall-clock
 //! deadline 408. Malformed HTTP never panics a worker (see [`http`] for the
@@ -99,7 +101,7 @@ use rage_json::JsonValue;
 use rage_report::service::ErrorKind;
 use rage_report::{diff, from_json, Document, ReportFormat, Service, ServiceError};
 
-use http::{parse_request_with_deadline, HttpRequest, HttpResponse};
+use http::{parse_request, HttpRequest, HttpResponse};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -359,7 +361,7 @@ fn handle_connection(
         }
         let deadline = Instant::now() + config.request_deadline;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match parse_request_with_deadline(&mut reader, Some(deadline)) {
+            match parse_request(&mut reader, Some(deadline)) {
                 Ok(Some(request)) => {
                     let response = route(&request, service, asks, requests_served);
                     Some((response, request.keep_alive))
@@ -378,11 +380,7 @@ fn handle_connection(
         };
         served += 1;
         let keep_alive = client_keep_alive && served < config.max_requests_per_connection.max(1);
-        if response
-            .write_to_with_connection(&mut writer, keep_alive)
-            .is_err()
-            || !keep_alive
-        {
+        if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
             return;
         }
     }

@@ -239,6 +239,16 @@ fn ask_matches_a_direct_service_call() {
     let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).unwrap();
     let default_k = scenario_by_name("us_open").unwrap().retrieval_k;
     assert_eq!(doc.get("k").and_then(JsonValue::as_usize), Some(default_k));
+
+    // A huge "k" sizes nothing: it answers with every matching source.
+    let (status, _, body) = post(
+        &server,
+        "/ask",
+        r#"{"scenario": "us_open", "query": "Who won the US Open?", "k": 1000000000000}"#,
+    );
+    assert_eq!(status, 200);
+    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert_eq!(doc.get("k").and_then(JsonValue::as_usize), Some(5));
 }
 
 /// Concurrent asks run on their own workers without changing any answer:
@@ -397,6 +407,17 @@ fn caller_mistakes_map_to_4xx() {
                 &server,
                 "/ask",
                 r#"{"scenario": "us_open", "query": "q", "k": 1.5}"#,
+            ),
+        ),
+        (
+            "ask whose prompt exceeds MAX_PROMPT_TOKENS",
+            post(
+                &server,
+                "/ask",
+                &format!(
+                    r#"{{"scenario": "us_open", "query": "Who won the US Open?{}"}}"#,
+                    " again".repeat(2_000)
+                ),
             ),
         ),
         ("diff missing sides", post(&server, "/diff", r#"{"a": 1}"#)),

@@ -16,7 +16,7 @@ use rage_server::http::{
 use rage_server::{Server, ServerConfig};
 
 fn parse(raw: &[u8]) -> Result<Option<HttpRequest>, HttpError> {
-    parse_request(&mut BufReader::new(raw))
+    parse_request(&mut BufReader::new(raw), None)
 }
 
 fn status_of(raw: &[u8]) -> u16 {

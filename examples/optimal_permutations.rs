@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use rage::explain::optimal::OrderObjective;
 use rage::prelude::*;
 
 fn main() -> Result<(), RageError> {
@@ -21,8 +20,11 @@ fn main() -> Result<(), RageError> {
     println!("A (retrieved order): {}\n", response.answer());
 
     let config = OptimalConfig::default().with_num_orders(3);
-    let best = best_orders(&evaluator, &config)?;
-    let worst = worst_orders(&evaluator, &config)?;
+    let unlimited = SearchBudget::UNLIMITED;
+    let (best, _) =
+        ranked_orders_with_budget(&evaluator, &config, OrderObjective::Best, &unlimited)?;
+    let (worst, _) =
+        ranked_orders_with_budget(&evaluator, &config, OrderObjective::Worst, &unlimited)?;
 
     println!("top placements (relevance x position-attention):");
     for (rank, op) in best.iter().enumerate() {

@@ -34,9 +34,11 @@ fn main() -> Result<(), RageError> {
         None => println!("\nthe answer is stable under re-ordering"),
     }
 
-    let insights = Insights::from_perturbations(
+    let insights = Insights::with_budget(
         &evaluator,
         &rage::explain::insights::random_permutations(evaluator.k(), 40, 3),
+        rage::explain::insights::DEFAULT_MIN_CONFIDENCE,
+        &SearchBudget::UNLIMITED,
     )?;
     println!("\nanswer distribution over 40 random orders:");
     for entry in &insights.distribution.entries {
