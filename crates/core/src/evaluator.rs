@@ -10,46 +10,43 @@
 //!
 //! An evaluator has a fan-out *width* ([`Evaluator::with_width`]; by default
 //! the cores available to the process,
-//! [`std::thread::available_parallelism`]).
-//! [`Evaluator::evaluate_batch`] deduplicates a batch by canonical
-//! perturbation, then runs the distinct perturbations on `width` threads
-//! under [`std::thread::scope`]: the calling thread and `width − 1` helpers
-//! take indices from one atomic counter, and the results are scattered back
-//! by index. Duplicates resolve through the memo afterwards, exactly as they
-//! would in an in-order pass. At width 1, or for a batch with at most one
-//! distinct perturbation, the batch runs in order on the calling thread and
-//! spawns nothing; width 1 is the oracle the wider widths must reproduce.
+//! [`std::thread::available_parallelism`]). A known list runs on `width`
+//! threads under [`std::thread::scope`]: the calling thread and `width − 1`
+//! helpers take indices from one atomic counter, and the results are
+//! scattered back by index. At width 1, or for a list of at most one
+//! perturbation, the list runs in order on the calling thread and spawns
+//! nothing; width 1 is the oracle the wider widths must reproduce.
 //!
-//! Only lists a report knows before evaluating any item go through a batch:
-//! the two baseline answers, each placement ranking and the insight sample.
-//! Under a deadline those lists run in windows of the width, with the
-//! deadline checked between windows. The early-exit searches (top-down, bottom-up, permutation) evaluate one
-//! candidate at a time, so nothing is evaluated speculatively. Because the
+//! Only lists a report knows before evaluating any item fan out, through
+//! one entry point, `Evaluator::evaluate_within`: the two baseline answers,
+//! each placement ranking and the insight sample. Under a deadline those
+//! lists run in windows of the width, with the deadline checked between
+//! windows. The early-exit searches (top-down, bottom-up, permutation)
+//! evaluate one candidate at a time, so nothing is evaluated speculatively. Because the
 //! model is deterministic and each distinct perturbation reaches it exactly
 //! once, reports are equal at every width down to the cost counters.
 //!
-//! A model panic on any thread of a batch propagates to the caller once
-//! every thread of the batch has stopped; a batch never hangs.
+//! A model panic on any thread of a list propagates to the caller once
+//! every thread of the list has stopped; a list never hangs.
 //!
 //! ## Cache invariants
 //!
 //! * One memo entry per canonical perturbation; the canonical form aliases the
 //!   full identity permutation to the all-sources combination because both
 //!   render the same prompt.
-//! * `misses == llm_calls`: every miss performs exactly one inference, hits
-//!   perform none ([`Evaluator::cache_stats`]).
+//! * Entries are write-once: the first lookup of a perturbation inserts its
+//!   entry under the memo lock and runs the model after releasing it; every
+//!   later lookup, on any thread, waits for that one result. So each distinct
+//!   perturbation reaches the model once at any concurrency, and
+//!   `misses == llm_calls` ([`Evaluator::cache_stats`]). A lookup that finds
+//!   an entry, finished or still running, is a hit; an invalid perturbation
+//!   is rejected before any entry is inserted and is neither.
+//! * A model panic leaves its entry empty, so a waiting lookup runs the model
+//!   itself: a deterministic panic reaches every caller, and none hangs.
 //! * Entries are never evicted or mutated, so a cached [`Generation`] is
 //!   returned bit-identically forever after.
-//! * Striping (16 stripes, keyed by the perturbation hash) keeps concurrent
-//!   lookups off each other's locks; a stripe lock is held only for the O(1)
-//!   lookup/insert, never across an LLM inference. Two threads racing on the
-//!   *same* uncached perturbation would both run the inference; a batch
-//!   prevents that by deduplicating before it fans out, which keeps the
-//!   `llm_calls` accounting exact.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -62,10 +59,6 @@ use crate::context::Context;
 use crate::error::RageError;
 use crate::perturbation::Perturbation;
 
-/// Number of stripes in the shared memo map. A power of two comfortably above
-/// any sensible fan-out width, so concurrent lookups rarely collide.
-const MEMO_STRIPES: usize = 16;
-
 /// The default fan-out width: the number of cores available to this process
 /// ([`std::thread::available_parallelism`], 1 if unknown).
 ///
@@ -76,61 +69,17 @@ fn default_width() -> usize {
     *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The shared memo: perturbation → generation, striped to keep the threads of
-/// a batch off each other's locks.
-struct StripedMemo {
-    stripes: Vec<Mutex<HashMap<Perturbation, Generation>>>,
-}
-
-impl StripedMemo {
-    fn new() -> Self {
-        Self {
-            stripes: (0..MEMO_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn stripe_of(&self, key: &Perturbation) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.stripes.len()
-    }
-
-    fn get(&self, key: &Perturbation) -> Option<Generation> {
-        self.stripes[self.stripe_of(key)]
-            .lock()
-            .expect("memo stripe poisoned")
-            .get(key)
-            .cloned()
-    }
-
-    fn insert(&self, key: Perturbation, value: Generation) {
-        let stripe = self.stripe_of(&key);
-        self.stripes[stripe]
-            .lock()
-            .expect("memo stripe poisoned")
-            .insert(key, value);
-    }
-
-    fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("memo stripe poisoned").len())
-            .sum()
-    }
-}
-
 /// Evaluates perturbations of one fixed (question, context) pair against an
-/// LLM, fanning batches out over [`Evaluator::width`] threads.
+/// LLM, fanning known lists out over [`Evaluator::width`] threads.
 ///
-/// It is `Sync`: the memo is a lock-striped map and the counters are atomics.
-/// See the module docs for the fan-out and cache contracts.
+/// It is `Sync`: the memo is one locked map of write-once entries and the
+/// counters are atomics. See the module docs for the fan-out and cache
+/// contracts.
 pub struct Evaluator {
     llm: Arc<dyn LanguageModel>,
     context: Context,
     width: usize,
-    cache: StripedMemo,
+    memo: Mutex<HashMap<Perturbation, Arc<OnceLock<Generation>>>>,
     llm_calls: AtomicUsize,
     cache_hits: AtomicUsize,
 }
@@ -144,14 +93,15 @@ impl Evaluator {
             llm,
             context,
             width: default_width(),
-            cache: StripedMemo::new(),
+            memo: Mutex::new(HashMap::new()),
             llm_calls: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
         }
     }
 
-    /// Set the fan-out width: how many threads a batch runs on (clamped to at
-    /// least 1; width 1 evaluates every batch in order on the calling thread).
+    /// Set the fan-out width: how many threads a known list runs on (clamped
+    /// to at least 1; width 1 evaluates every list in order on the calling
+    /// thread).
     pub fn with_width(mut self, width: usize) -> Self {
         self.width = width.max(1);
         self
@@ -184,7 +134,7 @@ impl Evaluator {
 
     /// Number of distinct perturbations evaluated so far.
     pub fn evaluations(&self) -> usize {
-        self.cache.len()
+        self.memo.lock().expect("memo poisoned").len()
     }
 
     /// Hit/miss counters of the memo cache. Every miss is exactly one LLM
@@ -217,69 +167,65 @@ impl Evaluator {
     }
 
     /// The full generation (answer + attention read-out) for a perturbation.
+    ///
+    /// The first lookup of a perturbation runs the model; every later one,
+    /// on any thread, waits for that result (see the module docs).
     pub fn generation_for(&self, perturbation: &Perturbation) -> Result<Generation, RageError> {
         let key = self.canonical(perturbation);
-        if let Some(hit) = self.cache.get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::SeqCst);
-            return Ok(hit);
-        }
-        let sources = perturbation.apply(&self.context)?;
-        let generation = self
-            .llm
-            .generate(&LlmInput::new(self.context.query.clone(), sources));
-        self.llm_calls.fetch_add(1, Ordering::SeqCst);
-        self.cache.insert(key, generation.clone());
-        Ok(generation)
+        let entry = {
+            let mut memo = self.memo.lock().expect("memo poisoned");
+            if let Some(entry) = memo.get(&key) {
+                self.cache_hits.fetch_add(1, Ordering::SeqCst);
+                Arc::clone(entry)
+            } else {
+                perturbation.validate(self.k())?;
+                Arc::clone(memo.entry(key).or_default())
+            }
+        };
+        let generation = entry.get_or_init(|| {
+            let sources = perturbation
+                .apply(&self.context)
+                .expect("validated before its entry was inserted");
+            let generation = self
+                .llm
+                .generate(&LlmInput::new(self.context.query.clone(), sources));
+            self.llm_calls.fetch_add(1, Ordering::SeqCst);
+            generation
+        });
+        Ok(generation.clone())
     }
 
-    /// Evaluate a batch, returning one result per input in input order.
+    /// Evaluate a list, returning one result per input in input order.
     ///
     /// The results, the memo and every counter end up exactly as element-wise
     /// [`generation_for`](Evaluator::generation_for) calls in input order
-    /// would leave them; only the wall clock depends on the width. The
-    /// distinct perturbations run on up to [`width`](Evaluator::width)
-    /// threads (see the module docs).
+    /// would leave them; only the wall clock depends on the width. The list
+    /// runs on up to [`width`](Evaluator::width) threads (see the module
+    /// docs).
     ///
     /// # Panics
     ///
-    /// If the model panics on any thread, once every thread of the batch has
+    /// If the model panics on any thread, once every thread of the list has
     /// stopped.
-    pub fn evaluate_batch(
-        &self,
-        perturbations: &[Perturbation],
-    ) -> Vec<Result<Generation, RageError>> {
-        if self.width > 1 {
-            // Each distinct perturbation reaches the model once, on one thread.
-            let mut seen: HashSet<Perturbation> = HashSet::new();
-            let distinct: Vec<usize> = (0..perturbations.len())
-                .filter(|&index| seen.insert(self.canonical(&perturbations[index])))
+    fn evaluate_batch(&self, perturbations: &[Perturbation]) -> Vec<Result<Generation, RageError>> {
+        let threads = self.width.min(perturbations.len());
+        if threads <= 1 {
+            return perturbations
+                .iter()
+                .map(|p| self.generation_for(p))
                 .collect();
-            if distinct.len() > 1 {
-                return self.fan_out(perturbations, &distinct);
-            }
         }
-        perturbations
-            .iter()
-            .map(|p| self.generation_for(p))
-            .collect()
-    }
-
-    /// Run the `distinct` perturbations of a batch on up to `width` threads,
-    /// then resolve the duplicates through the memo.
-    fn fan_out(
-        &self,
-        perturbations: &[Perturbation],
-        distinct: &[usize],
-    ) -> Vec<Result<Generation, RageError>> {
         let next = AtomicUsize::new(0);
         let work = || {
             let mut done = Vec::new();
-            while let Some(&index) = distinct.get(next.fetch_add(1, Ordering::Relaxed)) {
-                done.push((index, self.generation_for(&perturbations[index])));
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(perturbation) = perturbations.get(index) else {
+                    break done;
+                };
+                done.push((index, self.generation_for(perturbation)));
             }
-            done
         };
-        let threads = self.width.min(distinct.len());
         // A panicking share surfaces as an `Err`, on the caller's share
         // through `catch_unwind` and on a helper's through `join`.
         let shares = std::thread::scope(|scope| {
@@ -302,13 +248,9 @@ impl Evaluator {
                 Err(_) => panic!("evaluator worker thread panicked during a batch"),
             }
         }
-        // Duplicates resolve through the (now warm) memo: a cache hit for
-        // successes, the identical deterministic error otherwise, exactly as
-        // they would in order.
         slots
             .into_iter()
-            .zip(perturbations)
-            .map(|(slot, perturbation)| slot.unwrap_or_else(|| self.generation_for(perturbation)))
+            .map(|slot| slot.expect("every index is taken by one thread"))
             .collect()
     }
 
@@ -582,7 +524,8 @@ mod tests {
             for (g, e) in got.iter().zip(expected.iter()) {
                 assert_eq!(g.as_ref().unwrap(), e.as_ref().unwrap(), "width={width}");
             }
-            // Dedup keeps true inference counts identical to sequential.
+            // One forward per distinct perturbation keeps true inference
+            // counts identical to sequential.
             assert_eq!(parallel.llm_calls(), sequential.llm_calls());
             assert_eq!(
                 llm.calls.load(Ordering::SeqCst),
@@ -592,6 +535,43 @@ mod tests {
             assert_eq!(parallel.cache_stats(), sequential.cache_stats());
             assert_eq!(parallel.evaluations(), sequential.evaluations());
         }
+    }
+
+    /// Answers like the model it wraps after sleeping 50 ms, so concurrent
+    /// lookups of one perturbation overlap its forward.
+    struct SlowLlm<M>(M);
+
+    impl<M: LanguageModel> LanguageModel for SlowLlm<M> {
+        fn generate(&self, input: &LlmInput) -> Generation {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            self.0.generate(input)
+        }
+    }
+
+    #[test]
+    fn concurrent_lookups_of_one_perturbation_run_one_forward() {
+        let llm = Arc::new(SlowLlm(FirstSourceLlm::new()));
+        let evaluator = Evaluator::new(llm.clone(), context());
+        let perturbation = Perturbation::Combination(vec![1, 2]);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    assert_eq!(evaluator.answer_for(&perturbation).unwrap(), "b");
+                });
+            }
+        });
+        assert_eq!(llm.0.calls.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            evaluator.cache_stats(),
+            CacheStats {
+                hits: 3,
+                misses: 1,
+                evictions: 0
+            }
+        );
+        assert_eq!(evaluator.evaluations(), 1);
     }
 
     #[test]
@@ -641,6 +621,30 @@ mod tests {
             Perturbation::Combination(vec![1]),
         ];
         let _ = parallel.evaluate_batch(&batch);
+    }
+
+    #[test]
+    fn a_model_panic_reaches_every_waiting_lookup() {
+        // The panic leaves the entry empty, so the lookup waiting on it runs
+        // the model itself and panics too, instead of waiting forever.
+        let evaluator = Evaluator::new(Arc::new(SlowLlm(PanicOnEmptyLlm)), context());
+        let start = std::sync::Barrier::new(2);
+        let panicked = std::thread::scope(|scope| {
+            let lookups: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        evaluator.empty_context_answer()
+                    })
+                })
+                .collect();
+            lookups
+                .into_iter()
+                .filter_map(|lookup| lookup.join().err())
+                .count()
+        });
+        assert_eq!(panicked, 2);
+        assert_eq!(evaluator.llm_calls(), 0);
     }
 
     #[test]

@@ -164,15 +164,14 @@ impl RageReport {
     ) -> Result<Self, RageError> {
         let evaluations_before = evaluator.evaluations();
         let llm_calls_before = evaluator.llm_calls();
-        let [full, empty]: [_; 2] = evaluator
-            .evaluate_batch(&[
-                Perturbation::identity_combination(evaluator.k()),
-                Perturbation::Combination(Vec::new()),
-            ])
-            .try_into()
-            .expect("one result per baseline");
-        let full_context_answer = full?.answer;
-        let empty_context_answer = empty?.answer;
+        let baselines = [
+            Perturbation::identity_combination(evaluator.k()),
+            Perturbation::Combination(Vec::new()),
+        ];
+        let (generations, _) = evaluator.evaluate_within(&baselines, &SearchBudget::UNLIMITED)?;
+        let [full, empty]: [_; 2] = generations.try_into().expect("one generation per baseline");
+        let full_context_answer = full.answer;
+        let empty_context_answer = empty.answer;
         let source_scores = config.scoring.source_scores(evaluator)?;
 
         let combination_config = CounterfactualConfig {

@@ -14,10 +14,18 @@
 //!   [`ScoringMethod::combination_score`] over the report's source scores,
 //!   exact ties going to the set [`CombinationIter`] yields first;
 //! * the report cites nothing only when no subset flips.
+//!
+//! The permutation counterfactual is the *most Kendall-similar* flipping
+//! order: it flips the full-context answer, its `tau` is
+//! [`kendall_tau_naive`] of its order, no order [`PermutationIter`] yields
+//! with a strictly higher τ flips, and the report cites nothing only when no
+//! order flips.
 
 use std::sync::Arc;
 
 use rage_assignment::combinations::{complement, CombinationIter};
+use rage_assignment::kendall::kendall_tau_naive;
+use rage_assignment::PermutationIter;
 use rage_core::counterfactual::SearchDirection;
 use rage_core::explanation::ReportConfig;
 use rage_core::{answers_equal, Evaluator, Perturbation, RagPipeline, RageReport, ScoringMethod};
@@ -90,28 +98,83 @@ fn assert_minimal(
     assert_eq!(got, expected, "{label}: cited set, kept set and answer");
 }
 
-#[test]
-fn combination_counterfactuals_are_minimal_and_most_relevant_on_registered_scenarios() {
-    let registry = ScenarioRegistry::builtin();
-    let mut covered = 0;
-    for entry in registry.iter() {
-        let scenario = entry.build();
-        let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
-        let pipeline = RagPipeline::new(Searcher::from_corpus(&scenario.corpus, 1), Arc::new(llm));
-        let (_, evaluator) = pipeline
-            .ask_and_explain(&scenario.question, scenario.retrieval_k)
-            .expect("scenario question retrieves a context");
-        if evaluator.k() > MAX_K {
+/// Checks the permutation counterfactual against every order of the context.
+/// The orders the search passed on its way are memo hits, so only orders
+/// above the cited τ are looked up (every order when nothing is cited).
+fn assert_most_kendall_similar(label: &str, evaluator: &Evaluator, report: &RageReport) {
+    let baseline = &report.full_context_answer;
+    let cited_tau = match &report.permutation.counterfactual {
+        Some(cf) => {
+            assert_eq!(&cf.baseline_answer, baseline, "{label}: baseline answer");
+            let answer = evaluator
+                .answer_for(&Perturbation::Permutation(cf.order.clone()))
+                .expect("the cited order evaluates");
+            assert_eq!(answer, cf.answer, "{label}: cited answer");
+            assert!(
+                !answers_equal(&answer, baseline),
+                "{label}: cited order flips"
+            );
+            assert_eq!(cf.tau, kendall_tau_naive(&cf.order), "{label}: cited tau");
+            cf.tau
+        }
+        None => f64::NEG_INFINITY,
+    };
+    for order in PermutationIter::new(evaluator.k()) {
+        if kendall_tau_naive(&order) <= cited_tau {
             continue;
         }
-        let report = RageReport::generate(&evaluator, &ReportConfig::default()).unwrap();
-        let name = entry.name();
-        assert!(report.all_sections_exact(), "{name}: every section exact");
+        let answer = evaluator
+            .answer_for(&Perturbation::Permutation(order.clone()))
+            .expect("every order evaluates");
+        assert!(
+            answers_equal(&answer, baseline),
+            "{label}: {order:?} flips to {answer:?} above the cited tau {cited_tau}"
+        );
+    }
+}
+
+/// Every registered scenario whose context has at most [`MAX_K`] sources,
+/// with its default report and the evaluator that report ran on.
+fn enumerable_reports() -> Vec<(&'static str, Evaluator, RageReport)> {
+    let reports: Vec<_> = ScenarioRegistry::builtin()
+        .iter()
+        .filter_map(|entry| {
+            let scenario = entry.build();
+            let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()));
+            let pipeline =
+                RagPipeline::new(Searcher::from_corpus(&scenario.corpus, 1), Arc::new(llm));
+            let (_, evaluator) = pipeline
+                .ask_and_explain(&scenario.question, scenario.retrieval_k)
+                .expect("scenario question retrieves a context");
+            if evaluator.k() > MAX_K {
+                return None;
+            }
+            let report = RageReport::generate(&evaluator, &ReportConfig::default()).unwrap();
+            let name = entry.name();
+            assert!(report.all_sections_exact(), "{name}: every section exact");
+            Some((name, evaluator, report))
+        })
+        .collect();
+    assert!(
+        !reports.is_empty(),
+        "no registered scenario has k <= {MAX_K}"
+    );
+    reports
+}
+
+#[test]
+fn combination_counterfactuals_are_minimal_and_most_relevant_on_registered_scenarios() {
+    for (name, evaluator, report) in enumerable_reports() {
         for direction in [SearchDirection::TopDown, SearchDirection::BottomUp] {
             let label = format!("{name} {direction:?}");
             assert_minimal(&label, &evaluator, &report, direction);
         }
-        covered += 1;
     }
-    assert!(covered > 0, "no registered scenario has k <= {MAX_K}");
+}
+
+#[test]
+fn permutation_counterfactuals_are_the_most_kendall_similar_flips_on_registered_scenarios() {
+    for (name, evaluator, report) in enumerable_reports() {
+        assert_most_kendall_similar(name, &evaluator, &report);
+    }
 }

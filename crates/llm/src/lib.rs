@@ -8,8 +8,8 @@
 //! The RAGE prototype runs `meta-llama/Llama-2-7b-chat-hf` on an RTX 4090 through the
 //! HuggingFace Transformers stack. Neither the model weights nor the GPU are available
 //! in this reproduction environment, so this crate substitutes the closest synthetic
-//! equivalent that exercises the same code paths RAGE depends on (the substitution is
-//! documented in `DESIGN.md`). RAGE treats the LLM as:
+//! equivalent that exercises the same code paths RAGE depends on. RAGE treats the LLM
+//! as:
 //!
 //! 1. a black-box answer function `a = L(q, Dq)` over a question and an *ordered*
 //!    sequence of context sources, and

@@ -181,12 +181,6 @@ impl SimLlm {
         year_range: &Option<(i32, i32)>,
         kind: &QuestionKind,
     ) -> String {
-        if input.sources.is_empty() {
-            if let Some(prior) = self.config.prior.recall(&input.question) {
-                return prior.answer;
-            }
-            return "0".to_string();
-        }
         let max_eff = effective.iter().cloned().fold(0.0_f64, f64::max);
         let threshold = COUNT_THRESHOLD * max_eff;
         let mut years: Vec<i32> = Vec::new();

@@ -67,8 +67,12 @@
 //! remote-reachable mutation stream can grow) and prompts at
 //! [`MAX_PROMPT_TOKENS`] (bounding a forward's attention buffers, checked
 //! after retrieval and before the model runs), so untrusted parameters can
-//! neither spawn thread storms nor grow memory without limit. A retrieval
-//! count `k` sizes nothing: retrieval clamps it to the live document count.
+//! neither spawn thread storms nor grow memory without limit. A written
+//! document is held to its share of that bound: one that would add more
+//! than `(MAX_PROMPT_TOKENS − question tokens) / retrieval_k` tokens to its
+//! scenario's prompt is refused, so no write can push the scenario's own
+//! reports over the bound. A retrieval count `k` sizes nothing: retrieval
+//! clamps it to the live document count.
 //!
 //! The service is `Sync`; the HTTP server shares one `Arc<Service>` across
 //! its worker pool, and the CLI uses a short-lived instance for a single
@@ -663,11 +667,13 @@ impl Service {
     /// Apply one mutation to the authoritative corpus and to every live
     /// index of the scenario, returning the new provenance.
     ///
-    /// All error paths exit before any shared state moves: the version bumps
-    /// and the indexes mutate only after the authoritative corpus accepted
-    /// the operation. The whole application happens under the scenario's
-    /// lock, so a report's retrieval, which holds the same lock, reads either
-    /// the old corpus everywhere or the new corpus everywhere.
+    /// A document longer than its share of the scenario's prompt is refused
+    /// (see the module docs). All error paths exit before any shared state
+    /// moves: the version bumps and the indexes mutate only after the
+    /// authoritative corpus accepted the operation. The whole application
+    /// happens under the scenario's lock, so a report's retrieval, which
+    /// holds the same lock, reads either the old corpus everywhere or the new
+    /// corpus everywhere.
     fn mutate(&self, name: &str, op: CorpusOp) -> Result<CorpusProvenance, ServiceError> {
         let canonical = self.canonical_name(name)?;
         let state_arc = self.state(canonical);
@@ -675,7 +681,7 @@ impl Service {
         // The document the operation adds and the one it replaces or removes.
         let (added, removed) = match &op {
             CorpusOp::Add(doc) => {
-                validate_document(doc)?;
+                validate_document(&state.scenario, doc)?;
                 if state.scenario.corpus.len() >= MAX_CORPUS_DOCS {
                     return Err(corpus_full());
                 }
@@ -687,7 +693,7 @@ impl Service {
                 (Some(doc), None)
             }
             CorpusOp::Update(doc) => {
-                validate_document(doc)?;
+                validate_document(&state.scenario, doc)?;
                 let old = state
                     .scenario
                     .corpus
@@ -696,7 +702,7 @@ impl Service {
                 (Some(doc), Some(old))
             }
             CorpusOp::Upsert(doc) => {
-                validate_document(doc)?;
+                validate_document(&state.scenario, doc)?;
                 if state.scenario.corpus.get(&doc.id).is_none()
                     && state.scenario.corpus.len() >= MAX_CORPUS_DOCS
                 {
@@ -893,7 +899,8 @@ pub const MAX_SHARDS: usize = 64;
 /// registered scenario builds is 313 tokens (`entity_registry`, k = 6), so
 /// 1024 leaves 3× headroom. A longer prompt is refused as
 /// [`ServiceError::InvalidArgument`] right after retrieval, before any
-/// forward.
+/// forward, and so is a written document that would take more than its
+/// per-source share of the bound in its scenario's prompt.
 pub const MAX_PROMPT_TOKENS: usize = 1024;
 
 /// Upper bound on a mutable corpus's size.
@@ -938,12 +945,34 @@ fn check_prompt(context: &Context) -> Result<(), ServiceError> {
     Ok(())
 }
 
+/// The most prompt tokens one document may add to its scenario's prompt: an
+/// equal share, per retrieved source, of what the question leaves of
+/// [`MAX_PROMPT_TOKENS`]. Any `retrieval_k` documents within it fit the bound
+/// beside the question, so no accepted write can make the scenario's reports
+/// exceed it.
+fn source_token_cap(scenario: &Scenario) -> usize {
+    let question = SimTokenizer::new().prompt_len(&scenario.question, []);
+    MAX_PROMPT_TOKENS.saturating_sub(question) / scenario.retrieval_k
+}
+
 /// Reject documents that could not round-trip through the corpus (empty ids
-/// cannot be addressed for update/removal).
-fn validate_document(doc: &Document) -> Result<(), ServiceError> {
+/// cannot be addressed for update/removal) and documents that would add more
+/// than [`source_token_cap`] tokens to the scenario's prompt.
+fn validate_document(scenario: &Scenario, doc: &Document) -> Result<(), ServiceError> {
     if doc.id.trim().is_empty() {
         return Err(ServiceError::InvalidArgument {
             reason: "document id must be non-empty".to_string(),
+        });
+    }
+    let tokenizer = SimTokenizer::new();
+    let share = tokenizer.prompt_len(&scenario.question, [doc.full_text().as_str()])
+        - tokenizer.prompt_len(&scenario.question, []);
+    let cap = source_token_cap(scenario);
+    if share > cap {
+        return Err(ServiceError::InvalidArgument {
+            reason: format!(
+                "the document would add {share} tokens to the scenario's prompt, more than the maximum of {cap} per source"
+            ),
         });
     }
     Ok(())
@@ -1514,22 +1543,114 @@ mod tests {
         assert_eq!(after.lookups(), before.lookups());
     }
 
-    #[test]
-    fn a_report_over_an_overlong_document_is_refused_and_not_counted() {
-        let service = Service::new();
+    /// A 2,000-word document the `live_updates` question retrieves.
+    fn overlong_document(id: &str) -> Document {
         let text = format!(
             "The most recent Coastal Classic champion is Long Text.{}",
             " Coastal".repeat(2_000)
         );
-        service
-            .add_document("live_updates", Document::new("long-doc", "Long", text))
-            .unwrap();
+        Document::new(id, "Long", text)
+    }
+
+    #[test]
+    fn a_report_over_an_overlong_document_is_refused_and_not_counted() {
+        let service = Service::new();
+        // `mutate` refuses such a document, so it is written into the
+        // state's corpus and index directly: the report-side check stays a
+        // second line of defence.
+        let doc = overlong_document("long-doc");
+        let state = service.state("live_updates");
+        {
+            let mut held = lock_unpoisoned(&state);
+            let pipeline = held.pipeline(1);
+            held.scenario.corpus.try_push(doc.clone()).unwrap();
+            pipeline.retriever().add(doc).unwrap();
+        }
         let before = service.report_cache_stats();
         let err = service.report("live_updates", None).unwrap_err();
         assert!(matches!(err, ServiceError::InvalidArgument { .. }), "{err}");
         let after = service.report_cache_stats();
         assert_eq!(after.misses, before.misses);
         assert_eq!(after.entries, before.entries);
+    }
+
+    #[test]
+    fn an_overlong_document_is_refused_at_write_time() {
+        let service = Service::new();
+        let before = service.corpus_provenance("live_updates").unwrap();
+        let scenario = scenarios::scenario_by_name("live_updates").unwrap();
+        let cap = source_token_cap(&scenario);
+        let seed_id = scenario.corpus.documents()[0].id.clone();
+        let refusals = [
+            service.add_document("live_updates", overlong_document("long-doc")),
+            service.update_document("live_updates", overlong_document(&seed_id)),
+            service.upsert_document("live_updates", overlong_document("long-doc")),
+        ];
+        for refusal in refusals {
+            let err = refusal.unwrap_err();
+            assert!(matches!(err, ServiceError::InvalidArgument { .. }), "{err}");
+            // A delimiter and 2,010 words, against the cap.
+            let reason = err.to_string();
+            assert!(reason.contains("2011"), "{reason}");
+            assert!(reason.contains(&cap.to_string()), "{reason}");
+        }
+        // Nothing moved, and the scenario still reports.
+        assert_eq!(service.corpus_provenance("live_updates").unwrap(), before);
+        let report = service.report("live_updates", None).unwrap();
+        assert_eq!(report.corpus, Some(before));
+    }
+
+    #[test]
+    fn every_seed_document_fits_its_scenario_source_cap() {
+        for entry in scenarios::registry().iter() {
+            let scenario = entry.build();
+            for doc in scenario.corpus.iter() {
+                validate_document(&scenario, doc)
+                    .unwrap_or_else(|err| panic!("{}: {}: {err}", entry.name(), doc.id));
+            }
+        }
+    }
+
+    #[test]
+    fn documents_at_the_source_cap_are_accepted_and_reported() {
+        let service = Service::new();
+        let scenario = scenarios::scenario_by_name("live_updates").unwrap();
+        let cap = source_token_cap(&scenario);
+        // The question's words, repeated up to `cap − 1` words: with the
+        // delimiter, each document adds exactly `cap` tokens.
+        let question = SimTokenizer::new().words(&scenario.question);
+        let text = question
+            .iter()
+            .cycle()
+            .take(cap - 1)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join(" ");
+        for i in 0..scenario.retrieval_k {
+            service
+                .add_document(
+                    "live_updates",
+                    Document::new(format!("at-cap-{i}"), "", text.clone()),
+                )
+                .unwrap();
+        }
+        let report = service.report("live_updates", None).unwrap();
+        assert!(
+            report
+                .context
+                .sources
+                .iter()
+                .all(|source| source.doc_id.starts_with("at-cap-")),
+            "{:?}",
+            report.context.sources
+        );
+        let tokens = prompt_tokens(&report.context);
+        assert_eq!(
+            tokens,
+            1 + question.len() + scenario.retrieval_k * cap,
+            "every source at the cap"
+        );
+        assert!(tokens <= MAX_PROMPT_TOKENS);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! |---------------------|------------------------------------------------------|
 //! | `GET /`             | HTML index: every scenario, linked to its HTML view  |
 //! | `GET /scenarios`    | JSON list of registry scenarios (name + summary)     |
-//! | `GET /report?scenario=S[&format=md\|json\|html][&shards=N][&deadline_ms=MS]` | one rendered explanation report (default `json`); the `html` format is the self-contained interactive page; `deadline_ms` serves an *anytime* report whose searches stop at the wall-clock deadline, with explicit completeness markers on truncated sections (a cached exact report answers at once; a truncated one is never cached); a report whose prompt would exceed [`rage_report::MAX_PROMPT_TOKENS`] (a corpus grown with an overlong document) answers 400 before the model runs |
+//! | `GET /report?scenario=S[&format=md\|json\|html][&shards=N][&deadline_ms=MS]` | one rendered explanation report (default `json`); the `html` format is the self-contained interactive page; `deadline_ms` serves an *anytime* report whose searches stop at the wall-clock deadline, with explicit completeness markers on truncated sections (a cached exact report answers at once; a truncated one is never cached); a report whose prompt would exceed [`rage_report::MAX_PROMPT_TOKENS`] answers 400 before the model runs (a second line of defence: `POST /corpus/docs` already refuses a document longer than its share of the bound) |
 //! | `POST /ask`         | JSON body `{"scenario": S, "query": Q[, "k": N][, "deadline_ms": MS]}` — one RAG round trip over the scenario's corpus, answered on the worker that parsed it; `k` sizes nothing (retrieval clamps it to the corpus size); a prompt (question plus retrieved sources) longer than [`rage_report::MAX_PROMPT_TOKENS`] answers 400 before the model runs; `deadline_ms` starts when the body is parsed: an ask already past it answers 408 before any retrieval or forward runs, and one that finishes past it answers 408, so the caller waits at most the deadline plus one ask |
 //! | `POST /diff`        | JSON body `{"a": <report>, "b": <report>}` (two report documents, schema v1 or v2) — their [`rage_report::ReportDiff`] |
 //! | `GET /diff?scenario=S&from=N&to=N[&shards=N]` | diff the scenario's reports at two corpus versions (the `to` side may be the live version; older sides come from the service's bounded version cache) |
-//! | `POST /corpus/docs` | JSON body `{"scenario": S, "doc": {"id", "text"[, "title"][, "fields"]}[, "mode": "add"\|"update"\|"upsert"]}` — mutate the scenario's live corpus; answers the new corpus provenance |
+//! | `POST /corpus/docs` | JSON body `{"scenario": S, "doc": {"id", "text"[, "title"][, "fields"]}[, "mode": "add"\|"update"\|"upsert"]}` — mutate the scenario's live corpus; answers the new corpus provenance; a document that would add more than `(MAX_PROMPT_TOKENS − question tokens) / retrieval_k` tokens to the scenario's prompt answers 400 and changes nothing |
 //! | `DELETE /corpus/docs/{id}?scenario=S` | remove one document from the scenario's live corpus |
 //! | `GET /stats`        | JSON counters: report cache (hits, misses, entries), `/ask` requests (`ask_batching`), connections, per-scenario corpus versions |
 //!
@@ -199,7 +199,7 @@ pub struct Server {
     asks: Arc<AskCounters>,
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
-    requests_served: Arc<AtomicU64>,
+    connections: Arc<AtomicU64>,
 }
 
 impl Server {
@@ -215,7 +215,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let requests_served = Arc::new(AtomicU64::new(0));
+        let connections = Arc::new(AtomicU64::new(0));
         let asks = Arc::new(AskCounters::default());
 
         // The PR 2 worker-pool pattern: accepted connections flow over one
@@ -228,7 +228,7 @@ impl Server {
                 let conn_rx = Arc::clone(&conn_rx);
                 let service = Arc::clone(&service);
                 let asks = Arc::clone(&asks);
-                let requests_served = Arc::clone(&requests_served);
+                let connections = Arc::clone(&connections);
                 let config = config.clone();
                 std::thread::Builder::new()
                     .name(format!("rage-server-worker-{i}"))
@@ -238,8 +238,8 @@ impl Server {
                             guard.recv()
                         };
                         let Ok(stream) = stream else { return };
-                        requests_served.fetch_add(1, Ordering::Relaxed);
-                        handle_connection(stream, &service, &asks, &requests_served, &config);
+                        connections.fetch_add(1, Ordering::Relaxed);
+                        handle_connection(stream, &service, &asks, &connections, &config);
                     })
                     .expect("failed to spawn server worker")
             })
@@ -275,7 +275,7 @@ impl Server {
             asks,
             accept_handle: Some(accept_handle),
             worker_handles,
-            requests_served,
+            connections,
         })
     }
 
@@ -291,7 +291,7 @@ impl Server {
 
     /// Number of connections handed to the worker pool so far.
     pub fn connections_accepted(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.connections.load(Ordering::Relaxed)
     }
 
     /// Stop accepting, drain the workers and join every thread.
@@ -340,7 +340,7 @@ fn handle_connection(
     stream: TcpStream,
     service: &Service,
     asks: &AskCounters,
-    requests_served: &AtomicU64,
+    connections: &AtomicU64,
     config: &ServerConfig,
 ) {
     let _ = stream.set_read_timeout(Some(config.read_timeout));
@@ -363,7 +363,7 @@ fn handle_connection(
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match parse_request(&mut reader, Some(deadline)) {
                 Ok(Some(request)) => {
-                    let response = route(&request, service, asks, requests_served);
+                    let response = route(&request, service, asks, connections);
                     Some((response, request.keep_alive))
                 }
                 Ok(None) => None, // clean EOF or idle timeout, nothing to answer
@@ -391,7 +391,7 @@ fn route(
     request: &HttpRequest,
     service: &Service,
     asks: &AskCounters,
-    requests_served: &AtomicU64,
+    connections: &AtomicU64,
 ) -> HttpResponse {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/") => index_page(service),
@@ -404,7 +404,7 @@ fn route(
         ("DELETE", path) if path.starts_with("/corpus/docs/") => {
             corpus_delete_endpoint(request, service)
         }
-        ("GET", "/stats") => stats_json(service, asks, requests_served),
+        ("GET", "/stats") => stats_json(service, asks, connections),
         // Known path, wrong method: 405 naming the method that works there —
         // not 404, which would misreport an existing endpoint as absent.
         (_, "/" | "/scenarios" | "/report" | "/stats") => method_not_allowed("GET"),
@@ -834,13 +834,13 @@ fn diff_versions_endpoint(request: &HttpRequest, service: &Service) -> HttpRespo
 }
 
 /// `GET /stats` — service + `/ask` counters.
-fn stats_json(service: &Service, asks: &AskCounters, requests_served: &AtomicU64) -> HttpResponse {
+fn stats_json(service: &Service, asks: &AskCounters, connections: &AtomicU64) -> HttpResponse {
     let report_cache = service.report_cache_stats();
     let batch = asks.stats();
     let doc = JsonValue::Object(vec![
         (
             "connections".into(),
-            JsonValue::Number(requests_served.load(Ordering::Relaxed) as f64),
+            JsonValue::Number(connections.load(Ordering::Relaxed) as f64),
         ),
         (
             "report_cache".into(),

@@ -420,6 +420,17 @@ fn caller_mistakes_map_to_4xx() {
                 ),
             ),
         ),
+        (
+            "document longer than its share of MAX_PROMPT_TOKENS",
+            post(
+                &server,
+                "/corpus/docs",
+                &format!(
+                    r#"{{"scenario": "us_open", "doc": {{"id": "long-doc", "text": "US Open{}"}}}}"#,
+                    " again".repeat(2_000)
+                ),
+            ),
+        ),
         ("diff missing sides", post(&server, "/diff", r#"{"a": 1}"#)),
     ];
     for (label, (status, _, body)) in &cases {
