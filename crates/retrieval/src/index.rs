@@ -11,7 +11,7 @@
 //! per-term `BTreeMap<String, Vec<Posting>>`:
 //!
 //! * **Term dictionary** — every distinct term is interned into one sorted string
-//!   arena (`InvertedIndex::term_str` slices it through an offset table). A term id
+//!   arena (`Arenas::term_str` slices it through an offset table). A term id
 //!   is the term's rank in that sorted order, so lookups are a binary search over
 //!   arena slices and [`InvertedIndex::terms`] is a linear walk — no per-term `String`
 //!   allocations, no tree nodes.
@@ -24,6 +24,34 @@
 //!   scoring loop touches a dense `f64` array instead of striding over structs, and an
 //!   id → ordinal map replaces the former linear scan in
 //!   [`ordinal_of`](InvertedIndex::ordinal_of).
+//!
+//! ## The one build
+//!
+//! Every index — a whole corpus, a shard, a delta segment, a compaction — is built
+//! by one streaming pass that never holds a token as a `String`:
+//!
+//! 1. **Analyse once, into term ids.** Each document's title, then its text, runs
+//!    through [`for_each_term`](crate::tokenize::for_each_term), which yields exactly
+//!    the terms of [`Document::full_text`] without building that string. Each term
+//!    is interned on arrival (one `String` per *distinct* term) and the document
+//!    keeps only its term ids.
+//! 2. **Count by sorting.** Sorting a document's ids puts equal terms side by side,
+//!    so each run of equal ids is one posting `(ordinal, tf)` and the id count is
+//!    the document's length.
+//! 3. **Sort the dictionary once.** At the end the distinct terms are sorted, which
+//!    gives every term its final id, and a counting sort places each posting in its
+//!    term's list. Documents were visited in ordinal order, so every list is
+//!    ascending without a per-list sort; the bounds below are taken in the same
+//!    pass.
+//!
+//! A large corpus splits into contiguous chunks of documents, one per core and
+//! none smaller than a measured minimum (below twice that the build stays on the
+//! calling thread). Each chunk runs the pass above on a scoped thread, and the
+//! chunks merge in ordinal order: the sorted dictionaries merge, and each term's
+//! lists concatenate chunk by chunk. A term's list is then exactly the one-chunk
+//! list, its bounds are the maximum and minimum of the chunks' bounds, and the
+//! average length is an integer sum divided once, so every arena, bound and score
+//! bit is the same at any chunk count.
 //!
 //! ## Per-term score bound statistics
 //!
@@ -40,11 +68,20 @@
 //! the crate docs for the full contract).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
+use std::thread;
 
 use serde::{Deserialize, Serialize};
 
 use crate::document::{Corpus, Document};
-use crate::tokenize::analyze;
+use crate::tokenize::for_each_term_in;
+
+/// The fewest documents a build gives one chunk thread. Below twice this a build runs
+/// on the calling thread alone, so delta rebuilds and the scenario corpora (at most
+/// 4,096 documents) never spawn one. On entity-registry documents and two cores, a
+/// two-chunk build lost 3–5% at 1,024 and 2,048 documents, won 11% (2 ms) at 4,096
+/// and 35% at 8,192.
+const MIN_CHUNK_DOCS: usize = 4_096;
 
 /// One posting: a document ordinal and the term's frequency inside that document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,6 +96,23 @@ pub struct Posting {
 /// docs](self) for the arena layout).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InvertedIndex {
+    /// The dictionary, the postings and the document lengths.
+    arenas: Arenas,
+    /// Document ids by ordinal.
+    doc_ids: Vec<String>,
+    /// `doc_lens` pre-converted to `f64` — the BM25 length-norm operand, precomputed
+    /// once at build time instead of per posting per query.
+    doc_norm_lens: Vec<f64>,
+    /// Document id → ordinal.
+    ordinals: HashMap<String, u32>,
+    avg_doc_len: f64,
+    corpus: Corpus,
+}
+
+/// The term dictionary, the postings and the document lengths of a run of
+/// consecutive documents: a whole index, or one chunk of a split build.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct Arenas {
     /// All distinct terms, sorted, concatenated.
     term_arena: String,
     /// `num_terms + 1` byte offsets into `term_arena`; term `i` is the slice
@@ -74,116 +128,108 @@ pub struct InvertedIndex {
     /// Per term: the minimum analysed length over its posting documents (admissible
     /// bound operand).
     term_min_dl: Vec<u32>,
-    /// Document ids by ordinal.
-    doc_ids: Vec<String>,
-    /// Analysed token counts by ordinal.
+    /// Analysed token counts, in ordinal order.
     doc_lens: Vec<u32>,
-    /// `doc_lens` pre-converted to `f64` — the BM25 length-norm operand, precomputed
-    /// once at build time instead of per posting per query.
-    doc_norm_lens: Vec<f64>,
-    /// Document id → ordinal.
-    ordinals: HashMap<String, u32>,
-    avg_doc_len: f64,
-    corpus: Corpus,
 }
 
-impl InvertedIndex {
-    /// Analyse ([`analyze`]) and index every document of the corpus.
-    pub fn build(corpus: &Corpus) -> Self {
-        let analysed: Vec<Vec<String>> =
-            corpus.iter().map(|doc| analyze(&doc.full_text())).collect();
-        Self::build_analysed(corpus.clone(), &analysed)
+/// Analyse a document as its [`Document::full_text`]: the title's terms, then the
+/// text's. The separator `full_text` puts between them splits tokens anyway, so the
+/// terms are the same without building that string.
+pub(crate) fn for_each_document_term(doc: &Document, buf: &mut String, mut emit: impl FnMut(&str)) {
+    for_each_term_in(&doc.title, buf, &mut emit);
+    for_each_term_in(&doc.text, buf, &mut emit);
+}
+
+/// Balanced contiguous partition of `n` items into `parts` ranges (the first
+/// `n % parts` ranges are one longer).
+pub(crate) fn partition_bounds(n: usize, parts: usize) -> Vec<(usize, usize)> {
+    let base = n / parts;
+    let remainder = n % parts;
+    let mut bounds = Vec::with_capacity(parts);
+    let mut start = 0;
+    for s in 0..parts {
+        let len = base + usize::from(s < remainder);
+        bounds.push((start, start + len));
+        start += len;
     }
+    bounds
+}
 
-    /// Index documents whose token streams were already analysed. The corpus moves
-    /// into the index, so a caller that assembled it for this index pays no copy.
-    ///
-    /// `analysed` must be parallel to the corpus and hold, per document, exactly the
-    /// tokens [`analyze`] produces for [`Document::full_text`] — analysis is
-    /// deterministic, so callers that cache token streams (the sharded delta
-    /// segments do) get an index bit-identical to [`InvertedIndex::build`] without
-    /// re-analysing unchanged documents.
-    ///
-    /// # Panics
-    /// If `analysed` and the corpus differ in length.
-    pub fn build_analysed(corpus: Corpus, analysed: &[Vec<String>]) -> Self {
-        assert_eq!(
-            corpus.len(),
-            analysed.len(),
-            "one analysed token stream per document"
-        );
+/// How many chunks a build of `num_docs` documents splits into: one per core
+/// (`available_parallelism()`, read once per process), and none smaller than
+/// [`MIN_CHUNK_DOCS`].
+pub(crate) fn chunk_count(num_docs: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+    (num_docs / MIN_CHUNK_DOCS).clamp(1, cores)
+}
 
-        // Accumulate per-term postings. Documents are visited in corpus order and each
-        // contributes at most one posting per term, so every list is already sorted by
-        // ascending ordinal — no per-list sort needed.
-        let mut dict: HashMap<String, Vec<Posting>> = HashMap::new();
-        let mut doc_ids = Vec::with_capacity(corpus.len());
-        let mut doc_lens = Vec::with_capacity(corpus.len());
-        let mut total_len: u64 = 0;
-
-        for (ordinal, (doc, terms)) in corpus.iter().zip(analysed).enumerate() {
-            let mut freqs: HashMap<&str, u32> = HashMap::new();
-            for term in terms {
-                *freqs.entry(term.as_str()).or_insert(0) += 1;
-            }
-            for (term, tf) in freqs {
-                let posting = Posting {
-                    doc: ordinal as u32,
-                    tf,
-                };
-                match dict.get_mut(term) {
-                    Some(list) => list.push(posting),
+impl Arenas {
+    /// Index `docs`, whose ordinals start at `first`. Each document is analysed once,
+    /// straight into interned term ids, and its term frequencies are counted by
+    /// sorting its ids; the dictionary is sorted once at the end.
+    fn index(docs: &[Document], first: u32) -> Self {
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        // (term id, posting), in document order.
+        let mut entries: Vec<(u32, Posting)> = Vec::new();
+        let mut doc_lens = Vec::with_capacity(docs.len());
+        let mut doc_terms: Vec<u32> = Vec::new();
+        let mut buf = String::new();
+        for (doc, ordinal) in docs.iter().zip(first..) {
+            doc_terms.clear();
+            for_each_document_term(doc, &mut buf, |term| {
+                let id = match ids.get(term) {
+                    Some(&id) => id,
                     None => {
-                        dict.insert(term.to_string(), vec![posting]);
+                        let id = ids.len() as u32;
+                        ids.insert(term.to_owned(), id);
+                        id
                     }
-                }
+                };
+                doc_terms.push(id);
+            });
+            doc_lens.push(doc_terms.len() as u32);
+            doc_terms.sort_unstable();
+            for run in doc_terms.chunk_by(|a, b| a == b) {
+                let tf = run.len() as u32;
+                entries.push((run[0], Posting { doc: ordinal, tf }));
             }
-            let len = terms.len() as u32;
-            total_len += u64::from(len);
-            doc_ids.push(doc.id.clone());
-            doc_lens.push(len);
         }
 
-        let avg_doc_len = if doc_ids.is_empty() {
-            0.0
-        } else {
-            total_len as f64 / doc_ids.len() as f64
-        };
-
-        // Intern the dictionary in sorted order and concatenate the postings arena.
-        let mut sorted_terms: Vec<(String, Vec<Posting>)> = dict.into_iter().collect();
-        sorted_terms.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let num_terms = sorted_terms.len();
-        let mut term_arena = String::new();
+        // Intern the dictionary in sorted order: a term's rank becomes its id.
+        let mut dict: Vec<(String, u32)> = ids.into_iter().collect();
+        dict.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let num_terms = dict.len();
+        let mut rank = vec![0u32; num_terms];
+        let mut term_arena = String::with_capacity(dict.iter().map(|(t, _)| t.len()).sum());
         let mut term_offsets = Vec::with_capacity(num_terms + 1);
-        let mut posting_offsets = Vec::with_capacity(num_terms + 1);
-        let mut postings = Vec::with_capacity(sorted_terms.iter().map(|(_, l)| l.len()).sum());
-        let mut term_max_tf = Vec::with_capacity(num_terms);
-        let mut term_min_dl = Vec::with_capacity(num_terms);
         term_offsets.push(0u32);
-        posting_offsets.push(0u32);
-        for (term, list) in sorted_terms {
-            term_arena.push_str(&term);
+        for (r, (term, id)) in dict.iter().enumerate() {
+            rank[*id as usize] = r as u32;
+            term_arena.push_str(term);
             term_offsets.push(term_arena.len() as u32);
-            let mut max_tf = 0u32;
-            let mut min_dl = u32::MAX;
-            for p in &list {
-                max_tf = max_tf.max(p.tf);
-                min_dl = min_dl.min(doc_lens[p.doc as usize]);
-            }
-            term_max_tf.push(max_tf);
-            term_min_dl.push(min_dl);
-            postings.extend_from_slice(&list);
-            posting_offsets.push(postings.len() as u32);
         }
 
-        let doc_norm_lens = doc_lens.iter().map(|&len| f64::from(len)).collect();
-        let ordinals = doc_ids
-            .iter()
-            .enumerate()
-            .map(|(ordinal, id)| (id.clone(), ordinal as u32))
-            .collect();
+        // Place each posting in its term's list (a counting sort by rank). Documents
+        // were visited in ordinal order, so every list is already ascending.
+        let mut posting_offsets = vec![0u32; num_terms + 1];
+        for &(id, _) in &entries {
+            posting_offsets[rank[id as usize] as usize + 1] += 1;
+        }
+        for t in 0..num_terms {
+            posting_offsets[t + 1] += posting_offsets[t];
+        }
+        let mut next = posting_offsets[..num_terms].to_vec();
+        let mut postings = vec![Posting { doc: 0, tf: 0 }; entries.len()];
+        let mut term_max_tf = vec![0u32; num_terms];
+        let mut term_min_dl = vec![u32::MAX; num_terms];
+        for (id, posting) in entries {
+            let t = rank[id as usize] as usize;
+            postings[next[t] as usize] = posting;
+            next[t] += 1;
+            term_max_tf[t] = term_max_tf[t].max(posting.tf);
+            term_min_dl[t] = term_min_dl[t].min(doc_lens[(posting.doc - first) as usize]);
+        }
 
         Self {
             term_arena,
@@ -192,8 +238,125 @@ impl InvertedIndex {
             postings,
             term_max_tf,
             term_min_dl,
-            doc_ids,
             doc_lens,
+        }
+    }
+
+    /// Merge the chunks of consecutive ordinal ranges, given in ordinal order. The
+    /// sorted dictionaries merge, and each term's lists and bounds concatenate chunk
+    /// by chunk, so the result equals one [`Arenas::index`] over all the documents.
+    fn merge(chunks: &[Arenas]) -> Self {
+        let mut merged = Self {
+            term_offsets: vec![0],
+            posting_offsets: vec![0],
+            postings: Vec::with_capacity(chunks.iter().map(|c| c.postings.len()).sum()),
+            ..Self::default()
+        };
+        let mut cursors = vec![0usize; chunks.len()];
+        loop {
+            let least = chunks
+                .iter()
+                .zip(&cursors)
+                .filter(|(chunk, &at)| at < chunk.num_terms())
+                .map(|(chunk, &at)| chunk.term_str(at))
+                .min();
+            let Some(term) = least else { break };
+            merged.term_arena.push_str(term);
+            merged.term_offsets.push(merged.term_arena.len() as u32);
+            let mut max_tf = 0u32;
+            let mut min_dl = u32::MAX;
+            for (chunk, at) in chunks.iter().zip(&mut cursors) {
+                if *at < chunk.num_terms() && chunk.term_str(*at) == term {
+                    merged.postings.extend_from_slice(chunk.postings(*at));
+                    max_tf = max_tf.max(chunk.term_max_tf[*at]);
+                    min_dl = min_dl.min(chunk.term_min_dl[*at]);
+                    *at += 1;
+                }
+            }
+            merged.posting_offsets.push(merged.postings.len() as u32);
+            merged.term_max_tf.push(max_tf);
+            merged.term_min_dl.push(min_dl);
+        }
+        for chunk in chunks {
+            merged.doc_lens.extend_from_slice(&chunk.doc_lens);
+        }
+        merged
+    }
+
+    fn num_terms(&self) -> usize {
+        self.term_max_tf.len()
+    }
+
+    /// The interned term with the given id (its rank in the sorted dictionary).
+    fn term_str(&self, term_id: usize) -> &str {
+        let start = self.term_offsets[term_id] as usize;
+        let end = self.term_offsets[term_id + 1] as usize;
+        &self.term_arena[start..end]
+    }
+
+    fn postings(&self, term_id: usize) -> &[Posting] {
+        let start = self.posting_offsets[term_id] as usize;
+        let end = self.posting_offsets[term_id + 1] as usize;
+        &self.postings[start..end]
+    }
+}
+
+impl InvertedIndex {
+    /// Analyse and index every document of the corpus (a copy of it moves into the
+    /// index). A corpus of at least twice the minimum chunk size splits into one
+    /// chunk per core (see [the one build](self#the-one-build)).
+    pub fn build(corpus: &Corpus) -> Self {
+        Self::build_in_chunks(corpus.clone(), chunk_count(corpus.len()))
+    }
+
+    /// Index a corpus that moves into the index, its documents split into `chunks`
+    /// contiguous runs indexed on scoped threads (the caller indexes the first) and
+    /// merged in ordinal order. Every arena, bound and length is the same at any
+    /// chunk count.
+    pub(crate) fn build_in_chunks(corpus: Corpus, chunks: usize) -> Self {
+        let docs = corpus.documents();
+        let bounds = partition_bounds(docs.len(), chunks.max(1));
+        let arenas = if bounds.len() == 1 {
+            Arenas::index(docs, 0)
+        } else {
+            let parts: Vec<Arenas> = thread::scope(|scope| {
+                let helpers: Vec<_> = bounds[1..]
+                    .iter()
+                    .map(|&(start, end)| {
+                        scope.spawn(move || Arenas::index(&docs[start..end], start as u32))
+                    })
+                    .collect();
+                let first = Arenas::index(&docs[..bounds[0].1], 0);
+                std::iter::once(first)
+                    .chain(
+                        helpers
+                            .into_iter()
+                            .map(|h| h.join().expect("index chunk build panicked")),
+                    )
+                    .collect()
+            });
+            Arenas::merge(&parts)
+        };
+
+        // Summing integer token counts is exact, so the average does not depend on
+        // the chunking (or, in a sharded index, on the partition).
+        let total_len: u64 = arenas.doc_lens.iter().map(|&len| u64::from(len)).sum();
+        let avg_doc_len = if docs.is_empty() {
+            0.0
+        } else {
+            total_len as f64 / docs.len() as f64
+        };
+        let doc_ids: Vec<String> = docs.iter().map(|doc| doc.id.clone()).collect();
+        let doc_norm_lens = arenas.doc_lens.iter().map(|&len| f64::from(len)).collect();
+        let ordinals = doc_ids
+            .iter()
+            .enumerate()
+            .map(|(ordinal, id)| (id.clone(), ordinal as u32))
+            .collect();
+
+        Self {
+            arenas,
+            doc_ids,
             doc_norm_lens,
             ordinals,
             avg_doc_len,
@@ -208,19 +371,12 @@ impl InvertedIndex {
 
     /// Number of distinct terms in the dictionary.
     pub fn num_terms(&self) -> usize {
-        self.term_max_tf.len()
+        self.arenas.num_terms()
     }
 
     /// Average analysed document length (in tokens).
     pub fn avg_doc_len(&self) -> f64 {
         self.avg_doc_len
-    }
-
-    /// The interned term with the given id (its rank in the sorted dictionary).
-    fn term_str(&self, term_id: usize) -> &str {
-        let start = self.term_offsets[term_id] as usize;
-        let end = self.term_offsets[term_id + 1] as usize;
-        &self.term_arena[start..end]
     }
 
     /// Dictionary lookup: the id of a term, if it occurs in the corpus. A binary
@@ -230,7 +386,7 @@ impl InvertedIndex {
         let mut hi = self.num_terms();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.term_str(mid).cmp(term) {
+            match self.arenas.term_str(mid).cmp(term) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => return Some(mid as u32),
@@ -241,21 +397,19 @@ impl InvertedIndex {
 
     /// Postings list for a term id (ascending document ordinal).
     pub fn postings_by_id(&self, term_id: u32) -> &[Posting] {
-        let start = self.posting_offsets[term_id as usize] as usize;
-        let end = self.posting_offsets[term_id as usize + 1] as usize;
-        &self.postings[start..end]
+        self.arenas.postings(term_id as usize)
     }
 
     /// Maximum term frequency over the term's postings (bound operand; see the
     /// [module docs](self)).
     pub fn term_max_tf(&self, term_id: u32) -> u32 {
-        self.term_max_tf[term_id as usize]
+        self.arenas.term_max_tf[term_id as usize]
     }
 
     /// Minimum analysed document length over the term's posting documents (bound
     /// operand; see the [module docs](self)).
     pub fn term_min_dl(&self, term_id: u32) -> u32 {
-        self.term_min_dl[term_id as usize]
+        self.arenas.term_min_dl[term_id as usize]
     }
 
     /// Postings list for a term, if the term occurs in the corpus.
@@ -271,7 +425,11 @@ impl InvertedIndex {
 
     /// Length (analysed token count) of the document with the given ordinal.
     pub fn doc_len(&self, ordinal: u32) -> u32 {
-        self.doc_lens.get(ordinal as usize).copied().unwrap_or(0)
+        self.arenas
+            .doc_lens
+            .get(ordinal as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Length of the document with the given ordinal as `f64` — precomputed at build
@@ -302,7 +460,7 @@ impl InvertedIndex {
     /// Iterate over the dictionary in sorted term order (terms and their document
     /// frequencies).
     pub fn terms(&self) -> impl Iterator<Item = (&str, usize)> {
-        (0..self.num_terms()).map(|id| (self.term_str(id), self.postings_by_id(id as u32).len()))
+        (0..self.num_terms()).map(|id| (self.arenas.term_str(id), self.arenas.postings(id).len()))
     }
 }
 
@@ -439,30 +597,90 @@ mod tests {
         }
     }
 
-    #[test]
-    fn build_analysed_matches_build() {
+    /// A seeded corpus with repeated terms, titles, empty texts, non-ASCII tokens and
+    /// every stem rule.
+    fn seeded_corpus(num_docs: usize) -> Corpus {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const WORDS: &[&str] = &[
+            "federer",
+            "wins",
+            "match",
+            "matches",
+            "ranking",
+            "rankings",
+            "ranked",
+            "titles",
+            "classes",
+            "ladies",
+            "the",
+            "of",
+            "Zürich",
+            "ΟΔΟΣ",
+            "İstanbul",
+            "Straße",
+            "Gaël's",
+            "2023s",
+            "Djokovic's",
+            "''s",
+            "ror000123",
+            "clay",
+            "grand",
+            "slam",
+            "東京",
+        ];
+        let mut rng = StdRng::seed_from_u64(28);
+        let words = |rng: &mut StdRng, max: usize| -> String {
+            let n = rng.gen_range(0..max);
+            (0..n)
+                .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
         let mut corpus = Corpus::new();
-        corpus.push(Document::new("a", "Match wins", "federer wins match wins"));
-        corpus.push(Document::new("b", "", "djokovic wins slam"));
-        let tokens: Vec<Vec<String>> = corpus.iter().map(|d| analyze(&d.full_text())).collect();
-        let from_tokens = InvertedIndex::build_analysed(corpus.clone(), &tokens);
-        let from_scratch = InvertedIndex::build(&corpus);
-        assert_eq!(from_tokens.num_terms(), from_scratch.num_terms());
-        assert_eq!(
-            from_tokens.avg_doc_len().to_bits(),
-            from_scratch.avg_doc_len().to_bits()
-        );
-        for (term, df) in from_scratch.terms() {
-            assert_eq!(from_tokens.doc_freq(term), df);
-            assert_eq!(from_tokens.postings(term), from_scratch.postings(term));
+        for i in 0..num_docs {
+            let title = if rng.gen_range(0..3) == 0 {
+                words(&mut rng, 4)
+            } else {
+                String::new()
+            };
+            let text = words(&mut rng, 40);
+            corpus.push(Document::new(format!("doc-{i:03}"), title, text));
         }
+        corpus
     }
 
     #[test]
-    #[should_panic(expected = "one analysed token stream per document")]
-    fn build_analysed_rejects_length_mismatch() {
-        let mut corpus = Corpus::new();
-        corpus.push(Document::new("a", "", "text"));
-        InvertedIndex::build_analysed(corpus, &[]);
+    fn every_chunk_count_builds_the_same_index() {
+        for corpus in [seeded_corpus(300), seeded_corpus(5), Corpus::new()] {
+            let one = InvertedIndex::build_in_chunks(corpus.clone(), 1);
+            if corpus.len() == 300 {
+                assert!(corpus.iter().any(|d| d.text.is_empty()));
+                assert!(corpus.iter().any(|d| !d.title.is_empty()));
+                assert!(one.arenas.term_max_tf.iter().any(|&tf| tf > 1));
+            }
+            for chunks in [2, 3, 7] {
+                let split = InvertedIndex::build_in_chunks(corpus.clone(), chunks);
+                let (a, b) = (&one.arenas, &split.arenas);
+                let at = format!("{} docs, {chunks} chunks", corpus.len());
+                assert_eq!(a.term_arena, b.term_arena, "term arena, {at}");
+                assert_eq!(a.term_offsets, b.term_offsets, "term offsets, {at}");
+                assert_eq!(
+                    a.posting_offsets, b.posting_offsets,
+                    "posting offsets, {at}"
+                );
+                assert_eq!(a.postings, b.postings, "postings, {at}");
+                assert_eq!(a.term_max_tf, b.term_max_tf, "term_max_tf, {at}");
+                assert_eq!(a.term_min_dl, b.term_min_dl, "term_min_dl, {at}");
+                assert_eq!(a.doc_lens, b.doc_lens, "document lengths, {at}");
+                assert_eq!(
+                    one.avg_doc_len.to_bits(),
+                    split.avg_doc_len.to_bits(),
+                    "avg_doc_len, {at}"
+                );
+                assert_eq!(one.doc_ids, split.doc_ids, "{at}");
+                assert_eq!(one.ordinals, split.ordinals, "{at}");
+            }
+        }
     }
 }

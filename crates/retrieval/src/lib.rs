@@ -6,16 +6,18 @@
 //! Pyserini toolkit backed by a Lucene inverted index. This crate reproduces that
 //! substrate from scratch in safe Rust:
 //!
-//! * [`tokenize`] — the one analysis chain ([`tokenize::analyze`]): lowercasing word
-//!   segmentation, stopword list and light suffix stemmer, mirroring Lucene's
-//!   `EnglishAnalyzer` defaults closely enough for ranking parity. Indexing and
-//!   queries both call it, so they always agree on the terms.
+//! * [`tokenize`] — the one analysis chain ([`tokenize::for_each_term`], collected
+//!   by [`tokenize::analyze`]): lowercasing word segmentation, stopword list and
+//!   light suffix stemmer, mirroring Lucene's `EnglishAnalyzer` defaults closely
+//!   enough for ranking parity. It streams terms through one reused buffer; indexing
+//!   and queries both run it, so they always agree on the terms.
 //! * [`document`] — the [`Document`] and [`Corpus`] types plus JSONL
 //!   (one-JSON-object-per-line) persistence, the same interchange format Pyserini uses
 //!   for its document collections.
 //! * [`index`] — an in-memory inverted index in a compact arena layout (interned term
 //!   dictionary, contiguous postings arena, precomputed per-document BM25 length
-//!   norms), built by [`InvertedIndex::build`].
+//!   norms), built by one streaming pass ([`InvertedIndex::build`]) that splits a
+//!   large corpus across cores.
 //! * [`bm25`] — Okapi BM25 scoring at Pyserini's defaults, `k1 = 0.9` and `b = 0.4`
 //!   (the constants [`bm25::K1`] and [`bm25::B`]).
 //! * [`topk`] — the pruned query hot path: sparse accumulation plus MaxScore-style

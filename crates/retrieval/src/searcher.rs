@@ -11,6 +11,14 @@
 //! is searched with the pruned engine of [`crate::topk`], and the per-segment selections
 //! merge exactly into one ranking, so the shard count never changes a result.
 //!
+//! A pruned query accumulates into a sparse [`ScoreWorkspace`] sized by the largest
+//! segment it scores (about 13 bytes per document). The searcher keeps a pool of
+//! idle workspaces: a query takes one, or creates one when every workspace is in use,
+//! and returns it afterwards. The pool therefore grows to the peak number of
+//! concurrent queries, and every query after the first few reuses a warm workspace
+//! that is already sized instead of allocating and zeroing a new one. Results do not
+//! depend on which workspace a query gets, because every query starts a new epoch.
+//!
 //! [`sharded`]: crate::sharded
 
 use std::cmp::Ordering;
@@ -149,18 +157,14 @@ type Candidate<'a> = (f64, &'a str, &'a InvertedIndex, u32);
 #[derive(Debug)]
 pub struct Searcher {
     index: ShardedIndex,
-    /// Reusable sparse scoring workspace shared by every segment of a query (sized to
-    /// the largest segment touched). Queries that find it busy fall back to a
-    /// throwaway workspace — results are identical either way.
-    workspace: Mutex<ScoreWorkspace>,
+    /// Idle sparse scoring workspaces (see the [module docs](self)): a query pops
+    /// one or creates one, and pushes it back when it is done.
+    workspaces: Mutex<Vec<ScoreWorkspace>>,
 }
 
 impl Clone for Searcher {
     fn clone(&self) -> Self {
-        Self {
-            index: self.index.clone(),
-            workspace: Mutex::new(ScoreWorkspace::new()),
-        }
+        Self::new(self.index.clone())
     }
 }
 
@@ -169,7 +173,7 @@ impl Searcher {
     pub fn new(index: ShardedIndex) -> Self {
         Self {
             index,
-            workspace: Mutex::new(ScoreWorkspace::new()),
+            workspaces: Mutex::new(Vec::new()),
         }
     }
 
@@ -217,10 +221,11 @@ impl Searcher {
         }
         let doc_freqs = self.index.doc_freqs(&terms);
         let stats = self.index.stats(&doc_freqs);
-        Ok(match self.workspace.try_lock() {
-            Ok(mut ws) => self.pruned_with_terms(&terms, k, &stats, &mut ws),
-            Err(_) => self.pruned_with_terms(&terms, k, &stats, &mut ScoreWorkspace::new()),
-        })
+        let pool = || self.workspaces.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ws = pool().pop().unwrap_or_default();
+        let ranked = self.pruned_with_terms(&terms, k, &stats, &mut ws);
+        pool().push(ws);
+        Ok(ranked)
     }
 
     /// The exhaustive dense-scoring path: identical results (bit-for-bit scores) to

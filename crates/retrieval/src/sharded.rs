@@ -2,8 +2,13 @@
 //! collection statistics, and incremental mutation.
 //!
 //! [`ShardedIndex`] partitions a corpus into `N` contiguous shards — one for a corpus
-//! of the paper's scale — and builds one [`InvertedIndex`] per shard, on one thread per
-//! shard. [`Searcher`] answers a query by merging per-segment top-k selections. The
+//! of the paper's scale — and builds one [`InvertedIndex`] per shard. Several shards
+//! build on one thread per shard. One shard builds its documents in contiguous chunks
+//! on up to `available_parallelism()` threads, none below a measured minimum size
+//! (see the [`index`](crate::index) module docs), and merges them into exactly the
+//! index one thread would build, so a one-shard build already uses every core and a
+//! small corpus never spawns a thread. [`Searcher`] answers a query by merging
+//! per-segment top-k selections. The
 //! merged ranking does not depend on `N`: it is bit-identical to dense scoring of one
 //! unpartitioned index, which the sharding suite (`crates/retrieval/tests/sharding.rs`)
 //! checks at 1, 2, 3, 7 and 16 shards.
@@ -42,8 +47,9 @@
 //!
 //! * a **base** segment — the immutable index built at construction (or at the last
 //!   compaction), with a set of *tombstoned* ordinals for documents removed since;
-//! * a **delta** segment — a small index over the documents added since, rebuilt on
-//!   each mutation (the delta is bounded, so this is cheap).
+//! * a **delta** segment — a small index over the documents added since, rebuilt
+//!   from those documents on each mutation (the delta holds at most 64 documents, so
+//!   re-analysing them is cheap and nothing caches their tokens).
 //!
 //! The global collection statistics (`num_docs`, total analysed length and therefore
 //! `avg_doc_len`, per-term `doc_freq`) are maintained **exactly** on every mutation:
@@ -74,7 +80,7 @@ use std::thread;
 use crate::bm25::CollectionStats;
 use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
-use crate::index::InvertedIndex;
+use crate::index::{chunk_count, partition_bounds, InvertedIndex};
 use crate::retriever::{CorpusVersion, Retriever};
 use crate::searcher::{RankedSource, Searcher};
 use crate::tokenize::analyze;
@@ -137,7 +143,8 @@ impl ShardedIndexBuilder {
         Self { num_shards }
     }
 
-    /// Analyse and index every document of the corpus, one index per shard. Several
+    /// Analyse and index every document of the corpus, one index per shard. One
+    /// shard builds in chunks across cores (see the [module docs](self)); several
     /// shards build on one scoped thread each, collected in shard order, so the index
     /// does not depend on scheduling.
     pub fn build(&self, corpus: &Corpus) -> ShardedIndex {
@@ -146,25 +153,20 @@ impl ShardedIndexBuilder {
 
         // Each shard's documents are copied once, into the shard corpus that then
         // moves into its index.
-        let build_one = |(start, end): (usize, usize)| -> InvertedIndex {
-            let shard_docs = &docs[start..end];
-            let analysed: Vec<Vec<String>> = shard_docs
-                .iter()
-                .map(|doc| analyze(&doc.full_text()))
-                .collect();
-            let shard =
-                Corpus::from_documents(shard_docs.to_vec()).expect("parent corpus ids are unique");
-            InvertedIndex::build_analysed(shard, &analysed)
+        let build_one = |(start, end): (usize, usize), chunks: usize| -> InvertedIndex {
+            let shard = Corpus::from_documents(docs[start..end].to_vec())
+                .expect("parent corpus ids are unique");
+            InvertedIndex::build_in_chunks(shard, chunks)
         };
 
         let indexes: Vec<InvertedIndex> = if self.num_shards == 1 {
-            vec![build_one(bounds[0])]
+            vec![build_one(bounds[0], chunk_count(docs.len()))]
         } else {
             thread::scope(|scope| {
                 let build_one = &build_one;
                 let handles: Vec<_> = bounds
                     .iter()
-                    .map(|&b| scope.spawn(move || build_one(b)))
+                    .map(|&b| scope.spawn(move || build_one(b, 1)))
                     .collect();
                 handles
                     .into_iter()
@@ -194,7 +196,6 @@ impl ShardedIndexBuilder {
                 dead: HashSet::new(),
                 dead_terms: HashMap::new(),
                 delta_docs: Vec::new(),
-                delta_tokens: Vec::new(),
                 delta: empty_delta.clone(),
             })
             .collect();
@@ -208,20 +209,6 @@ impl ShardedIndexBuilder {
             fingerprint: corpus_fingerprint(corpus),
         }
     }
-}
-
-/// Balanced contiguous partition of `n` documents into `shards` ranges.
-fn partition_bounds(n: usize, shards: usize) -> Vec<(usize, usize)> {
-    let base = n / shards;
-    let remainder = n % shards;
-    let mut bounds = Vec::with_capacity(shards);
-    let mut start = 0;
-    for s in 0..shards {
-        let len = base + usize::from(s < remainder);
-        bounds.push((start, start + len));
-        start += len;
-    }
-    bounds
 }
 
 /// One shard: an immutable base segment with tombstones plus a small delta segment of
@@ -238,11 +225,7 @@ struct Shard {
     dead_terms: HashMap<String, usize>,
     /// The live documents of the delta segment, in insertion order.
     delta_docs: Vec<Document>,
-    /// Cached analysed token streams, parallel to `delta_docs`. Analysis is
-    /// deterministic, so re-indexing from the cache is bit-identical to re-analysing —
-    /// it just spares every rebuild a full analysis pass over the whole delta.
-    delta_tokens: Vec<Vec<String>>,
-    /// Index over `delta_docs`, rebuilt on each mutation of this shard.
+    /// Index over `delta_docs`, rebuilt from them on each mutation of this shard.
     delta: InvertedIndex,
 }
 
@@ -258,10 +241,12 @@ impl Shard {
             + self.delta.doc_freq(term)
     }
 
+    /// Re-index the delta from its documents: at most [`DELTA_COMPACT_LIMIT`] of
+    /// them, so it stays on the calling thread.
     fn rebuild_delta(&mut self) {
         let corpus =
             Corpus::from_documents(self.delta_docs.clone()).expect("delta document ids are unique");
-        self.delta = InvertedIndex::build_analysed(corpus, &self.delta_tokens);
+        self.delta = InvertedIndex::build_in_chunks(corpus, 1);
     }
 
     /// Whether this shard's pending state warrants folding into a new base segment.
@@ -285,9 +270,9 @@ impl Shard {
             })
             .collect();
         docs.append(&mut self.delta_docs);
-        self.delta_tokens.clear();
+        let chunks = chunk_count(docs.len());
         let corpus = Corpus::from_documents(docs).expect("live ids are unique");
-        self.base = InvertedIndex::build(&corpus);
+        self.base = InvertedIndex::build_in_chunks(corpus, chunks);
         self.dead.clear();
         self.dead_terms.clear();
         self.delta = InvertedIndex::build(&Corpus::new());
@@ -397,18 +382,16 @@ impl ShardedIndex {
     }
 
     fn add_internal(&mut self, doc: Document) {
-        // Analyse exactly once: the token stream feeds both the global length
-        // statistics and (via the shard's token cache) every delta rebuild.
-        let tokens = analyze(&doc.full_text());
-        let len = tokens.len() as u64;
         self.fingerprint = self.fingerprint.wrapping_add(document_fingerprint(&doc));
         let target = (0..self.shards.len())
             .min_by_key(|&s| (self.shards[s].live_docs(), s))
             .expect("at least one shard");
         let shard = &mut self.shards[target];
         shard.delta_docs.push(doc);
-        shard.delta_tokens.push(tokens);
         shard.rebuild_delta();
+        // The new document is the delta's last; its analysed length feeds the global
+        // statistics.
+        let len = u64::from(shard.delta.doc_len(shard.delta_docs.len() as u32 - 1));
         self.num_docs += 1;
         self.total_len += len;
         self.recompute_avg();
@@ -432,7 +415,6 @@ impl ShardedIndex {
                     .expect("delta index mirrors delta_docs");
                 let len = u64::from(shard.delta.doc_len(ordinal));
                 let doc = shard.delta_docs.remove(pos);
-                shard.delta_tokens.remove(pos);
                 shard.rebuild_delta();
                 self.finish_removal(&doc, len);
                 return Ok(doc);
