@@ -2,7 +2,7 @@
 //! several.
 //!
 //! Every leg times what a searcher runs: the `build/docs=*` and `*/single` build legs
-//! run `ShardedIndexBuilder::new(1).build`, the build behind
+//! run `ShardedIndex::build(.., 1)`, the build behind
 //! `Searcher::from_corpus(.., 1)`, and the `single` query legs query that one-shard
 //! `Searcher`. The sharded cases partition the same corpus into N per-shard indexes
 //! (one build thread per shard) and merge per-shard top-k selections at query time;
@@ -23,7 +23,7 @@ use rage_bench::{black_box, scaled, section, Runner};
 use rage_datasets::entity_registry::{self, EntityRegistryConfig};
 use rage_datasets::large_corpus::{self, LargeCorpusConfig};
 use rage_datasets::synthetic::{filler_corpus, filler_queries, FillerConfig};
-use rage_retrieval::{Document, Searcher, ShardedIndexBuilder};
+use rage_retrieval::{Document, Searcher, ShardedIndex};
 
 const SHARD_COUNTS: &[usize] = &[2, 4, 8];
 
@@ -37,9 +37,8 @@ fn main() {
             ..FillerConfig::default()
         };
         let corpus = filler_corpus(config);
-        let builder = ShardedIndexBuilder::new(1);
         runner.bench(&format!("build/docs={num_docs}"), scaled(10), || {
-            black_box(builder.build(&corpus));
+            black_box(ShardedIndex::build(&corpus, 1));
         });
     }
 
@@ -51,17 +50,15 @@ fn main() {
             ..FillerConfig::default()
         };
         let corpus = filler_corpus(config);
-        let one_shard = ShardedIndexBuilder::new(1);
         let single = runner.bench(&format!("build/docs={num_docs}/single"), scaled(10), || {
-            black_box(one_shard.build(&corpus));
+            black_box(ShardedIndex::build(&corpus, 1));
         });
         for &shards in SHARD_COUNTS {
-            let builder = ShardedIndexBuilder::new(shards);
             let result = runner.bench(
                 &format!("build/docs={num_docs}/shards={shards}"),
                 scaled(10),
                 || {
-                    black_box(builder.build(&corpus));
+                    black_box(ShardedIndex::build(&corpus, shards));
                 },
             );
             runner.ratio(
@@ -142,7 +139,6 @@ fn main() {
             ..FillerConfig::default()
         };
         let corpus = filler_corpus(config);
-        let builder = ShardedIndexBuilder::new(8);
         let breaking = Document::new(
             "bench-breaking-doc",
             "Breaking result",
@@ -155,11 +151,11 @@ fn main() {
             &format!("mutate/docs={num_docs}/rebuild"),
             scaled(10),
             || {
-                black_box(builder.build(&mutated));
+                black_box(ShardedIndex::build(&mutated, 8));
             },
         );
 
-        let mut index = builder.build(&corpus);
+        let mut index = ShardedIndex::build(&corpus, 8);
         let incremental = runner.bench(
             &format!("mutate/docs={num_docs}/incremental-add-remove"),
             scaled(10),
@@ -175,7 +171,7 @@ fn main() {
             &incremental,
         );
 
-        let mut live = builder.build(&mutated);
+        let mut live = ShardedIndex::build(&mutated, 8);
         runner.bench(
             &format!("mutate/docs={num_docs}/incremental-update"),
             scaled(10),
@@ -193,20 +189,18 @@ fn main() {
     {
         let scenario = large_corpus::scenario(LargeCorpusConfig::default());
         let n = scenario.corpus_size();
-        let one_shard = ShardedIndexBuilder::new(1);
         runner.bench(
             &format!("large-corpus/build/docs={n}/single"),
             scaled(10),
             || {
-                black_box(one_shard.build(&scenario.corpus));
+                black_box(ShardedIndex::build(&scenario.corpus, 1));
             },
         );
-        let builder = ShardedIndexBuilder::new(8);
         runner.bench(
             &format!("large-corpus/build/docs={n}/shards=8"),
             scaled(10),
             || {
-                black_box(builder.build(&scenario.corpus));
+                black_box(ShardedIndex::build(&scenario.corpus, 8));
             },
         );
 

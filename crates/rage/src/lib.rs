@@ -75,7 +75,7 @@ pub mod prelude {
     pub use rage_llm::position_bias::PositionBiasProfile;
     pub use rage_llm::{Generation, LanguageModel, LlmInput, SourceText};
     pub use rage_report::{diff, from_json, render_html, render_markdown, to_json, ReportDiff};
-    pub use rage_retrieval::{Corpus, Document, Retriever, Searcher, ShardedIndexBuilder};
+    pub use rage_retrieval::{Corpus, Document, Retriever, Searcher, ShardedIndex};
 }
 
 #[cfg(test)]

@@ -19,11 +19,13 @@
 //!   `Vec<Posting>`; per term the dictionary stores an `(offset, len)` slice. Each
 //!   list is ordered by ascending document ordinal (documents are indexed in corpus
 //!   order), which the pruned query path relies on for per-candidate binary probes.
-//! * **Document stats** — ids, integer token counts, and the counts pre-converted to
-//!   `f64` (the BM25 length norm operand) are split into parallel arrays, so the
-//!   scoring loop touches a dense `f64` array instead of striding over structs, and an
-//!   id → ordinal map replaces the former linear scan in
-//!   [`ordinal_of`](InvertedIndex::ordinal_of).
+//! * **Document stats** — integer token counts and the counts pre-converted to `f64`
+//!   (the BM25 length norm operand) are split into parallel arrays, so the scoring
+//!   loop touches a dense `f64` array instead of striding over structs.
+//! * **Documents** — the index owns its one copy of its documents, by ordinal, which
+//!   [`doc_id`](InvertedIndex::doc_id) and [`document`](InvertedIndex::document)
+//!   read. One id → ordinal map, built once per index, answers
+//!   [`ordinal_of`](InvertedIndex::ordinal_of) and checks that the ids are unique.
 //!
 //! ## The one build
 //!
@@ -98,15 +100,14 @@ pub struct Posting {
 pub struct InvertedIndex {
     /// The dictionary, the postings and the document lengths.
     arenas: Arenas,
-    /// Document ids by ordinal.
-    doc_ids: Vec<String>,
     /// `doc_lens` pre-converted to `f64` — the BM25 length-norm operand, precomputed
     /// once at build time instead of per posting per query.
     doc_norm_lens: Vec<f64>,
+    /// The indexed documents, by ordinal.
+    docs: Vec<Document>,
     /// Document id → ordinal.
     ordinals: HashMap<String, u32>,
     avg_doc_len: f64,
-    corpus: Corpus,
 }
 
 /// The term dictionary, the postings and the document lengths of a run of
@@ -302,23 +303,30 @@ impl Arenas {
 }
 
 impl InvertedIndex {
-    /// Analyse and index every document of the corpus (a copy of it moves into the
-    /// index). A corpus of at least twice the minimum chunk size splits into one
-    /// chunk per core (see [the one build](self#the-one-build)).
+    /// Analyse and index every document of the corpus (a copy of its documents moves
+    /// into the index). A corpus of at least twice the minimum chunk size splits into
+    /// one chunk per core (see [the one build](self#the-one-build)).
     pub fn build(corpus: &Corpus) -> Self {
-        Self::build_in_chunks(corpus.clone(), chunk_count(corpus.len()))
+        Self::build_in_chunks(corpus.documents().to_vec(), chunk_count(corpus.len()))
     }
 
-    /// Index a corpus that moves into the index, its documents split into `chunks`
-    /// contiguous runs indexed on scoped threads (the caller indexes the first) and
-    /// merged in ordinal order. Every arena, bound and length is the same at any
-    /// chunk count.
-    pub(crate) fn build_in_chunks(corpus: Corpus, chunks: usize) -> Self {
-        let docs = corpus.documents();
+    /// Index documents that move into the index, split into `chunks` contiguous runs
+    /// indexed on scoped threads (the caller indexes the first) and merged in ordinal
+    /// order. Every arena, bound and length is the same at any chunk count.
+    ///
+    /// # Panics
+    /// If two documents share an id.
+    pub(crate) fn build_in_chunks(docs: Vec<Document>, chunks: usize) -> Self {
+        let mut ordinals = HashMap::with_capacity(docs.len());
+        for (ordinal, doc) in (0u32..).zip(&docs) {
+            let fresh = ordinals.insert(doc.id.clone(), ordinal).is_none();
+            assert!(fresh, "duplicate document id {:?}", doc.id);
+        }
         let bounds = partition_bounds(docs.len(), chunks.max(1));
         let arenas = if bounds.len() == 1 {
-            Arenas::index(docs, 0)
+            Arenas::index(&docs, 0)
         } else {
+            let docs = &docs;
             let parts: Vec<Arenas> = thread::scope(|scope| {
                 let helpers: Vec<_> = bounds[1..]
                     .iter()
@@ -346,27 +354,20 @@ impl InvertedIndex {
         } else {
             total_len as f64 / docs.len() as f64
         };
-        let doc_ids: Vec<String> = docs.iter().map(|doc| doc.id.clone()).collect();
         let doc_norm_lens = arenas.doc_lens.iter().map(|&len| f64::from(len)).collect();
-        let ordinals = doc_ids
-            .iter()
-            .enumerate()
-            .map(|(ordinal, id)| (id.clone(), ordinal as u32))
-            .collect();
 
         Self {
             arenas,
-            doc_ids,
             doc_norm_lens,
+            docs,
             ordinals,
             avg_doc_len,
-            corpus,
         }
     }
 
     /// Number of indexed documents.
     pub fn num_docs(&self) -> usize {
-        self.doc_ids.len()
+        self.docs.len()
     }
 
     /// Number of distinct terms in the dictionary.
@@ -424,12 +425,11 @@ impl InvertedIndex {
     }
 
     /// Length (analysed token count) of the document with the given ordinal.
+    ///
+    /// # Panics
+    /// If the ordinal is out of range.
     pub fn doc_len(&self, ordinal: u32) -> u32 {
-        self.arenas
-            .doc_lens
-            .get(ordinal as usize)
-            .copied()
-            .unwrap_or(0)
+        self.arenas.doc_lens[ordinal as usize]
     }
 
     /// Length of the document with the given ordinal as `f64` — precomputed at build
@@ -443,16 +443,20 @@ impl InvertedIndex {
 
     /// Id of the document with the given ordinal.
     pub fn doc_id(&self, ordinal: u32) -> Option<&str> {
-        self.doc_ids.get(ordinal as usize).map(String::as_str)
+        self.document(ordinal).map(|doc| doc.id.as_str())
     }
 
     /// The full document with the given ordinal.
     pub fn document(&self, ordinal: u32) -> Option<&Document> {
-        self.corpus.documents().get(ordinal as usize)
+        self.docs.get(ordinal as usize)
     }
 
-    /// Ordinal of a document id, if indexed. A hash lookup (the former linear scan
-    /// made every by-id operation O(corpus)).
+    /// Every indexed document, in ordinal order.
+    pub(crate) fn documents(&self) -> &[Document] {
+        &self.docs
+    }
+
+    /// Ordinal of a document id, if indexed: one hash lookup.
     pub fn ordinal_of(&self, doc_id: &str) -> Option<u32> {
         self.ordinals.get(doc_id).copied()
     }
@@ -653,14 +657,14 @@ mod tests {
     #[test]
     fn every_chunk_count_builds_the_same_index() {
         for corpus in [seeded_corpus(300), seeded_corpus(5), Corpus::new()] {
-            let one = InvertedIndex::build_in_chunks(corpus.clone(), 1);
+            let one = InvertedIndex::build_in_chunks(corpus.documents().to_vec(), 1);
             if corpus.len() == 300 {
                 assert!(corpus.iter().any(|d| d.text.is_empty()));
                 assert!(corpus.iter().any(|d| !d.title.is_empty()));
                 assert!(one.arenas.term_max_tf.iter().any(|&tf| tf > 1));
             }
             for chunks in [2, 3, 7] {
-                let split = InvertedIndex::build_in_chunks(corpus.clone(), chunks);
+                let split = InvertedIndex::build_in_chunks(corpus.documents().to_vec(), chunks);
                 let (a, b) = (&one.arenas, &split.arenas);
                 let at = format!("{} docs, {chunks} chunks", corpus.len());
                 assert_eq!(a.term_arena, b.term_arena, "term arena, {at}");
@@ -678,7 +682,7 @@ mod tests {
                     split.avg_doc_len.to_bits(),
                     "avg_doc_len, {at}"
                 );
-                assert_eq!(one.doc_ids, split.doc_ids, "{at}");
+                assert_eq!(one.docs, split.docs, "{at}");
                 assert_eq!(one.ordinals, split.ordinals, "{at}");
             }
         }

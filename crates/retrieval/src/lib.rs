@@ -17,7 +17,8 @@
 //! * [`index`] — an in-memory inverted index in a compact arena layout (interned term
 //!   dictionary, contiguous postings arena, precomputed per-document BM25 length
 //!   norms), built by one streaming pass ([`InvertedIndex::build`]) that splits a
-//!   large corpus across cores.
+//!   large corpus across cores. Each index owns the one copy of its documents and one
+//!   id → ordinal map.
 //! * [`bm25`] — Okapi BM25 scoring at Pyserini's defaults, `k1 = 0.9` and `b = 0.4`
 //!   (the constants [`bm25::K1`] and [`bm25::B`]).
 //! * [`topk`] — the pruned query hot path: sparse accumulation plus MaxScore-style
@@ -26,12 +27,12 @@
 //!   sequence of [`RankedSource`]) that RAGE perturbs.
 //! * [`retriever`] — the [`Retriever`] trait the pipeline is generic over.
 //! * [`sharded`] — the segmented [`ShardedIndex`] a [`Searcher`] queries: one or more
-//!   contiguous shards, with incremental mutation
-//!   ([`ShardedIndex::add`]/`remove`/`update`) through per-shard delta segments, and
-//!   the thread-safe mutable [`LiveSearcher`]. Every mutation advances the index's
-//!   [`CorpusVersion`] (a monotonic count of its own mutations plus an
-//!   order-independent content fingerprint); see the `sharded` module docs for the
-//!   delta/compaction contract.
+//!   contiguous shards ([`ShardedIndex::build`]), with incremental mutation
+//!   ([`ShardedIndex::add`]/`remove`/`update`) through per-shard delta segments and
+//!   base tombstones, and the thread-safe mutable [`LiveSearcher`]. Every mutation
+//!   advances the index's [`CorpusVersion`] (a monotonic count of its own mutations
+//!   plus an order-independent content fingerprint); see the `sharded` module docs
+//!   for the delta/compaction contract.
 //!
 //! ## One searcher, any shard count
 //!
@@ -121,6 +122,4 @@ pub use error::RetrievalError;
 pub use index::InvertedIndex;
 pub use retriever::{CorpusVersion, Retriever};
 pub use searcher::{RankedSource, Searcher};
-pub use sharded::{
-    corpus_fingerprint, document_fingerprint, LiveSearcher, ShardedIndex, ShardedIndexBuilder,
-};
+pub use sharded::{corpus_fingerprint, document_fingerprint, LiveSearcher, ShardedIndex};

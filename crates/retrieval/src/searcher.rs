@@ -32,7 +32,7 @@ use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
 use crate::index::InvertedIndex;
 use crate::retriever::{CorpusVersion, Retriever};
-use crate::sharded::{ShardedIndex, ShardedIndexBuilder};
+use crate::sharded::ShardedIndex;
 use crate::tokenize::analyze;
 use crate::topk::{pruned_top_k, ScoreWorkspace};
 
@@ -177,11 +177,12 @@ impl Searcher {
         }
     }
 
-    /// Partition, index and wrap a corpus in one step. One shard is the right choice
-    /// for the demonstration corpora; more shards build in parallel and return the
-    /// same rankings.
+    /// Partition, index and wrap a corpus in one step ([`ShardedIndex::build`]). The
+    /// corpus is borrowed, so each shard's index owns a copy of its documents. One
+    /// shard is the right choice for the demonstration corpora; more shards build in
+    /// parallel and return the same rankings.
     pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
-        Self::new(ShardedIndexBuilder::new(num_shards).build(corpus))
+        Self::new(ShardedIndex::build(corpus, num_shards))
     }
 
     /// The underlying segmented index.

@@ -1,15 +1,15 @@
 //! The segmented index behind [`Searcher`]: per-shard base and delta segments, global
 //! collection statistics, and incremental mutation.
 //!
-//! [`ShardedIndex`] partitions a corpus into `N` contiguous shards — one for a corpus
-//! of the paper's scale — and builds one [`InvertedIndex`] per shard. Several shards
-//! build on one thread per shard. One shard builds its documents in contiguous chunks
-//! on up to `available_parallelism()` threads, none below a measured minimum size
-//! (see the [`index`](crate::index) module docs), and merges them into exactly the
-//! index one thread would build, so a one-shard build already uses every core and a
-//! small corpus never spawns a thread. [`Searcher`] answers a query by merging
-//! per-segment top-k selections. The
-//! merged ranking does not depend on `N`: it is bit-identical to dense scoring of one
+//! [`ShardedIndex::build`] partitions a corpus into `N` contiguous shards — one for a
+//! corpus of the paper's scale — and copies each shard's documents straight into its
+//! one [`InvertedIndex`]. Several shards build on one thread per shard. One shard
+//! builds its documents in contiguous chunks on up to `available_parallelism()`
+//! threads, none below a measured minimum size (see the [`index`](crate::index) module
+//! docs), and merges them into exactly the index one thread would build, so a
+//! one-shard build already uses every core and a small corpus never spawns a thread.
+//! [`Searcher`] answers a query by merging per-segment top-k selections. The merged
+//! ranking does not depend on `N`: it is bit-identical to dense scoring of one
 //! unpartitioned index, which the sharding suite (`crates/retrieval/tests/sharding.rs`)
 //! checks at 1, 2, 3, 7 and 16 shards.
 //!
@@ -47,17 +47,19 @@
 //!
 //! * a **base** segment — the immutable index built at construction (or at the last
 //!   compaction), with a set of *tombstoned* ordinals for documents removed since;
-//! * a **delta** segment — a small index over the documents added since, rebuilt
-//!   from those documents on each mutation (the delta holds at most 64 documents, so
-//!   re-analysing them is cheap and nothing caches their tokens).
+//! * a **delta** segment — a small index over the documents added since. Each segment
+//!   owns the one copy of its documents, so a delta edit copies the delta's documents,
+//!   edits the copy and rebuilds the delta from it (the delta holds at most 64
+//!   documents, so re-analysing them is cheap and nothing caches their tokens).
 //!
-//! The global collection statistics (`num_docs`, total analysed length and therefore
-//! `avg_doc_len`, per-term `doc_freq`) are maintained **exactly** on every mutation:
-//! integer token counts are added/subtracted (order-independent), and tombstoned
-//! documents are subtracted from the per-term document frequencies they contributed
-//! to. Queries score every segment with these global stats and exclude tombstoned
+//! The global collection statistics (`num_docs` and the total analysed length, which
+//! [`avg_doc_len`](ShardedIndex::avg_doc_len) divides when it is read, and per-term
+//! `doc_freq`) are maintained **exactly** on every mutation: integer token counts are
+//! added/subtracted (order-independent), and a tombstoned document is subtracted from
+//! the document frequency of each distinct term it holds, counted per base term id.
+//! Queries score every segment with these global stats and exclude tombstoned
 //! ordinals from candidacy, so by the two mechanisms above the ranking and every
-//! score are **bit-identical to a from-scratch [`ShardedIndexBuilder::build`]** of the
+//! score are **bit-identical to a from-scratch [`ShardedIndex::build`]** of the
 //! current live document set — at every version. The incremental-equivalence suite
 //! (`crates/retrieval/tests/incremental.rs`) pins this across random interleavings of
 //! mutations and compactions.
@@ -73,17 +75,16 @@
 //! version 1), so the version counts the index's own mutations since its build, and
 //! maintains an order-independent content fingerprint.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 
 use crate::bm25::CollectionStats;
 use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
-use crate::index::{chunk_count, partition_bounds, InvertedIndex};
+use crate::index::{chunk_count, for_each_document_term, partition_bounds, InvertedIndex};
 use crate::retriever::{CorpusVersion, Retriever};
 use crate::searcher::{RankedSource, Searcher};
-use crate::tokenize::analyze;
 
 /// A delta segment larger than this triggers automatic compaction of its shard.
 const DELTA_COMPACT_LIMIT: usize = 64;
@@ -124,93 +125,6 @@ pub fn corpus_fingerprint(corpus: &Corpus) -> u64 {
         .fold(0u64, |acc, doc| acc.wrapping_add(document_fingerprint(doc)))
 }
 
-/// Builder for [`ShardedIndex`]: how many shards.
-#[derive(Debug, Clone)]
-pub struct ShardedIndexBuilder {
-    num_shards: usize,
-}
-
-impl ShardedIndexBuilder {
-    /// Create a builder that partitions corpora into `num_shards` contiguous shards.
-    ///
-    /// Shard sizes are balanced (they differ by at most one document); when
-    /// `num_shards` exceeds the corpus size the trailing shards are simply empty.
-    ///
-    /// # Panics
-    /// If `num_shards` is zero.
-    pub fn new(num_shards: usize) -> Self {
-        assert!(num_shards >= 1, "at least one shard required");
-        Self { num_shards }
-    }
-
-    /// Analyse and index every document of the corpus, one index per shard. One
-    /// shard builds in chunks across cores (see the [module docs](self)); several
-    /// shards build on one scoped thread each, collected in shard order, so the index
-    /// does not depend on scheduling.
-    pub fn build(&self, corpus: &Corpus) -> ShardedIndex {
-        let docs = corpus.documents();
-        let bounds = partition_bounds(docs.len(), self.num_shards);
-
-        // Each shard's documents are copied once, into the shard corpus that then
-        // moves into its index.
-        let build_one = |(start, end): (usize, usize), chunks: usize| -> InvertedIndex {
-            let shard = Corpus::from_documents(docs[start..end].to_vec())
-                .expect("parent corpus ids are unique");
-            InvertedIndex::build_in_chunks(shard, chunks)
-        };
-
-        let indexes: Vec<InvertedIndex> = if self.num_shards == 1 {
-            vec![build_one(bounds[0], chunk_count(docs.len()))]
-        } else {
-            thread::scope(|scope| {
-                let build_one = &build_one;
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .map(|&b| scope.spawn(move || build_one(b, 1)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard index build panicked"))
-                    .collect()
-            })
-        };
-
-        // Exact global statistics: summing integer token counts is order-independent,
-        // so the average equals an unpartitioned index's bit-for-bit.
-        let num_docs = docs.len();
-        let total_len: u64 = indexes
-            .iter()
-            .flat_map(|index| (0..index.num_docs()).map(|o| u64::from(index.doc_len(o as u32))))
-            .sum();
-        let avg_doc_len = if num_docs == 0 {
-            0.0
-        } else {
-            total_len as f64 / num_docs as f64
-        };
-
-        let empty_delta = InvertedIndex::build(&Corpus::new());
-        let shards = indexes
-            .into_iter()
-            .map(|base| Shard {
-                base,
-                dead: HashSet::new(),
-                dead_terms: HashMap::new(),
-                delta_docs: Vec::new(),
-                delta: empty_delta.clone(),
-            })
-            .collect();
-
-        ShardedIndex {
-            shards,
-            num_docs,
-            total_len,
-            avg_doc_len,
-            version: 1,
-            fingerprint: corpus_fingerprint(corpus),
-        }
-    }
-}
-
 /// One shard: an immutable base segment with tombstones plus a small delta segment of
 /// documents added since the last compaction (see the
 /// [delta/compaction contract](self)).
@@ -220,16 +134,23 @@ struct Shard {
     /// Tombstoned *ordinals* of the base segment. Ordinal-level (not id-level)
     /// tombstones mean a removed-then-re-added id can never resurrect old content.
     dead: HashSet<u32>,
-    /// Per-term count of tombstoned base documents containing the term — the exact
-    /// correction applied to the base segment's document frequencies.
-    dead_terms: HashMap<String, usize>,
-    /// The live documents of the delta segment, in insertion order.
-    delta_docs: Vec<Document>,
-    /// Index over `delta_docs`, rebuilt from them on each mutation of this shard.
+    /// Per base term id: how many tombstoned base documents contain the term — the
+    /// exact correction applied to the base segment's document frequencies.
+    dead_doc_freqs: HashMap<u32, usize>,
+    /// The documents added since the last compaction, rebuilt on each edit.
     delta: InvertedIndex,
 }
 
 impl Shard {
+    fn new(base: InvertedIndex) -> Self {
+        Self {
+            base,
+            dead: HashSet::new(),
+            dead_doc_freqs: HashMap::new(),
+            delta: InvertedIndex::build_in_chunks(Vec::new(), 1),
+        }
+    }
+
     /// Live documents in this shard (base minus tombstones, plus delta).
     fn live_docs(&self) -> usize {
         self.base.num_docs() - self.dead.len() + self.delta.num_docs()
@@ -237,45 +158,64 @@ impl Shard {
 
     /// Exact live document frequency of a term within this shard.
     fn doc_freq(&self, term: &str) -> usize {
-        self.base.doc_freq(term) - self.dead_terms.get(term).copied().unwrap_or(0)
-            + self.delta.doc_freq(term)
+        let base = self.base.term_id(term).map_or(0, |id| {
+            self.base.postings_by_id(id).len() - self.dead_doc_freqs.get(&id).copied().unwrap_or(0)
+        });
+        base + self.delta.doc_freq(term)
     }
 
-    /// Re-index the delta from its documents: at most [`DELTA_COMPACT_LIMIT`] of
-    /// them, so it stays on the calling thread.
-    fn rebuild_delta(&mut self) {
-        let corpus =
-            Corpus::from_documents(self.delta_docs.clone()).expect("delta document ids are unique");
-        self.delta = InvertedIndex::build_in_chunks(corpus, 1);
+    /// Edit a copy of the delta's documents and rebuild the delta from it: at most
+    /// [`DELTA_COMPACT_LIMIT`] documents, so the rebuild stays on the calling thread.
+    fn edit_delta<R>(&mut self, edit: impl FnOnce(&mut Vec<Document>) -> R) -> R {
+        let mut docs = self.delta.documents().to_vec();
+        let edited = edit(&mut docs);
+        self.delta = InvertedIndex::build_in_chunks(docs, 1);
+        edited
+    }
+
+    /// Tombstone a live base ordinal: each distinct term of its document counts once
+    /// more against the base document frequencies. Returns a copy of the document.
+    fn tombstone(&mut self, ordinal: u32) -> Document {
+        let doc = self
+            .base
+            .document(ordinal)
+            .expect("ordinal in range")
+            .clone();
+        let mut term_ids = Vec::new();
+        for_each_document_term(&doc, &mut String::new(), |term| {
+            term_ids.push(
+                self.base
+                    .term_id(term)
+                    .expect("an indexed term is in the dictionary"),
+            );
+        });
+        term_ids.sort_unstable();
+        term_ids.dedup();
+        for id in term_ids {
+            *self.dead_doc_freqs.entry(id).or_insert(0) += 1;
+        }
+        self.dead.insert(ordinal);
+        doc
     }
 
     /// Whether this shard's pending state warrants folding into a new base segment.
     fn wants_compaction(&self) -> bool {
-        self.delta_docs.len() >= DELTA_COMPACT_LIMIT || self.dead.len() * 2 > self.base.num_docs()
+        self.delta.num_docs() >= DELTA_COMPACT_LIMIT || self.dead.len() * 2 > self.base.num_docs()
     }
 
     /// Merge live base documents and delta documents into a fresh base segment; a
     /// pure layout change (no statistic, version or fingerprint moves).
     fn compact(&mut self) {
-        if self.dead.is_empty() && self.delta_docs.is_empty() {
+        if self.dead.is_empty() && self.delta.num_docs() == 0 {
             return;
         }
-        let mut docs: Vec<Document> = (0..self.base.num_docs() as u32)
-            .filter(|ordinal| !self.dead.contains(ordinal))
-            .map(|ordinal| {
-                self.base
-                    .document(ordinal)
-                    .expect("ordinal in range")
-                    .clone()
-            })
-            .collect();
-        docs.append(&mut self.delta_docs);
+        let live_base = (0u32..)
+            .zip(self.base.documents())
+            .filter(|(ordinal, _)| !self.dead.contains(ordinal))
+            .map(|(_, doc)| doc);
+        let docs: Vec<Document> = live_base.chain(self.delta.documents()).cloned().collect();
         let chunks = chunk_count(docs.len());
-        let corpus = Corpus::from_documents(docs).expect("live ids are unique");
-        self.base = InvertedIndex::build_in_chunks(corpus, chunks);
-        self.dead.clear();
-        self.dead_terms.clear();
-        self.delta = InvertedIndex::build(&Corpus::new());
+        *self = Self::new(InvertedIndex::build_in_chunks(docs, chunks));
     }
 }
 
@@ -291,12 +231,61 @@ pub struct ShardedIndex {
     shards: Vec<Shard>,
     num_docs: usize,
     total_len: u64,
-    avg_doc_len: f64,
     version: u64,
     fingerprint: u64,
 }
 
 impl ShardedIndex {
+    /// Partition a corpus into `num_shards` contiguous shards and index each, copying
+    /// its documents straight into its index.
+    ///
+    /// Shard sizes are balanced (they differ by at most one document); when
+    /// `num_shards` exceeds the corpus size the trailing shards are simply empty. One
+    /// shard builds in chunks across cores (see the [module docs](self)); several
+    /// shards build on one scoped thread each, collected in shard order, so the index
+    /// does not depend on scheduling.
+    ///
+    /// # Panics
+    /// If `num_shards` is zero.
+    pub fn build(corpus: &Corpus, num_shards: usize) -> Self {
+        assert!(num_shards >= 1, "at least one shard required");
+        let docs = corpus.documents();
+        let bounds = partition_bounds(docs.len(), num_shards);
+        let build_one = |(start, end): (usize, usize), chunks: usize| {
+            InvertedIndex::build_in_chunks(docs[start..end].to_vec(), chunks)
+        };
+
+        let indexes: Vec<InvertedIndex> = if num_shards == 1 {
+            vec![build_one(bounds[0], chunk_count(docs.len()))]
+        } else {
+            thread::scope(|scope| {
+                let build_one = &build_one;
+                let handles: Vec<_> = bounds
+                    .iter()
+                    .map(|&b| scope.spawn(move || build_one(b, 1)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard index build panicked"))
+                    .collect()
+            })
+        };
+
+        // Summing integer token counts is order-independent, so the average equals an
+        // unpartitioned index's bit for bit.
+        let total_len = indexes
+            .iter()
+            .flat_map(|index| (0..index.num_docs()).map(|o| u64::from(index.doc_len(o as u32))))
+            .sum();
+        Self {
+            shards: indexes.into_iter().map(Shard::new).collect(),
+            num_docs: docs.len(),
+            total_len,
+            version: 1,
+            fingerprint: corpus_fingerprint(corpus),
+        }
+    }
+
     /// Number of shards (including empty ones).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -309,7 +298,11 @@ impl ShardedIndex {
 
     /// Global average analysed document length (identical to an unpartitioned index's).
     pub fn avg_doc_len(&self) -> f64 {
-        self.avg_doc_len
+        if self.num_docs == 0 {
+            0.0
+        } else {
+            self.total_len as f64 / self.num_docs as f64
+        }
     }
 
     /// Live documents per shard, in shard order.
@@ -373,28 +366,18 @@ impl ShardedIndex {
         }
     }
 
-    fn recompute_avg(&mut self) {
-        self.avg_doc_len = if self.num_docs == 0 {
-            0.0
-        } else {
-            self.total_len as f64 / self.num_docs as f64
-        };
-    }
-
     fn add_internal(&mut self, doc: Document) {
         self.fingerprint = self.fingerprint.wrapping_add(document_fingerprint(&doc));
         let target = (0..self.shards.len())
             .min_by_key(|&s| (self.shards[s].live_docs(), s))
             .expect("at least one shard");
         let shard = &mut self.shards[target];
-        shard.delta_docs.push(doc);
-        shard.rebuild_delta();
+        shard.edit_delta(|docs| docs.push(doc));
         // The new document is the delta's last; its analysed length feeds the global
         // statistics.
-        let len = u64::from(shard.delta.doc_len(shard.delta_docs.len() as u32 - 1));
+        let len = u64::from(shard.delta.doc_len(shard.delta.num_docs() as u32 - 1));
         self.num_docs += 1;
         self.total_len += len;
-        self.recompute_avg();
         if self.shards[target].wants_compaction() {
             self.shards[target].compact();
         }
@@ -402,56 +385,32 @@ impl ShardedIndex {
 
     fn remove_internal(&mut self, doc_id: &str) -> Result<Document, RetrievalError> {
         for s in 0..self.shards.len() {
-            // The live copy may sit in the delta segment...
-            if let Some(pos) = self.shards[s]
-                .delta_docs
-                .iter()
-                .position(|d| d.id == doc_id)
+            let shard = &mut self.shards[s];
+            // The live copy may sit in the delta segment, or in the base segment, where
+            // removal is a tombstone plus an exact correction of the per-term document
+            // frequencies it contributed to.
+            let (doc, len) = if let Some(ordinal) = shard.delta.ordinal_of(doc_id) {
+                let len = shard.delta.doc_len(ordinal);
+                (shard.edit_delta(|docs| docs.remove(ordinal as usize)), len)
+            } else if let Some(ordinal) = shard
+                .base
+                .ordinal_of(doc_id)
+                .filter(|ordinal| !shard.dead.contains(ordinal))
             {
-                let shard = &mut self.shards[s];
-                let ordinal = shard
-                    .delta
-                    .ordinal_of(doc_id)
-                    .expect("delta index mirrors delta_docs");
-                let len = u64::from(shard.delta.doc_len(ordinal));
-                let doc = shard.delta_docs.remove(pos);
-                shard.rebuild_delta();
-                self.finish_removal(&doc, len);
-                return Ok(doc);
+                (shard.tombstone(ordinal), shard.base.doc_len(ordinal))
+            } else {
+                // Absent here, or tombstoned here with any live copy elsewhere.
+                continue;
+            };
+            self.fingerprint = self.fingerprint.wrapping_sub(document_fingerprint(&doc));
+            self.num_docs -= 1;
+            self.total_len -= u64::from(len);
+            if self.shards[s].wants_compaction() {
+                self.shards[s].compact();
             }
-            // ...or in the base segment, where removal is a tombstone plus an exact
-            // correction of the per-term document frequencies it contributed to.
-            if let Some(ordinal) = self.shards[s].base.ordinal_of(doc_id) {
-                if !self.shards[s].dead.contains(&ordinal) {
-                    let shard = &mut self.shards[s];
-                    let doc = shard
-                        .base
-                        .document(ordinal)
-                        .expect("ordinal in range")
-                        .clone();
-                    let len = u64::from(shard.base.doc_len(ordinal));
-                    shard.dead.insert(ordinal);
-                    let terms: BTreeSet<String> = analyze(&doc.full_text()).into_iter().collect();
-                    for term in terms {
-                        *shard.dead_terms.entry(term).or_insert(0) += 1;
-                    }
-                    self.finish_removal(&doc, len);
-                    if self.shards[s].wants_compaction() {
-                        self.shards[s].compact();
-                    }
-                    return Ok(doc);
-                }
-                // Tombstoned here — the live copy (if any) lives elsewhere.
-            }
+            return Ok(doc);
         }
         Err(RetrievalError::UnknownDocument(doc_id.to_string()))
-    }
-
-    fn finish_removal(&mut self, doc: &Document, len: u64) {
-        self.fingerprint = self.fingerprint.wrapping_sub(document_fingerprint(doc));
-        self.num_docs -= 1;
-        self.total_len -= len;
-        self.recompute_avg();
     }
 
     /// Global document frequencies for a whole query, parallel to `terms`.
@@ -465,7 +424,7 @@ impl ShardedIndex {
     pub(crate) fn stats<'a>(&self, doc_freqs: &'a [usize]) -> CollectionStats<'a> {
         CollectionStats {
             num_docs: self.num_docs,
-            avg_doc_len: self.avg_doc_len,
+            avg_doc_len: self.avg_doc_len(),
             doc_freqs,
         }
     }
@@ -609,6 +568,7 @@ impl Retriever for LiveSearcher {
 mod tests {
     use super::*;
     use crate::bm25::score_all;
+    use crate::tokenize::analyze;
 
     fn corpus() -> Corpus {
         let mut corpus = Corpus::new();
@@ -723,7 +683,7 @@ mod tests {
     fn global_stats_match_single_index() {
         let corpus = corpus();
         let single = InvertedIndex::build(&corpus);
-        let sharded = ShardedIndexBuilder::new(3).build(&corpus);
+        let sharded = ShardedIndex::build(&corpus, 3);
         assert_eq!(sharded.num_docs(), single.num_docs());
         assert_eq!(
             sharded.avg_doc_len().to_bits(),
@@ -770,12 +730,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        ShardedIndexBuilder::new(0);
+        ShardedIndex::build(&corpus(), 0);
     }
 
     #[test]
     fn mutations_match_a_fresh_rebuild() {
-        let mut index = ShardedIndexBuilder::new(3).build(&corpus());
+        let mut index = ShardedIndex::build(&corpus(), 3);
         index
             .add(Document::new(
                 "doubles",
@@ -808,7 +768,7 @@ mod tests {
             .unwrap();
 
         let live = Searcher::new(index.clone());
-        let rebuilt = Searcher::new(ShardedIndexBuilder::new(3).build(&mirror));
+        let rebuilt = Searcher::new(ShardedIndex::build(&mirror, 3));
         assert_same_hits(
             &live.search("french open clay titles", 5),
             &rebuilt.search("french open clay titles", 5),
@@ -880,7 +840,7 @@ mod tests {
 
     #[test]
     fn duplicate_add_and_unknown_removal_are_typed_errors() {
-        let mut index = ShardedIndexBuilder::new(2).build(&corpus());
+        let mut index = ShardedIndex::build(&corpus(), 2);
         assert!(matches!(
             index.add(Document::new("slams", "", "dup")),
             Err(RetrievalError::DuplicateDocumentId(_))
@@ -899,7 +859,7 @@ mod tests {
 
     #[test]
     fn version_counts_mutations_and_compaction_is_free() {
-        let mut index = ShardedIndexBuilder::new(2).build(&corpus());
+        let mut index = ShardedIndex::build(&corpus(), 2);
         assert_eq!(index.corpus_version().version, 1);
         index
             .add(Document::new("extra", "", "one more doc"))
@@ -918,7 +878,7 @@ mod tests {
 
     #[test]
     fn removed_then_readded_id_serves_the_new_content() {
-        let mut index = ShardedIndexBuilder::new(2).build(&corpus());
+        let mut index = ShardedIndex::build(&corpus(), 2);
         index.remove("weeks").unwrap();
         index
             .add(Document::new(

@@ -1,6 +1,6 @@
 //! The incremental-equivalence suite: a mutated [`ShardedIndex`] must be
 //! indistinguishable — identical rankings, bit-identical scores, identical global
-//! statistics — from a fresh [`ShardedIndexBuilder::build`] over the same live
+//! statistics — from a fresh [`ShardedIndex::build`] over the same live
 //! document set, at every step of any interleaving of add/remove/update/compact, for
 //! every shard count.
 //!
@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use common::{assert_same_ranking, DenseReference};
 use rage_retrieval::{
-    corpus_fingerprint, Corpus, Document, Searcher, ShardedIndex, ShardedIndexBuilder,
+    corpus_fingerprint, Corpus, Document, RetrievalError, Searcher, ShardedIndex,
 };
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
@@ -59,7 +59,7 @@ fn random_query(rng: &mut StdRng) -> String {
 /// bits and the global statistics.
 fn assert_equals_rebuild(index: &ShardedIndex, mirror: &Corpus, shards: usize, context: &str) {
     let live = Searcher::new(index.clone());
-    let rebuilt = Searcher::new(ShardedIndexBuilder::new(shards).build(mirror));
+    let rebuilt = Searcher::new(ShardedIndex::build(mirror, shards));
     let reference = DenseReference::new(mirror);
 
     assert_eq!(index.num_docs(), mirror.len(), "{context}: num_docs");
@@ -107,10 +107,12 @@ fn assert_equals_rebuild(index: &ShardedIndex, mirror: &Corpus, shards: usize, c
 fn property_random_mutation_interleavings_equal_rebuild_at_every_step() {
     for &shards in SHARD_COUNTS {
         let mut mirror = random_corpus(77, 24);
-        let mut index = ShardedIndexBuilder::new(shards).build(&mirror);
+        let mut index = ShardedIndex::build(&mirror, shards);
         let mut rng = StdRng::seed_from_u64(0xFACE ^ shards as u64);
         let mut next_id = 0usize;
         let mut expected_version = 1u64;
+        // Adds take fresh ids, so no removed id is ever re-added.
+        let mut removed: Vec<String> = Vec::new();
 
         assert_equals_rebuild(&index, &mirror, shards, &format!("shards={shards} initial"));
         for step in 0..30 {
@@ -133,9 +135,10 @@ fn property_random_mutation_interleavings_equal_rebuild_at_every_step() {
                     let victim = mirror.documents()[rng.gen_range(0..mirror.len())]
                         .id
                         .clone();
-                    let removed = index.remove(&victim).unwrap();
+                    let doc = index.remove(&victim).unwrap();
                     let mirrored = mirror.remove(&victim).unwrap();
-                    assert_eq!(removed, mirrored, "{context}: removed document");
+                    assert_eq!(doc, mirrored, "{context}: removed document");
+                    removed.push(victim);
                     expected_version += 1;
                 }
                 // update (weight 3)
@@ -157,6 +160,19 @@ fn property_random_mutation_interleavings_equal_rebuild_at_every_step() {
                 "{context}: version"
             );
             assert_equals_rebuild(&index, &mirror, shards, &context);
+            // A delta removal renumbers the delta's ordinals and a base removal only
+            // tombstones: neither may leave a removed id reachable.
+            let live = Searcher::new(index.clone());
+            for id in &removed {
+                assert!(!index.contains(id), "{context}: removed {id} is live");
+                assert!(
+                    matches!(
+                        live.score_document("grand slam title", id),
+                        Err(RetrievalError::UnknownDocument(_))
+                    ),
+                    "{context}: score_document on removed {id}"
+                );
+            }
         }
     }
 }
@@ -165,7 +181,7 @@ fn property_random_mutation_interleavings_equal_rebuild_at_every_step() {
 fn removing_every_document_guards_the_avg_doc_len_zero_path() {
     for &shards in SHARD_COUNTS {
         let mirror = random_corpus(88, 6);
-        let mut index = ShardedIndexBuilder::new(shards).build(&mirror);
+        let mut index = ShardedIndex::build(&mirror, shards);
         let ids: Vec<String> = mirror.iter().map(|d| d.id.clone()).collect();
         let mut remaining = mirror.clone();
         for id in &ids {
@@ -202,7 +218,7 @@ fn mutations_on_mostly_empty_shards_stay_exact() {
     // 4 documents across 16 shards: at least 12 shards start empty, and additions
     // land in empty shards first (the least-loaded placement rule).
     let mut mirror = random_corpus(99, 4);
-    let mut index = ShardedIndexBuilder::new(16).build(&mirror);
+    let mut index = ShardedIndex::build(&mirror, 16);
     for i in 0..6 {
         let doc = Document::new(format!("fill-{i}"), String::new(), "serve rally point");
         mirror.push(doc.clone());
@@ -220,7 +236,7 @@ fn mutations_on_mostly_empty_shards_stay_exact() {
 #[test]
 fn compaction_folds_tombstones_and_deltas_without_changing_results() {
     let mut mirror = random_corpus(111, 40);
-    let mut index = ShardedIndexBuilder::new(3).build(&mirror);
+    let mut index = ShardedIndex::build(&mirror, 3);
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     // Enough removals to trip the tombstone-ratio auto-compaction on some shards.
     for _ in 0..18 {

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rage_retrieval::searcher::RankedSource;
-use rage_retrieval::{Corpus, Document, Searcher, ShardedIndexBuilder};
+use rage_retrieval::{Corpus, Document, Searcher, ShardedIndex};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
 
@@ -112,7 +112,7 @@ fn property_pruned_equals_exhaustive_across_shard_counts() {
     for &shards in SHARD_COUNTS {
         for (seed, n) in [(41, 30), (42, 120), (43, 500)] {
             let corpus = random_corpus(seed, n);
-            let searcher = Searcher::new(ShardedIndexBuilder::new(shards).build(&corpus));
+            let searcher = Searcher::new(ShardedIndex::build(&corpus, shards));
             check_sharded(&searcher, n, &format!("shards={shards} n={n}"));
         }
     }
@@ -138,8 +138,7 @@ fn property_pruned_equals_exhaustive_under_mutation_interleavings() {
     // segments; the pruned path must stay exact at every step. (The rebuild
     // equivalence of the mutated index itself is pinned by tests/incremental.rs.)
     for &shards in [1, 3, 16].iter() {
-        let mut searcher =
-            Searcher::new(ShardedIndexBuilder::new(shards).build(&random_corpus(1234, 50)));
+        let mut searcher = Searcher::new(ShardedIndex::build(&random_corpus(1234, 50), shards));
         let mut rng = StdRng::seed_from_u64(0xBEEF ^ shards as u64);
         let mut next_id = 0usize;
         let mut live_ids: Vec<String> = (0..50).map(|i| format!("doc-{i:04}")).collect();
@@ -197,7 +196,7 @@ fn tie_saturated_corpora_rank_identically() {
         ));
     }
     for &shards in SHARD_COUNTS {
-        let searcher = Searcher::new(ShardedIndexBuilder::new(shards).build(&corpus));
+        let searcher = Searcher::new(ShardedIndex::build(&corpus, shards));
         for k in [1, 3, 4, 5, 16, 19, 20, 21, 40] {
             let oracle = searcher.try_search_exhaustive("quasar index", k).unwrap();
             let pruned = searcher.try_search("quasar index", k).unwrap();

@@ -486,6 +486,25 @@ fn scenarios_json(service: &Service) -> HttpResponse {
     HttpResponse::ok("application/json", doc.render())
 }
 
+/// A request body parsed as JSON, or the 400 that says why it is not.
+fn json_body(request: &HttpRequest) -> Result<JsonValue, HttpResponse> {
+    let body = std::str::from_utf8(&request.body)
+        .map_err(|_| HttpResponse::error(400, "request body is not valid UTF-8"))?;
+    JsonValue::parse(body)
+        .map_err(|err| HttpResponse::error(400, &format!("invalid JSON body: {err}")))
+}
+
+/// The optional `shards` query parameter, or the 400 for a malformed one.
+fn shards_param(request: &HttpRequest) -> Result<Option<usize>, HttpResponse> {
+    request
+        .query_param("shards")
+        .map(|raw| {
+            raw.parse::<usize>()
+                .map_err(|_| HttpResponse::error(400, "shards must be a non-negative integer"))
+        })
+        .transpose()
+}
+
 /// `GET /report?scenario=S[&format=F][&shards=N][&deadline_ms=MS]`.
 fn report_endpoint(request: &HttpRequest, service: &Service) -> HttpResponse {
     let Some(scenario) = request.query_param("scenario") else {
@@ -495,12 +514,9 @@ fn report_endpoint(request: &HttpRequest, service: &Service) -> HttpResponse {
         Ok(format) => format,
         Err(err) => return service_error_response(&err),
     };
-    let shards = match request.query_param("shards") {
-        None => None,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => return HttpResponse::error(400, "shards must be a non-negative integer"),
-        },
+    let shards = match shards_param(request) {
+        Ok(shards) => shards,
+        Err(response) => return response,
     };
     let deadline_ms = match request.query_param("deadline_ms") {
         None => None,
@@ -527,13 +543,9 @@ fn report_endpoint(request: &HttpRequest, service: &Service) -> HttpResponse {
 /// that finishes past its deadline answers 408 too, so a caller waits at most
 /// its deadline plus one ask.
 fn ask_endpoint(request: &HttpRequest, service: &Service, asks: &AskCounters) -> HttpResponse {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return HttpResponse::error(400, "request body is not valid UTF-8"),
-    };
-    let value = match JsonValue::parse(body) {
+    let value = match json_body(request) {
         Ok(value) => value,
-        Err(err) => return HttpResponse::error(400, &format!("invalid JSON body: {err}")),
+        Err(response) => return response,
     };
     let Some(scenario) = value.get("scenario").and_then(JsonValue::as_str) else {
         return HttpResponse::error(400, "body must have a string \"scenario\" member");
@@ -613,13 +625,9 @@ fn ask_endpoint(request: &HttpRequest, service: &Service, asks: &AskCounters) ->
 
 /// `POST /diff` — body `{"a": <schema-v1 report>, "b": <schema-v1 report>}`.
 fn diff_endpoint(request: &HttpRequest) -> HttpResponse {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return HttpResponse::error(400, "request body is not valid UTF-8"),
-    };
-    let value = match JsonValue::parse(body) {
+    let value = match json_body(request) {
         Ok(value) => value,
-        Err(err) => return HttpResponse::error(400, &format!("invalid JSON body: {err}")),
+        Err(response) => return response,
     };
     let mut reports = Vec::with_capacity(2);
     for side in ["a", "b"] {
@@ -711,13 +719,9 @@ fn document_from_json(value: &JsonValue) -> Result<Document, HttpResponse> {
 /// `POST /corpus/docs` — body
 /// `{"scenario": S, "doc": {...}[, "mode": "add"|"update"|"upsert"]}`.
 fn corpus_mutate_endpoint(request: &HttpRequest, service: &Service) -> HttpResponse {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return HttpResponse::error(400, "request body is not valid UTF-8"),
-    };
-    let value = match JsonValue::parse(body) {
+    let value = match json_body(request) {
         Ok(value) => value,
-        Err(err) => return HttpResponse::error(400, &format!("invalid JSON body: {err}")),
+        Err(response) => return response,
     };
     let Some(scenario) = value.get("scenario").and_then(JsonValue::as_str) else {
         return HttpResponse::error(400, "body must have a string \"scenario\" member");
@@ -811,12 +815,9 @@ fn diff_versions_endpoint(request: &HttpRequest, service: &Service) -> HttpRespo
             }
         }
     }
-    let shards = match request.query_param("shards") {
-        None => None,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => return HttpResponse::error(400, "shards must be a non-negative integer"),
-        },
+    let shards = match shards_param(request) {
+        Ok(shards) => shards,
+        Err(response) => return response,
     };
     match service.diff_reports(scenario, versions[0], versions[1], shards) {
         Ok(report_diff) => {
